@@ -123,25 +123,67 @@ def sample_population(n: int, alice_payload, bob_payload, seed: int) -> Populati
     return Population((coins >= 0.5).astype(np.uint8), alice_payload, bob_payload, seed)
 
 
-@dataclass(frozen=True)
+def _column(values, dtype) -> np.ndarray:
+    """A read-only 1-D array of ``values``; read-only arrays of the right
+    dtype are shared, anything else is copied so no caller can write to it."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    try:
+        column = np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"record entry out of range: {exc}") from exc
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """One transcript round: users queried, randomizers, budgets, outputs."""
+    """One transcript round: users queried, randomizers, budgets, outputs.
+
+    ``users`` (int64), ``epsilons`` (float64) and ``outputs`` (uint8) are
+    read-only arrays; sequences passed in are copied into that form.
+    ``randomizer_ids`` is a tuple of descriptors. Records compare by value.
+    """
 
     round_index: int
-    users: tuple[int, ...]
+    users: np.ndarray
     randomizer_ids: tuple[str, ...]
-    epsilons: tuple[float, ...]
-    outputs: tuple[int, ...]
+    epsilons: np.ndarray
+    outputs: np.ndarray
 
     def __post_init__(self):
-        n = len(self.users)
-        if n < 1:
+        users = _column(self.users, np.int64)
+        epsilons = _column(self.epsilons, np.float64)
+        outputs = _column(self.outputs, np.uint8)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "randomizer_ids", tuple(self.randomizer_ids))
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "outputs", outputs)
+        n = users.size
+        if users.ndim != 1 or n < 1:
             raise ValueError("a round must query at least one user")
-        if not (len(self.randomizer_ids) == len(self.epsilons) == len(self.outputs) == n):
+        if not (len(self.randomizer_ids) == epsilons.shape[0] == outputs.shape[0] == n):
             raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
+        if users.min() < 0:
+            raise ValueError("user ids must be non-negative")
         # min/max are cheap guards; the engine validates budgets per query too
-        if min(self.epsilons) <= 0 or not math.isfinite(max(self.epsilons)):
+        if epsilons.min() <= 0 or not math.isfinite(epsilons.max()):
             raise ValueError("epsilons must be strictly positive and finite")
+        if outputs.max() > 1:
+            raise ValueError("outputs must be bits")
+
+    def __eq__(self, other):
+        if not isinstance(other, RoundRecord):
+            return NotImplemented
+        return (
+            self.round_index == other.round_index
+            and self.randomizer_ids == other.randomizer_ids
+            and np.array_equal(self.users, other.users)
+            and np.array_equal(self.epsilons, other.epsilons)
+            and np.array_equal(self.outputs, other.outputs)
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -161,10 +203,17 @@ class Transcript:
 
 def sample_complexity(transcript: Transcript) -> int:
     """Number of distinct users appearing anywhere in the transcript."""
-    seen: set[int] = set()
-    for record in transcript.rounds:
-        seen.update(record.users)
-    return len(seen)
+    columns = [record.users for record in transcript.rounds]
+    if not columns:
+        return 0
+    top = max(int(users.max()) for users in columns)
+    if top >= 4 * sum(users.size for users in columns):
+        # sparse ids, e.g. from a hand-written file: sort rather than mask
+        return int(np.unique(np.concatenate(columns)).size)
+    seen = np.zeros(top + 1, dtype=bool)
+    for users in columns:
+        seen[users] = True
+    return int(np.count_nonzero(seen))
 
 
 def round_complexity(transcript: Transcript) -> int:
@@ -190,7 +239,10 @@ class RoundSpec:
     """A driver's request for one round.
 
     ``queries`` is either a single query object applied to every listed user
-    (the common batched case) or a sequence with one query per user. A query
+    (the common batched case; anything with a ``law`` attribute) or an
+    iterable with one query per user, such as a list, an object array or a
+    generator. ``users`` is any iterable of ids; a ``range`` stays a numpy
+    range and is never expanded element by element. A query
     exposes ``descriptor`` (str), ``epsilon`` (float) and ``law(datum)``
     (the Bernoulli parameter of its output on that datum); predicate-based
     queries additionally expose ``vote(datum)``.
@@ -255,9 +307,8 @@ def execute(
     :class:`DivergenceError` after ``max_rounds`` rounds without a halt.
     """
     public_rng = substream(seed, "public")
-    rounds: list[RoundRecord] = []
     transcript = Transcript()
-    seen_users: set[int] = set()
+    seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
 
@@ -267,19 +318,19 @@ def execute(
             return ExecutionResult(transcript, action.answer, query_log, one_votes)
         if not isinstance(action, RoundSpec):
             raise TypeError(f"driver returned {type(action).__name__}, expected RoundSpec or Halt")
-        if len(rounds) >= max_rounds:
+        round_index = len(transcript.rounds)
+        if round_index >= max_rounds:
             raise DivergenceError(f"driver did not halt within {max_rounds} rounds")
 
-        round_index = len(rounds)
-        users = np.asarray(list(action.users), dtype=np.int64)
+        users = _user_array(action.users)
         if users.size < 1:
             raise ValueError("round must query at least one user")
-        if users.min() < 0 or users.max() >= population.size:
+        low = int(users.min())
+        if low < 0 or users.max() >= population.size:
             raise ValueError("round names a user outside the population")
-        if len(np.unique(users)) != users.size:
-            counts = np.bincount(users.astype(np.intp))
-            dup = int(np.argmax(counts > 1))
-            raise ValueError(f"user {dup} queried twice within round {round_index}")
+        counts = np.bincount(users - low)
+        if counts.max() > 1:
+            raise ValueError(f"user {low + int(np.argmax(counts > 1))} queried twice within round {round_index}")
 
         if mode is InteractivityMode.NONINTERACTIVE and round_index >= 1:
             raise InteractivityViolation(
@@ -288,24 +339,34 @@ def execute(
                 round_index=round_index,
             )
         if mode is InteractivityMode.SEQUENTIAL:
-            reused = [int(u) for u in users if int(u) in seen_users]
-            if reused:
+            reused = seen[users]
+            if reused.any():
+                first = int(users[np.argmax(reused)])
                 raise InteractivityViolation(
-                    f"sequential mode reuses user {reused[0]} in round {round_index}",
-                    user_id=reused[0],
+                    f"sequential mode reuses user {first} in round {round_index}",
+                    user_id=first,
                     round_index=round_index,
                 )
-        seen_users.update(int(u) for u in users)
+            seen[users] = True
 
-        shared = not isinstance(action.queries, (list, tuple))
-        if shared:
+        users.setflags(write=False)
+        if hasattr(action.queries, "law"):
             record = _respond_shared(population, users, action.queries, seed, round_index, one_votes, query_log)
         else:
-            if len(action.queries) != users.size:
+            queries = list(action.queries)
+            if len(queries) != users.size:
                 raise ValueError("per-user query list must match the user list length")
-            record = _respond_per_user(population, users, action.queries, seed, round_index, one_votes, query_log)
-        rounds.append(record)
+            record = _respond_per_user(population, users, queries, seed, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
+
+
+def _user_array(users) -> np.ndarray:
+    """A fresh int64 array of the requested user ids; ranges stay in numpy."""
+    if isinstance(users, range):
+        return np.arange(users.start, users.stop, users.step, dtype=np.int64)
+    if not isinstance(users, (list, tuple, np.ndarray)):
+        users = list(users)
+    return np.array(users, dtype=np.int64)
 
 
 def _log_query(query_log: dict[str, Any], query) -> str:
@@ -320,25 +381,17 @@ def _log_query(query_log: dict[str, Any], query) -> str:
 
 def _respond_shared(population, users, query, seed, round_index, one_votes, query_log) -> RoundRecord:
     descriptor = _log_query(query_log, query)
-    p_alice = float(query.law(population.alice_datum))
-    p_bob = float(query.law(population.bob_datum))
-    is_bob = population.side_codes[users].astype(bool)
-    params = np.where(is_bob, p_bob, p_alice)
-    draws = response_uniforms(seed, users, round_index)
-    bits = draws < params
+    sides = population.side_codes[users]  # 0 Alice, 1 Bob
+    params = np.array([query.law(population.alice_datum), query.law(population.bob_datum)], dtype=np.float64)
+    bits = response_uniforms(seed, users, round_index) < params[sides]
     if hasattr(query, "vote"):
-        vote_alice = bool(query.vote(population.alice_datum))
-        vote_bob = bool(query.vote(population.bob_datum))
-        votes = np.where(is_bob, vote_bob, vote_alice)
-        np.add.at(one_votes, users, votes.astype(np.int64))
-    n = users.size
-    return RoundRecord(
-        round_index=round_index,
-        users=tuple(users.tolist()),
-        randomizer_ids=(descriptor,) * n,
-        epsilons=(float(query.epsilon),) * n,
-        outputs=tuple(int(b) for b in bits),
-    )
+        votes = np.array([query.vote(population.alice_datum), query.vote(population.bob_datum)], dtype=bool)
+        if votes.any():
+            one_votes[users] += votes[sides]
+    epsilons = np.broadcast_to(np.float64(query.epsilon), users.shape)
+    outputs = bits.view(np.uint8)
+    outputs.setflags(write=False)
+    return RoundRecord(round_index, users, (descriptor,) * users.size, epsilons, outputs)
 
 
 def _respond_per_user(population, users, queries, seed, round_index, one_votes, query_log) -> RoundRecord:
@@ -354,13 +407,7 @@ def _respond_per_user(population, users, queries, seed, round_index, one_votes, 
         outputs.append(bit)
         if hasattr(query, "vote") and query.vote(datum):
             one_votes[uid] += 1
-    return RoundRecord(
-        round_index=round_index,
-        users=tuple(users.tolist()),
-        randomizer_ids=tuple(descriptors),
-        epsilons=tuple(epsilons),
-        outputs=tuple(outputs),
-    )
+    return RoundRecord(round_index, users, tuple(descriptors), epsilons, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +424,10 @@ def write_transcript(transcript: Transcript, stream: TextIO) -> None:
             "\t".join(
                 (
                     str(r.round_index),
-                    " ".join(map(str, r.users)),
+                    " ".join(map(str, r.users.tolist())),
                     " ".join(r.randomizer_ids),
-                    " ".join(repr(e) for e in r.epsilons),
-                    " ".join(map(str, r.outputs)),
+                    " ".join(map(repr, r.epsilons.tolist())),
+                    " ".join(map(str, r.outputs.tolist())),
                 )
             )
             + "\n"

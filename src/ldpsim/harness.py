@@ -158,11 +158,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return (low, high)
 
 
-def _pc_population_size(shape: PCShape, m: int) -> int:
-    num_bits = max(1, math.ceil(math.log2(shape.size)))
-    return (shape.hops + 1) * num_bits * m
-
-
 def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, Any]:
     tseed = derive_key(cfg.seed, "trial", trial)
     if isinstance(cfg.problem, HLShape):
@@ -199,7 +194,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, Any]:
             shape.size,
             PCSolverConfig(epsilon=cfg.epsilon, m=cfg.group_size, threshold=threshold),
         )
-        pop_size = _pc_population_size(shape, cfg.group_size)
+        pop_size = driver.users_required
         mode = InteractivityMode.SEQUENTIAL
         expected = chase_pointers(instance)
         oracle = lambda answer: answer == expected  # noqa: E731

@@ -228,29 +228,32 @@ def audit_transcript(
             matrices[descriptor] = mat
         return mat
 
-    sums = np.zeros((population.size, n_data))
+    # sums[j, u]: user u's summed worst-case terms against alternative data[j],
+    # accumulated round by round; matrices are transposed to match
+    sums = np.zeros((n_data, population.size))
     appeared = np.zeros(population.size, dtype=bool)
     for record in transcript.rounds:
-        users = np.asarray(record.users, dtype=np.int64)
-        if users.min() < 0 or users.max() >= population.size:
+        users = record.users
+        if users.max() >= population.size:
             raise AuditError("transcript names a user outside the population")
         appeared[users] = True
-        own = population.side_codes[users].astype(np.int64)  # 0 Alice, 1 Bob
+        own = population.side_codes[users]  # 0 Alice, 1 Bob
         ids = record.randomizer_ids
-        if len(set(ids)) == 1:
-            mat = matrix_for(ids[0])
-            for j in range(n_data):
-                sums[users, j] += mat[own, j]
+        if ids.count(ids[0]) == len(ids):
+            terms = np.take(matrix_for(ids[0]).T, own, axis=1)
         else:
-            for pos, descriptor in enumerate(ids):
-                mat = matrix_for(descriptor)
-                sums[users[pos], :] += mat[own[pos], :]
+            terms = np.array([matrix_for(descriptor)[side] for descriptor, side in zip(ids, own.tolist())]).T
+        for j in range(n_data):
+            # unbuffered, so a user listed twice in one round is counted twice
+            np.add.at(sums[j], users, terms[j])
 
-    per_user = {int(uid): float(sums[uid].max()) for uid in np.nonzero(appeared)[0]}
-    if not per_user:
+    uids = np.flatnonzero(appeared)
+    if uids.size == 0:
         return AuditReport(per_user={}, worst_user=None)
-    worst_user = max(per_user, key=lambda uid: (per_user[uid], -uid))
-    return AuditReport(per_user=per_user, worst_user=worst_user)
+    maxima = sums.max(axis=0)[uids]
+    # argmax takes the first maximum, i.e. the lowest uid on ties
+    worst_user = int(uids[np.argmax(maxima)])
+    return AuditReport(per_user=dict(zip(uids.tolist(), maxima.tolist())), worst_user=worst_user)
 
 
 def write_audit_report(

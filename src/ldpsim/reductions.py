@@ -400,7 +400,7 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
         return LawQuery(epsilon=self.epsilon, descriptor=descriptor, law_fn=law)
 
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
-        prefix = tuple(record.outputs[0] for record in transcript.rounds)
+        prefix = tuple(int(record.outputs[0]) for record in transcript.rounds)
         act = self.action(prefix)
         if isinstance(act, Answer):
             return Halt(act.fn(prefix))

@@ -119,7 +119,7 @@ class HLSolverDriver(ProtocolDriver):
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            self._walk.observe(debias(sum(outputs), len(outputs), self.config.per_query_epsilon))
+            self._walk.observe(debias(int(outputs.sum()), outputs.size, self.config.per_query_epsilon))
             self._pending = False
         if self._walk.done:
             return Halt(self._walk.vertex)
@@ -156,7 +156,7 @@ class HLBaselineDriver(ProtocolDriver):
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            self._walk.observe(debias(sum(outputs), len(outputs), self.per_query_epsilon))
+            self._walk.observe(debias(int(outputs.sum()), outputs.size, self.per_query_epsilon))
             self._pending = False
         if self._walk.done:
             return Halt(self._walk.vertex)
@@ -197,7 +197,7 @@ class PCSolverDriver(ProtocolDriver):
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            ybar = debias(sum(outputs), len(outputs), self.config.epsilon)
+            ybar = debias(int(outputs.sum()), outputs.size, self.config.epsilon)
             bit = 1 if ybar > self.config.threshold else 0
             self._code = (self._code << 1) | bit
             self._pending = False
@@ -258,7 +258,7 @@ def pc_one_bit_view(hops: int, size: int, config: PCSolverConfig, data_pair: tup
             chunk = prefix[chunk_index * m : (chunk_index + 1) * m]
             record = RoundRecord(
                 round_index=chunk_index,
-                users=tuple(action.users),
+                users=action.users,
                 randomizer_ids=(action.queries.descriptor,) * m,
                 epsilons=(config.epsilon,) * m,
                 outputs=chunk,
@@ -269,9 +269,11 @@ def pc_one_bit_view(hops: int, size: int, config: PCSolverConfig, data_pair: tup
             return Answer(lambda _transcript, answer=action.answer: answer)
         return action.queries
 
-    total_users = (hops + 1) * max(1, math.ceil(math.log2(size))) * m
     return OneBitSequence(
-        epsilon=config.epsilon, data_pair=data_pair, step_fn=step_fn, max_users=total_users
+        epsilon=config.epsilon,
+        data_pair=data_pair,
+        step_fn=step_fn,
+        max_users=PCSolverDriver(hops, size, config).users_required,
     )
 
 

@@ -142,6 +142,42 @@ def test_round_record_validation():
         RoundRecord(0, (1,), ("q",), (math.inf,), (0,))
 
 
+def test_round_record_columns_are_read_only_arrays(population, query):
+    built = record(0, [3, 1, 2], outputs=[1, 0, 1])
+    executed = execute(QueryScript([[3, 1, 2]], query), population, InteractivityMode.FULL, seed=1)
+    for rec in (built, executed.transcript.rounds[0]):
+        assert isinstance(rec.randomizer_ids, tuple)
+        for column, dtype in ((rec.users, np.int64), (rec.epsilons, np.float64), (rec.outputs, np.uint8)):
+            assert isinstance(column, np.ndarray) and column.dtype == dtype and column.shape == (3,)
+            with pytest.raises(ValueError):
+                column[0] = 0
+    source = np.array([4, 5])
+    rec = record(0, source)
+    source[0] = 9  # the record holds its own copy
+    assert rec.users.tolist() == [4, 5]
+
+
+def test_round_record_equality_is_by_value():
+    assert record(0, [1, 2], [0, 1]) == record(0, (1, 2), (0, 1))
+    assert record(0, [1, 2], [0, 1]) != record(0, [1, 2], [1, 1])
+    assert record(0, [1, 2]) != record(0, [2, 1])
+    assert record(0, [1, 2]) != record(1, [1, 2])
+
+
+def test_round_record_rejects_bad_columns():
+    with pytest.raises(ValueError, match="bits"):
+        record(0, [1], outputs=[2])
+    with pytest.raises(ValueError, match="non-negative"):
+        record(0, [-1])
+    with pytest.raises(ValueError, match="out of range"):
+        record(0, [1], outputs=[-1])
+
+
+def test_sample_complexity_of_sparse_ids():
+    sparse = Transcript((record(0, [5, 10**15]), record(1, [10**15, 7])))
+    assert sample_complexity(sparse) == 3
+
+
 def test_transcript_requires_consecutive_indices():
     with pytest.raises(ValueError):
         Transcript((record(1, [1]),))
@@ -260,9 +296,25 @@ def test_per_user_and_shared_paths_agree(population):
                 return Halt(None)
             return RoundSpec(users=range(8), queries=query)
 
+    class PerUserArray(ProtocolDriver):
+        def next_round(self, transcript, public_rng):
+            if transcript.rounds:
+                return Halt(None)
+            return RoundSpec(users=np.arange(8), queries=np.array([query] * 8, dtype=object))
+
+    class PerUserGenerator(ProtocolDriver):
+        def next_round(self, transcript, public_rng):
+            if transcript.rounds:
+                return Halt(None)
+            return RoundSpec(users=(u for u in range(8)), queries=(query for _ in range(8)))
+
     r_list = execute(PerUser(), hl_pop, InteractivityMode.FULL, seed=3)
     r_shared = execute(Shared(), hl_pop, InteractivityMode.FULL, seed=3)
-    assert r_list.transcript == r_shared.transcript
+    r_array = execute(PerUserArray(), hl_pop, InteractivityMode.FULL, seed=3)
+    r_generator = execute(PerUserGenerator(), hl_pop, InteractivityMode.FULL, seed=3)
+    assert r_list.transcript == r_shared.transcript == r_array.transcript == r_generator.transcript
+    assert np.array_equal(r_list.one_vote_counts, r_array.one_vote_counts)
+    assert np.array_equal(r_list.one_vote_counts, r_shared.one_vote_counts)
 
 
 def _alice_hl_payload():
@@ -304,3 +356,11 @@ def test_transcript_round_trip(population, query):
     write_transcript(result.transcript, buffer)
     parsed = read_transcript(io.StringIO(buffer.getvalue()))
     assert parsed == result.transcript
+
+
+def test_write_transcript_prints_python_numbers(population, query):
+    result = execute(QueryScript([[0, 1, 2], [3, 4]], query), population, InteractivityMode.FULL, seed=4)
+    buffer = io.StringIO()
+    write_transcript(result.transcript, buffer)
+    assert "np." not in buffer.getvalue()
+    assert buffer.getvalue().splitlines()[0].split("\t")[3] == "1.0 1.0 1.0"

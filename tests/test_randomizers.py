@@ -224,6 +224,32 @@ def test_audit_transcript_full_run_bounded():
     assert set(report.per_user) == set(range(pop.size))
 
 
+def test_audit_report_holds_python_numbers():
+    _inst, pop, result = _hl_execution(seed=4, epsilon=0.7, n=20)
+    report = audit_transcript(result.transcript, pop, result.query_log)
+    assert type(report.worst_user) is int
+    assert all(type(uid) is int and type(value) is float for uid, value in report.per_user.items())
+    # ties go to the lowest user id
+    assert report.worst_user == min(uid for uid, value in report.per_user.items() if value == report.max_ratio())
+    buffer = io.StringIO()
+    write_audit_report(report, declared_epsilon=0.7, stream=buffer)
+    assert "np." not in buffer.getvalue()
+
+
+def test_audit_counts_a_user_listed_twice_in_one_round_twice():
+    from ldpsim.engine import RoundRecord
+
+    pop = sample_population(2, "A", "B", seed=1)
+    query = LawQuery(0.7, "law", lambda d: {Side.ALICE: 0.6, Side.BOB: 0.3}.get(d.side, 0.5))
+    twice = Transcript((RoundRecord(0, (0, 0), ("law", "law"), (0.7, 0.7), (1, 0)),))
+    mixed = Transcript((RoundRecord(0, (0, 1, 0), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
+    split = Transcript(tuple(RoundRecord(i, (0,), ("law",), (0.7,), (1,)) for i in range(2)))
+    log = {"law": query, "flat": LawQuery(0.7, "flat", lambda d: 0.5)}
+    expected = audit_transcript(split, pop, log).per_user[0]
+    assert audit_transcript(twice, pop, log).per_user[0] == expected
+    assert audit_transcript(mixed, pop, log).per_user[0] == expected
+
+
 def test_audit_transcript_empty():
     pop = sample_population(3, "A", "B", seed=1)
     report = audit_transcript(Transcript(), pop, {})
@@ -245,7 +271,7 @@ def test_audit_transcript_matches_audit_user():
         responses = []
         for record in result.transcript.rounds:
             if uid in record.users:
-                pos = record.users.index(uid)
+                pos = int(np.flatnonzero(record.users == uid)[0])
                 responses.append((result.query_log[record.randomizer_ids[pos]], record.outputs[pos]))
         expected = audit_user(responses, pop.datum(uid), neighbors)
         assert report.per_user[uid] == pytest.approx(expected, abs=1e-12)

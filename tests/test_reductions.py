@@ -188,6 +188,22 @@ def test_lifted_driver_is_sequential_and_private():
     assert report.max_ratio() <= epsilon + 1e-9
 
 
+def test_lifted_driver_prefix_is_python_ints():
+    protocol = TableProtocol(
+        num_bits=3,
+        sender_fn=lambda prefix: Side.ALICE if len(prefix) % 2 == 0 else Side.BOB,
+        param_fn=lambda inp, prefix: float(inp),
+        channel=lift_channel(LN3),
+    )
+    pair = (Datum(Side.ALICE, 1), Datum(Side.BOB, 0))
+    lifted = lift_two_party_to_ldp(protocol, LN3, pair)
+    population = sample_population(3, pair[0].payload, pair[1].payload, seed=5)
+    result = execute(lifted, population, InteractivityMode.SEQUENTIAL, seed=6)
+    # the table protocol answers with its transcript, i.e. the driver's prefix
+    assert isinstance(result.answer, tuple) and len(result.answer) == 3
+    assert all(type(bit) is int for bit in result.answer)
+
+
 # ---------------------------------------------------------------------------
 # lower
 # ---------------------------------------------------------------------------
