@@ -492,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(func=_cmd_enumerate)
 
     acc = sub.add_parser("acceptance", help="run the acceptance suite")
-    acc.add_argument("--suite", choices=("primary",), default="primary")
     acc.add_argument("--only", type=int, action="append", choices=sorted(CRITERIA), help="criterion number")
     acc.set_defaults(func=_cmd_acceptance)
 

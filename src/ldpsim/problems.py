@@ -122,6 +122,11 @@ def hl_count_consistent(inst: HLInstance, guard: int = ENUMERATION_GUARD) -> int
     return sum(1 for path in product(range(inst.branching), repeat=inst.num_levels) if hl_consistent(path, inst))
 
 
+def pointer_bits(size: int) -> int:
+    """Bits needed to encode a pointer into [1, size] as (value - 1)."""
+    return max(1, math.ceil(math.log2(size)))
+
+
 @dataclass(frozen=True)
 class PCInstance:
     """A pointer chasing instance: two pointer vectors with 1-indexed values.
@@ -149,7 +154,7 @@ class PCInstance:
     @property
     def num_bits(self) -> int:
         """Bits needed to encode a pointer value as (value - 1), big-endian."""
-        return max(1, math.ceil(math.log2(self.size)))
+        return pointer_bits(self.size)
 
     def data_pair(self) -> tuple[Datum, Datum]:
         return (Datum(Side.ALICE, self.alice_ptrs), Datum(Side.BOB, self.bob_ptrs))

@@ -19,9 +19,12 @@ Conversions provided:
   one with Bob speaking first and one extra round, preserving the joint
   output distribution.
 
-Exact transcript distributions for all of these are computed by depth-first
-enumeration over message bits, channel flips, and the public partition and
-keep/skip coins.
+Exact transcript distributions for all of these are computed by one
+depth-first enumerator over transcript prefixes. At each prefix a protocol
+reports either a leaf or the probability mass entering bit 0 and bit 1; for
+two-party protocols that mass is summed over the public lottery, the sent
+bit, the channel flip and the keep/skip coin, so branches that enter the same
+bit are merged and a depth-d protocol visits at most 2^(d+1) - 1 prefixes.
 """
 
 from __future__ import annotations
@@ -156,12 +159,17 @@ class TranscriptDistribution:
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "TranscriptDistribution":
         probs: dict[str, float] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
                 continue
-            key, value = line.split(" ")
-            probs["" if key == "-" else key] = float(value)
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected 'transcript probability', got {line.strip()!r}")
+            key, value = fields
+            try:
+                probs["" if key == "-" else key] = float(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: probability {value!r} is not a number") from None
         return cls(probs)
 
 
@@ -179,6 +187,38 @@ def _check_prob(x: float, context: str) -> float:
     raise ReductionError(f"{context}: probability {x} outside [0, 1]")
 
 
+def _enumerate(
+    branch: Callable[[tuple[int, ...]], tuple[float, float] | None],
+    max_paths: int,
+) -> TranscriptDistribution:
+    """Depth-first enumeration of a bit-tree protocol.
+
+    ``branch(prefix)`` returns None at a leaf, else the probability masses
+    entering bit 0 and bit 1 after ``prefix``; a zero mass prunes that bit.
+    ``max_paths`` bounds the number of visited prefixes, leaves included.
+    """
+    probs: dict[str, float] = {}
+    visited = 0
+
+    def visit(prefix: tuple[int, ...], prob: float) -> None:
+        nonlocal visited
+        visited += 1
+        if visited > max_paths:
+            raise ValueError(f"enumeration exceeds {max_paths} prefixes")
+        masses = branch(prefix)
+        if masses is None:
+            probs[_key(prefix)] = prob
+            return
+        zero, one = masses
+        if zero != 0.0:
+            visit(prefix + (0,), prob * zero)
+        if one != 0.0:
+            visit(prefix + (1,), prob * one)
+
+    visit((), 1.0)
+    return TranscriptDistribution(probs)
+
+
 def enumerate_transcript_distribution(
     protocol: TwoPartyProtocol,
     alice_input,
@@ -187,25 +227,20 @@ def enumerate_transcript_distribution(
 ) -> TranscriptDistribution:
     """Exact entered-bit transcript distribution of a two-party protocol.
 
-    Depth-first traversal branching over the step lottery, the sent bit, the
-    channel flip, and the keep/skip coin; zero-probability branches are
-    pruned.
+    Each bit's mass is the sum, over the step lottery, the sent bit, the
+    channel flip and the keep/skip coin, of the weights of the branches that
+    enter it, so a bit no branch enters keeps mass exactly 0.
     """
-    probs: dict[str, float] = {}
-    paths = 0
+    crossover = protocol.channel.crossover
+    noisy = protocol.channel.kind is ChannelKind.BSC and crossover > 0.0
 
-    def recurse(prefix: tuple[int, ...], prob: float) -> None:
-        nonlocal paths
-        paths += 1
-        if paths > max_paths:
-            raise ValueError(f"enumeration exceeds {max_paths} paths")
+    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) > protocol.max_bits:
             raise ReductionError("protocol exceeded its own max_bits without halting")
         act = protocol.action(prefix)
         if isinstance(act, Answer):
-            probs[_key(prefix)] = probs.get(_key(prefix), 0.0) + prob
-            return
-        crossover = protocol.channel.crossover
+            return None
+        mass = [0.0, 0.0]
         for branch_prob, step in act:
             if branch_prob == 0.0:
                 continue
@@ -214,7 +249,7 @@ def enumerate_transcript_distribution(
             for sent, p_s in ((1, p_send), (0, 1.0 - p_send)):
                 if p_s == 0.0:
                     continue
-                if protocol.channel.kind is ChannelKind.BSC and crossover > 0.0:
+                if noisy:
                     received_branches = ((sent, 1.0 - crossover), (1 - sent, crossover))
                 else:
                     received_branches = ((sent, 1.0),)
@@ -224,13 +259,10 @@ def enumerate_transcript_distribution(
                     else:
                         entered_branches = ((received, 1.0),)
                     for entered, p_e in entered_branches:
-                        weight = prob * branch_prob * p_s * p_r * p_e
-                        if weight == 0.0:
-                            continue
-                        recurse(prefix + (int(entered),), weight)
+                        mass[entered] += branch_prob * p_s * p_r * p_e
+        return mass[0], mass[1]
 
-    recurse((), 1.0)
-    return TranscriptDistribution(probs)
+    return _enumerate(branch, max_paths)
 
 
 def simulate_two_party(
@@ -324,30 +356,20 @@ def enumerate_onebit_distribution(
 ) -> TranscriptDistribution:
     """Exact published-bit distribution of a one-bit protocol, with each
     user's datum an independent fair draw from ``data_pair``."""
-    probs: dict[str, float] = {}
-    paths = 0
 
-    def recurse(prefix: tuple[int, ...], prob: float) -> None:
-        nonlocal paths
-        paths += 1
-        if paths > max_paths:
-            raise ValueError(f"enumeration exceeds {max_paths} paths")
+    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) > protocol.max_users:
             raise ReductionError("one-bit protocol exceeded max_users without halting")
         act = protocol.action(prefix)
         if isinstance(act, Answer):
-            probs[_key(prefix)] = probs.get(_key(prefix), 0.0) + prob
-            return
+            return None
+        context = f"law at bit {len(prefix)}"
         p_one = 0.0
         for datum in protocol.data_pair:
-            p_one += 0.5 * _check_prob(float(act.law(datum)), f"law at bit {len(prefix)}")
-        for bit, p_b in ((1, p_one), (0, 1.0 - p_one)):
-            if p_b == 0.0:
-                continue
-            recurse(prefix + (bit,), prob * p_b)
+            p_one += 0.5 * _check_prob(float(act.law(datum)), context)
+        return 1.0 - p_one, p_one
 
-    recurse((), 1.0)
-    return TranscriptDistribution(probs)
+    return _enumerate(branch, max_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +452,7 @@ class LoweredProtocol(TwoPartyProtocol):
     """Two-party BSC protocol simulating a one-bit LDP protocol bit for bit.
 
     Public randomness assigns each simulated user to a player by fair coin.
-    With the user's response law p over the data universe and s = p_min +
+    With the user's response law p over the source's data pair and s = p_min +
     p_max, the assigned player sends a bias-corrected bit and the received
     bit is entered with probability s (skipping enters 0). When s > 1 the
     same construction runs on the complement laws, with skips entering 1.
@@ -446,14 +468,6 @@ class LoweredProtocol(TwoPartyProtocol):
         self.max_bits = source.max_users if max_bits is None else int(max_bits)
         self.cases_used: set[str] = set()
 
-    def _universe(self) -> tuple[Datum, ...]:
-        extra = getattr(self.source, "data_universe", ())
-        universe = list(self.source.data_pair)
-        for datum in extra:
-            if datum not in universe:
-                universe.append(datum)
-        return tuple(universe)
-
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
         act = self.source.action(prefix)
         if isinstance(act, Answer):
@@ -461,7 +475,7 @@ class LoweredProtocol(TwoPartyProtocol):
         if len(prefix) >= self.max_bits:
             return Answer(lambda _transcript: CAP_ABORTED)
         query = act
-        laws = {datum: _check_prob(float(query.law(datum)), "source law") for datum in self._universe()}
+        laws = {datum: _check_prob(float(query.law(datum)), "source law") for datum in self.source.data_pair}
         p_min = min(laws.values())
         p_max = max(laws.values())
         p_sum = p_min + p_max
@@ -511,15 +525,14 @@ def lower_multi_to_two_party(
     """Build the two-party BSC protocol equivalent to ``source``.
 
     When ``eta`` is given, the bit budget is capped at
-    ceil(e^epsilon * expected_users / eta); executions cut short by the cap
+    ceil(e^epsilon * max_users / eta); executions cut short by the cap
     halt with :data:`CAP_ABORTED`, which harnesses count as an error.
     """
     max_bits = None
     if eta is not None:
         if not 0.0 < eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        expected = getattr(source, "expected_users", source.max_users)
-        max_bits = math.ceil(math.exp(epsilon) * expected / eta)
+        max_bits = math.ceil(math.exp(epsilon) * source.max_users / eta)
     return LoweredProtocol(source, epsilon, max_bits=max_bits)
 
 
@@ -634,31 +647,21 @@ def enumerate_simultaneous(
     bob_input,
     max_paths: int = ENUMERATION_GUARD,
 ) -> TranscriptDistribution:
-    """Distribution over flattened pair transcripts (a1 b1 a2 b2 ...)."""
-    probs: dict[str, float] = {}
-    paths = 0
+    """Distribution over flattened pair transcripts (a1 b1 a2 b2 ...); each
+    round visits Alice's bit, then Bob's."""
 
-    def recurse(pairs: tuple[tuple[int, int], ...], prob: float) -> None:
-        nonlocal paths
-        paths += 1
-        if paths > max_paths:
-            raise ValueError(f"enumeration exceeds {max_paths} paths")
-        if len(pairs) == protocol.num_rounds:
-            key = "".join(f"{a}{b}" for a, b in pairs)
-            probs[key] = probs.get(key, 0.0) + prob
-            return
-        p_a = _check_prob(float(protocol.alice_param(alice_input, pairs)), "alice bit")
-        p_b = _check_prob(float(protocol.bob_param(bob_input, pairs)), "bob bit")
-        for a_bit, pa in ((1, p_a), (0, 1.0 - p_a)):
-            if pa == 0.0:
-                continue
-            for b_bit, pb in ((1, p_b), (0, 1.0 - p_b)):
-                if pb == 0.0:
-                    continue
-                recurse(pairs + ((a_bit, b_bit),), prob * pa * pb)
+    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
+        t, bob_turn = divmod(len(prefix), 2)
+        if t == protocol.num_rounds:
+            return None
+        pairs = tuple(zip(prefix[0 : 2 * t : 2], prefix[1 : 2 * t : 2]))
+        if bob_turn:
+            p_one = _check_prob(float(protocol.bob_param(bob_input, pairs)), "bob bit")
+        else:
+            p_one = _check_prob(float(protocol.alice_param(alice_input, pairs)), "alice bit")
+        return 1.0 - p_one, p_one
 
-    recurse((), 1.0)
-    return TranscriptDistribution(probs)
+    return _enumerate(branch, max_paths)
 
 
 def enumerate_alternating(
@@ -668,28 +671,17 @@ def enumerate_alternating(
     max_paths: int = ENUMERATION_GUARD,
 ) -> TranscriptDistribution:
     """Distribution over the alternating protocol's flat bit transcript."""
-    probs: dict[str, float] = {}
     total_bits = len(protocol.positions)
-    paths = 0
 
-    def recurse(prefix: tuple[int, ...], prob: float) -> None:
-        nonlocal paths
-        paths += 1
-        if paths > max_paths:
-            raise ValueError(f"enumeration exceeds {max_paths} paths")
+    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) == total_bits:
-            probs[_key(prefix)] = probs.get(_key(prefix), 0.0) + prob
-            return
+            return None
         p_one = _check_prob(
             float(protocol.param_at(len(prefix), alice_input, bob_input, prefix)), "alternating bit"
         )
-        for bit, p_b in ((1, p_one), (0, 1.0 - p_one)):
-            if p_b == 0.0:
-                continue
-            recurse(prefix + (bit,), prob * p_b)
+        return 1.0 - p_one, p_one
 
-    recurse((), 1.0)
-    return TranscriptDistribution(probs)
+    return _enumerate(branch, max_paths)
 
 
 def alternating_pairs_distribution(

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import Datum, Halt, ProtocolDriver, RoundRecord, RoundSpec, Side, Transcript
-from .problems import HLEdgePredicate, PCBitPredicate
+from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, debias
 from .reductions import Answer, OneBitSequence
 
@@ -184,7 +184,7 @@ class PCSolverDriver(ProtocolDriver):
         self.hops = hops
         self.size = size
         self.config = config
-        self.num_bits = max(1, math.ceil(math.log2(size)))
+        self.num_bits = pointer_bits(size)
         self._phase = 0
         self._side = Side.ALICE
         self._location = 1
@@ -296,6 +296,6 @@ def pc_group_bound(epsilon: float, hops: int, size: int, beta: float = 1.0 / 6.0
     """Per-bit group size m = ceil(100*((e+2)/(e*sqrt(2)))^2 *
     (ln((hops+1)*num_bits) + ln(2/beta))) making all bit queries correct with
     probability at least 1 - beta."""
-    num_bits = max(1, math.ceil(math.log2(size)))
+    num_bits = pointer_bits(size)
     factor = ((epsilon + 2.0) / (epsilon * math.sqrt(2.0))) ** 2
     return int(math.ceil(100.0 * factor * (math.log((hops + 1) * num_bits) + math.log(2.0 / beta))))

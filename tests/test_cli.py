@@ -245,6 +245,12 @@ def test_acceptance_subset(capsys):
     assert all(line.startswith("PASS criterion-") for line in lines)
 
 
+def test_acceptance_has_no_suite_flag(capsys):
+    code, _stdout, stderr = run_cli(capsys, "acceptance", "--suite", "primary")
+    assert code == 1
+    assert "--suite" in stderr
+
+
 def test_acceptance_failure_exits_two(capsys, monkeypatch):
     import ldpsim.acceptance as acceptance
 

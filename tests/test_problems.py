@@ -18,6 +18,7 @@ from ldpsim.problems import (
     hl_consistent,
     hl_count_consistent,
     parse_predicate,
+    pointer_bits,
     read_instance,
     write_instance,
 )
@@ -223,6 +224,16 @@ def test_pc_predicate_semantics():
         assert pred(alice) == expected
         assert not pred(bob)
         assert not pred(SENTINEL_DATUM)
+
+
+def test_pointer_bits_is_shared():
+    from ldpsim.solvers import PCSolverConfig, PCSolverDriver
+
+    assert [pointer_bits(size) for size in (2, 3, 4, 5, 16, 17)] == [1, 2, 2, 3, 4, 5]
+    for size in (2, 7, 16):
+        inst = gen_pc_instance(1, size, seed=size)
+        driver = PCSolverDriver(1, size, PCSolverConfig(epsilon=1.0, m=1))
+        assert inst.num_bits == driver.num_bits == pointer_bits(size)
 
 
 def test_predicate_descriptors_round_trip():

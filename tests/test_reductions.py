@@ -16,6 +16,7 @@ from ldpsim.reductions import (
     SimultaneousProtocol,
     TableProtocol,
     TranscriptDistribution,
+    _check_prob,
     alternating_pairs_distribution,
     enumerate_alternating,
     enumerate_onebit_distribution,
@@ -53,6 +54,95 @@ def law_query(epsilon, name, p_alice, p_bob) -> LawQuery:
 
 
 PAIR = (Datum(Side.ALICE, "x"), Datum(Side.BOB, "y"))
+
+
+# ---------------------------------------------------------------------------
+# reference enumerators: one branch per coin outcome, summed at the leaves
+# ---------------------------------------------------------------------------
+
+
+def reference_two_party(protocol, alice_input, bob_input) -> dict[str, float]:
+    """Path-by-path enumeration over the step lottery, the sent bit, the
+    channel flip and the keep/skip coin; paths ending in the same transcript
+    are summed at the leaf."""
+    probs: dict[str, float] = {}
+    crossover = protocol.channel.crossover
+    noisy = protocol.channel.kind is ChannelKind.BSC and crossover > 0.0
+
+    def recurse(prefix, prob):
+        act = protocol.action(prefix)
+        if isinstance(act, Answer):
+            key = "".join(map(str, prefix))
+            probs[key] = probs.get(key, 0.0) + prob
+            return
+        for branch_prob, step in act:
+            inp = alice_input if step.sender is Side.ALICE else bob_input
+            p_send = _check_prob(float(step.send_param(inp)), "reference")
+            for sent, p_s in ((1, p_send), (0, 1.0 - p_send)):
+                received_branches = ((sent, 1.0 - crossover), (1 - sent, crossover)) if noisy else ((sent, 1.0),)
+                for received, p_r in received_branches:
+                    if step.use_prob < 1.0:
+                        entered_branches = ((received, step.use_prob), (step.skip_bit, 1.0 - step.use_prob))
+                    else:
+                        entered_branches = ((received, 1.0),)
+                    for entered, p_e in entered_branches:
+                        weight = prob * branch_prob * p_s * p_r * p_e
+                        if weight != 0.0:
+                            recurse(prefix + (entered,), weight)
+
+    recurse((), 1.0)
+    return probs
+
+
+def reference_bit_tree(is_leaf, p_one) -> dict[str, float]:
+    """Enumeration of a protocol publishing one bit per step, 1 with
+    probability ``p_one(prefix)``."""
+    probs: dict[str, float] = {}
+
+    def recurse(prefix, prob):
+        if is_leaf(prefix):
+            probs["".join(map(str, prefix))] = prob
+            return
+        p = p_one(prefix)
+        for bit, p_b in ((1, p), (0, 1.0 - p)):
+            if p_b != 0.0:
+                recurse(prefix + (bit,), prob * p_b)
+
+    recurse((), 1.0)
+    return probs
+
+
+def reference_onebit(protocol) -> dict[str, float]:
+    def p_one(prefix):
+        query = protocol.action(prefix)
+        return sum(0.5 * _check_prob(float(query.law(datum)), "reference") for datum in protocol.data_pair)
+
+    return reference_bit_tree(lambda prefix: isinstance(protocol.action(prefix), Answer), p_one)
+
+
+def reference_simultaneous(protocol, x, y) -> dict[str, float]:
+    probs: dict[str, float] = {}
+
+    def recurse(pairs, prob):
+        if len(pairs) == protocol.num_rounds:
+            probs["".join(f"{a}{b}" for a, b in pairs)] = prob
+            return
+        p_a = float(protocol.alice_param(x, pairs))
+        p_b = float(protocol.bob_param(y, pairs))
+        for a_bit, pa in ((1, p_a), (0, 1.0 - p_a)):
+            for b_bit, pb in ((1, p_b), (0, 1.0 - p_b)):
+                if pa != 0.0 and pb != 0.0:
+                    recurse(pairs + ((a_bit, b_bit),), prob * pa * pb)
+
+    recurse((), 1.0)
+    return probs
+
+
+def reference_alternating(protocol, x, y) -> dict[str, float]:
+    return reference_bit_tree(
+        lambda prefix: len(prefix) == len(protocol.positions),
+        lambda prefix: float(protocol.param_at(len(prefix), x, y, prefix)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +186,44 @@ def test_distribution_serialize_round_trip():
     parsed = TranscriptDistribution.parse(io.StringIO(buffer.getvalue()))
     assert parsed.probs == dist.probs
     assert dist.tv_distance(parsed) == 0.0
+
+
+def test_distribution_parse_names_the_bad_line():
+    with pytest.raises(ValueError, match="line 2: expected"):
+        TranscriptDistribution.parse(["0 0.5", "1", "11 0.5"])
+    with pytest.raises(ValueError, match="line 1: expected"):
+        TranscriptDistribution.parse(["0 0.5 0.5", "1 0.5"])
+    with pytest.raises(ValueError, match=r"line 3: probability 'half' is not a number"):
+        TranscriptDistribution.parse(["0 0.5", "", "1 half"])
+
+
+def test_distribution_parse_skips_blank_lines():
+    parsed = TranscriptDistribution.parse(["", "- 0.25\n", "  ", "01 0.75\n"])
+    assert parsed.probs == {"": 0.25, "01": 0.75}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_max_paths_bounds_visited_prefixes(depth):
+    # a fair noiseless bit per step: the full binary tree of 2^(d+1) - 1 prefixes
+    protocol = TableProtocol(
+        num_bits=depth,
+        sender_fn=lambda prefix: Side.ALICE,
+        param_fn=lambda inp, prefix: 0.5,
+        channel=ChannelSpec(ChannelKind.NOISELESS),
+    )
+    prefixes = 2 ** (depth + 1) - 1
+    dist = enumerate_transcript_distribution(protocol, 0, 0, max_paths=prefixes)
+    assert len(dist.probs) == 2**depth
+    with pytest.raises(ValueError, match="exceeds"):
+        enumerate_transcript_distribution(protocol, 0, 0, max_paths=prefixes - 1)
+
+
+def test_lowered_protocol_visits_one_prefix_per_transcript_prefix():
+    # lottery, sent bit, flip and keep/skip branches entering one bit are merged
+    queries = [law_query(LN3, f"q{i}", 0.75, 0.25) for i in range(3)]
+    lowered = lower_multi_to_two_party(fixed_onebit(LN3, PAIR, queries), LN3)
+    dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1], max_paths=2**4 - 1)
+    assert len(dist.probs) == 8
 
 
 def test_enumeration_path_guard():
@@ -429,3 +557,138 @@ def test_transform_dependency_order_sound():
         for i in range(t):
             for side in (Side.ALICE, Side.BOB):
                 assert positions.index((side, i)) < pos
+
+
+# ---------------------------------------------------------------------------
+# merged enumerator against the reference enumerators
+# ---------------------------------------------------------------------------
+
+
+def _valid_law_pair(epsilon, p_a, t):
+    """A law for Bob within the e^epsilon likelihood bounds of Alice's."""
+    bound = math.exp(epsilon)
+    lo = max(p_a / bound, 1.0 - (1.0 - p_a) * bound)
+    hi = min(p_a * bound, 1.0 - (1.0 - p_a) / bound)
+    return p_a, lo + t * (hi - lo)
+
+
+_LAW = st.one_of(
+    st.tuples(st.floats(0.02, 0.98), st.floats(0.0, 1.0), st.booleans()),
+    st.sampled_from([(0.0, None, False), (1.0, None, False)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=0.3, max_value=3.0),
+    st.integers(min_value=1, max_value=3),
+    st.lists(_LAW, min_size=7, max_size=7),
+)
+def test_lowered_enumeration_matches_reference(epsilon, num_users, draws):
+    prefixes = [prefix for t in range(num_users) for prefix in product((0, 1), repeat=t)]
+    queries = {}
+    for i, (prefix, (p_a, t, mirror)) in enumerate(zip(prefixes, draws)):
+        pair = (p_a, p_a) if t is None else _valid_law_pair(epsilon, p_a, t)
+        if mirror:
+            pair = (1.0 - pair[0], 1.0 - pair[1])
+        queries[prefix] = law_query(epsilon, f"h{i}", *pair)
+
+    def step_fn(prefix):
+        if len(prefix) >= num_users:
+            return Answer(lambda transcript: transcript)
+        return queries[prefix]
+
+    source = OneBitSequence(epsilon=epsilon, data_pair=PAIR, step_fn=step_fn, max_users=num_users)
+    lowered = lower_multi_to_two_party(source, epsilon)
+    merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
+    reference = reference_two_party(lowered, PAIR[0], PAIR[1])
+    assert set(merged) == set(reference)
+    for key, prob in reference.items():
+        assert abs(merged[key] - prob) <= 1e-14
+    expected_cases = {"case1" if q.law(PAIR[0]) + q.law(PAIR[1]) <= 1.0 else "case2" for q in queries.values()}
+    assert lowered.cases_used <= expected_cases
+    assert enumerate_onebit_distribution(source).probs == reference_onebit(source)
+
+
+def test_lowered_enumeration_covers_both_cases():
+    # one protocol whose prefixes run both case1 and case2 against the reference
+    epsilon = LN2
+    q1 = law_query(epsilon, "q1", 0.3, 0.2)
+    q_zero = law_query(epsilon, "q20", 0.7, 0.8)
+    q_one = law_query(epsilon, "q21", 0.0, 0.0)
+
+    def step_fn(prefix):
+        if len(prefix) == 0:
+            return q1
+        if len(prefix) == 1:
+            return q_zero if prefix[0] == 0 else q_one
+        return Answer(lambda transcript: transcript)
+
+    lowered = lower_multi_to_two_party(OneBitSequence(epsilon, PAIR, step_fn, max_users=2), epsilon)
+    merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
+    reference = reference_two_party(lowered, PAIR[0], PAIR[1])
+    assert lowered.cases_used == {"case1", "case2"}
+    assert set(merged) == set(reference) == {"00", "01", "10"}
+    assert all(abs(merged[key] - reference[key]) <= 1e-14 for key in reference)
+
+
+def _random_lift_table(rng, depth):
+    functions = ((0, 0), (1, 1), (0, 1), (1, 0))
+    prefixes = [prefix for t in range(depth) for prefix in product((0, 1), repeat=t)]
+    return {prefix: ((Side.ALICE, Side.BOB)[rng.randrange(2)], functions[rng.randrange(4)]) for prefix in prefixes}
+
+
+def test_lift_enumerations_are_bit_identical_to_reference():
+    import random
+
+    rng = random.Random(11)
+    for depth in (1, 3, 5):
+        table = _random_lift_table(rng, depth)
+        protocol = TableProtocol(
+            num_bits=depth,
+            sender_fn=lambda prefix, t=table: t[prefix][0],
+            param_fn=lambda inp, prefix, t=table: float(t[prefix][1][inp]),
+            channel=lift_channel(LN3),
+        )
+        for x, y in product((0, 1), repeat=2):
+            lifted = lift_two_party_to_ldp(protocol, LN3, (Datum(Side.ALICE, x), Datum(Side.BOB, y)))
+            assert enumerate_transcript_distribution(protocol, x, y).probs == reference_two_party(protocol, x, y)
+            assert enumerate_onebit_distribution(lifted).probs == reference_onebit(lifted)
+
+
+def test_onebit_enumeration_is_bit_identical_to_reference():
+    queries = [
+        law_query(LN3, "rr1", rr_param(1, LN3), rr_param(0, LN3)),
+        law_query(LN3, "c", 0.3, 0.3),
+        law_query(LN3, "zero", 0.0, 0.0),
+        law_query(LN3, "rr0", rr_param(0, LN3), rr_param(1, LN3)),
+    ]
+    protocol = fixed_onebit(LN3, PAIR, queries)
+    dist = enumerate_onebit_distribution(protocol)
+    assert dist.probs == reference_onebit(protocol)
+    assert all(key[2] == "0" for key in dist.probs)
+
+
+def test_round_reschedule_enumerations_are_bit_identical_to_reference():
+    import random
+
+    rng = random.Random(5)
+    for num_rounds in (1, 2, 3):
+        a_table = {}
+        b_table = {}
+
+        def param(table, inp, pairs):
+            key = (inp, pairs)
+            if key not in table:
+                table[key] = rng.choice((0.0, 1.0, rng.random()))
+            return table[key]
+
+        protocol = SimultaneousProtocol(
+            num_rounds=num_rounds,
+            alice_param=lambda inp, pairs, t=a_table: param(t, inp, pairs),
+            bob_param=lambda inp, pairs, t=b_table: param(t, inp, pairs),
+        )
+        alternating = simultaneous_to_alternating(protocol)
+        for x, y in product((0, 1), repeat=2):
+            assert enumerate_simultaneous(protocol, x, y).probs == reference_simultaneous(protocol, x, y)
+            assert enumerate_alternating(alternating, x, y).probs == reference_alternating(alternating, x, y)
