@@ -11,12 +11,14 @@ from samples.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript
+from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column
 
 
 class AuditError(LdpSimError):
@@ -170,15 +172,106 @@ def audit_user(
     return worst
 
 
+class AuditValues(Mapping[int, float]):
+    """Read-only mapping view of audit values over two columns: ``user_ids``
+    (int64, strictly ascending) and ``ratios`` (float64).
+
+    Iteration, ``items()`` and ``values()`` convert the columns with one
+    ``tolist()`` each, so they yield Python ``int`` and ``float`` in ascending
+    id order; ``[]`` and ``in`` binary-search the id column.
+    """
+
+    __slots__ = ("user_ids", "ratios")
+
+    def __init__(self, user_ids, ratios):
+        user_ids = _column(user_ids, np.int64)
+        ratios = _column(ratios, np.float64)
+        if user_ids.ndim != 1 or user_ids.shape != ratios.shape:
+            raise ValueError("user ids and ratios must be 1-D columns of equal length")
+        if np.any(user_ids[1:] <= user_ids[:-1]):
+            raise ValueError("user ids must be strictly ascending")
+        self.user_ids = user_ids
+        self.ratios = ratios
+
+    @classmethod
+    def of(cls, mapping: Mapping[int, float]) -> AuditValues:
+        """``mapping`` itself when it is columnar, else its entries sorted by id."""
+        if isinstance(mapping, cls):
+            return mapping
+        ids = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+        ratios = np.fromiter(mapping.values(), dtype=np.float64, count=len(mapping))
+        order = np.argsort(ids)
+        return cls(ids[order], ratios[order])
+
+    def _position(self, uid) -> int:
+        """Index of ``uid`` in the id column, or -1 when it was not audited."""
+        ids = self.user_ids
+        try:
+            uid = operator.index(uid)
+        except TypeError:
+            return -1
+        if not ids.size or not int(ids[0]) <= uid <= int(ids[-1]):
+            return -1
+        pos = int(ids.searchsorted(uid))
+        return pos if ids[pos] == uid else -1
+
+    def __getitem__(self, uid) -> float:
+        pos = self._position(uid)
+        if pos < 0:
+            raise KeyError(uid)
+        return float(self.ratios[pos])
+
+    def __contains__(self, uid) -> bool:
+        return self._position(uid) >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.user_ids.tolist())
+
+    def __len__(self) -> int:
+        return self.user_ids.size
+
+    def items(self) -> ItemsView[int, float]:
+        return _AuditItems(self)
+
+    def values(self) -> ValuesView[float]:
+        return _AuditRatios(self)
+
+    def max(self) -> float:
+        """The largest audit value, 0.0 when no user was audited."""
+        return float(self.ratios.max()) if self.ratios.size else 0.0
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _AuditItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.user_ids.tolist(), self._mapping.ratios.tolist())
+
+
+class _AuditRatios(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.ratios.tolist())
+
+
 @dataclass
 class AuditReport:
-    """Per-user worst-case log-likelihood ratios for one execution."""
+    """Per-user worst-case log-likelihood ratios for one execution.
 
-    per_user: dict[int, float]
+    ``per_user`` accepts any mapping from user id to value, when built and
+    when assigned, and always holds it as :class:`AuditValues` columns.
+    """
+
+    per_user: Mapping[int, float]
     worst_user: int | None
 
+    def __setattr__(self, name, value):
+        if name == "per_user":
+            value = AuditValues.of(value)
+        object.__setattr__(self, name, value)
+
     def max_ratio(self) -> float:
-        return max(self.per_user.values(), default=0.0)
+        return self.per_user.max()
 
     def __post_init__(self):
         if self.per_user:
@@ -248,12 +341,10 @@ def audit_transcript(
             np.add.at(sums[j], users, terms[j])
 
     uids = np.flatnonzero(appeared)
-    if uids.size == 0:
-        return AuditReport(per_user={}, worst_user=None)
     maxima = sums.max(axis=0)[uids]
     # argmax takes the first maximum, i.e. the lowest uid on ties
-    worst_user = int(uids[np.argmax(maxima)])
-    return AuditReport(per_user=dict(zip(uids.tolist(), maxima.tolist())), worst_user=worst_user)
+    worst_user = int(uids[np.argmax(maxima)]) if uids.size else None
+    return AuditReport(per_user=AuditValues(uids, maxima), worst_user=worst_user)
 
 
 def write_audit_report(
@@ -264,7 +355,6 @@ def write_audit_report(
 ) -> None:
     """Tabular text form: user id, max log ratio, declared budget, pass/fail."""
     stream.write("user_id\tmax_log_ratio\tbudget\tstatus\n")
-    for uid in sorted(report.per_user):
-        value = report.per_user[uid]
+    for uid, value in report.per_user.items():
         status = "pass" if value <= declared_epsilon + slack else "FAIL"
         stream.write(f"{uid}\t{value!r}\t{declared_epsilon!r}\t{status}\n")

@@ -481,14 +481,20 @@ class LoweredProtocol(TwoPartyProtocol):
         p_sum = p_min + p_max
         adv = self._advantage
 
+        def holder_law(input_datum: Datum) -> float:
+            # the data pair's laws are checked above; only other data ask the query again
+            if input_datum in laws:
+                return laws[input_datum]
+            return _check_prob(float(query.law(input_datum)), "holder law")
+
         if p_sum <= 1.0:
             case = "case1"
             use_prob, skip_bit = p_sum, 0
 
-            def send_param(input_datum: Datum, query=query, p_sum=p_sum) -> float:
+            def send_param(input_datum: Datum, p_sum=p_sum) -> float:
                 if p_sum == 0.0:
                     return 0.5  # never used: the keep coin always skips
-                p_holder = _check_prob(float(query.law(input_datum)), "holder law")
+                p_holder = holder_law(input_datum)
                 return _check_prob(
                     0.5 + p_holder / (2.0 * adv * p_sum) - 1.0 / (4.0 * adv),
                     "lowered send probability",
@@ -499,10 +505,10 @@ class LoweredProtocol(TwoPartyProtocol):
             comp_sum = 2.0 - p_sum
             use_prob, skip_bit = comp_sum, 1
 
-            def send_param(input_datum: Datum, query=query, comp_sum=comp_sum) -> float:
+            def send_param(input_datum: Datum, comp_sum=comp_sum) -> float:
                 if comp_sum == 0.0:
                     return 0.5
-                comp_holder = 1.0 - _check_prob(float(query.law(input_datum)), "holder law")
+                comp_holder = 1.0 - holder_law(input_datum)
                 send_zero = _check_prob(
                     0.5 + comp_holder / (2.0 * adv * comp_sum) - 1.0 / (4.0 * adv),
                     "lowered send probability",

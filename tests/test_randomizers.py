@@ -20,6 +20,7 @@ from ldpsim.problems import gen_hl_instance, gen_pc_instance
 from ldpsim.randomizers import (
     AuditError,
     AuditReport,
+    AuditValues,
     LawQuery,
     RRQuery,
     audit_transcript,
@@ -293,6 +294,98 @@ def test_audit_report_invariant_enforced():
         AuditReport(per_user={1: 0.5, 2: 0.7}, worst_user=1)
     with pytest.raises(ValueError):
         AuditReport(per_user={}, worst_user=3)
+
+
+def _pc_execution(seed=0, epsilon=1.0, hops=3, size=16, m=30):
+    from ldpsim.solvers import PCSolverConfig, PCSolverDriver
+
+    inst = gen_pc_instance(hops, size, seed=seed)
+    alice, bob = inst.data_pair()
+    driver = PCSolverDriver(hops, size, PCSolverConfig(epsilon=epsilon, m=m))
+    pop = sample_population(driver.users_required, alice.payload, bob.payload, seed=seed + 1)
+    return pop, execute(driver, pop, InteractivityMode.SEQUENTIAL, seed=seed + 2)
+
+
+def _audit_user_by_user(pop, result) -> dict[int, float]:
+    responses: dict[int, list] = {}
+    for record in result.transcript.rounds:
+        for uid, descriptor, bit in zip(record.users.tolist(), record.randomizer_ids, record.outputs.tolist()):
+            responses.setdefault(uid, []).append((result.query_log[descriptor], bit))
+    neighbors = [pop.alice_datum, pop.bob_datum, SENTINEL_DATUM]
+    return {uid: audit_user(rs, pop.datum(uid), neighbors) for uid, rs in responses.items()}
+
+
+@pytest.mark.parametrize("problem", ["hl", "pc"])
+def test_columnar_report_equals_audit_user_dict(problem):
+    if problem == "hl":
+        _inst, pop, result = _hl_execution(seed=5, n=40)
+    else:
+        pop, result = _pc_execution(seed=5)
+    report = audit_transcript(result.transcript, pop, result.query_log)
+    expected = _audit_user_by_user(pop, result)
+    assert isinstance(report.per_user, AuditValues)
+    assert report.per_user == expected and expected == report.per_user
+    assert list(report.per_user) == sorted(expected)
+    assert report.per_user.user_ids.dtype == np.int64 and report.per_user.ratios.dtype == np.float64
+    assert report.max_ratio() == max(expected.values()) and type(report.max_ratio()) is float
+
+
+def test_audit_values_is_a_read_only_mapping():
+    _inst, pop, result = _hl_execution(seed=6, n=12)
+    values = audit_transcript(result.transcript, pop, result.query_log).per_user
+    for missing in (pop.size, -1, 2**70, "0", None):
+        assert missing not in values
+        with pytest.raises(KeyError):
+            values[missing]
+    assert values.get(pop.size) is None
+    assert 0 in values and np.int64(0) in values
+    assert all(type(uid) is int for uid in values.keys())
+    assert all(type(value) is float for value in values.values())
+    assert (3, values[3]) in values.items()
+    with pytest.raises(TypeError):
+        values[0] = 0.0
+    with pytest.raises(ValueError):
+        values.ratios[0] = 0.0
+
+
+def test_audit_values_reject_bad_columns():
+    with pytest.raises(ValueError, match="ascending"):
+        AuditValues(np.array([2, 1]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="ascending"):
+        AuditValues(np.array([1, 1]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="equal length"):
+        AuditValues(np.array([1, 2]), np.array([0.5]))
+
+
+def test_array_backed_report_invariant_enforced():
+    columns = AuditValues(np.array([1, 2]), np.array([0.5, 0.7]))
+    assert AuditReport(per_user=columns, worst_user=2).per_user is columns
+    with pytest.raises(ValueError, match="attain"):
+        AuditReport(per_user=columns, worst_user=1)
+    for absent in (3, None):
+        with pytest.raises(ValueError, match="appear"):
+            AuditReport(per_user=columns, worst_user=absent)
+    with pytest.raises(ValueError, match="empty"):
+        AuditReport(per_user=AuditValues(np.array([], dtype=np.int64), np.array([])), worst_user=3)
+
+
+def test_reassigned_per_user_moves_max_len_and_text():
+    # the benchmark plants this fault: a report whose values are halved after the audit
+    _inst, pop, result = _hl_execution(seed=7, epsilon=0.7, n=15)
+    report = audit_transcript(result.transcript, pop, result.query_log)
+    before = report.max_ratio()
+    halved = {uid: value / 2 for uid, value in reversed(list(report.per_user.items()))}
+    report.per_user = halved
+    assert report.per_user == halved and report.max_ratio() == before / 2
+    buffer = io.StringIO()
+    write_audit_report(report, declared_epsilon=0.7, stream=buffer)
+    expected = "".join(f"{uid}\t{halved[uid]!r}\t0.7\tpass\n" for uid in sorted(halved))
+    assert buffer.getvalue() == "user_id\tmax_log_ratio\tbudget\tstatus\n" + expected
+    report.per_user = {4: 2.0, 1: 0.25}
+    assert len(report.per_user) == 2 and report.max_ratio() == 2.0
+    buffer = io.StringIO()
+    write_audit_report(report, declared_epsilon=0.7, stream=buffer)
+    assert buffer.getvalue().splitlines()[1:] == ["1\t0.25\t0.7\tpass", "4\t2.0\t0.7\tFAIL"]
 
 
 def test_write_audit_report_format():

@@ -632,6 +632,48 @@ def test_lowered_enumeration_covers_both_cases():
     assert all(abs(merged[key] - reference[key]) <= 1e-14 for key in reference)
 
 
+def test_lowered_enumeration_asks_each_law_once_per_datum():
+    # a 3-user lowered enumeration: each internal prefix evaluates its law on
+    # the two data of the pair, and the send steps reuse those checked values
+    epsilon = LN2
+    law_calls = []
+
+    def counted(name, p_alice, p_bob):
+        query = law_query(epsilon, name, p_alice, p_bob)
+        return LawQuery(epsilon, name, lambda datum: law_calls.append(name) or query.law_fn(datum))
+
+    queries = {(): counted("a", 0.3, 0.2), (0,): counted("b", 0.7, 0.8), (1,): counted("c", 0.4, 0.6)}
+    internal = []
+
+    def step_fn(prefix):
+        if len(prefix) >= 3:
+            return Answer(lambda transcript: transcript)
+        internal.append(prefix)
+        return queries.get(prefix) or counted("d", 0.5, 0.25)
+
+    lowered = lower_multi_to_two_party(OneBitSequence(epsilon, PAIR, step_fn, max_users=3), epsilon)
+    merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
+    assert len(internal) == 7 and len(law_calls) == 2 * len(internal)
+    reference = reference_two_party(lowered, PAIR[0], PAIR[1])
+    assert set(merged) == set(reference)
+    assert all(abs(merged[key] - reference[key]) <= 1e-14 for key in reference)
+    # a holder outside the data pair still asks the query, and its law is checked
+    outside = Datum(Side.ALICE, "z")
+    law_calls.clear()
+    steps = lowered.action(())
+    assert len(law_calls) == 2
+    steps[0][1].send_param(outside)
+    assert len(law_calls) == 3
+
+    class LooseQuery:  # a law that is valid on the pair only, with no check of its own
+        def law(self, datum):
+            return 0.3 if datum in PAIR else 1.5
+
+    loose_steps = lower_multi_to_two_party(fixed_onebit(epsilon, PAIR, [LooseQuery()]), epsilon).action(())
+    with pytest.raises(ReductionError, match="holder law"):
+        loose_steps[0][1].send_param(outside)
+
+
 def _random_lift_table(rng, depth):
     functions = ((0, 0), (1, 1), (0, 1), (1, 0))
     prefixes = [prefix for t in range(depth) for prefix in product((0, 1), repeat=t)]
