@@ -25,10 +25,10 @@ from .channels import (
     lower_crossover,
     majority_amplify,
 )
-from .engine import Datum, InteractivityMode, Side, execute, sample_population
-from .harness import ExperimentConfig, HLShape, PCShape, run_experiment
-from .problems import PCInstance, chase_pointers, gen_hl_instance, gen_pc_instance, hl_count_consistent
-from .randomizers import LawQuery, audit_transcript, debias, estimation_halfwidth, rr_param
+from .engine import Datum, Side
+from .harness import ExperimentConfig, HLShape, PCShape, build_trial, run_experiment
+from .problems import PCInstance, chase_pointers, gen_hl_instance, hl_count_consistent
+from .randomizers import LawQuery, debias, estimation_halfwidth, rr_param
 from .reductions import (
     Answer,
     OneBitSequence,
@@ -42,14 +42,7 @@ from .reductions import (
     lower_multi_to_two_party,
     simultaneous_to_alternating,
 )
-from .solvers import (
-    HLSolverConfig,
-    HLSolverDriver,
-    PCSolverConfig,
-    PCSolverDriver,
-    hl_sample_bound,
-    pc_group_bound,
-)
+from .solvers import hl_sample_bound, pc_group_bound
 
 ACCEPTANCE_SEED = 1729
 EXACT_TV = 1e-12
@@ -79,22 +72,10 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _hl_audit_run(seed: int, epsilon: float, n: int, branching: int = 4, num_levels: int = 9):
-    inst = gen_hl_instance(branching, num_levels, derive_key(seed, "instance"))
-    alice, bob = inst.data_pair()
-    pop = sample_population(n, alice.payload, bob.payload, derive_key(seed, "population"))
-    driver = HLSolverDriver(branching, num_levels, HLSolverConfig(epsilon=epsilon, n=n))
-    result = execute(driver, pop, InteractivityMode.FULL, derive_key(seed, "execution"))
-    return audit_transcript(result.transcript, pop, result.query_log)
-
-
-def _pc_audit_run(seed: int, epsilon: float, m: int, hops: int = 3, size: int = 16):
-    inst = gen_pc_instance(hops, size, derive_key(seed, "instance"))
-    alice, bob = inst.data_pair()
-    driver = PCSolverDriver(hops, size, PCSolverConfig(epsilon=epsilon, m=m))
-    pop = sample_population(driver.users_required, alice.payload, bob.payload, derive_key(seed, "population"))
-    result = execute(driver, pop, InteractivityMode.SEQUENTIAL, derive_key(seed, "execution"))
-    return audit_transcript(result.transcript, pop, result.query_log)
+def _audit_run(problem, solver: str, seed: int, epsilon: float, group_size: int):
+    cfg = ExperimentConfig(problem, solver, epsilon, trials=1, seed=seed, group_size=group_size)
+    trial = build_trial(cfg, seed)
+    return trial.audit(trial.execute())
 
 
 def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -113,13 +94,15 @@ def _privacy_exactness() -> tuple[bool, str]:
     worst = 0.0
     attained = False
     for trial in range(50):
-        report = _hl_audit_run(derive_key(ACCEPTANCE_SEED, "c1-hl", trial), epsilon, n=500)
+        seed = derive_key(ACCEPTANCE_SEED, "c1-hl", trial)
+        report = _audit_run(HLShape(4, 9), "hl-full", seed, epsilon, 500)
         worst = max(worst, report.max_ratio())
         if np.any(np.abs(report.per_user.ratios - epsilon) <= AUDIT_SLACK):
             attained = True
     m = pc_group_bound(epsilon, hops=3, size=16)
     for trial in range(50):
-        report = _pc_audit_run(derive_key(ACCEPTANCE_SEED, "c1-pc", trial), epsilon, m=m)
+        seed = derive_key(ACCEPTANCE_SEED, "c1-pc", trial)
+        report = _audit_run(PCShape(3, 16), "pc", seed, epsilon, m)
         worst = max(worst, report.max_ratio())
     ok = worst <= epsilon + AUDIT_SLACK and attained
     return ok, f"max audit {worst!r} vs budget {epsilon}, exact attainment: {attained}"

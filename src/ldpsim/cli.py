@@ -14,14 +14,14 @@ import json
 import sys
 from typing import Iterable, Sequence
 
-from ._rng import derive_key
 from .acceptance import CRITERIA, run_suite
 from .channels import ChannelKind, ChannelSpec, bsc, lift_crossover, lower_crossover, majority_amplify
-from .engine import Datum, InteractivityMode, LdpSimError, Side, execute, sample_population
+from .engine import Datum, LdpSimError, Side
 from .harness import (
     ExperimentConfig,
     HLShape,
     PCShape,
+    build_trial,
     result_rows,
     run_experiment,
     sweep,
@@ -34,7 +34,7 @@ from .problems import (
     hl_count_consistent,
     write_instance,
 )
-from .randomizers import audit_transcript, rr_param, write_audit_report
+from .randomizers import rr_param, write_audit_report
 from .reductions import (
     Answer,
     TableProtocol,
@@ -44,13 +44,6 @@ from .reductions import (
     lower_multi_to_two_party,
     simultaneous_to_alternating,
     SimultaneousProtocol,
-)
-from .solvers import (
-    HLBaselineDriver,
-    HLSolverConfig,
-    HLSolverDriver,
-    PCSolverConfig,
-    PCSolverDriver,
 )
 
 ENUMERABLE_LEAVES = 2**24
@@ -210,6 +203,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.problem == "pc":
         if args.k is None or args.l is None or args.m is None:
             raise ValueError("pointer-chasing runs need --k, --l and --m")
+        if args.solver != "full":
+            raise ValueError(f"--solver {args.solver} applies only to --problem hl")
         return ExperimentConfig(
             problem=PCShape(int(args.k), int(args.l)),
             solver="pc",
@@ -254,35 +249,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     _apply_config_file(args)
-    seed = int(args.seed)
-    if args.problem == "hl":
-        if args.b is None or args.l is None or args.n is None:
-            raise ValueError("hidden-layers audits need --b, --l and --n")
-        inst = gen_hl_instance(int(args.b), int(args.l), derive_key(seed, "instance"))
-        n = int(args.n)
-        if args.solver == "baseline":
-            driver = HLBaselineDriver(inst.branching, inst.num_levels, n, float(args.eps))
-            pop_size = inst.branching * inst.num_levels * n
-            mode = InteractivityMode.SEQUENTIAL
-        else:
-            driver = HLSolverDriver(inst.branching, inst.num_levels, HLSolverConfig(float(args.eps), n))
-            pop_size = n
-            mode = InteractivityMode.FULL
-    elif args.problem == "pc":
-        if args.k is None or args.l is None or args.m is None:
-            raise ValueError("pointer-chasing audits need --k, --l and --m")
-        inst = gen_pc_instance(int(args.k), int(args.l), derive_key(seed, "instance"))
-        driver = PCSolverDriver(inst.hops, inst.size, PCSolverConfig(float(args.eps), int(args.m)))
-        pop_size = driver.users_required
-        mode = InteractivityMode.SEQUENTIAL
-    else:
-        raise ValueError(f"unknown problem {args.problem!r}")
-    alice, bob = inst.data_pair()
-    population = sample_population(pop_size, alice.payload, bob.payload, derive_key(seed, "population"))
-    result = execute(driver, population, mode, derive_key(seed, "execution"))
-    report = audit_transcript(result.transcript, population, result.query_log)
+    cfg = _experiment_config(args)
+    trial = build_trial(cfg, cfg.seed)
+    report = trial.audit(trial.execute())
     buffer = io.StringIO()
-    write_audit_report(report, float(args.eps), buffer)
+    write_audit_report(report, cfg.epsilon, buffer)
     _emit(buffer.getvalue(), args.out)
     return 0
 
@@ -411,7 +382,7 @@ def _cmd_acceptance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=("hl", "pc"))
     parser.add_argument("--b", type=int, help="hidden-layers branching")
     parser.add_argument("--l", type=int, help="tree levels (hl) or vector size (pc)")
@@ -420,12 +391,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="population / per-query group size (hl)")
     parser.add_argument("--m", type=int, help="per-bit group size (pc)")
     parser.add_argument("--solver", choices=("full", "baseline"), default="full")
-    parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_trial_flags(parser)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=_cmd_sweep, format="csv")
 
     audit = sub.add_parser("audit", help="audit one seeded execution")
-    _add_run_flags(audit)
-    audit.set_defaults(func=_cmd_audit)
+    _add_trial_flags(audit)
+    audit.set_defaults(func=_cmd_audit, trials=1)
 
     reduce_p = sub.add_parser("reduce", help="protocol conversions")
     reduce_sub = reduce_p.add_subparsers(dest="reduction", required=True)

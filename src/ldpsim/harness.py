@@ -12,27 +12,23 @@ import csv
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from ._rng import derive_key
 from .engine import (
+    ExecutionResult,
     InteractivityMode,
     LdpSimError,
+    Population,
+    ProtocolDriver,
     execute,
     round_complexity,
     sample_complexity,
     sample_population,
 )
 from .problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent
-from .randomizers import audit_transcript
-from .solvers import (
-    DecodeFailure,
-    HLBaselineDriver,
-    HLSolverConfig,
-    HLSolverDriver,
-    PCSolverConfig,
-    PCSolverDriver,
-)
+from .randomizers import AuditReport, audit_transcript
+from .solvers import DecodeFailure, HLSolverConfig, HLSolverDriver, PCSolverConfig, PCSolverDriver
 
 WILSON_Z = 1.96
 
@@ -59,9 +55,8 @@ class ExperimentConfig:
 
     ``group_size`` is the population size n for the fully interactive
     hidden-layers solver, the per-query group for the sequential baseline,
-    and the per-bit group m for the pointer-chasing solver. ``gamma_target``
-    and ``eta`` are the error budget and slack carried to capped reductions;
-    they must satisfy gamma_target + eta < 1.
+    and the per-bit group m for the pointer-chasing solver. ``threshold``
+    None keeps the solver's default.
     """
 
     problem: HLShape | PCShape
@@ -71,8 +66,6 @@ class ExperimentConfig:
     seed: int
     group_size: int
     threshold: float | None = None
-    gamma_target: float = 1.0 / 6.0
-    eta: float = 0.1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -81,10 +74,6 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
-        if not (0.0 < self.gamma_target < 1.0):
-            raise ValueError("gamma_target must lie in (0, 1)")
-        if self.gamma_target + self.eta >= 1.0:
-            raise ValueError("gamma_target + eta must be below 1")
         if self.solver in (HL_FULL, HL_BASELINE):
             if not isinstance(self.problem, HLShape):
                 raise ValueError(f"solver {self.solver} needs a hidden-layers shape")
@@ -158,51 +147,64 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return (low, high)
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, Any]:
-    tseed = derive_key(cfg.seed, "trial", trial)
-    if isinstance(cfg.problem, HLShape):
-        shape = cfg.problem
-        instance = gen_hl_instance(shape.branching, shape.num_levels, derive_key(tseed, "instance"))
-        threshold = 0.2 if cfg.threshold is None else cfg.threshold
-        if cfg.solver == HL_FULL:
-            driver = HLSolverDriver(
-                shape.branching,
-                shape.num_levels,
-                HLSolverConfig(epsilon=cfg.epsilon, n=cfg.group_size, threshold=threshold),
-            )
-            pop_size = cfg.group_size
-            mode = InteractivityMode.FULL
-        else:
-            driver = HLBaselineDriver(
-                shape.branching,
-                shape.num_levels,
-                per_query_group=cfg.group_size,
-                epsilon=cfg.epsilon,
-                threshold=threshold,
-            )
-            pop_size = shape.branching * shape.num_levels * cfg.group_size
-            mode = InteractivityMode.SEQUENTIAL
-        oracle = lambda answer: (  # noqa: E731
-            isinstance(answer, tuple) and hl_consistent(answer, instance)
-        )
-    else:
-        shape = cfg.problem
-        instance = gen_pc_instance(shape.hops, shape.size, derive_key(tseed, "instance"))
-        threshold = 0.15 if cfg.threshold is None else cfg.threshold
-        driver = PCSolverDriver(
-            shape.hops,
-            shape.size,
-            PCSolverConfig(epsilon=cfg.epsilon, m=cfg.group_size, threshold=threshold),
-        )
-        pop_size = driver.users_required
-        mode = InteractivityMode.SEQUENTIAL
-        expected = chase_pointers(instance)
-        oracle = lambda answer: answer == expected  # noqa: E731
+@dataclass(frozen=True)
+class Trial:
+    """One seeded trial, wired up and ready to execute, audit and judge.
 
-    alice_datum, bob_datum = instance.data_pair()
+    The driver is stateful, so a trial executes once. ``oracle`` tells
+    whether an answer is right for the drawn instance. ``execute`` checks
+    that no user voted 1 twice: the fully interactive walk's privacy
+    accounting rests on this, because a user's predicate holds for at most
+    one probed edge per hidden level. Sequential solvers ask each user once,
+    so for them it holds by construction.
+    """
+
+    driver: ProtocolDriver
+    population: Population
+    mode: InteractivityMode
+    execution_seed: int
+    oracle: Callable[[Any], bool]
+
+    def execute(self) -> ExecutionResult:
+        result = execute(self.driver, self.population, self.mode, seed=self.execution_seed)
+        if int(result.one_vote_counts.max()) > 1:
+            raise LdpSimError("a user voted 1 more than once in a single walk")
+        return result
+
+    def audit(self, result: ExecutionResult) -> AuditReport:
+        return audit_transcript(result.transcript, self.population, result.query_log)
+
+
+def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
+    """Draw one trial of ``cfg`` from ``seed``: the instance from
+    ``derive_key(seed, "instance")``, a population of
+    ``driver.users_required`` users from ``derive_key(seed, "population")``,
+    and the execution seed ``derive_key(seed, "execution")``. This is the
+    one place that maps a solver name to its driver and mode."""
+    shape = cfg.problem
+    instance_seed = derive_key(seed, "instance")
+    tuning = {} if cfg.threshold is None else {"threshold": cfg.threshold}
+    if cfg.solver == PC:
+        instance = gen_pc_instance(shape.hops, shape.size, instance_seed)
+        driver = PCSolverDriver(shape.hops, shape.size, PCSolverConfig(cfg.epsilon, cfg.group_size, **tuning))
+        mode = InteractivityMode.SEQUENTIAL
+        oracle = lambda answer: answer == chase_pointers(instance)  # noqa: E731
+    else:
+        instance = gen_hl_instance(shape.branching, shape.num_levels, instance_seed)
+        fresh = cfg.solver == HL_BASELINE
+        config = HLSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
+        driver = HLSolverDriver(shape.branching, shape.num_levels, config, fresh_groups=fresh)
+        mode = InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
+        oracle = lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)  # noqa: E731
+    alice, bob = instance.data_pair()
     population = sample_population(
-        pop_size, alice_datum.payload, bob_datum.payload, derive_key(tseed, "population")
+        driver.users_required, alice.payload, bob.payload, derive_key(seed, "population")
     )
+    return Trial(driver, population, mode, derive_key(seed, "execution"), oracle)
+
+
+def _run_trial(cfg: ExperimentConfig, trial_index: int) -> dict[str, Any]:
+    trial = build_trial(cfg, derive_key(cfg.seed, "trial", trial_index))
     outcome = {
         "success": False,
         "wrong_answer": False,
@@ -213,21 +215,16 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, Any]:
         "max_audit": 0.0,
     }
     try:
-        result = execute(driver, population, mode, seed=derive_key(tseed, "execution"))
-        # structural fact behind the walk's privacy accounting: a user's
-        # predicate holds for at most one probed edge per hidden level
-        if cfg.solver == HL_FULL and int(result.one_vote_counts.max()) > 1:
-            raise LdpSimError("a user voted 1 more than once in a single walk")
+        result = trial.execute()
     except LdpSimError:
         outcome["engine_error"] = True
         return outcome
     outcome["samples"] = sample_complexity(result.transcript)
     outcome["rounds"] = round_complexity(result.transcript)
-    report = audit_transcript(result.transcript, population, result.query_log)
-    outcome["max_audit"] = report.max_ratio()
+    outcome["max_audit"] = trial.audit(result).max_ratio()
     if isinstance(result.answer, DecodeFailure):
         outcome["decode_failure"] = True
-    elif oracle(result.answer):
+    elif trial.oracle(result.answer):
         outcome["success"] = True
     else:
         outcome["wrong_answer"] = True

@@ -1,17 +1,16 @@
 """Reference solver drivers for the two problems.
 
-* :class:`HLSolverDriver` is fully interactive: it walks the tree root to
-  leaf, asking the whole population about one candidate edge per round at
-  half the total budget per call, and descends on a debiased-mean test.
-  Each user's predicate is true for at most one edge per hidden level, so a
-  user's responses differ from an alternative datum's in at most two rounds
-  and the whole walk costs each user their full budget once.
+* :class:`HLSolverDriver` walks the tree root to leaf, asking one candidate
+  edge per round at half the total budget per call, and descends on a
+  debiased-mean test. Fully interactive, it asks the whole population every
+  round: each user's predicate is true for at most one edge per hidden
+  level, so a user's responses differ from an alternative datum's in at
+  most two rounds and the whole walk costs each user their full budget
+  once. With ``fresh_groups`` it is the sequential baseline, which burns a
+  fresh user group per edge query to exhibit the sample complexity gap.
 * :class:`PCSolverDriver` is sequentially interactive: it reconstructs one
   pointer value per phase, bit by bit, each bit from a fresh group of users
   at the full budget.
-* :class:`HLBaselineDriver` repeats the fully interactive walk but burns a
-  fresh user group per edge query; it exists to exhibit the sample
-  complexity gap empirically.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from .reductions import Answer, OneBitSequence
 
 @dataclass(frozen=True)
 class HLSolverConfig:
-    """Budget, population size and descent threshold for the tree walk.
+    """Budget, group size and descent threshold for the tree walk.
 
     The total per-user budget is ``epsilon``; every individual edge query
-    runs at ``epsilon / 2``.
+    runs at ``epsilon / 2`` and is asked of ``n`` users.
     """
 
     epsilon: float
@@ -74,97 +73,60 @@ class DecodeFailure:
     value: int
 
 
-class _TreeWalk:
-    """Shared root-to-leaf walk logic for the full solver and the baseline.
+class HLSolverDriver(ProtocolDriver):
+    """Hidden-layers tree walk; halts with a leaf path.
 
-    At each internal level, candidate children are probed in order; the walk
-    descends when the debiased 1-vote fraction exceeds the threshold, or
-    unconditionally at the last child.
+    At each level, candidate children are probed in order; the walk descends
+    when the debiased 1-vote fraction exceeds the threshold, or
+    unconditionally at the last child. By default the same ``n`` users
+    answer every edge query (fully interactive). With ``fresh_groups`` each
+    query goes to a new group of ``n`` users, so every user answers once
+    (sequentially interactive).
     """
 
-    def __init__(self, branching: int, num_levels: int, threshold: float):
+    def __init__(self, branching: int, num_levels: int, config: HLSolverConfig, fresh_groups: bool = False):
         if branching < 1 or num_levels < 2:
             raise ValueError("need branching >= 1 and num_levels >= 2")
         self.branching = branching
         self.num_levels = num_levels
-        self.threshold = threshold
-        self.level = 0
-        self.vertex: tuple[int, ...] = ()
-        self.child = 0
-
-    @property
-    def done(self) -> bool:
-        return self.level >= self.num_levels
-
-    def current_predicate(self) -> HLEdgePredicate:
-        return HLEdgePredicate(level=self.level, vertex=self.vertex, child=self.child)
-
-    def observe(self, ybar: float) -> None:
-        if ybar > self.threshold or self.child == self.branching - 1:
-            self.vertex = self.vertex + (self.child,)
-            self.level += 1
-            self.child = 0
-        else:
-            self.child += 1
-
-
-class HLSolverDriver(ProtocolDriver):
-    """Fully interactive hidden-layers solver; halts with a leaf path."""
-
-    def __init__(self, branching: int, num_levels: int, config: HLSolverConfig):
         self.config = config
-        self._walk = _TreeWalk(branching, num_levels, config.threshold)
+        self.fresh_groups = fresh_groups
+        self._level = 0
+        self._vertex: tuple[int, ...] = ()
+        self._child = 0
+        self._first_user = 0
         self._pending = False
 
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            self._walk.observe(debias(int(outputs.sum()), outputs.size, self.config.per_query_epsilon))
+            ybar = debias(int(outputs.sum()), outputs.size, self.config.per_query_epsilon)
+            if ybar > self.config.threshold or self._child == self.branching - 1:
+                self._vertex = self._vertex + (self._child,)
+                self._level += 1
+                self._child = 0
+            else:
+                self._child += 1
             self._pending = False
-        if self._walk.done:
-            return Halt(self._walk.vertex)
-        query = RRQuery(self.config.per_query_epsilon, self._walk.current_predicate())
-        self._pending = True
-        return RoundSpec(users=range(self.config.n), queries=query)
-
-
-class HLBaselineDriver(ProtocolDriver):
-    """Sequential baseline: the same walk with a fresh group per edge query.
-
-    Queries run at ``epsilon / 2`` each, matching the full solver's per-query
-    statistical power; every user answers exactly once.
-    """
-
-    def __init__(
-        self,
-        branching: int,
-        num_levels: int,
-        per_query_group: int,
-        epsilon: float,
-        threshold: float = 0.2,
-    ):
-        if per_query_group < 1:
-            raise ValueError("per_query_group must be at least 1")
-        if not (epsilon > 0 and math.isfinite(epsilon)):
-            raise ValueError("epsilon must be positive and finite")
-        self.per_query_group = per_query_group
-        self.per_query_epsilon = epsilon / 2.0
-        self._walk = _TreeWalk(branching, num_levels, threshold)
-        self._pending = False
-        self._next_user = 0
-
-    def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
-        if self._pending:
-            outputs = transcript.rounds[-1].outputs
-            self._walk.observe(debias(int(outputs.sum()), outputs.size, self.per_query_epsilon))
-            self._pending = False
-        if self._walk.done:
-            return Halt(self._walk.vertex)
-        query = RRQuery(self.per_query_epsilon, self._walk.current_predicate())
-        users = range(self._next_user, self._next_user + self.per_query_group)
-        self._next_user += self.per_query_group
+        if self._level >= self.num_levels:
+            return Halt(self._vertex)
+        query = RRQuery(
+            self.config.per_query_epsilon,
+            HLEdgePredicate(level=self._level, vertex=self._vertex, child=self._child),
+        )
+        users = range(self._first_user, self._first_user + self.config.n)
+        if self.fresh_groups:
+            self._first_user += self.config.n
         self._pending = True
         return RoundSpec(users=users, queries=query)
+
+    @property
+    def users_required(self) -> int:
+        """Population size covering every user id the walk can ask for:
+        at most ``branching`` queries per level with fresh groups."""
+        if self.fresh_groups:
+            return self.branching * self.num_levels * self.config.n
+        return self.config.n
 
 
 class PCSolverDriver(ProtocolDriver):

@@ -1,11 +1,14 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from ldpsim.cli import main, parse_onebit_file, parse_two_party_file
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.problems import read_instance
+from ldpsim.randomizers import write_audit_report
 from ldpsim.reductions import enumerate_transcript_distribution
 
 LN3 = math.log(3.0)
@@ -177,6 +180,54 @@ def test_audit_table(capsys):
     lines = stdout.splitlines()
     assert lines[0] == "user_id\tmax_log_ratio\tbudget\tstatus"
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+PC_AUDIT = ["audit", "--problem", "pc", "--k", "1", "--l", "4", "--m", "20", "--eps", "0.3", "--seed", "16"]
+HL_AUDIT = ["audit", "--problem", "hl", "--b", "2", "--l", "3", "--n", "12", "--eps", "0.7", "--seed", "18"]
+
+
+def _factory_audit(cfg):
+    trial = build_trial(cfg, cfg.seed)
+    buffer = io.StringIO()
+    write_audit_report(trial.audit(trial.execute()), cfg.epsilon, buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, threshold",
+    [
+        (PC_AUDIT, ExperimentConfig(PCShape(1, 4), "pc", 0.3, 1, 16, 20), 0.45),
+        (HL_AUDIT, ExperimentConfig(HLShape(2, 3), "hl-full", 0.7, 1, 18, 12), 0.01),
+        (HL_AUDIT + ["--solver", "baseline"], ExperimentConfig(HLShape(2, 3), "hl-baseline", 0.7, 1, 18, 12), 0.01),
+    ],
+)
+def test_audit_threshold_is_honoured(capsys, argv, cfg, threshold):
+    # at these seeds the two thresholds probe different pointer bits or edges
+    code, default, _ = run_cli(capsys, *argv)
+    code_tuned, tuned, _ = run_cli(capsys, *argv, "--threshold", str(threshold))
+    assert code == code_tuned == 0
+    assert default == _factory_audit(cfg)
+    assert tuned == _factory_audit(replace(cfg, threshold=threshold))
+    assert tuned != default
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "9"), ("--format", "csv")])
+def test_audit_rejects_flags_it_does_not_read(capsys, flag, value):
+    code, stdout, stderr = run_cli(capsys, *PC_AUDIT, flag, value)
+    assert code == 1
+    assert stdout == ""
+    assert flag in stderr
+
+
+@pytest.mark.parametrize("command, extra", [("run", []), ("sweep", ["--axis", "m", "--values", "10"])])
+def test_pc_rejects_baseline_solver(capsys, command, extra):
+    code, stdout, stderr = run_cli(
+        capsys, command, "--problem", "pc", "--solver", "baseline", "--k", "1", "--l", "2",
+        "--eps", "20", "--m", "10", "--trials", "1", "--seed", "3", *extra,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert "--solver" in stderr
 
 
 def test_reduce_lift_echo(capsys, tmp_path):

@@ -2,12 +2,15 @@ import io
 
 import pytest
 
+from ldpsim._rng import derive_key
+from ldpsim.engine import InteractivityMode
 from ldpsim.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentResult,
     HLShape,
     PCShape,
+    build_trial,
     result_rows,
     run_experiment,
     sweep,
@@ -55,11 +58,38 @@ def test_config_validation():
     with pytest.raises(ValueError):
         pc_config(epsilon=0.0)
     with pytest.raises(ValueError):
-        pc_config(gamma_target=0.5, eta=0.6)
-    with pytest.raises(ValueError):
         pc_config(solver="hl-full")  # shape mismatch
     with pytest.raises(ValueError):
         hl_config(solver="mystery")
+
+
+# ---------------------------------------------------------------------------
+# build_trial
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg, mode, pop_size",
+    [
+        (hl_config(group_size=5), InteractivityMode.FULL, 5),
+        (hl_config(solver="hl-baseline", group_size=5), InteractivityMode.SEQUENTIAL, 2 * 3 * 5),
+        (pc_config(group_size=4), InteractivityMode.SEQUENTIAL, 2 * 1 * 4),
+    ],
+)
+def test_build_trial_wiring(cfg, mode, pop_size):
+    trial = build_trial(cfg, 99)
+    assert trial.mode is mode
+    assert trial.population.size == trial.driver.users_required == pop_size
+    assert trial.population.seed == derive_key(99, "population")
+    assert trial.execution_seed == derive_key(99, "execution")
+    again = build_trial(cfg, 99)
+    assert again.execute().transcript == trial.execute().transcript
+
+
+def test_threshold_none_keeps_solver_default():
+    assert build_trial(hl_config(), 1).driver.config.threshold == 0.2
+    assert build_trial(pc_config(), 1).driver.config.threshold == 0.15
+    assert build_trial(pc_config(threshold=0.3), 1).driver.config.threshold == 0.3
 
 
 # ---------------------------------------------------------------------------

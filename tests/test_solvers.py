@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from ldpsim._rng import derive_key
 from ldpsim.engine import (
+    Halt,
     InteractivityMode,
     RoundRecord,
     Transcript,
@@ -16,7 +18,6 @@ from ldpsim.problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl
 from ldpsim.randomizers import audit_transcript, debias
 from ldpsim.solvers import (
     DecodeFailure,
-    HLBaselineDriver,
     HLSolverConfig,
     HLSolverDriver,
     PCSolverConfig,
@@ -28,18 +29,11 @@ from ldpsim.solvers import (
 LN3 = math.log(3.0)
 
 
-def run_hl(inst, config, seed, baseline_group=None):
-    if baseline_group is None:
-        driver = HLSolverDriver(inst.branching, inst.num_levels, config)
-        pop_size, mode = config.n, InteractivityMode.FULL
-    else:
-        driver = HLBaselineDriver(
-            inst.branching, inst.num_levels, baseline_group, config.epsilon, config.threshold
-        )
-        pop_size = inst.branching * inst.num_levels * baseline_group
-        mode = InteractivityMode.SEQUENTIAL
+def run_hl(inst, config, seed, fresh_groups=False):
+    driver = HLSolverDriver(inst.branching, inst.num_levels, config, fresh_groups=fresh_groups)
+    mode = InteractivityMode.SEQUENTIAL if fresh_groups else InteractivityMode.FULL
     alice, bob = inst.data_pair()
-    pop = sample_population(pop_size, alice.payload, bob.payload, derive_key(seed, "pop"))
+    pop = sample_population(driver.users_required, alice.payload, bob.payload, derive_key(seed, "pop"))
     return pop, execute(driver, pop, mode, derive_key(seed, "exec"))
 
 
@@ -215,7 +209,7 @@ def test_pc_group_bound_pinned():
 def test_baseline_consumes_group_per_query():
     inst = gen_hl_instance(4, 9, seed=13)
     config = HLSolverConfig(epsilon=20.0, n=50)
-    _pop, result = run_hl(inst, config, seed=14, baseline_group=50)
+    _pop, result = run_hl(inst, config, seed=14, fresh_groups=True)
     queries = round_complexity(result.transcript)
     assert sample_complexity(result.transcript) == queries * 50
 
@@ -223,7 +217,7 @@ def test_baseline_consumes_group_per_query():
 def test_baseline_passes_sequential_enforcement():
     inst = gen_hl_instance(3, 4, seed=15)
     config = HLSolverConfig(epsilon=1.0, n=30)
-    _pop, result = run_hl(inst, config, seed=16, baseline_group=30)
+    _pop, result = run_hl(inst, config, seed=16, fresh_groups=True)
     assert result.answer is not None  # would have raised on a violation
 
 
@@ -236,7 +230,7 @@ def test_baseline_sample_gap_at_matched_power():
     for trial in range(20):
         inst = gen_hl_instance(*inst_shape, seed=derive_key(80, "gap", trial))
         config = HLSolverConfig(epsilon=20.0, n=50)
-        _pop, base = run_hl(inst, config, seed=trial, baseline_group=50)
+        _pop, base = run_hl(inst, config, seed=trial, fresh_groups=True)
         _pop, full = run_hl(inst, config, seed=trial)
         ratio = sample_complexity(base.transcript) / sample_complexity(full.transcript)
         assert ratio >= floor_ratio
@@ -248,5 +242,60 @@ def test_baseline_matches_full_walk_given_same_estimates():
     inst = gen_hl_instance(2, 4, seed=17)
     config = HLSolverConfig(epsilon=20.0, n=40)
     _pop, full = run_hl(inst, config, seed=18)
-    _pop, base = run_hl(inst, config, seed=19, baseline_group=40)
+    _pop, base = run_hl(inst, config, seed=19, fresh_groups=True)
     assert full.answer == base.answer
+
+
+def _walk_on_fixed_votes(driver, vote):
+    """Drive the walk by hand, every asked user voting ``vote``; return the
+    user ids of every round and the halt answer."""
+    transcript = Transcript()
+    asked = []
+    action = driver.next_round(transcript, public_rng=None)
+    while not isinstance(action, Halt):
+        users = tuple(action.users)
+        asked.append(users)
+        record = RoundRecord(
+            round_index=len(transcript.rounds),
+            users=users,
+            randomizer_ids=(action.queries.descriptor,) * len(users),
+            epsilons=(action.queries.epsilon,) * len(users),
+            outputs=(vote,) * len(users),
+        )
+        transcript = transcript.extended(record)
+        action = driver.next_round(transcript, public_rng=None)
+    return asked, action.answer
+
+
+def test_fresh_group_walk_never_reuses_a_user():
+    # all-zero votes never clear the threshold, so the walk probes every
+    # child of every level: the most users the fresh-group walk can ask for
+    config = HLSolverConfig(epsilon=1.0, n=3)
+    driver = HLSolverDriver(3, 4, config, fresh_groups=True)
+    asked, answer = _walk_on_fixed_votes(driver, 0)
+    assert answer == (2, 2, 2, 2)
+    assert len(asked) == 3 * 4
+    ids = [user for users in asked for user in users]
+    assert len(ids) == len(set(ids))
+    assert max(ids) == driver.users_required - 1 == 3 * 4 * 3 - 1
+    # all-one votes descend at the first child: fewer groups, still fresh
+    driver = HLSolverDriver(3, 4, config, fresh_groups=True)
+    asked, answer = _walk_on_fixed_votes(driver, 1)
+    assert answer == (0, 0, 0, 0)
+    assert asked == [tuple(range(3 * i, 3 * i + 3)) for i in range(4)]
+
+
+def test_same_group_walk_asks_everyone_every_round():
+    driver = HLSolverDriver(3, 4, HLSolverConfig(epsilon=1.0, n=3))
+    asked, _answer = _walk_on_fixed_votes(driver, 0)
+    assert driver.users_required == 3
+    assert asked == [(0, 1, 2)] * (3 * 4)
+
+
+def test_fresh_group_ids_stay_below_users_required():
+    for seed in range(5):
+        inst = gen_hl_instance(3, 4, seed=derive_key(90, "ids", seed))
+        pop, result = run_hl(inst, HLSolverConfig(epsilon=0.5, n=7), seed=seed, fresh_groups=True)
+        ids = np.concatenate([record.users for record in result.transcript.rounds])
+        assert np.unique(ids).size == ids.size
+        assert ids.max() < pop.size == 3 * 4 * 7
