@@ -36,7 +36,6 @@ from .reductions import (
     TableProtocol,
     alternating_pairs_distribution,
     enumerate_onebit_distribution,
-    enumerate_simultaneous,
     enumerate_transcript_distribution,
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
@@ -301,7 +300,7 @@ def _round_transform() -> tuple[bool, str]:
         nonlocal worst, checked, shapes_ok
         alternating = simultaneous_to_alternating(protocol)
         shapes_ok = shapes_ok and alternating.num_rounds == 3 and alternating.rounds[0] == (Side.BOB, 1)
-        tv = enumerate_simultaneous(protocol, x, y).tv_distance(
+        tv = enumerate_transcript_distribution(protocol, x, y).tv_distance(
             alternating_pairs_distribution(alternating, x, y)
         )
         worst = max(worst, tv)
@@ -348,12 +347,12 @@ def _channel_math() -> tuple[bool, str]:
     draws = 100_000
     rng = substream(ACCEPTANCE_SEED, "c8-bsc")
     spec = bsc(0.375)
-    flips = sum(bsc_transmit(0, spec, rng)[0] for _ in range(draws))
+    flips = sum(bsc_transmit(0, spec, rng) for _ in range(draws))
     sigma = math.sqrt(0.375 * 0.625 / draws)
     checks.append(("bsc flip rate 3sigma", abs(flips / draws - 0.375) <= 3 * sigma))
 
     rng = substream(ACCEPTANCE_SEED, "c8-majority")
-    flips = sum(amplified.transmit(0, rng)[0] for _ in range(draws))
+    flips = sum(amplified.transmit(0, rng) for _ in range(draws))
     p = 10.0 / 64.0
     sigma = math.sqrt(p * (1.0 - p) / draws)
     checks.append(("majority flip rate 3sigma", abs(flips / draws - p) <= 3 * sigma))

@@ -1,40 +1,30 @@
-"""Bit channels: noiseless, binary symmetric with feedback, and majority
-amplification.
+"""Bit channels: binary symmetric channels and majority amplification.
 
-A binary symmetric channel is stored by its flip probability (``crossover``);
-the complementary quantity ``advantage = 1/2 - crossover`` is the bias toward
-correct transmission. The two privacy-to-channel conversions used by the
-protocol reductions are :func:`lift_crossover` and :func:`lower_crossover`,
-both returning advantages.
+A channel is nothing but its flip probability (``crossover``); a noiseless
+channel is crossover 0. The complementary quantity ``advantage = 1/2 -
+crossover`` is the bias toward correct transmission. The two
+privacy-to-channel conversions used by the protocol reductions are
+:func:`lift_crossover` and :func:`lower_crossover`, both returning
+advantages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class ChannelKind(Enum):
-    NOISELESS = "noiseless"
-    BSC = "bsc"
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """A bit channel. ``crossover`` is the flip probability, in [0, 1/2)."""
 
-    kind: ChannelKind
     crossover: float = 0.0
-    feedback: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.crossover < 0.5:
             raise ValueError("crossover must lie in [0, 1/2)")
-        if self.kind is ChannelKind.NOISELESS and self.crossover != 0.0:
-            raise ValueError("a noiseless channel cannot flip bits")
 
     @property
     def advantage(self) -> float:
@@ -42,25 +32,19 @@ class ChannelSpec:
         return 0.5 - self.crossover
 
 
-NOISELESS = ChannelSpec(ChannelKind.NOISELESS)
+NOISELESS = ChannelSpec()
 
 
 def bsc(crossover: float) -> ChannelSpec:
-    return ChannelSpec(ChannelKind.BSC, crossover)
+    return ChannelSpec(crossover)
 
 
-def bsc_transmit(bit: int, spec: ChannelSpec, rng: np.random.Generator) -> tuple[int, int]:
-    """Send one bit; returns (received, feedback to sender).
-
-    The channel has feedback: the sender sees exactly the received bit.
-    """
-    if spec.kind is not ChannelKind.BSC:
-        raise ValueError("bsc_transmit needs a BSC channel spec")
+def bsc_transmit(bit: int, spec: ChannelSpec, rng: np.random.Generator) -> int:
+    """Send one bit and return the received bit; the sender sees that bit too."""
     bit = int(bit)
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    received = bit ^ int(rng.random() < spec.crossover)
-    return received, received
+    return bit ^ int(rng.random() < spec.crossover)
 
 
 def lift_crossover(epsilon: float) -> float:
@@ -111,16 +95,15 @@ class AmplifiedChannel:
     votes: int
     effective: ChannelSpec
 
-    def transmit(self, bit: int, rng: np.random.Generator) -> tuple[int, int]:
-        ones = sum(bsc_transmit(bit, self.inner, rng)[0] for _ in range(self.votes))
-        received = int(ones > self.votes // 2)
-        return received, received
+    def transmit(self, bit: int, rng: np.random.Generator) -> int:
+        """Send one bit ``votes`` times and return the majority; the sender
+        sees that bit too."""
+        ones = sum(bsc_transmit(bit, self.inner, rng) for _ in range(self.votes))
+        return int(ones > self.votes // 2)
 
 
 def majority_amplify(inner: ChannelSpec, votes: int) -> AmplifiedChannel:
     """Repetition-code ``inner``; the effective spec carries the exact
     majority flip probability."""
-    if inner.kind is not ChannelKind.BSC:
-        raise ValueError("majority amplification applies to BSC channels")
-    effective = ChannelSpec(ChannelKind.BSC, majority_flip_probability(inner.crossover, votes))
+    effective = ChannelSpec(majority_flip_probability(inner.crossover, votes))
     return AmplifiedChannel(inner=inner, votes=votes, effective=effective)

@@ -15,7 +15,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .acceptance import CRITERIA, run_suite
-from .channels import ChannelKind, ChannelSpec, bsc, lift_crossover, lower_crossover, majority_amplify
+from .channels import NOISELESS, bsc, lift_crossover, lower_crossover, majority_amplify
 from .engine import Datum, LdpSimError, Side
 from .harness import (
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .problems import (
     hl_count_consistent,
     write_instance,
 )
-from .randomizers import rr_param, write_audit_report
+from .randomizers import LawQuery, write_audit_report
 from .reductions import (
     Answer,
     TableProtocol,
@@ -54,11 +54,59 @@ ENUMERABLE_LEAVES = 2**24
 # ---------------------------------------------------------------------------
 
 
-def _parse_prefix(text: str) -> tuple[int, ...]:
+def _rows(lines: Iterable[str], kind: str) -> list[tuple[int, str, list[str]]]:
+    """Non-blank rows as (line number, first word, other words); the first
+    row must start with ``kind``."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        words = line.split()
+        if words:
+            rows.append((lineno, words[0], words[1:]))
+    if not rows:
+        raise ValueError(f"expected a {kind} protocol file, got an empty file")
+    if rows[0][1] != kind:
+        raise ValueError(f"line {rows[0][0]}: expected a {kind} protocol header, got {rows[0][1]!r}")
+    return rows
+
+
+def _fields(lineno: int, words: Sequence[str]) -> dict[str, str]:
+    """The ``key=value`` words of one row."""
+    fields = {}
+    for word in words:
+        key, sep, value = word.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: field {word!r} has no '='")
+        fields[key] = value
+    return fields
+
+
+def _field(lineno: int, fields: dict[str, str], key: str) -> str:
+    if key not in fields:
+        raise ValueError(f"line {lineno}: missing field {key!r}")
+    return fields[key]
+
+
+def _number(lineno: int, fields: dict[str, str], key: str, kind=float):
+    text = _field(lineno, fields, key)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {lineno}: {key}={text!r} is not {noun}") from None
+
+
+def _probability(lineno: int, fields: dict[str, str], key: str) -> float:
+    value = _number(lineno, fields, key)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"line {lineno}: {key}={fields[key]} is not a probability")
+    return value
+
+
+def _parse_prefix(lineno: int, text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
-    if any(ch not in "01" for ch in text):
-        raise ValueError(f"malformed prefix {text!r}")
+    if not text or any(ch not in "01" for ch in text):
+        raise ValueError(f"line {lineno}: malformed prefix {text!r}")
     return tuple(int(ch) for ch in text)
 
 
@@ -69,23 +117,38 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
     Body, one line per transcript prefix of length < N:
     ``step prefix=- sender=alice p0=0 p1=1`` where p0/p1 are the send-1
     probabilities for player input 0/1 and ``-`` is the empty prefix.
+    Malformed lines raise a ``ValueError`` that names the line.
     """
-    rows = [line.strip() for line in lines if line.strip()]
-    if not rows or not rows[0].startswith("two-party"):
-        raise ValueError("expected a two-party protocol file")
-    header = dict(part.split("=", 1) for part in rows[0].split(" ")[1:])
-    num_bits = int(header["bits"])
-    if header.get("channel", "noiseless") == "bsc":
-        channel = bsc(float(header["flip"]))
+    (lineno, _kind, words), *body = _rows(lines, "two-party")
+    header = _fields(lineno, words)
+    num_bits = _number(lineno, header, "bits", int)
+    if num_bits < 0:
+        raise ValueError(f"line {lineno}: bits must be nonnegative")
+    kind = header.get("channel", "noiseless")
+    if kind == "bsc":
+        flip = _number(lineno, header, "flip")
+        if not 0.0 <= flip < 0.5:
+            raise ValueError(f"line {lineno}: flip must lie in [0, 1/2)")
+        channel = bsc(flip)
+    elif kind == "noiseless":
+        channel = NOISELESS
     else:
-        channel = ChannelSpec(ChannelKind.NOISELESS)
+        raise ValueError(f"line {lineno}: unknown channel {kind!r}")
     table: dict[tuple[int, ...], tuple[Side, tuple[float, float]]] = {}
-    for row in rows[1:]:
-        if not row.startswith("step "):
-            raise ValueError(f"unexpected line in protocol file: {row!r}")
-        fields = dict(part.split("=", 1) for part in row.split(" ")[1:])
-        prefix = _parse_prefix(fields["prefix"])
-        table[prefix] = (Side(fields["sender"]), (float(fields["p0"]), float(fields["p1"])))
+    for lineno, first, words in body:
+        if first != "step":
+            raise ValueError(f"line {lineno}: expected a 'step' row, got {first!r}")
+        fields = _fields(lineno, words)
+        text = _field(lineno, fields, "prefix")
+        prefix = _parse_prefix(lineno, text)
+        if len(prefix) >= num_bits:
+            raise ValueError(f"line {lineno}: prefix {text} is not shorter than bits={num_bits}")
+        if prefix in table:
+            raise ValueError(f"line {lineno}: a second row for prefix {text}")
+        sender = _field(lineno, fields, "sender")
+        if sender not in ("alice", "bob"):
+            raise ValueError(f"line {lineno}: unknown sender {sender!r}")
+        table[prefix] = (Side(sender), (_probability(lineno, fields, "p0"), _probability(lineno, fields, "p1")))
 
     def sender_fn(prefix: tuple[int, ...]) -> Side:
         if prefix not in table:
@@ -102,20 +165,20 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
 
 def parse_onebit_file(lines: Iterable[str]):
     """One-bit protocol file: header ``one-bit eps=E users=N`` then one
-    ``user p_alice=... p_bob=...`` line per user, in speaking order."""
-    from .randomizers import LawQuery
-
-    rows = [line.strip() for line in lines if line.strip()]
-    if not rows or not rows[0].startswith("one-bit"):
-        raise ValueError("expected a one-bit protocol file")
-    header = dict(part.split("=", 1) for part in rows[0].split(" ")[1:])
-    epsilon = float(header["eps"])
+    ``user p_alice=... p_bob=...`` line per user, in speaking order.
+    Malformed lines raise a ``ValueError`` that names the line."""
+    (header_line, _kind, words), *body = _rows(lines, "one-bit")
+    header = _fields(header_line, words)
+    epsilon = _number(header_line, header, "eps")
+    if not (0.0 < epsilon < float("inf")):
+        raise ValueError(f"line {header_line}: eps must be positive and finite")
+    num_users = _number(header_line, header, "users", int)
     queries = []
-    for i, row in enumerate(rows[1:]):
-        if not row.startswith("user "):
-            raise ValueError(f"unexpected line in protocol file: {row!r}")
-        fields = dict(part.split("=", 1) for part in row.split(" ")[1:])
-        p_alice, p_bob = float(fields["p_alice"]), float(fields["p_bob"])
+    for i, (lineno, first, words) in enumerate(body):
+        if first != "user":
+            raise ValueError(f"line {lineno}: expected a 'user' row, got {first!r}")
+        fields = _fields(lineno, words)
+        p_alice, p_bob = _probability(lineno, fields, "p_alice"), _probability(lineno, fields, "p_bob")
 
         def law(datum: Datum, pa=p_alice, pb=p_bob) -> float:
             if datum.side is Side.ALICE:
@@ -125,8 +188,8 @@ def parse_onebit_file(lines: Iterable[str]):
             return 0.5
 
         queries.append(LawQuery(epsilon=epsilon, descriptor=f"file-user-{i}", law_fn=law))
-    if len(queries) != int(header["users"]):
-        raise ValueError("user count in header does not match the body")
+    if len(queries) != num_users:
+        raise ValueError(f"line {header_line}: users={num_users}, but the file has {len(queries)} user rows")
     pair = (Datum(Side.ALICE, "alice-input"), Datum(Side.BOB, "bob-input"))
     return fixed_onebit(epsilon, pair, queries)
 
@@ -168,6 +231,7 @@ def _cmd_gen_instance(args) -> int:
     return 0
 
 
+_SOLVERS = ("full", "baseline")
 _MERGEABLE = ("b", "l", "k", "eps", "n", "m", "trials", "seed", "threshold", "solver", "problem")
 
 
@@ -187,10 +251,13 @@ def _experiment_config(args) -> ExperimentConfig:
     for key in ("problem", "eps", "trials", "seed"):
         if getattr(args, key, None) is None:
             raise ValueError(f"missing required option --{key}")
+    solver_flag = args.solver or "full"
+    if solver_flag not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver_flag!r}; choose from {', '.join(_SOLVERS)}")
     if args.problem == "hl":
         if args.b is None or args.l is None or args.n is None:
             raise ValueError("hidden-layers runs need --b, --l and --n")
-        solver = "hl-baseline" if args.solver == "baseline" else "hl-full"
+        solver = "hl-baseline" if solver_flag == "baseline" else "hl-full"
         return ExperimentConfig(
             problem=HLShape(int(args.b), int(args.l)),
             solver=solver,
@@ -203,8 +270,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.problem == "pc":
         if args.k is None or args.l is None or args.m is None:
             raise ValueError("pointer-chasing runs need --k, --l and --m")
-        if args.solver != "full":
-            raise ValueError(f"--solver {args.solver} applies only to --problem hl")
+        if solver_flag != "full":
+            raise ValueError(f"--solver {solver_flag} applies only to --problem hl")
         return ExperimentConfig(
             problem=PCShape(int(args.k), int(args.l)),
             solver="pc",
@@ -263,19 +330,19 @@ def _cmd_reduce_lift(args) -> int:
         protocol = parse_two_party_file(handle)
     epsilon = float(args.eps)
     pair = (Datum(Side.ALICE, "alice-input"), Datum(Side.BOB, "bob-input"))
-    lift_two_party_to_ldp(protocol, epsilon, pair)  # validates the channel
-    steps = [
-        {
-            "prefix": "".join(map(str, prefix)) or "-",
-            "sender": sender.value,
-            "sender_vote_rr_params": {
-                "input=0": rr_param(int(params[0]), epsilon),
-                "input=1": rr_param(int(params[1]), epsilon),
-            },
-            "other_side_param": 0.5,
-        }
-        for prefix, (sender, params) in sorted(protocol.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    lifted = lift_two_party_to_ldp(protocol, epsilon, pair)  # validates the channel
+    steps = []
+    for prefix in sorted(protocol.table, key=lambda prefix: (len(prefix), prefix)):
+        sender = protocol.table[prefix][0]
+        query = lifted.action(prefix)
+        steps.append(
+            {
+                "prefix": "".join(map(str, prefix)) or "-",
+                "sender": sender.value,
+                "sender_vote_rr_params": {f"input={x}": query.law(Datum(sender, x)) for x in (0, 1)},
+                "other_side_param": query.law(Datum(sender.other, 0)),
+            }
+        )
     _emit_json(
         {
             "epsilon": epsilon,
@@ -362,7 +429,7 @@ def _cmd_reduce_rounds(args) -> int:
 def _cmd_enumerate(args) -> int:
     with open(args.protocol, "r", encoding="utf-8") as handle:
         protocol = parse_two_party_file(handle)
-    distribution = enumerate_transcript_distribution(protocol, int(args.x), int(args.y))
+    distribution = enumerate_transcript_distribution(protocol, args.x, args.y)
     buffer = io.StringIO()
     distribution.serialize(buffer)
     _emit(buffer.getvalue(), args.out)
@@ -390,7 +457,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, help="total per-user privacy budget")
     parser.add_argument("--n", type=int, help="population / per-query group size (hl)")
     parser.add_argument("--m", type=int, help="per-bit group size (pc)")
-    parser.add_argument("--solver", choices=("full", "baseline"), default="full")
+    parser.add_argument("--solver", choices=_SOLVERS, help="default: full")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
@@ -461,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="exact transcript distribution of a protocol file")
     enum.add_argument("--protocol", required=True)
-    enum.add_argument("--x", type=int, required=True, help="Alice's input bit")
-    enum.add_argument("--y", type=int, required=True, help="Bob's input bit")
+    enum.add_argument("--x", type=int, choices=(0, 1), required=True, help="Alice's input bit")
+    enum.add_argument("--y", type=int, choices=(0, 1), required=True, help="Bob's input bit")
     enum.add_argument("--out")
     enum.set_defaults(func=_cmd_enumerate)
 

@@ -19,12 +19,18 @@ Conversions provided:
   one with Bob speaking first and one extra round, preserving the joint
   output distribution.
 
-Exact transcript distributions for all of these are computed by one
-depth-first enumerator over transcript prefixes. At each prefix a protocol
-reports either a leaf or the probability mass entering bit 0 and bit 1; for
-two-party protocols that mass is summed over the public lottery, the sent
-bit, the channel flip and the keep/skip coin, so branches that enter the same
-bit are merged and a depth-d protocol visits at most 2^(d+1) - 1 prefixes.
+Every two-party protocol here -- table, lowered, simultaneous and
+alternating -- is a :class:`TwoPartyProtocol` over a channel given by its
+flip probability; the simultaneous and alternating ones are noiseless
+(crossover 0). Exact transcript distributions are computed by one
+depth-first walk over transcript prefixes, behind two entry points:
+:func:`enumerate_transcript_distribution` for two-party protocols and
+:func:`enumerate_onebit_distribution` for one-bit protocols. At each prefix a
+protocol reports either a leaf or the probability mass entering bit 0 and
+bit 1; for two-party protocols that mass is summed over the public lottery,
+the sent bit, the channel flip and the keep/skip coin, so branches that enter
+the same bit are merged and a depth-d protocol visits at most 2^(d+1) - 1
+prefixes.
 """
 
 from __future__ import annotations
@@ -32,12 +38,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
-from ._rng import substream
-from .channels import ChannelKind, ChannelSpec, lift_crossover, lower_channel, lower_crossover
-from .engine import Datum, DivergenceError, Halt, LdpSimError, ProtocolDriver, RoundSpec, Side, Transcript
+from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
+from .engine import Datum, Halt, LdpSimError, ProtocolDriver, RoundSpec, Side, Transcript
 from .randomizers import LawQuery, rr_param
 
 ENUMERATION_GUARD = 2**20
@@ -46,11 +50,6 @@ _PROB_SLACK = 1e-9
 
 class ReductionError(LdpSimError):
     """A protocol conversion produced an invalid probability or was misused."""
-
-
-class RoundMode(Enum):
-    ALTERNATING = "alternating"
-    SIMULTANEOUS = "simultaneous"
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ class TwoPartyProtocol(ABC):
 
     channel: ChannelSpec
     max_bits: int
-    round_mode: RoundMode = RoundMode.ALTERNATING
 
     @abstractmethod
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
@@ -118,7 +116,6 @@ class TableProtocol(TwoPartyProtocol):
     param_fn: Callable[[Any, tuple[int, ...]], float]
     channel: ChannelSpec
     answer_fn: Callable[[tuple[int, ...]], Any] = field(default=lambda transcript: transcript)
-    round_mode: RoundMode = RoundMode.ALTERNATING
 
     def __post_init__(self):
         if self.num_bits < 0:
@@ -232,7 +229,7 @@ def enumerate_transcript_distribution(
     enter it, so a bit no branch enters keeps mass exactly 0.
     """
     crossover = protocol.channel.crossover
-    noisy = protocol.channel.kind is ChannelKind.BSC and crossover > 0.0
+    noisy = crossover > 0.0
 
     def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) > protocol.max_bits:
@@ -263,42 +260,6 @@ def enumerate_transcript_distribution(
         return mass[0], mass[1]
 
     return _enumerate(branch, max_paths)
-
-
-def simulate_two_party(
-    protocol: TwoPartyProtocol,
-    alice_input,
-    bob_input,
-    seed: int,
-) -> tuple[tuple[int, ...], Any]:
-    """Run one execution; returns (entered transcript, answer)."""
-    rng = substream(seed, "two-party")
-    prefix: tuple[int, ...] = ()
-    for _ in range(protocol.max_bits + 1):
-        act = protocol.action(prefix)
-        if isinstance(act, Answer):
-            return prefix, act.fn(prefix)
-        draw = rng.random()
-        acc = 0.0
-        step = act[-1][1]
-        for branch_prob, candidate in act:
-            acc += branch_prob
-            if draw < acc:
-                step = candidate
-                break
-        inp = alice_input if step.sender is Side.ALICE else bob_input
-        p_send = _check_prob(float(step.send_param(inp)), f"step {step.label or len(prefix)}")
-        sent = int(rng.random() < p_send)
-        if protocol.channel.kind is ChannelKind.BSC:
-            received = sent ^ int(rng.random() < protocol.channel.crossover)
-        else:
-            received = sent
-        if step.use_prob >= 1.0 or rng.random() < step.use_prob:
-            entered = received
-        else:
-            entered = step.skip_bit
-        prefix = prefix + (int(entered),)
-    raise DivergenceError("two-party protocol did not halt within max_bits")
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +348,6 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
     """
 
     def __init__(self, protocol: TwoPartyProtocol, epsilon: float, data_pair: tuple[Datum, Datum]):
-        if protocol.channel.kind is not ChannelKind.BSC:
-            raise ValueError("lift needs a protocol over a BSC")
         expected = lift_crossover(epsilon)
         if abs(protocol.channel.advantage - expected) > 1e-12:
             raise ValueError(
@@ -457,8 +416,6 @@ class LoweredProtocol(TwoPartyProtocol):
     bit is entered with probability s (skipping enters 0). When s > 1 the
     same construction runs on the complement laws, with skips entering 1.
     """
-
-    round_mode = RoundMode.ALTERNATING
 
     def __init__(self, source: OneBitLDPProtocol, epsilon: float, max_bits: int | None = None):
         self.source = source
@@ -547,14 +504,25 @@ def lower_multi_to_two_party(
 # ---------------------------------------------------------------------------
 
 
+def _pairs(bits: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Round pairs of a flattened simultaneous transcript a1 b1 a2 b2 ..."""
+    return tuple(zip(bits[0::2], bits[1::2]))
+
+
+def _bit_step(sender: Side, param: Callable[[Any, Any], float], pairs) -> tuple[tuple[float, SendStep], ...]:
+    return ((1.0, SendStep(sender=sender, send_param=lambda inp: param(inp, pairs))),)
+
+
 @dataclass
-class SimultaneousProtocol:
+class SimultaneousProtocol(TwoPartyProtocol):
     """Noiseless protocol where both players publish one bit per round.
 
     ``alice_param(input, pairs)`` / ``bob_param(input, pairs)`` give each
-    player's next-bit probability from the pairs published so far. Answer
-    functions map (input, pairs) to the player's final output; the default
-    announces the transcript itself.
+    player's next-bit probability from the pairs published so far. As a
+    two-party protocol it runs over the flattened transcript a1 b1 a2 b2 ...,
+    in which Bob's bit of a round does not depend on Alice's bit of that
+    round; it halts with the pairs. Answer functions map (input, pairs) to
+    the player's final output; the default announces the transcript itself.
     """
 
     num_rounds: int
@@ -566,27 +534,38 @@ class SimultaneousProtocol:
     bob_answer: Callable[[Any, tuple[tuple[int, int], ...]], Any] = field(
         default=lambda _inp, pairs: pairs
     )
-    round_mode: RoundMode = RoundMode.SIMULTANEOUS
+    channel = NOISELESS
 
     def __post_init__(self):
         if self.num_rounds < 1:
             raise ValueError("num_rounds must be at least 1")
+        self.max_bits = 2 * self.num_rounds
+
+    def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
+        if len(prefix) >= self.max_bits:
+            return Answer(_pairs)
+        t, bob_turn = divmod(len(prefix), 2)
+        pairs = _pairs(prefix[: 2 * t])
+        if bob_turn:
+            return _bit_step(Side.BOB, self.bob_param, pairs)
+        return _bit_step(Side.ALICE, self.alice_param, pairs)
 
 
 @dataclass
-class AlternatingProtocol:
+class AlternatingProtocol(TwoPartyProtocol):
     """Reschedule of a simultaneous protocol into alternating rounds.
 
     ``rounds`` lists (speaker, bit count) per alternating round;
     ``positions`` maps each flat bit position to (speaker, index in that
-    speaker's original sequence). Answer functions are the source's,
-    unchanged.
+    speaker's original sequence). The protocol runs noiselessly over the
+    flat bit transcript and halts with the source's pairs. Answer functions
+    are the source's, unchanged.
     """
 
     source: SimultaneousProtocol
     rounds: tuple[tuple[Side, int], ...]
     positions: tuple[tuple[Side, int], ...]
-    round_mode: RoundMode = RoundMode.ALTERNATING
+    channel = NOISELESS
 
     def __post_init__(self):
         flat = [speaker for speaker, count in self.rounds for _ in range(count)]
@@ -598,6 +577,7 @@ class AlternatingProtocol:
                 for side in (Side.ALICE, Side.BOB):
                     if self._pos_of[(side, i)] >= pos:
                         raise ValueError("schedule violates a data dependency")
+        self.max_bits = len(self.positions)
 
     @property
     def num_rounds(self) -> int:
@@ -611,12 +591,12 @@ class AlternatingProtocol:
             for t in range(limit)
         )
 
-    def param_at(self, position: int, alice_input, bob_input, alt_prefix: Sequence[int]) -> float:
-        speaker, t = self.positions[position]
-        pairs = self.pairs_from(alt_prefix, upto=t)
-        if speaker is Side.ALICE:
-            return self.source.alice_param(alice_input, pairs)
-        return self.source.bob_param(bob_input, pairs)
+    def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
+        if len(prefix) >= self.max_bits:
+            return Answer(self.pairs_from)
+        speaker, t = self.positions[len(prefix)]
+        param = self.source.alice_param if speaker is Side.ALICE else self.source.bob_param
+        return _bit_step(speaker, param, self.pairs_from(prefix, upto=t))
 
     def answers(self, alt_bits: Sequence[int], alice_input, bob_input) -> tuple[Any, Any]:
         pairs = self.pairs_from(alt_bits)
@@ -626,10 +606,10 @@ class AlternatingProtocol:
         )
 
 
-def simultaneous_to_alternating(protocol) -> AlternatingProtocol:
+def simultaneous_to_alternating(protocol: SimultaneousProtocol) -> AlternatingProtocol:
     """Reschedule: Bob opens, then players alternate publishing two bits per
     round, adding exactly one round overall and preserving outputs."""
-    if getattr(protocol, "round_mode", None) is not RoundMode.SIMULTANEOUS:
+    if not isinstance(protocol, SimultaneousProtocol):
         raise ValueError("input protocol must be simultaneous")
     total = protocol.num_rounds
     rounds: list[tuple[Side, int]] = [(Side.BOB, 1)]
@@ -647,49 +627,6 @@ def simultaneous_to_alternating(protocol) -> AlternatingProtocol:
     return AlternatingProtocol(source=protocol, rounds=tuple(rounds), positions=tuple(positions))
 
 
-def enumerate_simultaneous(
-    protocol: SimultaneousProtocol,
-    alice_input,
-    bob_input,
-    max_paths: int = ENUMERATION_GUARD,
-) -> TranscriptDistribution:
-    """Distribution over flattened pair transcripts (a1 b1 a2 b2 ...); each
-    round visits Alice's bit, then Bob's."""
-
-    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
-        t, bob_turn = divmod(len(prefix), 2)
-        if t == protocol.num_rounds:
-            return None
-        pairs = tuple(zip(prefix[0 : 2 * t : 2], prefix[1 : 2 * t : 2]))
-        if bob_turn:
-            p_one = _check_prob(float(protocol.bob_param(bob_input, pairs)), "bob bit")
-        else:
-            p_one = _check_prob(float(protocol.alice_param(alice_input, pairs)), "alice bit")
-        return 1.0 - p_one, p_one
-
-    return _enumerate(branch, max_paths)
-
-
-def enumerate_alternating(
-    protocol: AlternatingProtocol,
-    alice_input,
-    bob_input,
-    max_paths: int = ENUMERATION_GUARD,
-) -> TranscriptDistribution:
-    """Distribution over the alternating protocol's flat bit transcript."""
-    total_bits = len(protocol.positions)
-
-    def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
-        if len(prefix) == total_bits:
-            return None
-        p_one = _check_prob(
-            float(protocol.param_at(len(prefix), alice_input, bob_input, prefix)), "alternating bit"
-        )
-        return 1.0 - p_one, p_one
-
-    return _enumerate(branch, max_paths)
-
-
 def alternating_pairs_distribution(
     protocol: AlternatingProtocol,
     alice_input,
@@ -697,9 +634,9 @@ def alternating_pairs_distribution(
     max_paths: int = ENUMERATION_GUARD,
 ) -> TranscriptDistribution:
     """The alternating transcript distribution mapped back onto the source's
-    flattened pair representation, directly comparable with
-    :func:`enumerate_simultaneous`."""
-    flat = enumerate_alternating(protocol, alice_input, bob_input, max_paths)
+    flattened pair representation, directly comparable with the source's
+    :func:`enumerate_transcript_distribution`."""
+    flat = enumerate_transcript_distribution(protocol, alice_input, bob_input, max_paths)
     probs: dict[str, float] = {}
     for bits, prob in flat.probs.items():
         pairs = protocol.pairs_from(tuple(int(b) for b in bits))

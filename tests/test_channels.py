@@ -4,7 +4,6 @@ import pytest
 
 from ldpsim._rng import substream
 from ldpsim.channels import (
-    ChannelKind,
     ChannelSpec,
     bsc,
     bsc_transmit,
@@ -22,42 +21,32 @@ LN7 = math.log(7.0)
 
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
-        ChannelSpec(ChannelKind.BSC, crossover=0.5)
+        ChannelSpec(crossover=0.5)
     with pytest.raises(ValueError):
-        ChannelSpec(ChannelKind.BSC, crossover=-0.1)
-    with pytest.raises(ValueError):
-        ChannelSpec(ChannelKind.NOISELESS, crossover=0.1)
+        ChannelSpec(crossover=-0.1)
     assert bsc(0.25).advantage == 0.25
+    assert ChannelSpec() == bsc(0.0) and ChannelSpec().advantage == 0.5
 
 
 def test_transmit_noiseless_crossover_zero():
     rng = substream(1, "bsc")
-    spec = bsc(0.0)
-    assert all(bsc_transmit(b, spec, rng)[0] == b for b in (0, 1) for _ in range(100))
+    for spec in (bsc(0.0), ChannelSpec()):
+        assert all(bsc_transmit(b, spec, rng) == b for b in (0, 1) for _ in range(100))
 
 
-def test_transmit_rejects_noiseless_spec_and_bad_bits():
+def test_transmit_rejects_bad_bits():
     rng = substream(2, "bsc")
     with pytest.raises(ValueError):
-        bsc_transmit(0, ChannelSpec(ChannelKind.NOISELESS), rng)
-    with pytest.raises(ValueError):
         bsc_transmit(2, bsc(0.1), rng)
+    with pytest.raises(ValueError):
+        bsc_transmit(-1, ChannelSpec(), rng)
 
 
 def test_transmit_empirical_flip_rate():
     rng = substream(3, "bsc")
     spec = bsc(0.375)
-    flips = sum(bsc_transmit(0, spec, rng)[0] for _ in range(100_000))
+    flips = sum(bsc_transmit(0, spec, rng) for _ in range(100_000))
     assert abs(flips / 100_000 - 0.375) < 0.01
-
-
-def test_feedback_equals_received():
-    rng = substream(4, "bsc")
-    spec = bsc(0.4)
-    for bit in (0, 1):
-        for _ in range(200):
-            received, feedback = bsc_transmit(bit, spec, rng)
-            assert feedback == received
 
 
 def test_lift_crossover_values():
@@ -87,6 +76,21 @@ def test_majority_single_vote_is_identity():
     assert amplified.effective == spec
 
 
+def test_transmit_returns_received_bit_as_int():
+    rng = substream(4, "bsc")
+    amplified = majority_amplify(bsc(0.4), 3)
+    for bit in (0, 1):
+        assert type(bsc_transmit(bit, bsc(0.4), rng)) is int
+        assert type(amplified.transmit(bit, rng)) is int
+
+
+def test_noiseless_channel_amplifies_to_itself():
+    rng = substream(6, "noiseless")
+    amplified = majority_amplify(ChannelSpec(), 3)
+    assert amplified.effective == ChannelSpec()
+    assert all(amplified.transmit(b, rng) == b for b in (0, 1) for _ in range(50))
+
+
 def test_majority_exact_binomial_tail():
     assert majority_flip_probability(0.25, 3) == 10.0 / 64.0
     # independent arithmetic for votes=5 at flip 0.2
@@ -112,7 +116,7 @@ def test_majority_transmit_monte_carlo():
     amplified = majority_amplify(bsc(0.25), 3)
     rng = substream(5, "majority")
     draws = 100_000
-    flips = sum(amplified.transmit(0, rng)[0] for _ in range(draws))
+    flips = sum(amplified.transmit(0, rng) for _ in range(draws))
     p = 10.0 / 64.0
     sigma = math.sqrt(p * (1 - p) / draws)
     assert abs(flips / draws - p) <= 3 * sigma

@@ -57,6 +57,58 @@ def test_parse_rejects_malformed():
         parse_onebit_file(io.StringIO("one-bit eps=1 users=3\nuser p_alice=0.5 p_bob=0.5\n"))
 
 
+_TWO_PARTY_HEADER = "two-party bits=1 channel=bsc flip=0.375\n"
+_ONE_BIT_HEADER = "one-bit eps=1.0986122886681098 users=1\n"
+
+
+_BAD_PROTOCOL_FILES = {
+    "step-no-equals": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0\n", 2, "has no '='"),
+    "step-missing-field": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0=0\n", 2, "field 'p1'"),
+    "step-bad-number": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0=0 p1=one\n", 2, "not a number"),
+    "step-unknown-sender": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=carol p0=0 p1=1\n", 2, "'carol'"),
+    "step-not-probability": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0=0 p1=1.5\n", 2, "1.5"),
+    "step-bad-prefix": ("enumerate", _TWO_PARTY_HEADER + "step prefix=2 sender=alice p0=0 p1=1\n", 2, "prefix '2'"),
+    "step-long-prefix": ("enumerate", _TWO_PARTY_HEADER + "step prefix=0 sender=alice p0=0 p1=1\n", 2, "bits=1"),
+    "step-duplicate": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=bob p0=0 p1=1\n" * 2, 3, "second row"),
+    "step-after-blanks": (
+        "enumerate",
+        "two-party bits=2 channel=noiseless\n\n\nstep prefix=- sender=alice p0=0 p1=1\nstep prefix=0 sender=bob\n",
+        5,
+        "missing field 'p0'",
+    ),
+    "step-wrong-row": ("enumerate", _TWO_PARTY_HEADER + "user prefix=- sender=alice p0=0 p1=1\n", 2, "'step' row"),
+    "two-party-wrong-header": ("enumerate", "\none-bit eps=1 users=0\n", 2, "two-party protocol header"),
+    "two-party-bad-bits": ("enumerate", "two-party bits=two channel=noiseless\n", 1, "not an integer"),
+    "two-party-no-flip": ("enumerate", "two-party bits=1 channel=bsc\n", 1, "missing field 'flip'"),
+    "two-party-bad-flip": ("enumerate", "two-party bits=1 channel=bsc flip=0.5\n", 1, "flip must lie in"),
+    "two-party-bad-channel": ("enumerate", "two-party bits=1 channel=erasure\n", 1, "unknown channel"),
+    "lift-no-equals": ("lift", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0\n", 2, "has no '='"),
+    "user-missing-field": ("lower", _ONE_BIT_HEADER + "user p_alice=0.75\n", 2, "missing field 'p_bob'"),
+    "user-no-equals": ("lower", _ONE_BIT_HEADER + "user p_alice=0.75 p_bob\n", 2, "has no '='"),
+    "user-bad-number": ("lower", _ONE_BIT_HEADER + "user p_alice=high p_bob=0.25\n", 2, "not a number"),
+    "user-wrong-row": ("lower", _ONE_BIT_HEADER + "\nstep p_alice=0.75 p_bob=0.25\n", 3, "'user' row"),
+    "one-bit-wrong-header": ("lower", "two-party bits=1\n", 1, "one-bit protocol header"),
+    "one-bit-user-count": ("lower", "one-bit eps=1 users=2\nuser p_alice=0.75 p_bob=0.25\n", 1, "users=2"),
+    "one-bit-no-eps": ("lower", "one-bit users=1\nuser p_alice=0.75 p_bob=0.25\n", 1, "missing field 'eps'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROTOCOL_FILES))
+def test_protocol_file_errors_name_the_line(capsys, tmp_path, case):
+    command, text, lineno, message = _BAD_PROTOCOL_FILES[case]
+    proto = tmp_path / "proto.txt"
+    proto.write_text(text)
+    argv = {
+        "enumerate": ["enumerate", "--protocol", str(proto), "--x", "0", "--y", "1"],
+        "lift": ["reduce", "lift", "--eps", str(LN3), "--protocol", str(proto)],
+        "lower": ["reduce", "lower", "--eps", str(LN3), "--protocol", str(proto)],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert f"line {lineno}: " in stderr and message in stderr
+    assert "Traceback" not in stderr
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -115,6 +167,27 @@ def test_run_with_config_file(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg), "--seed", "3")
     assert code == 0
     assert json.loads(stdout)["trials"] == 2
+
+
+def test_config_file_solver_key_is_applied(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    keys = {"problem": "hl", "b": 2, "l": 3, "n": 10, "eps": 1, "trials": 1}
+    cfg.write_text(json.dumps({**keys, "solver": "baseline"}))
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1")
+    assert code == 0
+    assert json.loads(stdout)["solver"] == "hl-baseline"
+    # an explicit flag still wins over the file
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1", "--solver", "full")
+    assert code == 0
+    assert json.loads(stdout)["solver"] == "hl-full"
+    cfg.write_text(json.dumps(keys))
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1")
+    assert code == 0
+    assert json.loads(stdout)["solver"] == "hl-full"
+    cfg.write_text(json.dumps({**keys, "solver": "fastest"}))
+    code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1")
+    assert code == 1 and stdout == ""
+    assert "unknown solver 'fastest'" in stderr
 
 
 def test_run_missing_required_flags(capsys):
@@ -253,6 +326,34 @@ def test_reduce_lift_channel_mismatch(capsys, tmp_path):
     assert "advantage" in stderr
 
 
+def test_reduce_lift_laws_come_from_the_lifted_driver(capsys, tmp_path):
+    proto = tmp_path / "proto.txt"
+    proto.write_text(
+        "two-party bits=2 channel=bsc flip=0.375\n"
+        "step prefix=- sender=alice p0=0 p1=1\n"
+        "step prefix=0 sender=bob p0=1 p1=0\n"
+        "step prefix=1 sender=bob p0=1 p1=1\n"
+    )
+    code, stdout, _ = run_cli(capsys, "reduce", "lift", "--eps", str(LN3), "--protocol", str(proto))
+    assert code == 0
+    steps = json.loads(stdout)["steps"]
+    assert [(s["prefix"], s["sender"]) for s in steps] == [("-", "alice"), ("0", "bob"), ("1", "bob")]
+    assert [s["sender_vote_rr_params"] for s in steps] == [
+        {"input=0": 0.25, "input=1": 0.75},
+        {"input=0": 0.75, "input=1": 0.25},
+        {"input=0": 0.75, "input=1": 0.75},
+    ]
+    assert all(s["other_side_param"] == 0.5 for s in steps)
+
+
+def test_reduce_lift_rejects_randomized_table(capsys, tmp_path):
+    proto = tmp_path / "proto.txt"
+    proto.write_text(TWO_PARTY_FILE.replace("p0=0 p1=1", "p0=0.5 p1=0.9"))
+    code, stdout, stderr = run_cli(capsys, "reduce", "lift", "--eps", str(LN3), "--protocol", str(proto))
+    assert code == 1 and stdout == ""
+    assert "lift requires deterministic next-bit functions" in stderr
+
+
 def test_reduce_lower_echo(capsys, tmp_path):
     proto = tmp_path / "onebit.txt"
     proto.write_text(ONE_BIT_FILE)
@@ -286,6 +387,17 @@ def test_enumerate_output(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "enumerate", "--protocol", str(proto), "--x", "1", "--y", "0")
     assert code == 0
     assert stdout.splitlines() == ["0 0.375", "1 0.625"]
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "2"), ("--x", "-1"), ("--y", "2"), ("--y", "-1")])
+def test_enumerate_inputs_must_be_bits(capsys, tmp_path, flag, value):
+    proto = tmp_path / "proto.txt"
+    proto.write_text(TWO_PARTY_FILE)
+    inputs = {"--x": "0", "--y": "0", flag: value}
+    argv = [word for pair in inputs.items() for word in pair]
+    code, stdout, stderr = run_cli(capsys, "enumerate", "--protocol", str(proto), *argv)
+    assert code == 1 and stdout == ""
+    assert flag in stderr and "Traceback" not in stderr
 
 
 def test_acceptance_subset(capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldpsim.channels import ChannelKind, ChannelSpec, bsc, lift_channel, lower_crossover
+from ldpsim._rng import substream
+from ldpsim.channels import ChannelSpec, bsc, bsc_transmit, lift_channel, lower_crossover
 from ldpsim.engine import Datum, InteractivityMode, Side, execute, sample_population
 from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.reductions import (
@@ -16,16 +17,14 @@ from ldpsim.reductions import (
     SimultaneousProtocol,
     TableProtocol,
     TranscriptDistribution,
+    TwoPartyProtocol,
     _check_prob,
     alternating_pairs_distribution,
-    enumerate_alternating,
     enumerate_onebit_distribution,
-    enumerate_simultaneous,
     enumerate_transcript_distribution,
     fixed_onebit,
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
-    simulate_two_party,
     simultaneous_to_alternating,
 )
 
@@ -64,16 +63,16 @@ PAIR = (Datum(Side.ALICE, "x"), Datum(Side.BOB, "y"))
 def reference_two_party(protocol, alice_input, bob_input) -> dict[str, float]:
     """Path-by-path enumeration over the step lottery, the sent bit, the
     channel flip and the keep/skip coin; paths ending in the same transcript
-    are summed at the leaf."""
-    probs: dict[str, float] = {}
+    are summed at the leaf. A leaf can gather hundreds of paths, so they are
+    summed with ``math.fsum``: a running sum drifts by about 1e-14 there."""
+    paths: dict[str, list[float]] = {}
     crossover = protocol.channel.crossover
-    noisy = protocol.channel.kind is ChannelKind.BSC and crossover > 0.0
+    noisy = crossover > 0.0
 
     def recurse(prefix, prob):
         act = protocol.action(prefix)
         if isinstance(act, Answer):
-            key = "".join(map(str, prefix))
-            probs[key] = probs.get(key, 0.0) + prob
+            paths.setdefault("".join(map(str, prefix)), []).append(prob)
             return
         for branch_prob, step in act:
             inp = alice_input if step.sender is Side.ALICE else bob_input
@@ -91,7 +90,7 @@ def reference_two_party(protocol, alice_input, bob_input) -> dict[str, float]:
                             recurse(prefix + (entered,), weight)
 
     recurse((), 1.0)
-    return probs
+    return {key: math.fsum(weights) for key, weights in paths.items()}
 
 
 def reference_bit_tree(is_leaf, p_one) -> dict[str, float]:
@@ -139,10 +138,39 @@ def reference_simultaneous(protocol, x, y) -> dict[str, float]:
 
 
 def reference_alternating(protocol, x, y) -> dict[str, float]:
-    return reference_bit_tree(
-        lambda prefix: len(prefix) == len(protocol.positions),
-        lambda prefix: float(protocol.param_at(len(prefix), x, y, prefix)),
-    )
+    def p_one(prefix):
+        speaker, t = protocol.positions[len(prefix)]
+        pairs = protocol.pairs_from(prefix, upto=t)
+        if speaker is Side.ALICE:
+            return float(protocol.source.alice_param(x, pairs))
+        return float(protocol.source.bob_param(y, pairs))
+
+    return reference_bit_tree(lambda prefix: len(prefix) == len(protocol.positions), p_one)
+
+
+def simulate_two_party(protocol, alice_input, bob_input, seed):
+    """Monte Carlo run of one execution, drawing every coin the enumerator
+    sums over; returns (entered transcript, answer)."""
+    rng = substream(seed, "two-party")
+    prefix = ()
+    for _ in range(protocol.max_bits + 1):
+        act = protocol.action(prefix)
+        if isinstance(act, Answer):
+            return prefix, act.fn(prefix)
+        draw = rng.random()
+        acc = 0.0
+        step = act[-1][1]
+        for branch_prob, candidate in act:
+            acc += branch_prob
+            if draw < acc:
+                step = candidate
+                break
+        inp = alice_input if step.sender is Side.ALICE else bob_input
+        sent = int(rng.random() < _check_prob(float(step.send_param(inp)), "simulation"))
+        received = bsc_transmit(sent, protocol.channel, rng)
+        entered = received if step.use_prob >= 1.0 or rng.random() < step.use_prob else step.skip_bit
+        prefix = prefix + (entered,)
+    raise AssertionError("two-party protocol did not halt within max_bits")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +183,7 @@ def test_enumerate_deterministic_noiseless_protocol_is_point_mass():
         num_bits=2,
         sender_fn=lambda prefix: Side.ALICE if len(prefix) == 0 else Side.BOB,
         param_fn=lambda inp, prefix: float(inp),
-        channel=ChannelSpec(ChannelKind.NOISELESS),
+        channel=ChannelSpec(),
     )
     dist = enumerate_transcript_distribution(protocol, 1, 0)
     assert dist.probs == {"10": 1.0}
@@ -209,7 +237,7 @@ def test_max_paths_bounds_visited_prefixes(depth):
         num_bits=depth,
         sender_fn=lambda prefix: Side.ALICE,
         param_fn=lambda inp, prefix: 0.5,
-        channel=ChannelSpec(ChannelKind.NOISELESS),
+        channel=ChannelSpec(),
     )
     prefixes = 2 ** (depth + 1) - 1
     dist = enumerate_transcript_distribution(protocol, 0, 0, max_paths=prefixes)
@@ -231,7 +259,7 @@ def test_enumeration_path_guard():
         num_bits=30,
         sender_fn=lambda prefix: Side.ALICE,
         param_fn=lambda inp, prefix: 0.5,
-        channel=ChannelSpec(ChannelKind.NOISELESS),
+        channel=ChannelSpec(),
     )
     with pytest.raises(ValueError, match="exceeds"):
         enumerate_transcript_distribution(protocol, 0, 0, max_paths=1000)
@@ -243,9 +271,11 @@ def test_enumeration_path_guard():
 
 
 def test_lift_requires_matching_channel():
-    protocol = one_bit_protocol(Side.ALICE, lambda x: x, bsc(0.25))
-    with pytest.raises(ValueError, match="advantage"):
-        lift_two_party_to_ldp(protocol, LN3, PAIR)
+    # a noiseless channel has advantage 1/2, which no budget lifts to
+    for channel in (bsc(0.25), ChannelSpec()):
+        protocol = one_bit_protocol(Side.ALICE, lambda x: x, channel)
+        with pytest.raises(ValueError, match="advantage"):
+            lift_two_party_to_ldp(protocol, LN3, PAIR)
 
 
 def test_lift_single_bit_marginal():
@@ -517,6 +547,28 @@ def test_transform_rejects_alternating_input():
     alternating = simultaneous_to_alternating(protocol)
     with pytest.raises(ValueError, match="simultaneous"):
         simultaneous_to_alternating(alternating)
+    table = TableProtocol(
+        num_bits=2, sender_fn=lambda prefix: Side.ALICE, param_fn=lambda inp, prefix: 0.5, channel=ChannelSpec()
+    )
+    with pytest.raises(ValueError, match="simultaneous"):
+        simultaneous_to_alternating(table)
+
+
+@pytest.mark.parametrize("num_rounds", [1, 2, 3])
+def test_round_protocols_are_noiseless_two_party_protocols(num_rounds):
+    protocol = _constant_sim(num_rounds, (1, 0, 1)[:num_rounds], (0, 1, 1)[:num_rounds])
+    alternating = simultaneous_to_alternating(protocol)
+    for candidate, max_bits in ((protocol, 2 * num_rounds), (alternating, len(alternating.positions))):
+        assert isinstance(candidate, TwoPartyProtocol)
+        assert candidate.channel == ChannelSpec() and candidate.max_bits == max_bits
+    # both halt with the source's pairs after exactly max_bits bits
+    pairs = tuple(zip((1, 0, 1)[:num_rounds], (0, 1, 1)[:num_rounds]))
+    flat = tuple(bit for pair in pairs for bit in pair)
+    assert protocol.action(flat).fn(flat) == pairs
+    assert enumerate_transcript_distribution(protocol, 0, 0).probs == {"".join(map(str, flat)): 1.0}
+    assert alternating_pairs_distribution(alternating, 0, 0).probs == {"".join(map(str, flat)): 1.0}
+    for bits in product((0, 1), repeat=alternating.max_bits - 1):
+        assert not isinstance(alternating.action(bits), Answer)
 
 
 def test_transform_preserves_distribution_randomized():
@@ -526,7 +578,7 @@ def test_transform_preserves_distribution_randomized():
         bob_param=lambda inp, pairs: 0.6 - 0.3 * inp if not pairs else (0.1 if pairs[0][0] else 0.9),
     )
     for x, y in product((0, 1), repeat=2):
-        tv = enumerate_simultaneous(protocol, x, y).tv_distance(
+        tv = enumerate_transcript_distribution(protocol, x, y).tv_distance(
             alternating_pairs_distribution(simultaneous_to_alternating(protocol), x, y)
         )
         assert tv <= 1e-12
@@ -542,9 +594,11 @@ def test_transform_keeps_answer_functions():
     )
     alternating = simultaneous_to_alternating(protocol)
     assert alternating.source.alice_answer is protocol.alice_answer
-    dist = enumerate_alternating(alternating, 1, 0)
+    dist = enumerate_transcript_distribution(alternating, 1, 0)
     (bits,) = [k for k, v in dist.probs.items() if v == 1.0]
-    a_ans, b_ans = alternating.answers(tuple(int(b) for b in bits), 1, 0)
+    bits = tuple(int(b) for b in bits)
+    assert alternating.action(bits).fn(bits) == ((1, 0), (1, 0))
+    a_ans, b_ans = alternating.answers(bits, 1, 0)
     assert a_ans == ("alice", 1, ((1, 0), (1, 0)))
     assert b_ans == ("bob", 0, ((1, 0), (1, 0)))
 
@@ -732,5 +786,7 @@ def test_round_reschedule_enumerations_are_bit_identical_to_reference():
         )
         alternating = simultaneous_to_alternating(protocol)
         for x, y in product((0, 1), repeat=2):
-            assert enumerate_simultaneous(protocol, x, y).probs == reference_simultaneous(protocol, x, y)
-            assert enumerate_alternating(alternating, x, y).probs == reference_alternating(alternating, x, y)
+            assert enumerate_transcript_distribution(protocol, x, y).probs == reference_simultaneous(protocol, x, y)
+            assert enumerate_transcript_distribution(alternating, x, y).probs == reference_alternating(
+                alternating, x, y
+            )
