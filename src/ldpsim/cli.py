@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from itertools import product
 from typing import Iterable, Sequence
 
 from .acceptance import CRITERIA, run_suite
@@ -332,9 +333,11 @@ def _cmd_reduce_lift(args) -> int:
     pair = (Datum(Side.ALICE, "alice-input"), Datum(Side.BOB, "bob-input"))
     lifted = lift_two_party_to_ldp(protocol, epsilon, pair)  # validates the channel
     steps = []
-    for prefix in sorted(protocol.table, key=lambda prefix: (len(prefix), prefix)):
-        sender = protocol.table[prefix][0]
+    # over the lift's BSC every prefix is reachable, so each needs a row;
+    # the lifted driver raises, naming the first prefix the table lacks
+    for prefix in (prefix for t in range(protocol.num_bits) for prefix in product((0, 1), repeat=t)):
         query = lifted.action(prefix)
+        sender = protocol.table[prefix][0]
         steps.append(
             {
                 "prefix": "".join(map(str, prefix)) or "-",

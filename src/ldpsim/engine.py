@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._rng import response_uniform, response_uniforms, substream
+from ._rng import response_limit, response_uniform, round_draws, substream, user_keys
 
 DEFAULT_MAX_ROUNDS = 10_000_000
 
@@ -76,10 +76,12 @@ class Population:
     """
 
     def __init__(self, side_codes: np.ndarray, alice_payload, bob_payload, seed: int):
-        codes = np.asarray(side_codes, dtype=np.uint8)
+        codes = np.asarray(side_codes)
         if codes.ndim != 1 or codes.size < 1:
             raise ValueError("population needs at least one user")
-        self._codes = codes
+        if not ((codes == 0) | (codes == 1)).all():
+            raise ValueError("side codes must be 0 (Alice) or 1 (Bob)")
+        self._codes = codes.astype(np.uint8, copy=False)
         self._codes.setflags(write=False)
         self._alice = Datum(Side.ALICE, alice_payload)
         self._bob = Datum(Side.BOB, bob_payload)
@@ -166,8 +168,10 @@ class RoundRecord:
             raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
         if users.min() < 0:
             raise ValueError("user ids must be non-negative")
-        # min/max are cheap guards; the engine validates budgets per query too
-        if epsilons.min() <= 0 or not math.isfinite(epsilons.max()):
+        # min/max are cheap guards; the engine validates budgets per query too.
+        # A broadcast column (stride 0) holds one value, so check one element.
+        budgets = epsilons[:1] if epsilons.strides == (0,) else epsilons
+        if budgets.min() <= 0 or not math.isfinite(budgets.max()):
             raise ValueError("epsilons must be strictly positive and finite")
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
@@ -206,14 +210,29 @@ def sample_complexity(transcript: Transcript) -> int:
     columns = [record.users for record in transcript.rounds]
     if not columns:
         return 0
-    top = max(int(users.max()) for users in columns)
+    indices = [_index(users) for users in columns]
+    top = max(index.stop - 1 if isinstance(index, slice) else int(index.max()) for index in indices)
     if top >= 4 * sum(users.size for users in columns):
         # sparse ids, e.g. from a hand-written file: sort rather than mask
         return int(np.unique(np.concatenate(columns)).size)
     seen = np.zeros(top + 1, dtype=bool)
-    for users in columns:
-        seen[users] = True
+    for index in indices:
+        seen[index] = True
     return int(np.count_nonzero(seen))
+
+
+def _index(users: np.ndarray) -> slice | np.ndarray:
+    """``slice(a, a + n)`` when the ``n`` ids in ``users`` are consecutive and
+    ascending from ``a``, otherwise ``users`` itself.
+
+    Indexing by the slice selects the same elements as indexing by the ids,
+    but as a view, with no gather, and a slice cannot name an id twice.
+    """
+    n = users.size
+    first = int(users[0])
+    if int(users[-1]) - first != n - 1 or (n > 2 and not (np.diff(users) == 1).all()):
+        return users
+    return slice(first, first + n)
 
 
 def round_complexity(transcript: Transcript) -> int:
@@ -308,6 +327,7 @@ def execute(
     """
     public_rng = substream(seed, "public")
     transcript = Transcript()
+    keys = user_keys(seed, np.arange(population.size, dtype=np.uint64))
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
@@ -322,15 +342,19 @@ def execute(
         if round_index >= max_rounds:
             raise DivergenceError(f"driver did not halt within {max_rounds} rounds")
 
-        users = _user_array(action.users)
+        users, index = _user_array(action.users)
         if users.size < 1:
             raise ValueError("round must query at least one user")
-        low = int(users.min())
-        if low < 0 or users.max() >= population.size:
-            raise ValueError("round names a user outside the population")
-        counts = np.bincount(users - low)
-        if counts.max() > 1:
-            raise ValueError(f"user {low + int(np.argmax(counts > 1))} queried twice within round {round_index}")
+        if isinstance(index, slice):
+            if index.start < 0 or index.stop > population.size:
+                raise ValueError("round names a user outside the population")
+        else:
+            low = int(users.min())
+            if low < 0 or users.max() >= population.size:
+                raise ValueError("round names a user outside the population")
+            counts = np.bincount(users - low)
+            if counts.max() > 1:
+                raise ValueError(f"user {low + int(np.argmax(counts > 1))} queried twice within round {round_index}")
 
         if mode is InteractivityMode.NONINTERACTIVE and round_index >= 1:
             raise InteractivityViolation(
@@ -339,7 +363,7 @@ def execute(
                 round_index=round_index,
             )
         if mode is InteractivityMode.SEQUENTIAL:
-            reused = seen[users]
+            reused = seen[index]
             if reused.any():
                 first = int(users[np.argmax(reused)])
                 raise InteractivityViolation(
@@ -347,11 +371,11 @@ def execute(
                     user_id=first,
                     round_index=round_index,
                 )
-            seen[users] = True
+            seen[index] = True
 
         users.setflags(write=False)
         if hasattr(action.queries, "law"):
-            record = _respond_shared(population, users, action.queries, seed, round_index, one_votes, query_log)
+            record = _respond_shared(population, users, index, action.queries, keys, round_index, one_votes, query_log)
         else:
             queries = list(action.queries)
             if len(queries) != users.size:
@@ -360,13 +384,25 @@ def execute(
         transcript = transcript.extended(record)
 
 
-def _user_array(users) -> np.ndarray:
-    """A fresh int64 array of the requested user ids; ranges stay in numpy."""
+def _user_array(users) -> tuple[np.ndarray, slice | np.ndarray]:
+    """A fresh int64 array of the requested user ids and its :func:`_index`;
+    ranges stay in numpy, and a step-1 range is its own slice, unscanned."""
     if isinstance(users, range):
-        return np.arange(users.start, users.stop, users.step, dtype=np.int64)
-    if not isinstance(users, (list, tuple, np.ndarray)):
-        users = list(users)
-    return np.array(users, dtype=np.int64)
+        ids = np.arange(users.start, users.stop, users.step, dtype=np.int64)
+        if users.step == 1 and ids.size:
+            return ids, slice(users.start, users.stop)
+    else:
+        if not isinstance(users, (list, tuple, np.ndarray)):
+            users = list(users)
+        ids = np.array(users, dtype=np.int64)
+    return ids, (_index(ids) if ids.size else ids)
+
+
+def _checked_law(descriptor: str, law) -> float:
+    p = float(law)
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise ValueError(f"query {descriptor!r} has response law {p!r}, outside [0, 1]")
+    return p
 
 
 def _log_query(query_log: dict[str, Any], query) -> str:
@@ -379,15 +415,16 @@ def _log_query(query_log: dict[str, Any], query) -> str:
     return descriptor
 
 
-def _respond_shared(population, users, query, seed, round_index, one_votes, query_log) -> RoundRecord:
+def _respond_shared(population, users, index, query, keys, round_index, one_votes, query_log) -> RoundRecord:
     descriptor = _log_query(query_log, query)
-    sides = population.side_codes[users]  # 0 Alice, 1 Bob
-    params = np.array([query.law(population.alice_datum), query.law(population.bob_datum)], dtype=np.float64)
-    bits = response_uniforms(seed, users, round_index) < params[sides]
+    sides = population.side_codes[index]  # 0 Alice, 1 Bob
+    data = (population.alice_datum, population.bob_datum)
+    limits = np.array([response_limit(_checked_law(descriptor, query.law(d))) for d in data], dtype=np.uint64)
+    bits = round_draws(keys[index], round_index) < np.take(limits, sides)
     if hasattr(query, "vote"):
-        votes = np.array([query.vote(population.alice_datum), query.vote(population.bob_datum)], dtype=bool)
+        votes = np.array([query.vote(d) for d in data], dtype=bool)
         if votes.any():
-            one_votes[users] += votes[sides]
+            one_votes[index] += np.take(votes, sides)
     epsilons = np.broadcast_to(np.float64(query.epsilon), users.shape)
     outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
@@ -402,7 +439,7 @@ def _respond_per_user(population, users, queries, seed, round_index, one_votes, 
         descriptors.append(_log_query(query_log, query))
         epsilons.append(float(query.epsilon))
         datum = population.datum(uid)
-        param = float(query.law(datum))
+        param = _checked_law(descriptors[-1], query.law(datum))
         bit = int(response_uniform(seed, uid, round_index) < param)
         outputs.append(bit)
         if hasattr(query, "vote") and query.vote(datum):

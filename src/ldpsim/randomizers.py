@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column
+from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column, _index
 
 
 class AuditError(LdpSimError):
@@ -327,18 +327,24 @@ def audit_transcript(
     appeared = np.zeros(population.size, dtype=bool)
     for record in transcript.rounds:
         users = record.users
-        if users.max() >= population.size:
+        index = _index(users)
+        top = index.stop - 1 if isinstance(index, slice) else users.max()
+        if top >= population.size:
             raise AuditError("transcript names a user outside the population")
-        appeared[users] = True
-        own = population.side_codes[users]  # 0 Alice, 1 Bob
+        appeared[index] = True
+        own = population.side_codes[index]  # 0 Alice, 1 Bob
         ids = record.randomizer_ids
         if ids.count(ids[0]) == len(ids):
             terms = np.take(matrix_for(ids[0]).T, own, axis=1)
         else:
             terms = np.array([matrix_for(descriptor)[side] for descriptor, side in zip(ids, own.tolist())]).T
-        for j in range(n_data):
-            # unbuffered, so a user listed twice in one round is counted twice
-            np.add.at(sums[j], users, terms[j])
+        if isinstance(index, slice):
+            # distinct users: one add per element, in round order, as np.add.at
+            sums[:, index] += terms
+        else:
+            for j in range(n_data):
+                # unbuffered, so a user listed twice in one round is counted twice
+                np.add.at(sums[j], users, terms[j])
 
     uids = np.flatnonzero(appeared)
     maxima = sums.max(axis=0)[uids]

@@ -354,6 +354,24 @@ def test_reduce_lift_rejects_randomized_table(capsys, tmp_path):
     assert "lift requires deterministic next-bit functions" in stderr
 
 
+@pytest.mark.parametrize(
+    "rows, missing",
+    [
+        ("step prefix=- sender=alice p0=0 p1=1\n", "(0,)"),
+        ("step prefix=- sender=alice p0=0 p1=1\nstep prefix=0 sender=bob p0=1 p1=0\n", "(1,)"),
+        ("step prefix=1 sender=bob p0=1 p1=0\n", "()"),
+    ],
+    ids=["root-only", "no-prefix-1", "no-root"],
+)
+def test_reduce_lift_rejects_incomplete_table(capsys, tmp_path, rows, missing):
+    proto = tmp_path / "proto.txt"
+    proto.write_text("two-party bits=2 channel=bsc flip=0.375\n" + rows)
+    code, stdout, stderr = run_cli(capsys, "reduce", "lift", "--eps", str(LN3), "--protocol", str(proto))
+    assert code == 1 and stdout == ""
+    assert f"protocol table has no entry for prefix {missing}" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_reduce_lower_echo(capsys, tmp_path):
     proto = tmp_path / "onebit.txt"
     proto.write_text(ONE_BIT_FILE)

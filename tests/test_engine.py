@@ -1,14 +1,18 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpsim.engine import (
     DivergenceError,
     Halt,
     InteractivityMode,
     InteractivityViolation,
+    Population,
     ProtocolDriver,
     RoundRecord,
     RoundSpec,
@@ -22,7 +26,7 @@ from ldpsim.engine import (
     write_transcript,
 )
 from ldpsim.problems import HLEdgePredicate
-from ldpsim.randomizers import RRQuery
+from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript
 
 
 def record(i, users, outputs=None):
@@ -118,6 +122,19 @@ def test_sample_population_rejects_zero():
         sample_population(0, "A", "B", seed=1)
 
 
+@pytest.mark.parametrize("codes", [[0, 2, 0, 1], [0, -1], [0.5, 1.0], [1, 255]])
+def test_population_rejects_side_codes_other_than_0_and_1(codes):
+    with pytest.raises(ValueError, match="side codes must be 0"):
+        Population(np.array(codes), "A", "B", seed=1)
+
+
+def test_population_accepts_bool_and_list_side_codes():
+    for codes in (np.array([True, False, True]), [1, 0, 1], (1.0, 0.0, 1.0)):
+        pop = Population(codes, "A", "B", seed=1)
+        assert pop.side_codes.dtype == np.uint8 and pop.side_codes.tolist() == [1, 0, 1]
+        assert [datum.payload for _uid, datum in pop.users] == ["B", "A", "B"]
+
+
 def test_population_shares_payload_objects(population):
     users = population.users
     assert len(users) == 10
@@ -140,6 +157,12 @@ def test_round_record_validation():
         RoundRecord(0, (1,), ("q",), (0.0,), (0,))
     with pytest.raises(ValueError):
         RoundRecord(0, (1,), ("q",), (math.inf,), (0,))
+    # a broadcast budget column is checked through its one value
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilons"):
+            RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(bad), (3,)), (0, 1, 0))
+    shared = RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(0.5), (3,)), (0, 1, 0))
+    assert shared == RoundRecord(0, (1, 2, 3), ("q",) * 3, (0.5,) * 3, (0, 1, 0))
 
 
 def test_round_record_columns_are_read_only_arrays(population, query):
@@ -258,6 +281,35 @@ def test_unknown_user_rejected(population, query):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
 
+class ConstantLaw:
+    """A shared query object whose response law is one constant."""
+
+    descriptor = "constant-law"
+    epsilon = 1.0
+
+    def __init__(self, p):
+        self.p = p
+
+    def law(self, datum):
+        return self.p
+
+
+@pytest.mark.parametrize("p", [math.nan, 1.5, -0.25, math.inf])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-user"])
+def test_execute_rejects_laws_outside_the_unit_interval(population, p, shared):
+    query = ConstantLaw(p)
+    driver = QueryScript([range(3)], query if shared else [query] * 3)
+    with pytest.raises(ValueError, match=re.escape(f"'constant-law' has response law {p!r}")):
+        execute(driver, population, InteractivityMode.FULL, seed=1)
+
+
+@pytest.mark.parametrize("p, bit", [(0.0, 0), (1.0, 1)])
+def test_execute_laws_zero_and_one_pin_the_bit(population, p, bit):
+    for queries in (ConstantLaw(p), [ConstantLaw(p)] * 10):
+        result = execute(QueryScript([range(10)], queries), population, InteractivityMode.FULL, seed=1)
+        assert result.transcript.rounds[0].outputs.tolist() == [bit] * 10
+
+
 def test_divergence_guard(population, query):
     with pytest.raises(DivergenceError):
         execute(NeverHalts(query), population, InteractivityMode.FULL, seed=1, max_rounds=25)
@@ -364,3 +416,129 @@ def test_write_transcript_prints_python_numbers(population, query):
     write_transcript(result.transcript, buffer)
     assert "np." not in buffer.getvalue()
     assert buffer.getvalue().splitlines()[0].split("\t")[3] == "1.0 1.0 1.0"
+
+
+# ---------------------------------------------------------------------------
+# contiguous rounds (slices) and general rounds (id arrays) agree
+# ---------------------------------------------------------------------------
+
+
+class SidePredicate:
+    """True exactly on the data of one side."""
+
+    def __init__(self, side):
+        self.side = side
+        self.descriptor = f"side-{side.value}"
+
+    def __call__(self, datum):
+        return datum.side is self.side
+
+    def __eq__(self, other):
+        return isinstance(other, SidePredicate) and other.side is self.side
+
+    def __hash__(self):
+        return hash(self.descriptor)
+
+
+def _side_law(datum):
+    return {Side.ALICE: 0.3, Side.BOB: 0.625}.get(datum.side, 0.5)
+
+
+_QUERIES = (
+    RRQuery(0.7, SidePredicate(Side.ALICE)),
+    RRQuery(1.3, SidePredicate(Side.BOB)),
+    LawQuery(0.9, "side-law", _side_law),
+)
+
+
+@st.composite
+def _rounds(draw, size):
+    """Rounds as (ids in the order asked, the form they are asked in, query index)."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        form = draw(st.sampled_from(["range", "list", "shuffled", "step-2", "single"]))
+        start = draw(st.integers(0, size - 1))
+        if form in ("range", "list"):
+            ids = list(range(start, draw(st.integers(start + 1, size))))
+        elif form == "shuffled":
+            ids = draw(st.permutations(draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))))
+        elif form == "step-2":
+            ids = list(range(start, size, 2))[: draw(st.integers(1, size))]
+        else:
+            ids = [start]
+        rounds.append((ids, form, draw(st.integers(0, len(_QUERIES) - 1))))
+    return rounds
+
+
+class _Scripted(ProtocolDriver):
+    """Asks scripted rounds, each user list built by ``spell(ids, form)``."""
+
+    def __init__(self, rounds, spell, per_user=False):
+        self.rounds = rounds
+        self.spell = spell
+        self.per_user = per_user
+
+    def next_round(self, transcript, public_rng):
+        if len(transcript.rounds) == len(self.rounds):
+            return Halt(None)
+        ids, form, q = self.rounds[len(transcript.rounds)]
+        query = _QUERIES[q]
+        return RoundSpec(users=self.spell(ids, form), queries=[query] * len(ids) if self.per_user else query)
+
+
+def _as_drawn(ids, form):
+    if form == "range":
+        return range(ids[0], ids[-1] + 1)
+    if form == "step-2":
+        return range(ids[0], ids[-1] + 1, 2)
+    if form == "shuffled":
+        return np.array(ids)
+    return list(ids)
+
+
+def _descending(ids, form):
+    """The same ids, never ascending when there are two or more."""
+    return np.array(sorted(ids, reverse=True))
+
+
+def _outcome(driver, pop, mode, seed):
+    try:
+        return execute(driver, pop, mode, seed=seed)
+    except InteractivityViolation as exc:
+        return exc
+
+
+def _by_user(record):
+    order = np.argsort(record.users, kind="stable")
+    ids = tuple(record.randomizer_ids[i] for i in order.tolist())
+    return record.round_index, record.users[order], ids, record.epsilons[order], record.outputs[order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=st.integers(1, 24), seed=st.integers(0, 2**32))
+def test_slices_and_id_arrays_give_the_same_execution(data, size, seed):
+    codes = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    pop = Population(np.array(codes, dtype=np.uint8), "A", "B", seed=0)
+    rounds = data.draw(_rounds(size))
+    mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
+    drawn = _outcome(_Scripted(rounds, _as_drawn), pop, mode, seed)
+    general = _outcome(_Scripted(rounds, _descending), pop, mode, seed)
+    scalar = _outcome(_Scripted(rounds, _descending, per_user=True), pop, mode, seed)
+    if isinstance(drawn, InteractivityViolation):
+        # the first reused user depends on the order asked; the round does not
+        assert {type(general), type(scalar)} == {InteractivityViolation}
+        assert drawn.round_index == general.round_index == scalar.round_index
+        return
+    runs = (drawn, general, scalar)
+    for run in runs[1:]:
+        for a, b in zip(drawn.transcript.rounds, run.transcript.rounds, strict=True):
+            for x, y in zip(_by_user(a), _by_user(b)):
+                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        assert np.array_equal(drawn.one_vote_counts, run.one_vote_counts)
+        assert sample_complexity(drawn.transcript) == sample_complexity(run.transcript)
+    assert sample_complexity(drawn.transcript) == len({uid for ids, _f, _q in rounds for uid in ids})
+    reports = [audit_transcript(run.transcript, pop, run.query_log) for run in runs]
+    for report in reports[1:]:
+        assert report.worst_user == reports[0].worst_user
+        assert np.array_equal(report.per_user.user_ids, reports[0].per_user.user_ids)
+        assert np.array_equal(report.per_user.ratios, reports[0].per_user.ratios)

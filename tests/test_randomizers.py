@@ -249,6 +249,14 @@ def test_audit_counts_a_user_listed_twice_in_one_round_twice():
     expected = audit_transcript(split, pop, log).per_user[0]
     assert audit_transcript(twice, pop, log).per_user[0] == expected
     assert audit_transcript(mixed, pop, log).per_user[0] == expected
+    # ends one id apart per entry, as a contiguous round's are, yet user 0 is listed twice
+    wide = sample_population(3, "A", "B", seed=1)
+    spans = Transcript((RoundRecord(0, (0, 0, 2), ("law",) * 3, (0.7,) * 3, (1, 0, 1)),))
+    once = Transcript((RoundRecord(0, (0, 1, 2), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
+    report = audit_transcript(spans, wide, log)
+    assert list(report.per_user) == [0, 2]
+    assert report.per_user[0] == audit_transcript(split, wide, log).per_user[0]
+    assert report.per_user[0] == 2 * audit_transcript(once, wide, log).per_user[0] > 0
 
 
 def test_audit_transcript_empty():
