@@ -138,35 +138,53 @@ def _column(values, dtype) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True, eq=False)
 class RoundRecord:
     """One transcript round: users queried, randomizers, budgets, outputs.
 
     ``users`` (int64), ``epsilons`` (float64) and ``outputs`` (uint8) are
     read-only arrays; sequences passed in are copied into that form.
-    ``randomizer_ids`` is a tuple of descriptors. Records compare by value.
+    ``randomizer_ids`` reads as a tuple with one descriptor per user. Records
+    compare by value and cannot be changed.
+
+    A round whose users all got the same descriptor keeps that one string as
+    ``descriptor`` and builds the tuple only when ``randomizer_ids`` is read;
+    a round with differing descriptors has ``descriptor`` None. ``index`` is
+    the round's :func:`_index`: the slice of its ids when they are consecutive
+    and ascending, else ``users`` itself.
     """
 
-    round_index: int
-    users: np.ndarray
-    randomizer_ids: tuple[str, ...]
-    epsilons: np.ndarray
-    outputs: np.ndarray
+    __slots__ = ("round_index", "users", "index", "descriptor", "_ids", "epsilons", "outputs")
 
-    def __post_init__(self):
-        users = _column(self.users, np.int64)
-        epsilons = _column(self.epsilons, np.float64)
-        outputs = _column(self.outputs, np.uint8)
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "randomizer_ids", tuple(self.randomizer_ids))
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "outputs", outputs)
-        n = users.size
-        if users.ndim != 1 or n < 1:
+    def __init__(self, round_index: int, users, randomizer_ids, epsilons, outputs):
+        users = _column(users, np.int64)
+        ids = tuple(randomizer_ids)
+        if users.ndim != 1 or users.size < 1:
             raise ValueError("a round must query at least one user")
-        if not (len(self.randomizer_ids) == epsilons.shape[0] == outputs.shape[0] == n):
+        if len(ids) != users.size:
             raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
-        if users.min() < 0:
+        if ids.count(ids[0]) == len(ids):
+            self._fill(round_index, users, _index(users), ids[0], None, epsilons, outputs)
+        else:
+            self._fill(round_index, users, _index(users), None, ids, epsilons, outputs)
+
+    @classmethod
+    def _shared(cls, round_index, users: np.ndarray, index: slice | np.ndarray, descriptor: str, epsilons, outputs):
+        """A record whose ``users`` (a read-only int64 array of non-negative
+        ids, as ``execute`` has checked) all got ``descriptor``; ``index`` is
+        their :func:`_index`."""
+        record = object.__new__(cls)
+        record._fill(round_index, users, index, descriptor, None, epsilons, outputs)
+        return record
+
+    def _fill(self, round_index, users, index, descriptor, ids, epsilons, outputs):
+        epsilons = _column(epsilons, np.float64)
+        outputs = _column(outputs, np.uint8)
+        for name, value in (("round_index", round_index), ("users", users), ("index", index),
+                            ("descriptor", descriptor), ("_ids", ids), ("epsilons", epsilons), ("outputs", outputs)):
+            object.__setattr__(self, name, value)
+        if not epsilons.shape[0] == outputs.shape[0] == users.size:
+            raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
+        if (index.start if isinstance(index, slice) else users.min()) < 0:
             raise ValueError("user ids must be non-negative")
         # min/max are cheap guards; the engine validates budgets per query too.
         # A broadcast column (stride 0) holds one value, so check one element.
@@ -176,18 +194,36 @@ class RoundRecord:
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
 
+    @property
+    def randomizer_ids(self) -> tuple[str, ...]:
+        return self._ids if self.descriptor is None else (self.descriptor,) * self.users.size
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a RoundRecord")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a RoundRecord")
+
     def __eq__(self, other):
         if not isinstance(other, RoundRecord):
             return NotImplemented
+        # equal users make equal lengths, so one descriptor each or equal tuples
         return (
             self.round_index == other.round_index
-            and self.randomizer_ids == other.randomizer_ids
+            and self.descriptor == other.descriptor
+            and self._ids == other._ids
             and np.array_equal(self.users, other.users)
             and np.array_equal(self.epsilons, other.epsilons)
             and np.array_equal(self.outputs, other.outputs)
         )
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"RoundRecord(round_index={self.round_index!r}, users={self.users!r}, "
+            f"randomizer_ids={self.randomizer_ids!r}, epsilons={self.epsilons!r}, outputs={self.outputs!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -207,14 +243,13 @@ class Transcript:
 
 def sample_complexity(transcript: Transcript) -> int:
     """Number of distinct users appearing anywhere in the transcript."""
-    columns = [record.users for record in transcript.rounds]
-    if not columns:
+    if not transcript.rounds:
         return 0
-    indices = [_index(users) for users in columns]
+    indices = [record.index for record in transcript.rounds]
     top = max(index.stop - 1 if isinstance(index, slice) else int(index.max()) for index in indices)
-    if top >= 4 * sum(users.size for users in columns):
+    if top >= 4 * sum(record.users.size for record in transcript.rounds):
         # sparse ids, e.g. from a hand-written file: sort rather than mask
-        return int(np.unique(np.concatenate(columns)).size)
+        return int(np.unique(np.concatenate([record.users for record in transcript.rounds])).size)
     seen = np.zeros(top + 1, dtype=bool)
     for index in indices:
         seen[index] = True
@@ -419,8 +454,12 @@ def _respond_shared(population, users, index, query, keys, round_index, one_vote
     descriptor = _log_query(query_log, query)
     sides = population.side_codes[index]  # 0 Alice, 1 Bob
     data = (population.alice_datum, population.bob_datum)
-    limits = np.array([response_limit(_checked_law(descriptor, query.law(d))) for d in data], dtype=np.uint64)
-    bits = round_draws(keys[index], round_index) < np.take(limits, sides)
+    alice_limit, bob_limit = (response_limit(_checked_law(descriptor, query.law(d))) for d in data)
+    if alice_limit == bob_limit:
+        limits = np.uint64(alice_limit)
+    else:
+        limits = np.take(np.array([alice_limit, bob_limit], dtype=np.uint64), sides)
+    bits = round_draws(keys[index], round_index) < limits
     if hasattr(query, "vote"):
         votes = np.array([query.vote(d) for d in data], dtype=bool)
         if votes.any():
@@ -428,7 +467,7 @@ def _respond_shared(population, users, index, query, keys, round_index, one_vote
     epsilons = np.broadcast_to(np.float64(query.epsilon), users.shape)
     outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
-    return RoundRecord(round_index, users, (descriptor,) * users.size, epsilons, outputs)
+    return RoundRecord._shared(round_index, users, index, descriptor, epsilons, outputs)
 
 
 def _respond_per_user(population, users, queries, seed, round_index, one_votes, query_log) -> RoundRecord:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column, _index
+from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column
 
 
 class AuditError(LdpSimError):
@@ -294,6 +294,14 @@ def audit_transcript(
     The alternative-datum set is both instance payloads, the sentinel datum,
     and any ``extra_neighbors``. Response laws depend on a datum only through
     the recorded queries, so this set is exhaustive for the protocols here.
+
+    The id axis is cut at both ends of every round that covers a slice of ids
+    with one descriptor, and around every id of any other round, so all users
+    of a segment are asked the same queries in the same order. The audit
+    folds one vector of terms per (side, segment), in round order from zero,
+    which gives each user the same floats as a user-by-user fold; a user
+    listed twice in one round counts twice. Its cost grows with rounds and
+    segments, plus one gather over the audited users at the end.
     """
     data: list[Datum] = [population.alice_datum, population.bob_datum, SENTINEL_DATUM]
     for extra in extra_neighbors:
@@ -301,55 +309,75 @@ def audit_transcript(
             data.append(extra)
     n_data = len(data)
 
-    matrices: dict[str, np.ndarray] = {}
+    row_pairs: dict[str, np.ndarray] = {}
 
-    def matrix_for(descriptor: str) -> np.ndarray:
-        mat = matrices.get(descriptor)
-        if mat is None:
+    def rows_for(descriptor: str) -> np.ndarray:
+        """rows[side, j]: the query's worst-case term for a user on that side
+        (Alice 0, Bob 1) against data[j]."""
+        rows = row_pairs.get(descriptor)
+        if rows is None:
             query = query_log.get(descriptor)
             if query is None:
                 raise AuditError(f"descriptor {descriptor!r} missing from the query log")
-            mat = np.zeros((n_data, n_data))
-            for i, di in enumerate(data):
+            rows = np.zeros((2, n_data))
+            for i, di in enumerate(data[:2]):
                 for j, dj in enumerate(data):
                     if i == j:
                         continue
                     try:
-                        mat[i, j] = query.max_log_ratio(di, dj)
+                        rows[i, j] = query.max_log_ratio(di, dj)
                     except Exception as exc:  # noqa: BLE001
                         raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
-            matrices[descriptor] = mat
-        return mat
+            row_pairs[descriptor] = rows
+        return rows
 
-    # sums[j, u]: user u's summed worst-case terms against alternative data[j],
-    # accumulated round by round; matrices are transposed to match
-    sums = np.zeros((n_data, population.size))
-    appeared = np.zeros(population.size, dtype=bool)
+    # terms[r][side, ..., j]: round r's rows; (2, n_data) for a round over a
+    # slice with one descriptor, else (2, 1 or len(users), n_data)
+    terms, cuts = [], []
     for record in transcript.rounds:
-        users = record.users
-        index = _index(users)
-        top = index.stop - 1 if isinstance(index, slice) else users.max()
+        index = record.index
+        top = index.stop - 1 if isinstance(index, slice) else index.max()
         if top >= population.size:
             raise AuditError("transcript names a user outside the population")
-        appeared[index] = True
-        own = population.side_codes[index]  # 0 Alice, 1 Bob
-        ids = record.randomizer_ids
-        if ids.count(ids[0]) == len(ids):
-            terms = np.take(matrix_for(ids[0]).T, own, axis=1)
+        if record.descriptor is None:
+            term = np.stack([rows_for(descriptor) for descriptor in record.randomizer_ids], axis=1)
         else:
-            terms = np.array([matrix_for(descriptor)[side] for descriptor, side in zip(ids, own.tolist())]).T
-        if isinstance(index, slice):
-            # distinct users: one add per element, in round order, as np.add.at
-            sums[:, index] += terms
+            term = rows_for(record.descriptor)
+        if isinstance(index, slice) and term.ndim == 2:
+            cuts.append(np.array([index.start, index.stop]))
         else:
-            for j in range(n_data):
-                # unbuffered, so a user listed twice in one round is counted twice
-                np.add.at(sums[j], users, terms[j])
+            cuts += (record.users, record.users + 1)
+            term = term.reshape(2, -1, n_data)
+        terms.append(term)
+    if not terms:
+        return AuditReport(per_user=AuditValues([], []), worst_user=None)
 
-    uids = np.flatnonzero(appeared)
-    maxima = sums.max(axis=0)[uids]
+    # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
+    # the running total of terms against data[j] for its users on that side
+    edges = np.unique(np.concatenate(cuts))
+    sums = np.zeros((2, edges.size - 1, n_data))
+    covered = np.zeros(edges.size - 1, dtype=bool)
+    for record, term in zip(transcript.rounds, terms):
+        if term.ndim == 2:
+            segments = slice(*edges.searchsorted([record.index.start, record.index.stop]).tolist())
+            sums[:, segments] += term[:, None, :]
+        else:
+            segments = edges.searchsorted(record.users)
+            # unbuffered, so a user listed twice in one round is counted twice
+            np.add.at(sums, (slice(None), segments), term)
+        covered[segments] = True
+
+    # one gather over the audited users: a user of segment s on side c gets best[2s + c]
+    best = sums.max(axis=2).T.ravel()
+    lengths = np.diff(edges)
+    pair_of = np.repeat(np.arange(0, best.size, 2), lengths)
+    uids = np.arange(edges[0], edges[-1])
+    if not covered.all():
+        audited = np.repeat(covered, lengths)
+        uids, pair_of = uids[audited], pair_of[audited]
+    maxima = best.take(pair_of + population.side_codes[uids])
     # argmax takes the first maximum, i.e. the lowest uid on ties
-    worst_user = int(uids[np.argmax(maxima)]) if uids.size else None
+    worst_user = int(uids[np.argmax(maxima)])
     return AuditReport(per_user=AuditValues(uids, maxima), worst_user=worst_user)
 
 

@@ -438,20 +438,13 @@ class LoweredProtocol(TwoPartyProtocol):
         p_sum = p_min + p_max
         adv = self._advantage
 
-        def holder_law(input_datum: Datum) -> float:
-            # the data pair's laws are checked above; only other data ask the query again
-            if input_datum in laws:
-                return laws[input_datum]
-            return _check_prob(float(query.law(input_datum)), "holder law")
-
         if p_sum <= 1.0:
             case = "case1"
             use_prob, skip_bit = p_sum, 0
 
-            def send_param(input_datum: Datum, p_sum=p_sum) -> float:
+            def lowered(p_holder: float) -> float:
                 if p_sum == 0.0:
                     return 0.5  # never used: the keep coin always skips
-                p_holder = holder_law(input_datum)
                 return _check_prob(
                     0.5 + p_holder / (2.0 * adv * p_sum) - 1.0 / (4.0 * adv),
                     "lowered send probability",
@@ -462,15 +455,30 @@ class LoweredProtocol(TwoPartyProtocol):
             comp_sum = 2.0 - p_sum
             use_prob, skip_bit = comp_sum, 1
 
-            def send_param(input_datum: Datum, comp_sum=comp_sum) -> float:
+            def lowered(p_holder: float) -> float:
                 if comp_sum == 0.0:
                     return 0.5
-                comp_holder = 1.0 - holder_law(input_datum)
                 send_zero = _check_prob(
-                    0.5 + comp_holder / (2.0 * adv * comp_sum) - 1.0 / (4.0 * adv),
+                    0.5 + (1.0 - p_holder) / (2.0 * adv * comp_sum) - 1.0 / (4.0 * adv),
                     "lowered send probability",
                 )
                 return 1.0 - send_zero
+
+        # a send probability outside [0, 1] means the laws are further apart than e^eps allows
+        try:
+            sends = {datum: lowered(p) for datum, p in laws.items()}
+        except ReductionError as exc:
+            raise ReductionError(
+                f"user {len(prefix)} (query {query.descriptor!r}) cannot be lowered at eps={self.epsilon!r}: "
+                f"the likelihood ratio of its laws {p_min!r} and {p_max!r} exceeds e^eps={math.exp(self.epsilon)!r} "
+                f"({exc})"
+            ) from None
+
+        def send_param(input_datum: Datum) -> float:
+            # the data pair's send probabilities are checked above; only other data ask the query again
+            if input_datum in sends:
+                return sends[input_datum]
+            return lowered(_check_prob(float(query.law(input_datum)), "holder law"))
 
         self.cases_used.add(case)
         steps = tuple(

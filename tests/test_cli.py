@@ -384,6 +384,29 @@ def test_reduce_lower_echo(capsys, tmp_path):
     assert [s["case"] for s in payload["steps"]] == ["case1", "case2"]
 
 
+@pytest.mark.parametrize(
+    "rows, user, laws, send",
+    [
+        (ONE_BIT_FILE.split("\n", 1)[1], 0, "0.25 and 0.75", 1.25),
+        # the second user's laws sum above 1, so their complements 0.45 and 0.15 set the ratio
+        ("user p_alice=0.7 p_bob=0.7\nuser p_alice=0.85 p_bob=0.55\n", 1, "0.55 and 0.85", -0.25),
+    ],
+    ids=["case1", "case2"],
+)
+def test_reduce_lower_names_the_user_whose_laws_exceed_the_budget(capsys, tmp_path, rows, user, laws, send):
+    proto = tmp_path / "onebit.txt"
+    proto.write_text("one-bit eps=1.0986122886681098 users=2\n" + rows)
+    code, stdout, stderr = run_cli(
+        capsys, "reduce", "lower", "--eps", str(math.log(2.0)), "--protocol", str(proto)
+    )
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        f"error: user {user} (query 'file-user-{user}') cannot be lowered at eps=0.6931471805599453: "
+        f"the likelihood ratio of its laws {laws} exceeds e^eps=2.0 "
+        f"(lowered send probability: probability {send} outside [0, 1])\n"
+    )
+
+
 def test_reduce_amplify_echo(capsys):
     code, stdout, _ = run_cli(capsys, "reduce", "amplify", "--flip", "0.25", "--m", "3")
     assert code == 0

@@ -410,6 +410,36 @@ def test_transcript_round_trip(population, query):
     assert parsed == result.transcript
 
 
+def test_shared_record_reads_like_a_hand_built_one(population, query):
+    from ldpsim.engine import _index
+
+    script = QueryScript([range(2, 9), [7, 3, 5], range(0, 10)], query)
+    result = execute(script, population, InteractivityMode.FULL, seed=4)
+    buffer = io.StringIO()
+    write_transcript(result.transcript, buffer)
+    parsed = read_transcript(io.StringIO(buffer.getvalue()))
+    for shared, read_back in zip(result.transcript.rounds, parsed.rounds, strict=True):
+        n = shared.users.size
+        assert type(shared.randomizer_ids) is tuple and shared.randomizer_ids == (query.descriptor,) * n
+        by_hand = RoundRecord(
+            shared.round_index, shared.users.tolist(), [query.descriptor] * n, [1.0] * n, shared.outputs.tolist()
+        )
+        assert shared == by_hand and by_hand == shared
+        assert shared == read_back and read_back == shared
+        index = _index(shared.users)
+        assert type(shared.index) is type(index)
+        assert shared.index == index if isinstance(index, slice) else np.array_equal(shared.index, index)
+    assert isinstance(result.transcript.rounds[0].index, slice)
+    assert not isinstance(result.transcript.rounds[1].index, slice)
+    assert parsed == result.transcript
+    assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
+    first = result.transcript.rounds[0]
+    differing = RoundRecord(0, first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
+    assert differing.descriptor is None and first != differing and differing != first
+    with pytest.raises(AttributeError):
+        first.descriptor = "other"
+
+
 def test_write_transcript_prints_python_numbers(population, query):
     result = execute(QueryScript([[0, 1, 2], [3, 4]], query), population, InteractivityMode.FULL, seed=4)
     buffer = io.StringIO()

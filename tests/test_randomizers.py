@@ -338,6 +338,100 @@ def test_columnar_report_equals_audit_user_dict(problem):
     assert report.max_ratio() == max(expected.values()) and type(report.max_ratio()) is float
 
 
+def _reference_audit(transcript, pop, query_log):
+    """The audit as a round-by-round fold over listed users: every entry of a
+    round adds its terms against the Alice, Bob and sentinel data to its
+    user's running totals, in round order. Returns (ids, values, worst user)."""
+    data = [pop.alice_datum, pop.bob_datum, SENTINEL_DATUM]
+    sums = np.zeros((len(data), pop.size))
+    appeared = np.zeros(pop.size, dtype=bool)
+    for record in transcript.rounds:
+        users = record.users
+        appeared[users] = True
+        sides = pop.side_codes[users].tolist()
+        for j, other in enumerate(data):
+            terms = [
+                0.0 if side == j else query_log[descriptor].max_log_ratio(data[side], other)
+                for descriptor, side in zip(record.randomizer_ids, sides)
+            ]
+            # unbuffered, so a user listed twice in one round is counted twice
+            np.add.at(sums[j], users, terms)
+    uids = np.flatnonzero(appeared)
+    maxima = sums.max(axis=0)[uids]
+    return uids, maxima, (int(uids[np.argmax(maxima)]) if uids.size else None)
+
+
+def _assert_audit_matches_reference(transcript, pop, query_log):
+    report = audit_transcript(transcript, pop, query_log)
+    uids, maxima, worst = _reference_audit(transcript, pop, query_log)
+    assert np.array_equal(report.per_user.user_ids, uids)
+    assert np.array_equal(report.per_user.ratios, maxima)  # the same floats, not just close ones
+    assert report.worst_user == worst
+
+
+# (Alice, Bob, sentinel) laws whose log ratios are not dyadic, so a change in
+# the order of additions would show in the last bits
+_FUZZ_LAWS = {
+    "a": (0.3, 0.7, 0.5),
+    "b": (0.55, 0.2, 0.4),
+    "c": (0.61, 0.61, 0.33),
+    "d": (0.9, 0.45, 0.9),
+}
+_FUZZ_LOG = {
+    name: LawQuery(0.7, name, lambda d, laws=laws: laws[{Side.ALICE: 0, Side.BOB: 1}.get(d.side, 2)])
+    for name, laws in _FUZZ_LAWS.items()
+}
+
+
+@st.composite
+def _hand_built_audit_case(draw):
+    """A population and a transcript mixing sliced, overlapping sliced,
+    shuffled, duplicate-id and mixed-descriptor rounds."""
+    from ldpsim.engine import Population, RoundRecord
+
+    n = draw(st.integers(1, 16))
+    sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    descriptor = st.sampled_from(sorted(_FUZZ_LAWS))
+    rounds, last = [], (0, n)
+    for i in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["sliced", "overlapping", "shuffled", "duplicate", "mixed"]))
+        if kind in ("sliced", "overlapping"):
+            low, high = last if kind == "overlapping" else (0, n)
+            start = draw(st.integers(low, high - 1))
+            last = (start, draw(st.integers(start + 1, n)))
+            users = list(range(*last))
+        elif kind == "shuffled":
+            users = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        else:
+            users = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+            if kind == "duplicate":
+                users.insert(draw(st.integers(0, len(users))), draw(st.sampled_from(users)))
+        k = len(users)
+        ids = draw(st.lists(descriptor, min_size=k, max_size=k)) if kind == "mixed" else [draw(descriptor)] * k
+        outputs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        rounds.append(RoundRecord(i, users, ids, [0.7] * k, outputs))
+    return Population(np.array(sides), "A", "B", seed=0), Transcript(tuple(rounds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_audit_case())
+def test_segment_fold_equals_per_user_fold_on_hand_built_transcripts(case):
+    pop, transcript = case
+    _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
+
+
+@pytest.mark.parametrize("solver", ["hl-full", "hl-baseline", "pc"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_segment_fold_equals_per_user_fold_on_engine_transcripts(solver, seed):
+    from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
+
+    shape, group = (PCShape(2, 8), 5) if solver == "pc" else (HLShape(2, 4), 7)
+    cfg = ExperimentConfig(problem=shape, solver=solver, epsilon=0.9, trials=1, seed=seed, group_size=group)
+    trial = build_trial(cfg, seed)
+    result = trial.execute()
+    _assert_audit_matches_reference(result.transcript, trial.population, result.query_log)
+
+
 def test_audit_values_is_a_read_only_mapping():
     _inst, pop, result = _hl_execution(seed=6, n=12)
     values = audit_transcript(result.transcript, pop, result.query_log).per_user
