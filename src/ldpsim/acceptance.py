@@ -28,7 +28,7 @@ from .channels import (
 from .engine import Datum, Side
 from .harness import ExperimentConfig, HLShape, PCShape, build_trial, run_experiment
 from .problems import PCInstance, chase_pointers, gen_hl_instance, hl_count_consistent
-from .randomizers import LawQuery, debias, estimation_halfwidth, rr_param
+from .randomizers import AUDIT_SLACK, LawQuery, debias, estimation_halfwidth, rr_param
 from .reductions import (
     Answer,
     OneBitSequence,
@@ -45,7 +45,6 @@ from .solvers import hl_sample_bound, pc_group_bound
 
 ACCEPTANCE_SEED = 1729
 EXACT_TV = 1e-12
-AUDIT_SLACK = 1e-9
 # one ulp of the closed-form values 1/8 and 1/4
 CHANNEL_ULP = 1e-15
 

@@ -29,6 +29,7 @@ from .harness import (
     write_csv,
 )
 from .problems import (
+    ENUMERATION_GUARD,
     chase_pointers,
     gen_hl_instance,
     gen_pc_instance,
@@ -46,9 +47,6 @@ from .reductions import (
     simultaneous_to_alternating,
     SimultaneousProtocol,
 )
-
-ENUMERABLE_LEAVES = 2**24
-
 
 # ---------------------------------------------------------------------------
 # protocol file formats
@@ -159,9 +157,7 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
     def param_fn(inp, prefix: tuple[int, ...]) -> float:
         return table[prefix][1][int(inp)]
 
-    protocol = TableProtocol(num_bits=num_bits, sender_fn=sender_fn, param_fn=param_fn, channel=channel)
-    protocol.table = table
-    return protocol
+    return TableProtocol(num_bits=num_bits, sender_fn=sender_fn, param_fn=param_fn, channel=channel)
 
 
 def parse_onebit_file(lines: Iterable[str]):
@@ -222,7 +218,7 @@ def _cmd_gen_instance(args) -> int:
     if args.kind == "hl":
         inst = gen_hl_instance(args.b, args.l, args.seed)
         write_instance(inst, buffer)
-        if inst.branching**inst.num_levels <= ENUMERABLE_LEAVES:
+        if inst.branching**inst.num_levels <= ENUMERATION_GUARD:
             buffer.write(f"consistent_count {hl_count_consistent(inst)}\n")
     else:
         inst = gen_pc_instance(args.k, args.l, args.seed)
@@ -337,7 +333,7 @@ def _cmd_reduce_lift(args) -> int:
     # the lifted driver raises, naming the first prefix the table lacks
     for prefix in (prefix for t in range(protocol.num_bits) for prefix in product((0, 1), repeat=t)):
         query = lifted.action(prefix)
-        sender = protocol.table[prefix][0]
+        sender = protocol.sender_fn(prefix)
         steps.append(
             {
                 "prefix": "".join(map(str, prefix)) or "-",

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._rng import response_limit, response_uniform, round_draws, substream, user_keys
+from ._rng import response_limit, round_draws, substream, user_keys
 
 DEFAULT_MAX_ROUNDS = 10_000_000
 
@@ -146,57 +146,54 @@ class RoundRecord:
     ``randomizer_ids`` reads as a tuple with one descriptor per user. Records
     compare by value and cannot be changed.
 
-    A round whose users all got the same descriptor keeps that one string as
-    ``descriptor`` and builds the tuple only when ``randomizer_ids`` is read;
-    a round with differing descriptors has ``descriptor`` None. ``index`` is
-    the round's :func:`_index`: the slice of its ids when they are consecutive
-    and ascending, else ``users`` itself.
+    A record keeps each distinct descriptor once: ``descriptors`` lists them
+    in order of first use, and ``codes`` gives each user's position in it,
+    0 when there is one descriptor, else a read-only int64 column. First-use
+    order makes this form canonical, so records compare by it, and the tuple
+    ``randomizer_ids`` is built only when read.
+    ``index`` is the round's :func:`_index`: the slice of its ids when they
+    are consecutive and ascending, else ``users`` itself.
     """
 
-    __slots__ = ("round_index", "users", "index", "descriptor", "_ids", "epsilons", "outputs")
+    __slots__ = ("round_index", "users", "index", "descriptors", "codes", "epsilons", "outputs")
 
     def __init__(self, round_index: int, users, randomizer_ids, epsilons, outputs):
         users = _column(users, np.int64)
         ids = tuple(randomizer_ids)
-        if users.ndim != 1 or users.size < 1:
-            raise ValueError("a round must query at least one user")
-        if len(ids) != users.size:
-            raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
-        if ids.count(ids[0]) == len(ids):
-            self._fill(round_index, users, _index(users), ids[0], None, epsilons, outputs)
-        else:
-            self._fill(round_index, users, _index(users), None, ids, epsilons, outputs)
-
-    @classmethod
-    def _shared(cls, round_index, users: np.ndarray, index: slice | np.ndarray, descriptor: str, epsilons, outputs):
-        """A record whose ``users`` (a read-only int64 array of non-negative
-        ids, as ``execute`` has checked) all got ``descriptor``; ``index`` is
-        their :func:`_index`."""
-        record = object.__new__(cls)
-        record._fill(round_index, users, index, descriptor, None, epsilons, outputs)
-        return record
-
-    def _fill(self, round_index, users, index, descriptor, ids, epsilons, outputs):
         epsilons = _column(epsilons, np.float64)
         outputs = _column(outputs, np.uint8)
-        for name, value in (("round_index", round_index), ("users", users), ("index", index),
-                            ("descriptor", descriptor), ("_ids", ids), ("epsilons", epsilons), ("outputs", outputs)):
-            object.__setattr__(self, name, value)
-        if not epsilons.shape[0] == outputs.shape[0] == users.size:
+        if users.ndim != 1 or users.size < 1:
+            raise ValueError("a round must query at least one user")
+        if not len(ids) == epsilons.shape[0] == outputs.shape[0] == users.size:
             raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
-        if (index.start if isinstance(index, slice) else users.min()) < 0:
+        if users.min() < 0:
             raise ValueError("user ids must be non-negative")
-        # min/max are cheap guards; the engine validates budgets per query too.
-        # A broadcast column (stride 0) holds one value, so check one element.
-        budgets = epsilons[:1] if epsilons.strides == (0,) else epsilons
-        if budgets.min() <= 0 or not math.isfinite(budgets.max()):
-            raise ValueError("epsilons must be strictly positive and finite")
+        # a broadcast column (stride 0) holds one value, so check one element
+        _check_budgets(epsilons[:1] if epsilons.strides == (0,) else epsilons)
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
+        self._fill(round_index, users, _index(users), *_first_use(ids), epsilons, outputs)
+
+    @classmethod
+    def _trusted(cls, round_index, users: np.ndarray, index: slice | np.ndarray, descriptors, codes, epsilons, outputs):
+        """A record from ``execute``, which has checked every column:
+        ``users`` is a read-only int64 array of non-negative ids, ``index``
+        their :func:`_index`, ``descriptors`` and ``codes`` their
+        :func:`_first_use`, and ``epsilons`` and ``outputs`` read-only columns
+        of valid budgets and bits."""
+        record = object.__new__(cls)
+        record._fill(round_index, users, index, descriptors, codes, epsilons, outputs)
+        return record
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     @property
     def randomizer_ids(self) -> tuple[str, ...]:
-        return self._ids if self.descriptor is None else (self.descriptor,) * self.users.size
+        if isinstance(self.codes, int):
+            return self.descriptors * self.users.size
+        return tuple(map(self.descriptors.__getitem__, self.codes.tolist()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RoundRecord")
@@ -207,11 +204,11 @@ class RoundRecord:
     def __eq__(self, other):
         if not isinstance(other, RoundRecord):
             return NotImplemented
-        # equal users make equal lengths, so one descriptor each or equal tuples
+        # the first-use form is canonical, so equal descriptors make equal records
         return (
             self.round_index == other.round_index
-            and self.descriptor == other.descriptor
-            and self._ids == other._ids
+            and self.descriptors == other.descriptors
+            and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.users, other.users)
             and np.array_equal(self.epsilons, other.epsilons)
             and np.array_equal(self.outputs, other.outputs)
@@ -256,6 +253,24 @@ def sample_complexity(transcript: Transcript) -> int:
     return int(np.count_nonzero(seen))
 
 
+def _check_budgets(budgets: np.ndarray) -> None:
+    if budgets.min() <= 0 or not math.isfinite(budgets.max()):
+        raise ValueError("epsilons must be strictly positive and finite")
+
+
+def _first_use(keys: Sequence) -> tuple[tuple, int | np.ndarray]:
+    """The distinct ``keys`` in order of first use, and each key's position
+    among them: 0 when there is one distinct key, else a read-only int64
+    column."""
+    distinct = tuple(dict.fromkeys(keys))
+    if len(distinct) == 1:
+        return distinct, 0
+    position = {key: code for code, key in enumerate(distinct)}
+    codes = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
+    codes.setflags(write=False)
+    return distinct, codes
+
+
 def _index(users: np.ndarray) -> slice | np.ndarray:
     """``slice(a, a + n)`` when the ``n`` ids in ``users`` are consecutive and
     ascending from ``a``, otherwise ``users`` itself.
@@ -293,12 +308,13 @@ class RoundSpec:
     """A driver's request for one round.
 
     ``queries`` is either a single query object applied to every listed user
-    (the common batched case; anything with a ``law`` attribute) or an
-    iterable with one query per user, such as a list, an object array or a
-    generator. ``users`` is any iterable of ids; a ``range`` stays a numpy
-    range and is never expanded element by element. A query
-    exposes ``descriptor`` (str), ``epsilon`` (float) and ``law(datum)``
-    (the Bernoulli parameter of its output on that datum); predicate-based
+    (anything with a ``law`` attribute) or an iterable with one query per
+    user, such as a list, an object array or a generator. Both take the same
+    columnar draw: the engine reads each distinct query's law once per side,
+    not once per user. ``users`` is any iterable of ids; a ``range`` stays a
+    numpy range and is never expanded element by element. A query exposes
+    ``descriptor`` (str), ``epsilon`` (float) and ``law(datum)`` (the
+    Bernoulli parameter of its output on that datum); predicate-based
     queries additionally expose ``vote(datum)``.
     """
 
@@ -339,12 +355,6 @@ class ExecutionResult:
     answer: Any
     query_log: dict[str, Any]
     one_vote_counts: np.ndarray
-
-
-def _validate_descriptor(descriptor: str) -> str:
-    if not descriptor or any(ch.isspace() for ch in descriptor):
-        raise ValueError(f"randomizer descriptor must be non-empty and whitespace-free: {descriptor!r}")
-    return descriptor
 
 
 def execute(
@@ -409,13 +419,7 @@ def execute(
             seen[index] = True
 
         users.setflags(write=False)
-        if hasattr(action.queries, "law"):
-            record = _respond_shared(population, users, index, action.queries, keys, round_index, one_votes, query_log)
-        else:
-            queries = list(action.queries)
-            if len(queries) != users.size:
-                raise ValueError("per-user query list must match the user list length")
-            record = _respond_per_user(population, users, queries, seed, round_index, one_votes, query_log)
+        record = _respond(population, users, index, action.queries, keys, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
 
 
@@ -441,7 +445,9 @@ def _checked_law(descriptor: str, law) -> float:
 
 
 def _log_query(query_log: dict[str, Any], query) -> str:
-    descriptor = _validate_descriptor(query.descriptor)
+    descriptor = query.descriptor
+    if not descriptor or any(ch.isspace() for ch in descriptor):
+        raise ValueError(f"randomizer descriptor must be non-empty and whitespace-free: {descriptor!r}")
     known = query_log.get(descriptor)
     if known is None:
         query_log[descriptor] = query
@@ -450,40 +456,41 @@ def _log_query(query_log: dict[str, Any], query) -> str:
     return descriptor
 
 
-def _respond_shared(population, users, index, query, keys, round_index, one_votes, query_log) -> RoundRecord:
-    descriptor = _log_query(query_log, query)
-    sides = population.side_codes[index]  # 0 Alice, 1 Bob
-    data = (population.alice_datum, population.bob_datum)
-    alice_limit, bob_limit = (response_limit(_checked_law(descriptor, query.law(d))) for d in data)
-    if alice_limit == bob_limit:
-        limits = np.uint64(alice_limit)
+def _respond(population, users, index, queries, keys, round_index, one_votes, query_log) -> RoundRecord:
+    """Answers one round of :class:`RoundSpec` ``queries``.
+
+    Each distinct query object is validated and logged once. Each distinct
+    descriptor's law, vote and budget are read once per side from the query
+    the log holds for it, which the audit reads too, and every user's draw is
+    compared with the limit of their (descriptor, side) in one pass.
+    """
+    if hasattr(queries, "law"):
+        descriptors, codes = (_log_query(query_log, queries),), 0
     else:
-        limits = np.take(np.array([alice_limit, bob_limit], dtype=np.uint64), sides)
-    bits = round_draws(keys[index], round_index) < limits
-    if hasattr(query, "vote"):
-        votes = np.array([query.vote(d) for d in data], dtype=bool)
-        if votes.any():
-            one_votes[index] += np.take(votes, sides)
-    epsilons = np.broadcast_to(np.float64(query.epsilon), users.shape)
+        queries = list(queries)
+        if len(queries) != users.size:
+            raise ValueError("per-user query list must match the user list length")
+        named = {key: _log_query(query_log, query) for key, query in {id(q): q for q in queries}.items()}
+        descriptors, codes = _first_use(list(map(named.__getitem__, map(id, queries))))
+    distinct = [query_log[descriptor] for descriptor in descriptors]
+    data = (population.alice_datum, population.bob_datum)
+    limits = [[response_limit(_checked_law(name, query.law(d))) for d in data] for name, query in zip(descriptors, distinct)]
+    votes = np.array([[hasattr(query, "vote") and query.vote(d) for d in data] for query in distinct], dtype=bool)
+    # each user's entry in the flattened (descriptor, side) tables; sides are 0 Alice, 1 Bob
+    sides = population.side_codes[index]
+    cells = sides if isinstance(codes, int) else 2 * codes + sides
+    table = np.array(limits, dtype=np.uint64)
+    # when no law depends on the side, one limit per descriptor needs no gather by side
+    limit = table[codes, 0] if all(alice == bob for alice, bob in limits) else table.take(cells)
+    bits = round_draws(keys[index], round_index) < limit
+    if votes.any():
+        one_votes[index] += votes.take(cells)
+    budgets = np.array([query.epsilon for query in distinct], dtype=np.float64)
+    _check_budgets(budgets)
+    epsilons = np.broadcast_to(budgets[codes], users.shape)
     outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
-    return RoundRecord._shared(round_index, users, index, descriptor, epsilons, outputs)
-
-
-def _respond_per_user(population, users, queries, seed, round_index, one_votes, query_log) -> RoundRecord:
-    descriptors = []
-    epsilons = []
-    outputs = []
-    for uid, query in zip(users.tolist(), queries):
-        descriptors.append(_log_query(query_log, query))
-        epsilons.append(float(query.epsilon))
-        datum = population.datum(uid)
-        param = _checked_law(descriptors[-1], query.law(datum))
-        bit = int(response_uniform(seed, uid, round_index) < param)
-        outputs.append(bit)
-        if hasattr(query, "vote") and query.vote(datum):
-            one_votes[uid] += 1
-    return RoundRecord(round_index, users, tuple(descriptors), epsilons, outputs)
+    return RoundRecord._trusted(round_index, users, index, descriptors, codes, epsilons, outputs)
 
 
 # ---------------------------------------------------------------------------

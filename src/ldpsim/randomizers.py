@@ -21,6 +21,11 @@ import numpy as np
 from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column
 
 
+# how far above its budget an audit value may sit and still pass: float
+# sums of per-query terms can exceed the exact total by a few ulps
+AUDIT_SLACK = 1e-9
+
+
 class AuditError(LdpSimError):
     """The transcript cannot be audited (missing query, bad predicate)."""
 
@@ -283,32 +288,25 @@ class AuditReport:
             raise ValueError("empty report cannot name a worst user")
 
 
-def audit_transcript(
-    transcript: Transcript,
-    population: Population,
-    query_log: dict[str, Any],
-    extra_neighbors: Sequence[Datum] = (),
-) -> AuditReport:
+def audit_transcript(transcript: Transcript, population: Population, query_log: dict[str, Any]) -> AuditReport:
     """Audit every user appearing in ``transcript``.
 
-    The alternative-datum set is both instance payloads, the sentinel datum,
-    and any ``extra_neighbors``. Response laws depend on a datum only through
-    the recorded queries, so this set is exhaustive for the protocols here.
+    Each user's datum is compared with three alternative data: the Alice
+    payload, the Bob payload and the sentinel datum. Other data of the
+    problem's universe are not tried, so the value can fall below the true
+    local-DP worst case.
 
     The id axis is cut at both ends of every round that covers a slice of ids
     with one descriptor, and around every id of any other round, so all users
-    of a segment are asked the same queries in the same order. The audit
-    folds one vector of terms per (side, segment), in round order from zero,
-    which gives each user the same floats as a user-by-user fold; a user
-    listed twice in one round counts twice. Its cost grows with rounds and
-    segments, plus one gather over the audited users at the end.
+    of a segment are asked the same queries in the same order. Each round
+    looks up its terms once per distinct descriptor and gathers them by the
+    record's codes. The audit folds one vector of terms per (side, segment),
+    in round order from zero, which gives each user the same floats as a
+    user-by-user fold; a user listed twice in one round counts twice. Its
+    cost grows with rounds and segments, plus one gather over the audited
+    users at the end.
     """
-    data: list[Datum] = [population.alice_datum, population.bob_datum, SENTINEL_DATUM]
-    for extra in extra_neighbors:
-        if extra not in data:
-            data.append(extra)
-    n_data = len(data)
-
+    data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
     row_pairs: dict[str, np.ndarray] = {}
 
     def rows_for(descriptor: str) -> np.ndarray:
@@ -319,7 +317,7 @@ def audit_transcript(
             query = query_log.get(descriptor)
             if query is None:
                 raise AuditError(f"descriptor {descriptor!r} missing from the query log")
-            rows = np.zeros((2, n_data))
+            rows = np.zeros((2, len(data)))
             for i, di in enumerate(data[:2]):
                 for j, dj in enumerate(data):
                     if i == j:
@@ -331,23 +329,21 @@ def audit_transcript(
             row_pairs[descriptor] = rows
         return rows
 
-    # terms[r][side, ..., j]: round r's rows; (2, n_data) for a round over a
-    # slice with one descriptor, else (2, 1 or len(users), n_data)
+    # terms[r][side, ..., j]: round r's rows; (2, 3) for a round over a slice
+    # with one descriptor, else (2, 1 or len(users), 3)
     terms, cuts = [], []
     for record in transcript.rounds:
         index = record.index
         top = index.stop - 1 if isinstance(index, slice) else index.max()
         if top >= population.size:
             raise AuditError("transcript names a user outside the population")
-        if record.descriptor is None:
-            term = np.stack([rows_for(descriptor) for descriptor in record.randomizer_ids], axis=1)
-        else:
-            term = rows_for(record.descriptor)
+        rows = [rows_for(descriptor) for descriptor in record.descriptors]
+        term = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)[:, record.codes]
         if isinstance(index, slice) and term.ndim == 2:
             cuts.append(np.array([index.start, index.stop]))
         else:
             cuts += (record.users, record.users + 1)
-            term = term.reshape(2, -1, n_data)
+            term = term.reshape(2, -1, len(data))
         terms.append(term)
     if not terms:
         return AuditReport(per_user=AuditValues([], []), worst_user=None)
@@ -355,7 +351,7 @@ def audit_transcript(
     # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
     # the running total of terms against data[j] for its users on that side
     edges = np.unique(np.concatenate(cuts))
-    sums = np.zeros((2, edges.size - 1, n_data))
+    sums = np.zeros((2, edges.size - 1, len(data)))
     covered = np.zeros(edges.size - 1, dtype=bool)
     for record, term in zip(transcript.rounds, terms):
         if term.ndim == 2:
@@ -381,14 +377,10 @@ def audit_transcript(
     return AuditReport(per_user=AuditValues(uids, maxima), worst_user=worst_user)
 
 
-def write_audit_report(
-    report: AuditReport,
-    declared_epsilon: float,
-    stream: TextIO,
-    slack: float = 1e-9,
-) -> None:
-    """Tabular text form: user id, max log ratio, declared budget, pass/fail."""
+def write_audit_report(report: AuditReport, declared_epsilon: float, stream: TextIO) -> None:
+    """Tabular text form: user id, max log ratio, declared budget, and pass
+    when the value is at most the budget plus :data:`AUDIT_SLACK`."""
     stream.write("user_id\tmax_log_ratio\tbudget\tstatus\n")
     for uid, value in report.per_user.items():
-        status = "pass" if value <= declared_epsilon + slack else "FAIL"
+        status = "pass" if value <= declared_epsilon + AUDIT_SLACK else "FAIL"
         stream.write(f"{uid}\t{value!r}\t{declared_epsilon!r}\t{status}\n")

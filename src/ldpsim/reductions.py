@@ -108,14 +108,13 @@ class TableProtocol(TwoPartyProtocol):
 
     ``sender_fn(prefix)`` names the speaker; ``param_fn(input, prefix)`` is
     the probability that the speaker sends 1. Runs for exactly ``num_bits``
-    bits, then halts with ``answer_fn(transcript)``.
+    bits, then halts announcing the transcript.
     """
 
     num_bits: int
     sender_fn: Callable[[tuple[int, ...]], Side]
     param_fn: Callable[[Any, tuple[int, ...]], float]
     channel: ChannelSpec
-    answer_fn: Callable[[tuple[int, ...]], Any] = field(default=lambda transcript: transcript)
 
     def __post_init__(self):
         if self.num_bits < 0:
@@ -124,7 +123,7 @@ class TableProtocol(TwoPartyProtocol):
 
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
         if len(prefix) >= self.num_bits:
-            return Answer(self.answer_fn)
+            return Answer(lambda transcript: transcript)
         sender = self.sender_fn(prefix)
         step = SendStep(sender=sender, send_param=lambda inp, p=prefix: self.param_fn(inp, p))
         return ((1.0, step),)
@@ -133,9 +132,9 @@ class TableProtocol(TwoPartyProtocol):
 class TranscriptDistribution:
     """Exact distribution over bit-string transcripts."""
 
-    def __init__(self, probs: dict[str, float], tol: float = 1e-9):
+    def __init__(self, probs: dict[str, float]):
         total = math.fsum(probs.values())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > _PROB_SLACK:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.probs = dict(probs)
 
@@ -437,32 +436,18 @@ class LoweredProtocol(TwoPartyProtocol):
         p_max = max(laws.values())
         p_sum = p_min + p_max
         adv = self._advantage
+        # case 2 is case 1 on the complement laws 1 - p, whose skips enter 1
+        flip = p_sum > 1.0
+        case, use_prob, skip_bit = ("case2", 2.0 - p_sum, 1) if flip else ("case1", p_sum, 0)
 
-        if p_sum <= 1.0:
-            case = "case1"
-            use_prob, skip_bit = p_sum, 0
-
-            def lowered(p_holder: float) -> float:
-                if p_sum == 0.0:
-                    return 0.5  # never used: the keep coin always skips
-                return _check_prob(
-                    0.5 + p_holder / (2.0 * adv * p_sum) - 1.0 / (4.0 * adv),
-                    "lowered send probability",
-                )
-
-        else:
-            case = "case2"
-            comp_sum = 2.0 - p_sum
-            use_prob, skip_bit = comp_sum, 1
-
-            def lowered(p_holder: float) -> float:
-                if comp_sum == 0.0:
-                    return 0.5
-                send_zero = _check_prob(
-                    0.5 + (1.0 - p_holder) / (2.0 * adv * comp_sum) - 1.0 / (4.0 * adv),
-                    "lowered send probability",
-                )
-                return 1.0 - send_zero
+        def lowered(p_holder: float) -> float:
+            if use_prob == 0.0:
+                return 0.5  # never used: the keep coin always skips
+            send = _check_prob(
+                0.5 + (1.0 - p_holder if flip else p_holder) / (2.0 * adv * use_prob) - 1.0 / (4.0 * adv),
+                "lowered send probability",
+            )
+            return 1.0 - send if flip else send
 
         # a send probability outside [0, 1] means the laws are further apart than e^eps allows
         try:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpsim._rng import response_uniform
 from ldpsim.engine import (
     DivergenceError,
     Halt,
@@ -27,6 +28,7 @@ from ldpsim.engine import (
 )
 from ldpsim.problems import HLEdgePredicate
 from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript
+from test_randomizers import _reference_audit
 
 
 def record(i, users, outputs=None):
@@ -434,10 +436,14 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
     assert parsed == result.transcript
     assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
     first = result.transcript.rounds[0]
+    assert first.descriptors == (query.descriptor,) and first.codes == 0
     differing = RoundRecord(0, first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
-    assert differing.descriptor is None and first != differing and differing != first
+    assert differing.descriptors == (query.descriptor, "other") and differing.codes.tolist() == [0] * 6 + [1]
+    assert first != differing and differing != first
     with pytest.raises(AttributeError):
-        first.descriptor = "other"
+        first.descriptors = ("other",)
+    with pytest.raises(ValueError):
+        differing.codes[0] = 1
 
 
 def test_write_transcript_prints_python_numbers(population, query):
@@ -501,19 +507,20 @@ def _rounds(draw, size):
 
 
 class _Scripted(ProtocolDriver):
-    """Asks scripted rounds, each user list built by ``spell(ids, form)``."""
+    """Asks scripted rounds, each user list built by ``spell(ids, form)``;
+    a round's query index ``q`` is one index for every user or a list of
+    per-user indices."""
 
-    def __init__(self, rounds, spell, per_user=False):
+    def __init__(self, rounds, spell):
         self.rounds = rounds
         self.spell = spell
-        self.per_user = per_user
 
     def next_round(self, transcript, public_rng):
         if len(transcript.rounds) == len(self.rounds):
             return Halt(None)
         ids, form, q = self.rounds[len(transcript.rounds)]
-        query = _QUERIES[q]
-        return RoundSpec(users=self.spell(ids, form), queries=[query] * len(ids) if self.per_user else query)
+        queries = [_QUERIES[i] for i in q] if isinstance(q, list) else _QUERIES[q]
+        return RoundSpec(users=self.spell(ids, form), queries=queries)
 
 
 def _as_drawn(ids, form):
@@ -544,6 +551,40 @@ def _by_user(record):
     return record.round_index, record.users[order], ids, record.epsilons[order], record.outputs[order]
 
 
+def _assert_matches_oracle(outcome, rounds, pop, mode, seed):
+    """Checks an execution of the scripted ``rounds`` user by user: each bit
+    against ``response_uniform(seed, uid, r) < law``, and the budgets,
+    descriptors, vote counts, query log and audit against their definitions."""
+    seen, reused = set(), None
+    for r, (ids, _form, _q) in enumerate(rounds):
+        if reused is None and mode is InteractivityMode.SEQUENTIAL and seen & set(ids):
+            reused = r
+        seen |= set(ids)
+    if reused is not None:
+        assert isinstance(outcome, InteractivityViolation) and outcome.round_index == reused
+        return
+    votes = np.zeros(pop.size, dtype=np.int64)
+    log = {}
+    for r, (record, (ids, _form, q)) in enumerate(zip(outcome.transcript.rounds, rounds, strict=True)):
+        queries = [_QUERIES[i] for i in q] if isinstance(q, list) else [_QUERIES[q]] * len(ids)
+        data = [pop.datum(uid) for uid in ids]
+        assert record.round_index == r and record.users.tolist() == ids
+        assert record.randomizer_ids == tuple(query.descriptor for query in queries)
+        assert record.epsilons.tolist() == [query.epsilon for query in queries]
+        bits = [int(response_uniform(seed, uid, r) < query.law(d)) for uid, query, d in zip(ids, queries, data)]
+        assert record.outputs.tolist() == bits
+        for uid, query, d in zip(ids, queries, data):
+            votes[uid] += hasattr(query, "vote") and query.vote(d)
+            log[query.descriptor] = query
+    assert np.array_equal(outcome.one_vote_counts, votes)
+    assert outcome.query_log == log
+    report = audit_transcript(outcome.transcript, pop, outcome.query_log)
+    uids, maxima, worst = _reference_audit(outcome.transcript, pop, outcome.query_log)
+    assert np.array_equal(report.per_user.user_ids, uids)
+    assert np.array_equal(report.per_user.ratios, maxima)  # the same floats, not just close ones
+    assert report.worst_user == worst
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), size=st.integers(1, 24), seed=st.integers(0, 2**32))
 def test_slices_and_id_arrays_give_the_same_execution(data, size, seed):
@@ -553,22 +594,45 @@ def test_slices_and_id_arrays_give_the_same_execution(data, size, seed):
     mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
     drawn = _outcome(_Scripted(rounds, _as_drawn), pop, mode, seed)
     general = _outcome(_Scripted(rounds, _descending), pop, mode, seed)
-    scalar = _outcome(_Scripted(rounds, _descending, per_user=True), pop, mode, seed)
+    _assert_matches_oracle(drawn, rounds, pop, mode, seed)
     if isinstance(drawn, InteractivityViolation):
         # the first reused user depends on the order asked; the round does not
-        assert {type(general), type(scalar)} == {InteractivityViolation}
-        assert drawn.round_index == general.round_index == scalar.round_index
+        assert isinstance(general, InteractivityViolation) and drawn.round_index == general.round_index
         return
-    runs = (drawn, general, scalar)
-    for run in runs[1:]:
-        for a, b in zip(drawn.transcript.rounds, run.transcript.rounds, strict=True):
-            for x, y in zip(_by_user(a), _by_user(b)):
-                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        assert np.array_equal(drawn.one_vote_counts, run.one_vote_counts)
-        assert sample_complexity(drawn.transcript) == sample_complexity(run.transcript)
+    for a, b in zip(drawn.transcript.rounds, general.transcript.rounds, strict=True):
+        for x, y in zip(_by_user(a), _by_user(b)):
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+    assert np.array_equal(drawn.one_vote_counts, general.one_vote_counts)
+    assert sample_complexity(drawn.transcript) == sample_complexity(general.transcript)
     assert sample_complexity(drawn.transcript) == len({uid for ids, _f, _q in rounds for uid in ids})
-    reports = [audit_transcript(run.transcript, pop, run.query_log) for run in runs]
-    for report in reports[1:]:
-        assert report.worst_user == reports[0].worst_user
-        assert np.array_equal(report.per_user.user_ids, reports[0].per_user.user_ids)
-        assert np.array_equal(report.per_user.ratios, reports[0].per_user.ratios)
+    reports = [audit_transcript(run.transcript, pop, run.query_log) for run in (drawn, general)]
+    assert reports[1].worst_user == reports[0].worst_user
+    assert np.array_equal(reports[1].per_user.user_ids, reports[0].per_user.user_ids)
+    assert np.array_equal(reports[1].per_user.ratios, reports[0].per_user.ratios)
+
+
+@st.composite
+def _mixed_rounds(draw, size):
+    """Rounds whose per-user query lists mix one to three of ``_QUERIES``,
+    as (ids in the order asked, the form they are asked in, query indices)."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        form = draw(st.sampled_from(["range", "list", "shuffled"]))
+        if form == "shuffled":
+            ids = draw(st.permutations(draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))))
+        else:
+            start = draw(st.integers(0, size - 1))
+            ids = list(range(start, draw(st.integers(start + 1, size))))
+        mix = draw(st.lists(st.integers(0, len(_QUERIES) - 1), min_size=1, max_size=3, unique=True))
+        rounds.append((ids, form, draw(st.lists(st.sampled_from(mix), min_size=len(ids), max_size=len(ids)))))
+    return rounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), size=st.integers(1, 24), seed=st.integers(0, 2**32))
+def test_mixed_per_user_rounds_match_the_scalar_oracle(data, size, seed):
+    codes = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    pop = Population(np.array(codes, dtype=np.uint8), "A", "B", seed=0)
+    rounds = data.draw(_mixed_rounds(size))
+    mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
+    _assert_matches_oracle(_outcome(_Scripted(rounds, _as_drawn), pop, mode, seed), rounds, pop, mode, seed)

@@ -12,13 +12,25 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ldpsim.cli import main
-from ldpsim.engine import InteractivityMode, execute, sample_population, write_transcript
-from ldpsim.problems import gen_hl_instance
+from ldpsim.engine import (
+    Halt,
+    InteractivityMode,
+    ProtocolDriver,
+    RoundSpec,
+    Side,
+    execute,
+    sample_population,
+    write_transcript,
+)
+from ldpsim.problems import PCBitPredicate, gen_hl_instance, gen_pc_instance
+from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, write_audit_report
 from ldpsim.solvers import HLSolverConfig, HLSolverDriver
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -69,20 +81,85 @@ def _transcript_output() -> str:
     return buffer.getvalue()
 
 
-def _outputs() -> dict[str, str]:
-    outputs = {name: _cli_output(argv) for name, argv in CLI_CASES.items()}
-    outputs["transcript_hl.tsv"] = _transcript_output()
-    return outputs
+class _MixedScript(ProtocolDriver):
+    """Asks a fixed script of rounds, then halts; each round is (users,
+    queries), with one query for all users or a list of per-user queries."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def next_round(self, transcript, public_rng):
+        if len(transcript.rounds) == len(self.script):
+            return Halt(None)
+        users, queries = self.script[len(transcript.rounds)]
+        return RoundSpec(users=users, queries=queries)
 
 
-@pytest.mark.parametrize("name", sorted([*CLI_CASES, "transcript_hl.tsv"]))
+def _mixed_outputs() -> tuple[str, str]:
+    """Transcript and audit text of an execution whose rounds give differing
+    queries to their users, mixed with a shared round."""
+    inst = gen_pc_instance(1, 4, seed=31)
+    alice, bob = inst.data_pair()
+    population = sample_population(10, alice.payload, bob.payload, seed=32)
+    bits = inst.num_bits
+    law = {Side.ALICE: 0.3, Side.BOB: 0.6}
+    q = [
+        RRQuery(0.7, PCBitPredicate(Side.ALICE, 1, 1, bits)),
+        RRQuery(0.7, PCBitPredicate(Side.BOB, 2, 2, bits)),
+        RRQuery(0.3, PCBitPredicate(Side.BOB, 3, 1, bits)),
+        LawQuery(0.7, "golden-law", lambda d: law.get(d.side, 0.45)),
+    ]
+    script = [
+        (range(10), [q[i % 4] for i in range(10)]),
+        ([7, 2, 9, 4], [q[0], q[3], q[3], q[1]]),
+        (range(3, 8), q[2]),
+        (np.array([0, 5, 1]), [q[1]] * 3),
+    ]
+    result = execute(_MixedScript(script), population, InteractivityMode.FULL, seed=33)
+    transcript, audit = io.StringIO(), io.StringIO()
+    write_transcript(result.transcript, transcript)
+    write_audit_report(audit_transcript(result.transcript, population, result.query_log), 0.7, audit)
+    return transcript.getvalue(), audit.getvalue()
+
+
+# a one-bit protocol whose users 0 and 2 lower by case 1 (p_alice + p_bob <= 1), users 1 and 3 by case 2
+_LOWER_SOURCE = """one-bit eps=1.3 users=4
+user p_alice=0.3 p_bob=0.55
+user p_alice=0.8 p_bob=0.6
+user p_alice=0.45 p_bob=0.45
+user p_alice=0.7 p_bob=0.35
+"""
+LOWER_CASES = {"reduce_lower_eps0.9.json": "0.9", "reduce_lower_eps1.7.json": "1.7"}
+
+
+def _lower_output(eps: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "source.txt"
+        source.write_text(_LOWER_SOURCE, encoding="utf-8")
+        return _cli_output(["reduce", "lower", "--eps", eps, "--protocol", str(source)])
+
+
+MIXED_CASES = ("transcript_mixed.tsv", "audit_mixed.txt")
+NAMES = sorted([*CLI_CASES, *LOWER_CASES, *MIXED_CASES, "transcript_hl.tsv"])
+
+
+def _output(name: str) -> str:
+    if name in CLI_CASES:
+        return _cli_output(CLI_CASES[name])
+    if name in LOWER_CASES:
+        return _lower_output(LOWER_CASES[name])
+    if name == "transcript_hl.tsv":
+        return _transcript_output()
+    return dict(zip(MIXED_CASES, _mixed_outputs()))[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_output_matches_golden(name):
-    produced = _transcript_output() if name == "transcript_hl.tsv" else _cli_output(CLI_CASES[name])
-    assert produced == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert _output(name) == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, text in _outputs().items():
-        (GOLDEN_DIR / name).write_text(text, encoding="utf-8")
+    for name in NAMES:
+        (GOLDEN_DIR / name).write_text(_output(name), encoding="utf-8")
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)

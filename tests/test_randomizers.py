@@ -286,17 +286,6 @@ def test_audit_transcript_matches_audit_user():
         assert report.per_user[uid] == pytest.approx(expected, abs=1e-12)
 
 
-def test_audit_transcript_accepts_extra_neighbors():
-    inst, pop, result = _hl_execution(seed=3, n=12)
-    other = gen_hl_instance(3, 4, seed=99)
-    extra = [Datum(Side.ALICE, other.alice_payload)]
-    report = audit_transcript(result.transcript, pop, result.query_log, extra_neighbors=extra)
-    baseline = audit_transcript(result.transcript, pop, result.query_log)
-    for uid, value in report.per_user.items():
-        assert value >= baseline.per_user[uid]
-        assert value <= 1.0 + 1e-9
-
-
 def test_audit_report_invariant_enforced():
     with pytest.raises(ValueError):
         AuditReport(per_user={1: 0.5, 2: 0.7}, worst_user=1)
