@@ -169,7 +169,9 @@ class RoundRecord:
         if users.min() < 0:
             raise ValueError("user ids must be non-negative")
         # a broadcast column (stride 0) holds one value, so check one element
-        _check_budgets(epsilons[:1] if epsilons.strides == (0,) else epsilons)
+        budgets = epsilons[:1] if epsilons.strides == (0,) else epsilons
+        _checked_budget(budgets.min())
+        _checked_budget(budgets.max())
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
         self._fill(round_index, users, _index(users), *_first_use(ids), epsilons, outputs)
@@ -253,9 +255,11 @@ def sample_complexity(transcript: Transcript) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _check_budgets(budgets: np.ndarray) -> None:
-    if budgets.min() <= 0 or not math.isfinite(budgets.max()):
+def _checked_budget(epsilon) -> float:
+    epsilon = float(epsilon)
+    if not (epsilon > 0 and math.isfinite(epsilon)):  # also rejects NaN
         raise ValueError("epsilons must be strictly positive and finite")
+    return epsilon
 
 
 def _first_use(keys: Sequence) -> tuple[tuple, int | np.ndarray]:
@@ -372,7 +376,11 @@ def execute(
     """
     public_rng = substream(seed, "public")
     transcript = Transcript()
-    keys = user_keys(seed, np.arange(population.size, dtype=np.uint64))
+    # one read-only id column per execution: a step-1 range round's users are a view of it
+    ids = np.arange(population.size, dtype=np.int64)
+    ids.setflags(write=False)
+    keys = user_keys(seed, ids.view(np.uint64))  # a view, so hashing copies no ids
+    sides = population.side_codes.astype(np.intp)
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
@@ -387,7 +395,7 @@ def execute(
         if round_index >= max_rounds:
             raise DivergenceError(f"driver did not halt within {max_rounds} rounds")
 
-        users, index = _user_array(action.users)
+        users, index = _user_array(action.users, ids)
         if users.size < 1:
             raise ValueError("round must query at least one user")
         if isinstance(index, slice):
@@ -419,14 +427,24 @@ def execute(
             seen[index] = True
 
         users.setflags(write=False)
-        record = _respond(population, users, index, action.queries, keys, round_index, one_votes, query_log)
+        record = _respond(population, users, index, action.queries, keys, sides, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
 
 
-def _user_array(users) -> tuple[np.ndarray, slice | np.ndarray]:
-    """A fresh int64 array of the requested user ids and its :func:`_index`;
-    ranges stay in numpy, and a step-1 range is its own slice, unscanned."""
+def _user_array(users, id_column: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
+    """An int64 array of the requested user ids and its :func:`_index`.
+
+    A non-empty step-1 range inside ``id_column``, the execution's read-only
+    ids, is its own slice, unscanned, and its users are a view of that
+    column. Other ranges stay in numpy; a step-1 range that leaves the
+    column, whose view would silently stop at its end, is a fresh array like
+    them, which ``execute`` rejects. Anything else is copied into a fresh
+    array.
+    """
     if isinstance(users, range):
+        if users.step == 1 and 0 <= users.start < users.stop <= id_column.size:
+            index = slice(users.start, users.stop)
+            return id_column[index], index
         ids = np.arange(users.start, users.stop, users.step, dtype=np.int64)
         if users.step == 1 and ids.size:
             return ids, slice(users.start, users.stop)
@@ -446,7 +464,9 @@ def _checked_law(descriptor: str, law) -> float:
 
 def _log_query(query_log: dict[str, Any], query) -> str:
     descriptor = query.descriptor
-    if not descriptor or any(ch.isspace() for ch in descriptor):
+    # split() drops every character for which str.isspace is true, so a
+    # descriptor is its own split exactly when it is non-empty and has none
+    if not descriptor or descriptor.split() != [descriptor]:
         raise ValueError(f"randomizer descriptor must be non-empty and whitespace-free: {descriptor!r}")
     known = query_log.get(descriptor)
     if known is None:
@@ -456,13 +476,14 @@ def _log_query(query_log: dict[str, Any], query) -> str:
     return descriptor
 
 
-def _respond(population, users, index, queries, keys, round_index, one_votes, query_log) -> RoundRecord:
+def _respond(population, users, index, queries, keys, sides, round_index, one_votes, query_log) -> RoundRecord:
     """Answers one round of :class:`RoundSpec` ``queries``.
 
     Each distinct query object is validated and logged once. Each distinct
     descriptor's law, vote and budget are read once per side from the query
     the log holds for it, which the audit reads too, and every user's draw is
     compared with the limit of their (descriptor, side) in one pass.
+    ``sides`` is the population's side codes as an index column.
     """
     if hasattr(queries, "law"):
         descriptors, codes = (_log_query(query_log, queries),), 0
@@ -475,19 +496,22 @@ def _respond(population, users, index, queries, keys, round_index, one_votes, qu
     distinct = [query_log[descriptor] for descriptor in descriptors]
     data = (population.alice_datum, population.bob_datum)
     limits = [[response_limit(_checked_law(name, query.law(d))) for d in data] for name, query in zip(descriptors, distinct)]
-    votes = np.array([[hasattr(query, "vote") and query.vote(d) for d in data] for query in distinct], dtype=bool)
+    votes = [[hasattr(query, "vote") and query.vote(d) for d in data] for query in distinct]
     # each user's entry in the flattened (descriptor, side) tables; sides are 0 Alice, 1 Bob
-    sides = population.side_codes[index]
-    cells = sides if isinstance(codes, int) else 2 * codes + sides
+    cells = sides[index] if isinstance(codes, int) else 2 * codes + sides[index]
     table = np.array(limits, dtype=np.uint64)
     # when no law depends on the side, one limit per descriptor needs no gather by side
     limit = table[codes, 0] if all(alice == bob for alice, bob in limits) else table.take(cells)
     bits = round_draws(keys[index], round_index) < limit
-    if votes.any():
-        one_votes[index] += votes.take(cells)
-    budgets = np.array([query.epsilon for query in distinct], dtype=np.float64)
-    _check_budgets(budgets)
-    epsilons = np.broadcast_to(budgets[codes], users.shape)
+    if any(map(any, votes)):
+        one_votes[index] += np.array(votes, dtype=bool).take(cells)
+    budgets = [_checked_budget(query.epsilon) for query in distinct]
+    if isinstance(codes, int):
+        # one budget for every user: a read-only column of stride 0 over one float
+        epsilons = np.ndarray(users.shape, np.float64, np.float64(budgets[0]), 0, (0,))
+    else:
+        epsilons = np.array(budgets)[codes]
+        epsilons.setflags(write=False)
     outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
     return RoundRecord._trusted(round_index, users, index, descriptors, codes, epsilons, outputs)

@@ -118,6 +118,12 @@ class RRQuery:
         """
         return self.epsilon if self.vote(datum) != self.vote(other) else 0.0
 
+    def audit_rows(self, data: Sequence[Datum]) -> np.ndarray:
+        """rows[i, j]: :meth:`max_log_ratio` of ``data[i]`` against
+        ``data[j]``, for i in 0 and 1, with each datum's vote read once."""
+        votes = [self.vote(datum) for datum in data]
+        return np.array([[self.epsilon if mine != vote else 0.0 for vote in votes] for mine in votes[:2]])
+
 
 @dataclass(frozen=True)
 class LawQuery:
@@ -141,17 +147,27 @@ class LawQuery:
         return param
 
     def max_log_ratio(self, datum: Datum, other: Datum) -> float:
-        p, q = self.law(datum), self.law(other)
-        if p == q:
-            return 0.0
-        terms = []
-        for a, b in ((p, q), (1.0 - p, 1.0 - q)):
-            if a == b:
-                continue
-            if a == 0.0 or b == 0.0:
-                return math.inf
-            terms.append(abs(math.log(a / b)))
-        return max(terms)
+        return _law_log_ratio(self.law(datum), self.law(other))
+
+    def audit_rows(self, data: Sequence[Datum]) -> np.ndarray:
+        """rows[i, j]: :meth:`max_log_ratio` of ``data[i]`` against
+        ``data[j]``, for i in 0 and 1, with each datum's law read once."""
+        laws = [self.law(datum) for datum in data]
+        return np.array([[_law_log_ratio(mine, law) for law in laws] for mine in laws[:2]])
+
+
+def _law_log_ratio(p: float, q: float) -> float:
+    """Worst-case |log P(bit|p) - log P(bit|q)| of two Bernoulli laws."""
+    if p == q:
+        return 0.0
+    terms = []
+    for a, b in ((p, q), (1.0 - p, 1.0 - q)):
+        if a == b:
+            continue
+        if a == 0.0 or b == 0.0:
+            return math.inf
+        terms.append(abs(math.log(a / b)))
+    return max(terms)
 
 
 def audit_user(
@@ -317,15 +333,10 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
             query = query_log.get(descriptor)
             if query is None:
                 raise AuditError(f"descriptor {descriptor!r} missing from the query log")
-            rows = np.zeros((2, len(data)))
-            for i, di in enumerate(data[:2]):
-                for j, dj in enumerate(data):
-                    if i == j:
-                        continue
-                    try:
-                        rows[i, j] = query.max_log_ratio(di, dj)
-                    except Exception as exc:  # noqa: BLE001
-                        raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
+            try:
+                rows = query.audit_rows(data)
+            except Exception as exc:  # noqa: BLE001
+                raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
             row_pairs[descriptor] = rows
         return rows
 

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
 from .engine import Datum, Halt, LdpSimError, ProtocolDriver, RoundSpec, Side, Transcript
-from .randomizers import LawQuery, rr_param
+from .randomizers import LawQuery, _check_epsilon, rr_param
 
 ENUMERATION_GUARD = 2**20
 _PROB_SLACK = 1e-9
@@ -354,7 +354,7 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
                 f"the lift value {expected} for epsilon={epsilon}"
             )
         self.protocol = protocol
-        self.epsilon = epsilon
+        self.epsilon = _check_epsilon(epsilon)
         self.data_pair = data_pair
         self.max_users = protocol.max_bits
 
@@ -376,8 +376,7 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
                 return rr_param(int(value), self.epsilon)
             return 0.5
 
-        descriptor = f"lift-bit({len(prefix)},{step.sender.value},{_key(prefix) or '-'})"
-        return LawQuery(epsilon=self.epsilon, descriptor=descriptor, law_fn=law)
+        return _LiftedBitQuery(self.epsilon, law, prefix, step.sender)
 
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         prefix = tuple(int(record.outputs[0]) for record in transcript.rounds)
@@ -385,6 +384,21 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
         if isinstance(act, Answer):
             return Halt(act.fn(prefix))
         return RoundSpec(users=[len(prefix)], queries=act)
+
+
+class _LiftedBitQuery(LawQuery):
+    """The query of the user who answers bit ``len(prefix)`` of a lifted
+    protocol: a :class:`LawQuery` whose descriptor is built when read,
+    because exact enumeration reads only the law."""
+
+    def __init__(self, epsilon: float, law_fn: Callable[[Datum], float], prefix: tuple[int, ...], sender: Side):
+        # the frozen dataclass's own way to set fields; ``epsilon`` is checked by the driver
+        for name, value in (("epsilon", epsilon), ("law_fn", law_fn), ("_prefix", prefix), ("_sender", sender)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def descriptor(self) -> str:
+        return f"lift-bit({len(self._prefix)},{self._sender.value},{_key(self._prefix) or '-'})"
 
 
 def lift_two_party_to_ldp(

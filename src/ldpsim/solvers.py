@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import Datum, Halt, ProtocolDriver, RoundRecord, RoundSpec, Side, Transcript
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, debias
@@ -100,7 +102,7 @@ class HLSolverDriver(ProtocolDriver):
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            ybar = debias(int(outputs.sum()), outputs.size, self.config.per_query_epsilon)
+            ybar = debias(int(np.count_nonzero(outputs)), outputs.size, self.config.per_query_epsilon)
             if ybar > self.config.threshold or self._child == self.branching - 1:
                 self._vertex = self._vertex + (self._child,)
                 self._level += 1
@@ -159,7 +161,7 @@ class PCSolverDriver(ProtocolDriver):
     def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
         if self._pending:
             outputs = transcript.rounds[-1].outputs
-            ybar = debias(int(outputs.sum()), outputs.size, self.config.epsilon)
+            ybar = debias(int(np.count_nonzero(outputs)), outputs.size, self.config.epsilon)
             bit = 1 if ybar > self.config.threshold else 0
             self._code = (self._code << 1) | bit
             self._pending = False

@@ -170,7 +170,10 @@ def test_round_record_validation():
 def test_round_record_columns_are_read_only_arrays(population, query):
     built = record(0, [3, 1, 2], outputs=[1, 0, 1])
     executed = execute(QueryScript([[3, 1, 2]], query), population, InteractivityMode.FULL, seed=1)
-    for rec in (built, executed.transcript.rounds[0]):
+    ranged = execute(QueryScript([range(1, 4)], query), population, InteractivityMode.FULL, seed=1)
+    bits = [int(response_uniform(1, uid, 0) < query.law(population.datum(uid))) for uid in (1, 2, 3)]
+    assert ranged.transcript.rounds[0] == RoundRecord(0, [1, 2, 3], [query.descriptor] * 3, [1.0] * 3, bits)
+    for rec in (built, executed.transcript.rounds[0], ranged.transcript.rounds[0]):
         assert isinstance(rec.randomizer_ids, tuple)
         for column, dtype in ((rec.users, np.int64), (rec.epsilons, np.float64), (rec.outputs, np.uint8)):
             assert isinstance(column, np.ndarray) and column.dtype == dtype and column.shape == (3,)
@@ -277,8 +280,10 @@ def test_duplicate_user_within_round_rejected(population, query):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
 
-def test_unknown_user_rejected(population, query):
-    driver = QueryScript([[99]], query)
+# the population fixture holds 10 users
+@pytest.mark.parametrize("users", [[99], range(9, 11), range(-1, 2)], ids=["list", "past-the-end", "negative-start"])
+def test_unknown_user_rejected(population, query, users):
+    driver = QueryScript([users], query)
     with pytest.raises(ValueError, match="outside the population"):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
@@ -398,6 +403,45 @@ def test_query_log_collects_descriptors(population, query):
     assert set(result.query_log) == {"always-true"}
 
 
+# every character for which str.isspace is true is whitespace to the engine,
+# ASCII or not: a descriptor must survive the transcript's space-separated columns
+_SPACES = (" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u3000")
+
+
+@pytest.mark.parametrize("descriptor", ["", " q", "q "] + [f"q{space}q" for space in _SPACES], ids=ascii)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-user"])
+def test_query_log_rejects_empty_or_whitespace_descriptors(population, descriptor, shared):
+    query = LawQuery(1.0, descriptor, _side_law)
+    driver = QueryScript([range(3)], query if shared else [query] * 3)
+    message = f"randomizer descriptor must be non-empty and whitespace-free: {descriptor!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        execute(driver, population, InteractivityMode.FULL, seed=1)
+
+
+class SpecScript(ProtocolDriver):
+    """Issues the scripted round specs in order, then halts."""
+
+    def __init__(self, specs):
+        self.specs = list(specs)
+
+    def next_round(self, transcript, public_rng):
+        if len(transcript.rounds) >= len(self.specs):
+            return Halt(None)
+        return self.specs[len(transcript.rounds)]
+
+
+@pytest.mark.parametrize("across_rounds", [True, False], ids=["across-rounds", "within-a-round"])
+def test_query_log_rejects_a_descriptor_reused_for_a_different_query(population, across_rounds):
+    first = LawQuery(1.0, "q", _side_law)
+    second = LawQuery(1.0, "q", lambda datum: 0.25)
+    if across_rounds:
+        specs = [RoundSpec(users=range(3), queries=first), RoundSpec(users=range(3), queries=second)]
+    else:
+        specs = [RoundSpec(users=range(3), queries=[first, second, first])]
+    with pytest.raises(ValueError, match=re.escape("descriptor 'q' reused for a different query")):
+        execute(SpecScript(specs), population, InteractivityMode.FULL, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -433,6 +477,11 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
         assert shared.index == index if isinstance(index, slice) else np.array_equal(shared.index, index)
     assert isinstance(result.transcript.rounds[0].index, slice)
     assert not isinstance(result.transcript.rounds[1].index, slice)
+    # step-1 range rounds view one id column of the execution, which no one can make writable
+    first, last = result.transcript.rounds[0].users, result.transcript.rounds[2].users
+    assert np.shares_memory(first, last)
+    with pytest.raises(ValueError):
+        last.setflags(write=True)
     assert parsed == result.transcript
     assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
     first = result.transcript.rounds[0]

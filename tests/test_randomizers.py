@@ -190,6 +190,30 @@ def test_law_query_max_log_ratio():
     assert q.max_log_ratio(a, a) == 0.0
 
 
+def test_audit_rows_read_each_datum_once_and_match_max_log_ratio():
+    data = (Datum(Side.ALICE, 1), Datum(Side.BOB, 2), SENTINEL_DATUM)
+    calls = []
+
+    class Counting:
+        descriptor = "counting"
+
+        def __call__(self, datum):
+            calls.append(datum)
+            return datum.side is Side.ALICE
+
+    def law(datum):
+        calls.append(datum)
+        return {Side.ALICE: 1.0, Side.BOB: 0.25}.get(datum.side, 0.5)
+
+    for query in (RRQuery(2, Counting()), LawQuery(1.0, "law", law)):
+        calls.clear()
+        rows = query.audit_rows(data)
+        assert calls == list(data)
+        assert rows.dtype == np.float64 and rows.shape == (2, 3)
+        # the same floats as the pairwise terms, infinities included
+        assert rows.tolist() == [[query.max_log_ratio(mine, other) for other in data] for mine in data[:2]]
+
+
 def test_audit_user_surfaces_bad_predicates():
     class Broken:
         descriptor = "broken"
@@ -270,6 +294,13 @@ def test_audit_transcript_missing_query_log_entry():
     _inst, pop, result = _hl_execution()
     with pytest.raises(AuditError, match="missing from the query log"):
         audit_transcript(result.transcript, pop, {})
+
+
+def test_audit_transcript_surfaces_bad_laws():
+    _inst, pop, result = _hl_execution()
+    broken = {descriptor: LawQuery(1.0, descriptor, lambda d: 2.0) for descriptor in result.query_log}
+    with pytest.raises(AuditError, match="not evaluable: response law returned 2.0"):
+        audit_transcript(result.transcript, pop, broken)
 
 
 def test_audit_transcript_matches_audit_user():
