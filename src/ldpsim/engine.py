@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._rng import response_limit, round_draws, substream, user_keys
+from ._rng import hash_limit, premixed_keys, round_bits, substream
 
 DEFAULT_MAX_ROUNDS = 10_000_000
 
@@ -174,7 +174,7 @@ class RoundRecord:
         _checked_budget(budgets.max())
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
-        self._fill(round_index, users, _index(users), *_first_use(ids), epsilons, outputs)
+        _fill(self, round_index, users, _index(users), *_first_use(ids), epsilons, outputs)
 
     @classmethod
     def _trusted(cls, round_index, users: np.ndarray, index: slice | np.ndarray, descriptors, codes, epsilons, outputs):
@@ -183,13 +183,7 @@ class RoundRecord:
         their :func:`_index`, ``descriptors`` and ``codes`` their
         :func:`_first_use`, and ``epsilons`` and ``outputs`` read-only columns
         of valid budgets and bits."""
-        record = object.__new__(cls)
-        record._fill(round_index, users, index, descriptors, codes, epsilons, outputs)
-        return record
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        return _fill(object.__new__(cls), round_index, users, index, descriptors, codes, epsilons, outputs)
 
     @property
     def randomizer_ids(self) -> tuple[str, ...]:
@@ -225,6 +219,19 @@ class RoundRecord:
         )
 
 
+def _fill(record: RoundRecord, round_index, users, index, descriptors, codes, epsilons, outputs) -> RoundRecord:
+    """Sets the slots of a :class:`RoundRecord`, which refuses assignment."""
+    put = object.__setattr__
+    put(record, "round_index", round_index)
+    put(record, "users", users)
+    put(record, "index", index)
+    put(record, "descriptors", descriptors)
+    put(record, "codes", codes)
+    put(record, "epsilons", epsilons)
+    put(record, "outputs", outputs)
+    return record
+
+
 @dataclass(frozen=True)
 class Transcript:
     """Ordered rounds of a single execution."""
@@ -237,7 +244,13 @@ class Transcript:
                 raise ValueError(f"round {i} carries index {record.round_index}")
 
     def extended(self, record: RoundRecord) -> "Transcript":
-        return Transcript(self.rounds + (record,))
+        """This transcript with ``record`` appended; only the new record's
+        index is checked, since every earlier one already was."""
+        if record.round_index != len(self.rounds):
+            raise ValueError(f"round {len(self.rounds)} carries index {record.round_index}")
+        transcript = object.__new__(Transcript)
+        object.__setattr__(transcript, "rounds", self.rounds + (record,))
+        return transcript
 
 
 def sample_complexity(transcript: Transcript) -> int:
@@ -319,7 +332,9 @@ class RoundSpec:
     numpy range and is never expanded element by element. A query exposes
     ``descriptor`` (str), ``epsilon`` (float) and ``law(datum)`` (the
     Bernoulli parameter of its output on that datum); predicate-based
-    queries additionally expose ``vote(datum)``.
+    queries additionally expose ``vote(datum)`` and ``vote_laws``, the law
+    of a 0 vote and of a 1 vote, so the engine reads their predicate once
+    per side.
     """
 
     users: Sequence[int]
@@ -379,7 +394,7 @@ def execute(
     # one read-only id column per execution: a step-1 range round's users are a view of it
     ids = np.arange(population.size, dtype=np.int64)
     ids.setflags(write=False)
-    keys = user_keys(seed, ids.view(np.uint64))  # a view, so hashing copies no ids
+    keys = premixed_keys(seed, ids.view(np.uint64))  # a view, so hashing copies no ids
     sides = population.side_codes.astype(np.intp)
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
@@ -476,14 +491,28 @@ def _log_query(query_log: dict[str, Any], query) -> str:
     return descriptor
 
 
+def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tuple[int, int], tuple[bool, bool]]:
+    """The :func:`~ldpsim._rng.hash_limit` of ``query``'s law, and its vote,
+    on each side datum. A predicate-based query's predicate is read once per
+    datum and its law looked up in ``vote_laws``; any other query's law is
+    read once per datum, and it votes False."""
+    if hasattr(query, "vote"):
+        votes = tuple(query.vote(d) for d in data)
+        laws = map(query.vote_laws.__getitem__, votes)
+    else:
+        votes, laws = (False, False), [query.law(d) for d in data]
+    return tuple(hash_limit(_checked_law(descriptor, p)) for p in laws), votes
+
+
 def _respond(population, users, index, queries, keys, sides, round_index, one_votes, query_log) -> RoundRecord:
     """Answers one round of :class:`RoundSpec` ``queries``.
 
     Each distinct query object is validated and logged once. Each distinct
     descriptor's law, vote and budget are read once per side from the query
     the log holds for it, which the audit reads too, and every user's draw is
-    compared with the limit of their (descriptor, side) in one pass.
-    ``sides`` is the population's side codes as an index column.
+    compared with the limit of their (descriptor, side) by
+    :func:`~ldpsim._rng.round_bits`. ``keys`` are the population's premixed
+    keys and ``sides`` its side codes as an index column.
     """
     if hasattr(queries, "law"):
         descriptors, codes = (_log_query(query_log, queries),), 0
@@ -495,14 +524,14 @@ def _respond(population, users, index, queries, keys, sides, round_index, one_vo
         descriptors, codes = _first_use(list(map(named.__getitem__, map(id, queries))))
     distinct = [query_log[descriptor] for descriptor in descriptors]
     data = (population.alice_datum, population.bob_datum)
-    limits = [[response_limit(_checked_law(name, query.law(d))) for d in data] for name, query in zip(descriptors, distinct)]
-    votes = [[hasattr(query, "vote") and query.vote(d) for d in data] for query in distinct]
+    limits, votes = zip(*(_read_sides(name, query, data) for name, query in zip(descriptors, distinct)))
     # each user's entry in the flattened (descriptor, side) tables; sides are 0 Alice, 1 Bob
     cells = sides[index] if isinstance(codes, int) else 2 * codes + sides[index]
-    table = np.array(limits, dtype=np.uint64)
-    # when no law depends on the side, one limit per descriptor needs no gather by side
-    limit = table[codes, 0] if all(alice == bob for alice, bob in limits) else table.take(cells)
-    bits = round_draws(keys[index], round_index) < limit
+    if all(alice == bob for alice, bob in limits):
+        # no law depends on the side: one limit per descriptor needs no gather by side
+        bits = round_bits(keys[index], round_index, [alice for alice, _ in limits], codes)
+    else:
+        bits = round_bits(keys[index], round_index, [limit for pair in limits for limit in pair], cells)
     if any(map(any, votes)):
         one_votes[index] += np.array(votes, dtype=bool).take(cells)
     budgets = [_checked_budget(query.epsilon) for query in distinct]

@@ -10,6 +10,7 @@ from samples.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
@@ -47,6 +48,12 @@ def rr_param(vote: int, epsilon: float) -> float:
     if vote:
         return 1.0 / (1.0 + math.exp(-epsilon))
     return math.exp(-epsilon) / (1.0 + math.exp(-epsilon))
+
+
+@functools.lru_cache(maxsize=256)
+def _rr_laws(epsilon: float) -> tuple[float, float]:
+    """``rr_param`` of a 0 vote and of a 1 vote, computed once per budget."""
+    return rr_param(0, epsilon), rr_param(1, epsilon)
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,13 @@ class RRQuery:
     def vote(self, datum: Datum) -> bool:
         return bool(self.predicate(datum))
 
+    @property
+    def vote_laws(self) -> tuple[float, float]:
+        """The response law of a 0 vote and of a 1 vote."""
+        return _rr_laws(self.epsilon)
+
     def law(self, datum: Datum) -> float:
-        return rr_param(self.vote(datum), self.epsilon)
+        return self.vote_laws[self.vote(datum)]
 
     def max_log_ratio(self, datum: Datum, other: Datum) -> float:
         """Worst-case |log P(bit|datum) - log P(bit|other)|, exactly.
@@ -213,6 +225,16 @@ class AuditValues(Mapping[int, float]):
             raise ValueError("user ids must be strictly ascending")
         self.user_ids = user_ids
         self.ratios = ratios
+
+    @classmethod
+    def _trusted(cls, user_ids: np.ndarray, ratios: np.ndarray) -> AuditValues:
+        """Columns from ``audit_transcript``, which built ``user_ids`` strictly
+        ascending: both fresh arrays, made read-only here without a copy."""
+        user_ids.setflags(write=False)
+        ratios.setflags(write=False)
+        values = object.__new__(cls)
+        values.user_ids, values.ratios = user_ids, ratios
+        return values
 
     @classmethod
     def of(cls, mapping: Mapping[int, float]) -> AuditValues:
@@ -342,7 +364,9 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
 
     # terms[r][side, ..., j]: round r's rows; (2, 3) for a round over a slice
     # with one descriptor, else (2, 1 or len(users), 3)
-    terms, cuts = [], []
+    # points: both ends of each such slice round, in round order; cuts: the
+    # cut arrays of every other round
+    terms, points, cuts = [], [], []
     for record in transcript.rounds:
         index = record.index
         top = index.stop - 1 if isinstance(index, slice) else index.max()
@@ -351,7 +375,7 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
         rows = [rows_for(descriptor) for descriptor in record.descriptors]
         term = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)[:, record.codes]
         if isinstance(index, slice) and term.ndim == 2:
-            cuts.append(np.array([index.start, index.stop]))
+            points += (index.start, index.stop)
         else:
             cuts += (record.users, record.users + 1)
             term = term.reshape(2, -1, len(data))
@@ -361,12 +385,14 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
 
     # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
     # the running total of terms against data[j] for its users on that side
-    edges = np.unique(np.concatenate(cuts))
+    points = np.array(points, dtype=np.int64)
+    edges = np.unique(np.concatenate([points, *cuts]))
+    ends = iter(edges.searchsorted(points).tolist())
     sums = np.zeros((2, edges.size - 1, len(data)))
     covered = np.zeros(edges.size - 1, dtype=bool)
     for record, term in zip(transcript.rounds, terms):
         if term.ndim == 2:
-            segments = slice(*edges.searchsorted([record.index.start, record.index.stop]).tolist())
+            segments = slice(next(ends), next(ends))
             sums[:, segments] += term[:, None, :]
         else:
             segments = edges.searchsorted(record.users)
@@ -385,7 +411,7 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     maxima = best.take(pair_of + population.side_codes[uids])
     # argmax takes the first maximum, i.e. the lowest uid on ties
     worst_user = int(uids[np.argmax(maxima)])
-    return AuditReport(per_user=AuditValues(uids, maxima), worst_user=worst_user)
+    return AuditReport(per_user=AuditValues._trusted(uids, maxima), worst_user=worst_user)
 
 
 def write_audit_report(report: AuditReport, declared_epsilon: float, stream: TextIO) -> None:

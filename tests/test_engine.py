@@ -225,6 +225,18 @@ def test_round_complexity_fixtures():
     assert round_complexity(Transcript(rounds)) == 7
 
 
+def test_extended_checks_only_the_appended_index():
+    t = Transcript((record(0, [1, 2]),))
+    grown = t.extended(record(1, [5]))
+    assert grown == Transcript((record(0, [1, 2]), record(1, [5])))
+    assert grown.extended(record(2, [1])).rounds[2].round_index == 2
+    for misnumbered in (0, 2, 5):
+        with pytest.raises(ValueError, match=f"round 1 carries index {misnumbered}"):
+            t.extended(record(misnumbered, [5]))
+    with pytest.raises(ValueError, match="round 1 carries index 2"):
+        Transcript((record(0, [1]), record(2, [5])))
+
+
 def test_sample_complexity_monotone_under_extension():
     t = Transcript((record(0, [1, 2]),))
     extended = t.extended(record(1, [5]))
@@ -330,6 +342,25 @@ def test_execution_reproducible(population, query):
     assert r1.answer == r2.answer
     r3 = execute(QueryScript(script, query), population, InteractivityMode.FULL, seed=10)
     assert r1.transcript != r3.transcript  # 24 fair-ish bits; collision would be a fluke
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-user"])
+def test_execute_reads_a_predicate_once_per_side(shared):
+    calls = []
+
+    class CountingEdge(HLEdgePredicate):
+        def __call__(self, datum):
+            calls.append(datum.side)
+            return super().__call__(datum)
+
+    hl_pop = sample_population(8, alice_payload=_alice_hl_payload(), bob_payload=_bob_hl_payload(), seed=13)
+    query = RRQuery(epsilon=0.8, predicate=CountingEdge(level=0, vertex=(), child=0))
+    result = execute(QueryScript([range(8)], query if shared else [query] * 8), hl_pop, InteractivityMode.FULL, seed=3)
+    assert calls == [Side.ALICE, Side.BOB]  # one read per side datum, for both the vote and the law
+    votes = [query.vote(hl_pop.datum(uid)) for uid in range(8)]
+    assert result.one_vote_counts.tolist() == votes
+    bits = [int(response_uniform(3, uid, 0) < query.law(hl_pop.datum(uid))) for uid in range(8)]
+    assert result.transcript.rounds[0].outputs.tolist() == bits
 
 
 def test_per_user_and_shared_paths_agree(population):

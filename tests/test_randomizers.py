@@ -1,5 +1,6 @@
 import io
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -477,6 +478,33 @@ def test_audit_values_reject_bad_columns():
         AuditValues(np.array([1, 1]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="equal length"):
         AuditValues(np.array([1, 2]), np.array([0.5]))
+
+
+def test_audit_values_of_sorts_and_keeps_the_ascending_check():
+    values = AuditValues.of({3: 0.1, 1: 0.2})
+    assert list(values.items()) == [(1, 0.2), (3, 0.1)]
+
+    class RepeatedIds(Mapping):
+        def __getitem__(self, uid):
+            return 0.5
+
+        def __iter__(self):
+            return iter([4, 4])
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(ValueError, match="ascending"):
+        AuditValues.of(RepeatedIds())
+
+
+def test_audited_columns_are_ascending_and_read_only():
+    _inst, pop, result = _hl_execution(seed=6, n=12)
+    values = audit_transcript(result.transcript, pop, result.query_log).per_user
+    assert values.user_ids.dtype == np.int64 and (np.diff(values.user_ids) > 0).all()
+    for column in (values.user_ids, values.ratios):
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 def test_array_backed_report_invariant_enforced():

@@ -1,15 +1,21 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpsim._rng import (
+    _mix64,
     derive_key,
+    hash_limit,
+    premixed_keys,
     response_limit,
     response_uniform,
     response_uniforms,
+    round_bits,
     round_draws,
+    round_hash,
     substream,
     user_keys,
 )
@@ -96,3 +102,83 @@ def test_integer_threshold_matches_any_law(p, k):
     q = k * 2.0**-53
     for law in (q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)):
         assert (k < response_limit(law)) == (q < law)
+
+
+_RNG_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_ROUNDS = st.one_of(st.sampled_from([0, 1, 2**30 - 1, 2**30, 2**31 + 5, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_EDGE_LAWS = [0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0] + [
+    rr_param(v, e) for v in (0, 1) for e in (0.05, 0.5, 1.0, math.log(3.0), 2.0, 30.0)
+]
+
+
+def _laws_around(seed, uid, round_index, extra):
+    """The edge laws, ``extra``, and the user's drawn value with the floats on either side of it."""
+    q = response_uniform(seed, uid, round_index)
+    return _EDGE_LAWS + [extra, q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_RNG_SEEDS, uid=st.integers(0, 2**62), round_index=_ROUNDS, extra=st.floats(0.0, 1.0))
+def test_public_draw_and_limit_give_the_scalar_bit(seed, uid, round_index, extra):
+    draw = int(round_draws(user_keys(seed, np.array([uid], dtype=np.uint64)), round_index)[0])
+    for p in _laws_around(seed, uid, round_index, extra):
+        assert (draw < response_limit(p)) == (response_uniform(seed, uid, round_index) < p), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=_RNG_SEEDS,
+    uids=st.lists(st.integers(0, 2**62), min_size=1, max_size=6, unique=True),
+    round_index=_ROUNDS,
+    extra=st.floats(0.0, 1.0),
+)
+def test_kernel_bits_are_the_scalar_bits(seed, uids, round_index, extra):
+    keys = premixed_keys(seed, np.array(uids, dtype=np.uint64))
+    laws = _laws_around(seed, uids[0], round_index, extra)
+    limits = [hash_limit(p) for p in laws]
+    uniforms = [response_uniform(seed, uid, round_index) for uid in uids]
+    for cell, p in enumerate(laws):  # one law for every user
+        assert round_bits(keys, round_index, limits, cell).tolist() == [u < p for u in uniforms], p
+    # a law per user, gathered by cell, with law 1 and law 0 among them
+    for shift in range(len(laws)):
+        cells = (np.arange(len(uids)) + shift) % len(laws)
+        expected = [u < laws[c] for u, c in zip(uniforms, cells.tolist())]
+        assert round_bits(keys, round_index, limits, cells).tolist() == expected
+
+
+def _unxorshift(z: int, s: int) -> int:
+    """The inverse of ``z ^ (z >> s)`` on 64-bit words."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _unmix64(h: int) -> int:
+    """The inverse of the splitmix64 finalizer."""
+    h = _unxorshift(h, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    h = _unxorshift(h, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unxorshift(h, 30)
+
+
+@pytest.mark.parametrize("round_index", [0, 2**30, 2**64 - 1])
+@pytest.mark.parametrize("top", [2**64 - 1, 2**64 - 2**11, 2**11 - 1, 0])
+def test_extreme_hashes_keep_the_law_zero_and_one_bits(round_index, top):
+    # the user whose response hash is ``top``: all ones is the one hash that
+    # law 1's clamped limit 2**64 - 1 does not exceed
+    seed = 3
+    base = _mix64((seed ^ 0x9E3779B97F4A7C15) & 2**64 - 1)
+    uid = _unmix64(_unmix64(top) ^ round_index) ^ base
+    assert _mix64(_mix64(_mix64(seed ^ 0x9E3779B97F4A7C15) ^ uid) ^ round_index) == top
+    ids = np.array([uid, 7], dtype=np.uint64)
+    draw = int(round_draws(user_keys(seed, ids), round_index)[0])
+    assert draw == top >> 11
+    keys = premixed_keys(seed, ids)
+    assert int(round_hash(keys, round_index)[0]) == top
+    for p in (0.0, 5e-324, draw * 2.0**-53, math.nextafter(draw * 2.0**-53, 1.0), 1.0 - 2.0**-53, 1.0):
+        expected = response_uniform(seed, uid, round_index) < p
+        assert (draw < response_limit(p)) == expected, p
+        assert round_bits(keys, round_index, [hash_limit(p)], 0)[0] == expected, p
+        assert round_bits(keys, round_index, [hash_limit(0.5), hash_limit(p)], np.array([1, 0]))[0] == expected, p
+    assert hash_limit(1.0) == 2**64 - 1 and hash_limit(0.0) == 0
+    assert hash_limit(1.0 - 2.0**-53) == (2**53 - 1) << 11
