@@ -4,8 +4,7 @@ Every random draw in the toolkit comes from one of two sources:
 
 * named substreams: ``numpy`` generators keyed by a 64-bit master seed plus
   a sequence of labels (``substream(seed, "population")``), used wherever a
-  stateful stream is natural (instance generation, channel simulation,
-  public coins);
+  stateful stream is natural (instance generation, channel simulation);
 * counter-style response draws: a pure hash of
   ``(master seed, user id, round index)`` mapped to a uniform in [0, 1),
   used for user responses so that executions are replayable and the draw

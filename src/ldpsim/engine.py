@@ -109,13 +109,6 @@ class Population:
             raise ValueError(f"unknown user id {user_id}")
         return self._bob if self._codes[user_id] else self._alice
 
-    @property
-    def users(self) -> list[tuple[int, Datum]]:
-        return [(uid, self.datum(uid)) for uid in range(self.size)]
-
-    def alice_fraction(self) -> float:
-        return float(np.mean(self._codes == 0))
-
 
 def sample_population(n: int, alice_payload, bob_payload, seed: int) -> Population:
     """Draw a population of ``n`` users, each side an independent fair coin."""
@@ -351,14 +344,52 @@ class Halt:
 class ProtocolDriver(ABC):
     """Maps the transcript so far to the next round request or a halt.
 
-    Drivers may keep internal state but must be deterministic given the
-    transcript prefix and the public randomness stream. A driver instance
-    is good for one execution.
+    A driver must be deterministic given the transcript prefix. ``execute``
+    passes ``None`` as ``public_rng``: no driver reads public randomness,
+    and the parameter stays only because wrapping drivers forward it by
+    position.
     """
 
     @abstractmethod
-    def next_round(self, transcript: Transcript, public_rng: np.random.Generator) -> RoundSpec | Halt:
+    def next_round(self, transcript: Transcript, public_rng=None) -> RoundSpec | Halt:
         raise NotImplementedError
+
+
+class CountDriver(ProtocolDriver):
+    """A driver that decides from each round's count of 1s alone, as three
+    pure steps over an immutable, hashable state:
+
+    * ``start()`` returns the state before the first round;
+    * ``decide(state)`` returns the next :class:`RoundSpec` or a :class:`Halt`;
+    * ``advance(state, ones, asked)`` returns the state after a round in
+      which ``ones`` of the ``asked`` users published 1.
+
+    ``next_round`` folds each round it has not seen with one ``advance``. It
+    knows the last transcript it folded by the identity of its last record,
+    and folds from ``start()`` a transcript that does not extend that one,
+    so one driver runs any number of executions, one after another.
+    """
+
+    _fold: tuple[int, RoundRecord | None, Any] = (0, None, None)  # rounds folded, the last of them, state
+
+    @abstractmethod
+    def start(self) -> Any: ...
+
+    @abstractmethod
+    def decide(self, state) -> RoundSpec | Halt: ...
+
+    @abstractmethod
+    def advance(self, state, ones: int, asked: int) -> Any: ...
+
+    def next_round(self, transcript: Transcript, public_rng=None) -> RoundSpec | Halt:
+        rounds = transcript.rounds
+        folded, last, state = self._fold
+        if not folded or folded > len(rounds) or rounds[folded - 1] is not last:
+            folded, state = 0, self.start()
+        for record in rounds[folded:]:
+            state = self.advance(state, int(np.count_nonzero(record.outputs)), record.outputs.size)
+        self._fold = (len(rounds), rounds[-1] if rounds else None, state)
+        return self.decide(state)
 
 
 @dataclass
@@ -385,11 +416,10 @@ def execute(
 ) -> ExecutionResult:
     """Run ``driver`` against ``population`` under ``mode``.
 
-    Deterministic given (driver state, population, mode, seed). Raises
+    Deterministic given (driver, population, mode, seed). Raises
     :class:`InteractivityViolation` when the driver breaks the mode,
     :class:`DivergenceError` after ``max_rounds`` rounds without a halt.
     """
-    public_rng = substream(seed, "public")
     transcript = Transcript()
     # one read-only id column per execution: a step-1 range round's users are a view of it
     ids = np.arange(population.size, dtype=np.int64)
@@ -401,7 +431,7 @@ def execute(
     one_votes = np.zeros(population.size, dtype=np.int64)
 
     while True:
-        action = driver.next_round(transcript, public_rng)
+        action = driver.next_round(transcript, None)
         if isinstance(action, Halt):
             return ExecutionResult(transcript, action.answer, query_log, one_votes)
         if not isinstance(action, RoundSpec):

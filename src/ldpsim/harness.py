@@ -151,7 +151,8 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 class Trial:
     """One seeded trial, wired up and ready to execute, audit and judge.
 
-    The driver is stateful, so a trial executes once. ``oracle`` tells
+    A trial can execute any number of times, each with the same result,
+    since its driver's rounds depend only on the transcript. ``oracle`` tells
     whether an answer is right for the drawn instance. ``execute`` checks
     that no user voted 1 twice: the fully interactive walk's privacy
     accounting rests on this, because a user's predicate holds for at most

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
-from .engine import Datum, Halt, LdpSimError, ProtocolDriver, RoundSpec, Side, Transcript
+from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side
 from .randomizers import LawQuery, _check_epsilon, rr_param
 
 ENUMERATION_GUARD = 2**20
@@ -137,9 +137,6 @@ class TranscriptDistribution:
         if abs(total - 1.0) > _PROB_SLACK:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.probs = dict(probs)
-
-    def total(self) -> float:
-        return math.fsum(self.probs.values())
 
     def __getitem__(self, key: str) -> float:
         return self.probs.get(key, 0.0)
@@ -337,13 +334,14 @@ def enumerate_onebit_distribution(
 # ---------------------------------------------------------------------------
 
 
-class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
+class LiftedDriver(CountDriver, OneBitLDPProtocol):
     """Sequential driver replaying a two-party BSC protocol with one fresh
     user per channel bit.
 
     If the user's side matches the bit's sender they answer randomized
     response on the bit the sender would send; otherwise they publish an
-    unbiased bit. Bit ``i`` is answered by user ``i``.
+    unbiased bit. Bit ``i`` is answered by user ``i``. The state is the
+    published prefix, and each round appends its one bit.
     """
 
     def __init__(self, protocol: TwoPartyProtocol, epsilon: float, data_pair: tuple[Datum, Datum]):
@@ -378,12 +376,17 @@ class LiftedDriver(ProtocolDriver, OneBitLDPProtocol):
 
         return _LiftedBitQuery(self.epsilon, law, prefix, step.sender)
 
-    def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
-        prefix = tuple(int(record.outputs[0]) for record in transcript.rounds)
+    def start(self) -> tuple[int, ...]:
+        return ()
+
+    def decide(self, prefix: tuple[int, ...]) -> RoundSpec | Halt:
         act = self.action(prefix)
         if isinstance(act, Answer):
             return Halt(act.fn(prefix))
         return RoundSpec(users=[len(prefix)], queries=act)
+
+    def advance(self, prefix: tuple[int, ...], ones: int, asked: int) -> tuple[int, ...]:
+        return prefix + (ones,)
 
 
 class _LiftedBitQuery(LawQuery):

@@ -15,12 +15,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .engine import Datum, Halt, ProtocolDriver, RoundRecord, RoundSpec, Side, Transcript
+from .engine import CountDriver, Datum, Halt, RoundSpec, Side
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, debias
 from .reductions import Answer, OneBitSequence
@@ -75,7 +74,7 @@ class DecodeFailure:
     value: int
 
 
-class HLSolverDriver(ProtocolDriver):
+class HLSolverDriver(CountDriver):
     """Hidden-layers tree walk; halts with a leaf path.
 
     At each level, candidate children are probed in order; the walk descends
@@ -84,6 +83,10 @@ class HLSolverDriver(ProtocolDriver):
     answer every edge query (fully interactive). With ``fresh_groups`` each
     query goes to a new group of ``n`` users, so every user answers once
     (sequentially interactive).
+
+    The state is ``(vertex, child, first_user)``: the path walked so far,
+    whose length is the level, the child probed next, and the first user id
+    of the next group.
     """
 
     def __init__(self, branching: int, num_levels: int, config: HLSolverConfig, fresh_groups: bool = False):
@@ -93,34 +96,23 @@ class HLSolverDriver(ProtocolDriver):
         self.num_levels = num_levels
         self.config = config
         self.fresh_groups = fresh_groups
-        self._level = 0
-        self._vertex: tuple[int, ...] = ()
-        self._child = 0
-        self._first_user = 0
-        self._pending = False
 
-    def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
-        if self._pending:
-            outputs = transcript.rounds[-1].outputs
-            ybar = debias(int(np.count_nonzero(outputs)), outputs.size, self.config.per_query_epsilon)
-            if ybar > self.config.threshold or self._child == self.branching - 1:
-                self._vertex = self._vertex + (self._child,)
-                self._level += 1
-                self._child = 0
-            else:
-                self._child += 1
-            self._pending = False
-        if self._level >= self.num_levels:
-            return Halt(self._vertex)
-        query = RRQuery(
-            self.config.per_query_epsilon,
-            HLEdgePredicate(level=self._level, vertex=self._vertex, child=self._child),
-        )
-        users = range(self._first_user, self._first_user + self.config.n)
-        if self.fresh_groups:
-            self._first_user += self.config.n
-        self._pending = True
-        return RoundSpec(users=users, queries=query)
+    def start(self) -> tuple[tuple[int, ...], int, int]:
+        return (), 0, 0
+
+    def decide(self, state) -> RoundSpec | Halt:
+        vertex, child, first_user = state
+        if len(vertex) >= self.num_levels:
+            return Halt(vertex)
+        query = RRQuery(self.config.per_query_epsilon, HLEdgePredicate(len(vertex), vertex, child))
+        return RoundSpec(users=range(first_user, first_user + self.config.n), queries=query)
+
+    def advance(self, state, ones: int, asked: int):
+        vertex, child, first_user = state
+        first_user += self.config.n if self.fresh_groups else 0
+        if debias(ones, asked, self.config.per_query_epsilon) > self.config.threshold or child == self.branching - 1:
+            return vertex + (child,), 0, first_user
+        return vertex, child + 1, first_user
 
     @property
     def users_required(self) -> int:
@@ -131,7 +123,7 @@ class HLSolverDriver(ProtocolDriver):
         return self.config.n
 
 
-class PCSolverDriver(ProtocolDriver):
+class PCSolverDriver(CountDriver):
     """Sequentially interactive pointer-chasing solver.
 
     Maintains (side, location), starting at (Alice, 1). Each phase decodes
@@ -140,6 +132,12 @@ class PCSolverDriver(ProtocolDriver):
     the location becomes the decoded value. After ``hops + 1`` phases the
     final location is the answer. A decoded value outside [1, size] halts
     with :class:`DecodeFailure`.
+
+    The state is ``(phase, side, location, bits_read, code)``, where
+    ``code`` holds the ``bits_read`` bits decoded so far in this phase. A
+    failed decode puts its :class:`DecodeFailure` in place of the location.
+    Round ``r = phase * num_bits + bits_read`` asks users ``r * m`` to
+    ``(r + 1) * m - 1``.
     """
 
     def __init__(self, hops: int, size: int, config: PCSolverConfig):
@@ -149,51 +147,27 @@ class PCSolverDriver(ProtocolDriver):
         self.size = size
         self.config = config
         self.num_bits = pointer_bits(size)
-        self._phase = 0
-        self._side = Side.ALICE
-        self._location = 1
-        self._bit_index = 1
-        self._code = 0
-        self._next_user = 0
-        self._pending = False
-        self._failed: DecodeFailure | None = None
 
-    def next_round(self, transcript: Transcript, public_rng) -> RoundSpec | Halt:
-        if self._pending:
-            outputs = transcript.rounds[-1].outputs
-            ybar = debias(int(np.count_nonzero(outputs)), outputs.size, self.config.epsilon)
-            bit = 1 if ybar > self.config.threshold else 0
-            self._code = (self._code << 1) | bit
-            self._pending = False
-            if self._bit_index == self.num_bits:
-                value = self._code + 1
-                self._bit_index = 1
-                self._code = 0
-                self._phase += 1
-                if not 1 <= value <= self.size:
-                    self._failed = DecodeFailure(value)
-                else:
-                    self._side = self._side.other
-                    self._location = value
-            else:
-                self._bit_index += 1
-        if self._failed is not None:
-            return Halt(self._failed)
-        if self._phase > self.hops:
-            return Halt(self._location)
-        query = RRQuery(
-            self.config.epsilon,
-            PCBitPredicate(
-                side=self._side,
-                location=self._location,
-                bit_index=self._bit_index,
-                num_bits=self.num_bits,
-            ),
-        )
-        users = range(self._next_user, self._next_user + self.config.m)
-        self._next_user += self.config.m
-        self._pending = True
-        return RoundSpec(users=users, queries=query)
+    def start(self) -> tuple[int, Side, int | DecodeFailure, int, int]:
+        return 0, Side.ALICE, 1, 0, 0
+
+    def decide(self, state) -> RoundSpec | Halt:
+        phase, side, location, bits_read, _code = state
+        if isinstance(location, DecodeFailure) or phase > self.hops:
+            return Halt(location)
+        query = RRQuery(self.config.epsilon, PCBitPredicate(side, location, bits_read + 1, self.num_bits))
+        first_user = (phase * self.num_bits + bits_read) * self.config.m
+        return RoundSpec(users=range(first_user, first_user + self.config.m), queries=query)
+
+    def advance(self, state, ones: int, asked: int):
+        phase, side, location, bits_read, code = state
+        code = (code << 1) | (debias(ones, asked, self.config.epsilon) > self.config.threshold)
+        if bits_read + 1 < self.num_bits:
+            return phase, side, location, bits_read + 1, code
+        value = code + 1
+        if not 1 <= value <= self.size:
+            return phase + 1, side, DecodeFailure(value), 0, 0
+        return phase + 1, side.other, value, 0, 0
 
     @property
     def users_required(self) -> int:
@@ -205,30 +179,21 @@ def pc_one_bit_view(hops: int, size: int, config: PCSolverConfig, data_pair: tup
 
     Sequential interaction already gives every user a single randomized-
     response bit, so the solver lowers to a two-party channel protocol
-    directly. The view replays the driver against the published-bit prefix,
-    grouping bits into per-query chunks of ``m``; it is only meant for exact
-    enumeration at tiny shapes. The fully interactive tree-walk solver has
-    no such view: its users answer once per round, not once ever.
+    directly. The view groups the published bits into per-query chunks of
+    ``m`` and folds each chunk prefix once into the driver's state, from the
+    state before its last chunk; it is only meant for exact enumeration at
+    tiny shapes. The fully interactive tree-walk solver has no such view:
+    its users answer once per round, not once ever.
     """
+    driver = PCSolverDriver(hops, size, config)
     m = config.m
 
+    @functools.lru_cache(maxsize=None)
+    def state_at(chunks: tuple[int, ...]):
+        return driver.advance(state_at(chunks[:-m]), sum(chunks[-m:]), m) if chunks else driver.start()
+
     def step_fn(prefix: tuple[int, ...]):
-        driver = PCSolverDriver(hops, size, config)
-        transcript = Transcript()
-        action = driver.next_round(transcript, None)
-        for chunk_index in range(len(prefix) // m):
-            if isinstance(action, Halt):
-                break
-            chunk = prefix[chunk_index * m : (chunk_index + 1) * m]
-            record = RoundRecord(
-                round_index=chunk_index,
-                users=action.users,
-                randomizer_ids=(action.queries.descriptor,) * m,
-                epsilons=(config.epsilon,) * m,
-                outputs=chunk,
-            )
-            transcript = transcript.extended(record)
-            action = driver.next_round(transcript, None)
+        action = driver.decide(state_at(prefix[: len(prefix) - len(prefix) % m]))
         if isinstance(action, Halt):
             return Answer(lambda _transcript, answer=action.answer: answer)
         return action.queries
@@ -237,7 +202,7 @@ def pc_one_bit_view(hops: int, size: int, config: PCSolverConfig, data_pair: tup
         epsilon=config.epsilon,
         data_pair=data_pair,
         step_fn=step_fn,
-        max_users=PCSolverDriver(hops, size, config).users_required,
+        max_users=driver.users_required,
     )
 
 

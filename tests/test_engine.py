@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ldpsim._rng import response_uniform
 from ldpsim.engine import (
+    CountDriver,
     DivergenceError,
     Halt,
     InteractivityMode,
@@ -58,6 +59,25 @@ class QueryScript(ProtocolDriver):
         if len(transcript.rounds) >= len(self.script):
             return Halt(len(transcript.rounds))
         return RoundSpec(users=self.script[len(transcript.rounds)], queries=self.query)
+
+
+class CountsSeen(CountDriver):
+    """Asks users 0-2 in each of three rounds and halts with the counts of
+    1s it saw; ``steps`` counts every ``advance``."""
+
+    def __init__(self, query):
+        self.query = query
+        self.steps = 0
+
+    def start(self):
+        return ()
+
+    def decide(self, counts):
+        return Halt(counts) if len(counts) == 3 else RoundSpec(users=range(3), queries=self.query)
+
+    def advance(self, counts, ones, asked):
+        self.steps += 1
+        return counts + (ones,)
 
 
 class NeverHalts(ProtocolDriver):
@@ -110,7 +130,7 @@ def test_sample_population_balanced_at_10000():
     # Hoeffding: deviation beyond 0.05 has probability < 0.001 per seed
     for seed in range(5):
         pop = sample_population(10_000, "A", "B", seed=seed)
-        assert 0.45 <= pop.alice_fraction() <= 0.55
+        assert 0.45 <= np.mean(pop.side_codes == 0) <= 0.55
 
 
 def test_sample_population_deterministic():
@@ -134,15 +154,15 @@ def test_population_accepts_bool_and_list_side_codes():
     for codes in (np.array([True, False, True]), [1, 0, 1], (1.0, 0.0, 1.0)):
         pop = Population(codes, "A", "B", seed=1)
         assert pop.side_codes.dtype == np.uint8 and pop.side_codes.tolist() == [1, 0, 1]
-        assert [datum.payload for _uid, datum in pop.users] == ["B", "A", "B"]
+        assert [pop.datum(uid).payload for uid in range(pop.size)] == ["B", "A", "B"]
 
 
 def test_population_shares_payload_objects(population):
-    users = population.users
-    assert len(users) == 10
-    sides = {uid: datum.side for uid, datum in users}
-    for uid, datum in users:
-        assert datum.payload == ("A" if sides[uid] is Side.ALICE else "B")
+    assert population.size == 10
+    for uid in range(population.size):
+        datum = population.datum(uid)
+        assert datum is (population.alice_datum if datum.side is Side.ALICE else population.bob_datum)
+        assert datum.payload == ("A" if datum.side is Side.ALICE else "B")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +273,21 @@ def test_execute_immediate_halt(population):
     assert result.answer == "done"
     assert round_complexity(result.transcript) == 0
     assert sample_complexity(result.transcript) == 0
+
+
+def test_count_driver_folds_each_round_once_and_restarts_on_a_new_transcript(population):
+    driver = CountsSeen(LawQuery(1.0, "half", lambda datum: 0.5))
+    runs = [execute(driver, population, InteractivityMode.FULL, seed=seed) for seed in (1, 2, 3)]
+    for result in runs:
+        assert result.answer == tuple(int(r.outputs.sum()) for r in result.transcript.rounds)
+    assert len({result.answer for result in runs}) > 1  # the runs differ, so no state leaked
+    assert driver.steps == 3 * 3
+    # a transcript that does not extend the last one folded is folded from the start
+    other = Transcript(tuple(record(i, [0, 1, 2], [1, 1, 0]) for i in range(3)))
+    assert driver.next_round(other, None).answer == (2, 2, 2)
+    assert driver.steps == 3 * 3 + 3
+    assert isinstance(driver.next_round(Transcript(other.rounds[:1]), None), RoundSpec)
+    assert driver.steps == 3 * 3 + 3 + 1
 
 
 def test_sequential_reuse_is_a_violation(population, query):

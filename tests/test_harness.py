@@ -1,9 +1,10 @@
 import io
 
+import numpy as np
 import pytest
 
 from ldpsim._rng import derive_key
-from ldpsim.engine import InteractivityMode
+from ldpsim.engine import InteractivityMode, round_complexity
 from ldpsim.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -84,6 +85,21 @@ def test_build_trial_wiring(cfg, mode, pop_size):
     assert trial.execution_seed == derive_key(99, "execution")
     again = build_trial(cfg, 99)
     assert again.execute().transcript == trial.execute().transcript
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [hl_config(group_size=20), hl_config(solver="hl-baseline", group_size=20), pc_config(group_size=4)],
+)
+def test_trial_executes_again_with_the_same_result(cfg):
+    trial = build_trial(cfg, 5)
+    first, second = trial.execute(), trial.execute()
+    assert round_complexity(first.transcript) > 1
+    assert second.transcript == first.transcript
+    assert second.answer == first.answer
+    first_audit, second_audit = trial.audit(first).per_user, trial.audit(second).per_user
+    assert np.array_equal(second_audit.user_ids, first_audit.user_ids)
+    assert np.array_equal(second_audit.ratios, first_audit.ratios)
 
 
 def test_threshold_none_keeps_solver_default():

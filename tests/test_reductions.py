@@ -202,7 +202,7 @@ def test_distribution_sums_to_one_and_guards():
     with pytest.raises(ValueError):
         TranscriptDistribution({"0": 0.4, "1": 0.4})
     dist = TranscriptDistribution({"0": 0.5, "1": 0.5})
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_serialize_round_trip():

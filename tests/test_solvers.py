@@ -14,8 +14,9 @@ from ldpsim.engine import (
     sample_complexity,
     sample_population,
 )
-from ldpsim.problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent
+from ldpsim.problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent, pointer_bits
 from ldpsim.randomizers import audit_transcript, debias
+from ldpsim.reductions import enumerate_onebit_distribution
 from ldpsim.solvers import (
     DecodeFailure,
     HLSolverConfig,
@@ -24,6 +25,7 @@ from ldpsim.solvers import (
     PCSolverDriver,
     hl_sample_bound,
     pc_group_bound,
+    pc_one_bit_view,
 )
 
 LN3 = math.log(3.0)
@@ -197,6 +199,32 @@ def test_pc_exact_threshold_resolves_to_zero_bit():
     assert follow_up.queries.predicate.location == 1
 
 
+@pytest.mark.parametrize("hops, size, m", [(1, 4, 2), (2, 5, 1)])
+def test_pc_one_bit_view_folds_each_chunk_prefix_once(monkeypatch, hops, size, m):
+    steps = []
+    advance = PCSolverDriver.advance
+
+    def counted(self, state, ones, asked):
+        steps.append(state)
+        return advance(self, state, ones, asked)
+
+    monkeypatch.setattr(PCSolverDriver, "advance", counted)
+    inst = gen_pc_instance(hops, size, seed=31)
+    view = pc_one_bit_view(hops, size, PCSolverConfig(epsilon=1.0, m=m), inst.data_pair())
+    step_fn, reached = view.step_fn, set()
+
+    def recorded(prefix):
+        reached.add(prefix[: len(prefix) - len(prefix) % m])
+        return step_fn(prefix)
+
+    view.step_fn = recorded
+    enumerate_onebit_distribution(view)
+    reached.discard(())
+    # one step per distinct full-chunk prefix: a path of d chunks costs d steps
+    assert len(steps) == len(reached)
+    assert max(map(len, reached)) == (hops + 1) * pointer_bits(size) * m
+
+
 def test_pc_group_bound_pinned():
     assert pc_group_bound(1.0, 3, 16, beta=1 / 6) == 2366
 
@@ -244,6 +272,20 @@ def test_baseline_matches_full_walk_given_same_estimates():
     _pop, full = run_hl(inst, config, seed=18)
     _pop, base = run_hl(inst, config, seed=19, fresh_groups=True)
     assert full.answer == base.answer
+
+
+def test_hl_driver_runs_two_populations_in_turn():
+    inst = gen_hl_instance(3, 4, seed=21)
+    config = HLSolverConfig(epsilon=2.0, n=40)
+    shared = HLSolverDriver(3, 4, config)
+    alice, bob = inst.data_pair()
+    for seed in (1, 2):
+        pop = sample_population(config.n, alice.payload, bob.payload, derive_key(seed, "pop"))
+        again = execute(shared, pop, InteractivityMode.FULL, derive_key(seed, "exec"))
+        fresh = execute(HLSolverDriver(3, 4, config), pop, InteractivityMode.FULL, derive_key(seed, "exec"))
+        assert round_complexity(again.transcript) > 1
+        assert again.transcript == fresh.transcript
+        assert again.answer == fresh.answer
 
 
 def _walk_on_fixed_votes(driver, vote):
