@@ -28,7 +28,7 @@ from .channels import (
 from .engine import Datum, Side
 from .harness import ExperimentConfig, HLShape, PCShape, build_trial, run_experiment
 from .problems import PCInstance, chase_pointers, gen_hl_instance, hl_count_consistent
-from .randomizers import AUDIT_SLACK, LawQuery, debias, estimation_halfwidth, rr_param
+from .randomizers import AUDIT_SLACK, _by_side_query, debias, estimation_halfwidth, rr_param
 from .reductions import (
     Answer,
     OneBitSequence,
@@ -232,17 +232,6 @@ def _lift_equivalence() -> tuple[bool, str]:
     return ok, f"{checked} protocol/input comparisons, worst TV {worst:.3e}"
 
 
-def _law_query(epsilon: float, name: str, p_alice: float, p_bob: float) -> LawQuery:
-    def law(datum: Datum) -> float:
-        if datum.side is Side.ALICE:
-            return p_alice
-        if datum.side is Side.BOB:
-            return p_bob
-        return 0.5
-
-    return LawQuery(epsilon=epsilon, descriptor=name, law_fn=law)
-
-
 def _lower_equivalence() -> tuple[bool, str]:
     """Entered-bit distributions of lowered two-party protocols match every
     2-user one-bit protocol built from randomized-response and constant-law
@@ -257,7 +246,7 @@ def _lower_equivalence() -> tuple[bool, str]:
             for va, vb in product((0, 1), repeat=2)
         ] + [(0.3, 0.3), (0.7, 0.7)]
         fixtures = [
-            _law_query(epsilon, f"law-{i}", pa, pb) for i, (pa, pb) in enumerate(laws)
+            _by_side_query(epsilon, f"law-{i}", pa, pb) for i, (pa, pb) in enumerate(laws)
         ]
         for first, on_zero, on_one in product(fixtures, repeat=3):
 

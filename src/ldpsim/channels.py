@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _checked_budget
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -50,18 +52,14 @@ def bsc_transmit(bit: int, spec: ChannelSpec, rng: np.random.Generator) -> int:
 def lift_crossover(epsilon: float) -> float:
     """Channel advantage induced by lifting a budget-epsilon randomized
     response onto one channel bit: (e^eps - 1) / (4 (e^eps + 1))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    e = math.exp(epsilon)
+    e = math.exp(_checked_budget(epsilon))
     return (e - 1.0) / (4.0 * (e + 1.0))
 
 
 def lower_crossover(epsilon: float) -> float:
     """Channel advantage required when lowering a one-bit-per-user protocol
     to two parties: (e^eps - 1) / (2 (e^eps + 1)), twice the lift value."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    e = math.exp(epsilon)
+    e = math.exp(_checked_budget(epsilon))
     return (e - 1.0) / (2.0 * (e + 1.0))
 
 

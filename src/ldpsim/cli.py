@@ -36,7 +36,7 @@ from .problems import (
     hl_count_consistent,
     write_instance,
 )
-from .randomizers import LawQuery, write_audit_report
+from .randomizers import _by_side_query, write_audit_report
 from .reductions import (
     Answer,
     TableProtocol,
@@ -176,15 +176,7 @@ def parse_onebit_file(lines: Iterable[str]):
             raise ValueError(f"line {lineno}: expected a 'user' row, got {first!r}")
         fields = _fields(lineno, words)
         p_alice, p_bob = _probability(lineno, fields, "p_alice"), _probability(lineno, fields, "p_bob")
-
-        def law(datum: Datum, pa=p_alice, pb=p_bob) -> float:
-            if datum.side is Side.ALICE:
-                return pa
-            if datum.side is Side.BOB:
-                return pb
-            return 0.5
-
-        queries.append(LawQuery(epsilon=epsilon, descriptor=f"file-user-{i}", law_fn=law))
+        queries.append(_by_side_query(epsilon, f"file-user-{i}", p_alice, p_bob))
     if len(queries) != num_users:
         raise ValueError(f"line {header_line}: users={num_users}, but the file has {len(queries)} user rows")
     pair = (Datum(Side.ALICE, "alice-input"), Datum(Side.BOB, "bob-input"))
@@ -254,31 +246,25 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.problem == "hl":
         if args.b is None or args.l is None or args.n is None:
             raise ValueError("hidden-layers runs need --b, --l and --n")
+        shape, group_size = HLShape(int(args.b), int(args.l)), args.n
         solver = "hl-baseline" if solver_flag == "baseline" else "hl-full"
-        return ExperimentConfig(
-            problem=HLShape(int(args.b), int(args.l)),
-            solver=solver,
-            epsilon=float(args.eps),
-            trials=int(args.trials),
-            seed=int(args.seed),
-            group_size=int(args.n),
-            threshold=args.threshold,
-        )
-    if args.problem == "pc":
+    elif args.problem == "pc":
         if args.k is None or args.l is None or args.m is None:
             raise ValueError("pointer-chasing runs need --k, --l and --m")
         if solver_flag != "full":
             raise ValueError(f"--solver {solver_flag} applies only to --problem hl")
-        return ExperimentConfig(
-            problem=PCShape(int(args.k), int(args.l)),
-            solver="pc",
-            epsilon=float(args.eps),
-            trials=int(args.trials),
-            seed=int(args.seed),
-            group_size=int(args.m),
-            threshold=args.threshold,
-        )
-    raise ValueError(f"unknown problem {args.problem!r}")
+        shape, group_size, solver = PCShape(int(args.k), int(args.l)), args.m, "pc"
+    else:
+        raise ValueError(f"unknown problem {args.problem!r}")
+    return ExperimentConfig(
+        problem=shape,
+        solver=solver,
+        epsilon=float(args.eps),
+        trials=int(args.trials),
+        seed=int(args.seed),
+        group_size=int(group_size),
+        threshold=args.threshold,
+    )
 
 
 def _cmd_run(args) -> int:

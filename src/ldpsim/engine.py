@@ -262,9 +262,10 @@ def sample_complexity(transcript: Transcript) -> int:
 
 
 def _checked_budget(epsilon) -> float:
+    """``epsilon`` as a float; the one check of every privacy budget."""
     epsilon = float(epsilon)
     if not (epsilon > 0 and math.isfinite(epsilon)):  # also rejects NaN
-        raise ValueError("epsilons must be strictly positive and finite")
+        raise ValueError("epsilon must be positive and finite")
     return epsilon
 
 

@@ -21,6 +21,7 @@ from .engine import (
     LdpSimError,
     Population,
     ProtocolDriver,
+    _checked_budget,
     execute,
     round_complexity,
     sample_complexity,
@@ -70,8 +71,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _checked_budget(self.epsilon)
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
         if self.solver in (HL_FULL, HL_BASELINE):
@@ -90,8 +90,6 @@ class ExperimentResult:
 
     success_count: int
     trials: int
-    success_rate: float
-    wilson_ci_95: tuple[float, float]
     mean_sample_complexity: float
     mean_round_complexity: float
     max_user_audit: float
@@ -100,15 +98,18 @@ class ExperimentResult:
     decode_failure_count: int
     engine_error_count: int
 
-    def __post_init__(self):
-        if self.success_rate != self.success_count / self.trials:
-            raise ValueError("success_rate must equal success_count / trials")
-        lo, hi = self.wilson_ci_95
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("confidence bounds must lie in [0, 1]")
+    @property
+    def success_rate(self) -> float:
+        return self.success_count / self.trials
 
-    def to_dict(self, include_wall_time: bool = True) -> dict[str, Any]:
-        out = {
+    @property
+    def wilson_ci_95(self) -> tuple[float, float]:
+        return wilson_interval(self.success_count, self.trials)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The result's data columns; ``wall_time`` is left out, so the
+        dict is reproducible from the config and seed alone."""
+        return {
             "success_count": self.success_count,
             "trials": self.trials,
             "success_rate": self.success_rate,
@@ -121,13 +122,11 @@ class ExperimentResult:
             "decode_failure_count": self.decode_failure_count,
             "engine_error_count": self.engine_error_count,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
@@ -241,12 +240,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     start = time.perf_counter()
     outcomes = [_run_trial(cfg, t) for t in range(cfg.trials)]
-    successes = sum(o["success"] for o in outcomes)
     return ExperimentResult(
-        success_count=successes,
+        success_count=sum(o["success"] for o in outcomes),
         trials=cfg.trials,
-        success_rate=successes / cfg.trials,
-        wilson_ci_95=wilson_interval(successes, cfg.trials),
         mean_sample_complexity=sum(o["samples"] for o in outcomes) / cfg.trials,
         mean_round_complexity=sum(o["rounds"] for o in outcomes) / cfg.trials,
         max_user_audit=max(o["max_audit"] for o in outcomes),
@@ -342,11 +338,7 @@ def result_rows(
         row = _config_echo(cfg if axis == "" else _with_axis(cfg, axis, value))
         row["axis"] = axis
         row["axis_value"] = "" if axis == "" else value
-        row.update(
-            (k, v)
-            for k, v in result.to_dict(include_wall_time=False).items()
-            if k in CSV_COLUMNS
-        )
+        row.update(result.to_dict())
         rows.append(row)
     return rows
 

@@ -114,11 +114,11 @@ def hl_consistent(path: Sequence[int], inst: HLInstance) -> bool:
     )
 
 
-def hl_count_consistent(inst: HLInstance, guard: int = ENUMERATION_GUARD) -> int:
+def hl_count_consistent(inst: HLInstance) -> int:
     """Exact consistent-leaf count by brute-force enumeration of all leaves."""
     leaves = inst.branching**inst.num_levels
-    if leaves > guard:
-        raise ValueError(f"{leaves} leaves exceed the enumeration guard {guard}")
+    if leaves > ENUMERATION_GUARD:
+        raise ValueError(f"{leaves} leaves exceed the enumeration guard {ENUMERATION_GUARD}")
     return sum(1 for path in product(range(inst.branching), repeat=inst.num_levels) if hl_consistent(path, inst))
 
 

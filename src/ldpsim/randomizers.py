@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Transcript, _column
+from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Side, Transcript, _checked_budget, _column
 
 
 # how far above its budget an audit value may sit and still pass: float
@@ -31,20 +31,13 @@ class AuditError(LdpSimError):
     """The transcript cannot be audited (missing query, bad predicate)."""
 
 
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    return epsilon
-
-
 def rr_param(vote: int, epsilon: float) -> float:
     """Bernoulli parameter of randomized response for a 0/1 vote.
 
     Returns e^eps / (e^eps + 1) for a 1-vote and 1 / (e^eps + 1) for a
     0-vote, evaluated in overflow-safe form.
     """
-    _check_epsilon(epsilon)
+    _checked_budget(epsilon)
     if vote:
         return 1.0 / (1.0 + math.exp(-epsilon))
     return math.exp(-epsilon) / (1.0 + math.exp(-epsilon))
@@ -56,20 +49,6 @@ def _rr_laws(epsilon: float) -> tuple[float, float]:
     return rr_param(0, epsilon), rr_param(1, epsilon)
 
 
-@dataclass(frozen=True)
-class RRResponse:
-    """A single randomized-response bit plus the parameter that produced it."""
-
-    bit: int
-    bernoulli_param: float
-
-
-def rr_sample(vote: int, epsilon: float, rng: np.random.Generator) -> RRResponse:
-    """Draw one randomized-response bit for ``vote`` at budget ``epsilon``."""
-    param = rr_param(vote, epsilon)
-    return RRResponse(bit=int(rng.random() < param), bernoulli_param=param)
-
-
 def debias(sum_y: int, n: int, epsilon: float) -> float:
     """Unbiased estimate of the true 1-vote fraction from a response sum.
 
@@ -77,7 +56,7 @@ def debias(sum_y: int, n: int, epsilon: float) -> float:
         (1/n) * (e^eps + 1)/(e^eps - 1) * (sum_y - n/(e^eps + 1)).
     The result may fall outside [0, 1].
     """
-    _check_epsilon(epsilon)
+    _checked_budget(epsilon)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= sum_y <= n:
@@ -89,7 +68,7 @@ def debias(sum_y: int, n: int, epsilon: float) -> float:
 def estimation_halfwidth(epsilon: float, n: int, beta: float) -> float:
     """High-probability half-width of the debiased estimate:
     (eps+2)/(eps*sqrt(2)) * sqrt(ln(4/beta)/n), valid with prob >= 1-beta."""
-    _check_epsilon(epsilon)
+    _checked_budget(epsilon)
     return (epsilon + 2.0) / (epsilon * math.sqrt(2.0)) * math.sqrt(math.log(4.0 / beta) / n)
 
 
@@ -105,7 +84,7 @@ class RRQuery:
     predicate: Any
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        _checked_budget(self.epsilon)
 
     @property
     def descriptor(self) -> str:
@@ -150,7 +129,7 @@ class LawQuery:
     law_fn: Callable[[Datum], float]
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        _checked_budget(self.epsilon)
 
     def law(self, datum: Datum) -> float:
         param = float(self.law_fn(datum))
@@ -166,6 +145,20 @@ class LawQuery:
         ``data[j]``, for i in 0 and 1, with each datum's law read once."""
         laws = [self.law(datum) for datum in data]
         return np.array([[_law_log_ratio(mine, law) for law in laws] for mine in laws[:2]])
+
+
+def _by_side_query(epsilon: float, descriptor: str, p_alice: float, p_bob: float) -> LawQuery:
+    """A :class:`LawQuery` with law ``p_alice`` on Alice's side, ``p_bob`` on
+    Bob's side and 1/2 on any other datum."""
+
+    def law(datum: Datum) -> float:
+        if datum.side is Side.ALICE:
+            return p_alice
+        if datum.side is Side.BOB:
+            return p_bob
+        return 0.5
+
+    return LawQuery(epsilon=epsilon, descriptor=descriptor, law_fn=law)
 
 
 def _law_log_ratio(p: float, q: float) -> float:
@@ -306,7 +299,6 @@ class AuditReport:
     """
 
     per_user: Mapping[int, float]
-    worst_user: int | None
 
     def __setattr__(self, name, value):
         if name == "per_user":
@@ -316,14 +308,12 @@ class AuditReport:
     def max_ratio(self) -> float:
         return self.per_user.max()
 
-    def __post_init__(self):
-        if self.per_user:
-            if self.worst_user not in self.per_user:
-                raise ValueError("worst_user must appear in the report")
-            if self.per_user[self.worst_user] != self.max_ratio():
-                raise ValueError("worst_user must attain the per-user maximum")
-        elif self.worst_user is not None:
-            raise ValueError("empty report cannot name a worst user")
+    @property
+    def worst_user(self) -> int | None:
+        """The lowest user id that attains the maximum, None when empty."""
+        values = self.per_user
+        # argmax takes the first maximum, and the id column is ascending
+        return int(values.user_ids[np.argmax(values.ratios)]) if len(values) else None
 
 
 def audit_transcript(transcript: Transcript, population: Population, query_log: dict[str, Any]) -> AuditReport:
@@ -381,7 +371,7 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
             term = term.reshape(2, -1, len(data))
         terms.append(term)
     if not terms:
-        return AuditReport(per_user=AuditValues([], []), worst_user=None)
+        return AuditReport(per_user=AuditValues([], []))
 
     # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
     # the running total of terms against data[j] for its users on that side
@@ -409,9 +399,7 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
         audited = np.repeat(covered, lengths)
         uids, pair_of = uids[audited], pair_of[audited]
     maxima = best.take(pair_of + population.side_codes[uids])
-    # argmax takes the first maximum, i.e. the lowest uid on ties
-    worst_user = int(uids[np.argmax(maxima)])
-    return AuditReport(per_user=AuditValues._trusted(uids, maxima), worst_user=worst_user)
+    return AuditReport(per_user=AuditValues._trusted(uids, maxima))
 
 
 def write_audit_report(report: AuditReport, declared_epsilon: float, stream: TextIO) -> None:

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
-from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side
-from .randomizers import LawQuery, _check_epsilon, rr_param
+from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side, _checked_budget
+from .randomizers import LawQuery, rr_param
 
 ENUMERATION_GUARD = 2**20
 _PROB_SLACK = 1e-9
@@ -148,22 +148,6 @@ class TranscriptDistribution:
     def serialize(self, stream: TextIO) -> None:
         for key in sorted(self.probs):
             stream.write(f"{key if key else '-'} {self.probs[key]!r}\n")
-
-    @classmethod
-    def parse(cls, lines: Iterable[str]) -> "TranscriptDistribution":
-        probs: dict[str, float] = {}
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 'transcript probability', got {line.strip()!r}")
-            key, value = fields
-            try:
-                probs["" if key == "-" else key] = float(value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: probability {value!r} is not a number") from None
-        return cls(probs)
 
 
 def _key(prefix: tuple[int, ...]) -> str:
@@ -352,7 +336,7 @@ class LiftedDriver(CountDriver, OneBitLDPProtocol):
                 f"the lift value {expected} for epsilon={epsilon}"
             )
         self.protocol = protocol
-        self.epsilon = _check_epsilon(epsilon)
+        self.epsilon = _checked_budget(epsilon)
         self.data_pair = data_pair
         self.max_users = protocol.max_bits
 
@@ -531,19 +515,12 @@ class SimultaneousProtocol(TwoPartyProtocol):
     player's next-bit probability from the pairs published so far. As a
     two-party protocol it runs over the flattened transcript a1 b1 a2 b2 ...,
     in which Bob's bit of a round does not depend on Alice's bit of that
-    round; it halts with the pairs. Answer functions map (input, pairs) to
-    the player's final output; the default announces the transcript itself.
+    round; it halts with the pairs.
     """
 
     num_rounds: int
     alice_param: Callable[[Any, tuple[tuple[int, int], ...]], float]
     bob_param: Callable[[Any, tuple[tuple[int, int], ...]], float]
-    alice_answer: Callable[[Any, tuple[tuple[int, int], ...]], Any] = field(
-        default=lambda _inp, pairs: pairs
-    )
-    bob_answer: Callable[[Any, tuple[tuple[int, int], ...]], Any] = field(
-        default=lambda _inp, pairs: pairs
-    )
     channel = NOISELESS
 
     def __post_init__(self):
@@ -568,8 +545,7 @@ class AlternatingProtocol(TwoPartyProtocol):
     ``rounds`` lists (speaker, bit count) per alternating round;
     ``positions`` maps each flat bit position to (speaker, index in that
     speaker's original sequence). The protocol runs noiselessly over the
-    flat bit transcript and halts with the source's pairs. Answer functions
-    are the source's, unchanged.
+    flat bit transcript and halts with the source's pairs.
     """
 
     source: SimultaneousProtocol
@@ -607,13 +583,6 @@ class AlternatingProtocol(TwoPartyProtocol):
         speaker, t = self.positions[len(prefix)]
         param = self.source.alice_param if speaker is Side.ALICE else self.source.bob_param
         return _bit_step(speaker, param, self.pairs_from(prefix, upto=t))
-
-    def answers(self, alt_bits: Sequence[int], alice_input, bob_input) -> tuple[Any, Any]:
-        pairs = self.pairs_from(alt_bits)
-        return (
-            self.source.alice_answer(alice_input, pairs),
-            self.source.bob_answer(bob_input, pairs),
-        )
 
 
 def simultaneous_to_alternating(protocol: SimultaneousProtocol) -> AlternatingProtocol:

@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .engine import CountDriver, Datum, Halt, RoundSpec, Side
+from .engine import CountDriver, Datum, Halt, RoundSpec, Side, _checked_budget
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, debias
 from .reductions import Answer, OneBitSequence
@@ -38,8 +38,7 @@ class HLSolverConfig:
     threshold: float = 0.2
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
+        _checked_budget(self.epsilon)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0 < self.threshold < 0.5:
@@ -59,8 +58,7 @@ class PCSolverConfig:
     threshold: float = 0.15
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
+        _checked_budget(self.epsilon)
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0 < self.threshold < 0.5:

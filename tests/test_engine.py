@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpsim._rng import response_uniform
+from ldpsim.channels import lift_crossover, lower_crossover
 from ldpsim.engine import (
     CountDriver,
     DivergenceError,
@@ -27,8 +28,10 @@ from ldpsim.engine import (
     sample_population,
     write_transcript,
 )
+from ldpsim.harness import ExperimentConfig, HLShape
 from ldpsim.problems import HLEdgePredicate
-from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript
+from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, debias, rr_param
+from ldpsim.solvers import HLSolverConfig, PCSolverConfig
 from test_randomizers import _reference_audit
 
 
@@ -181,10 +184,31 @@ def test_round_record_validation():
         RoundRecord(0, (1,), ("q",), (math.inf,), (0,))
     # a broadcast budget column is checked through its one value
     for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="epsilons"):
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
             RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(bad), (3,)), (0, 1, 0))
     shared = RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(0.5), (3,)), (0, 1, 0))
     assert shared == RoundRecord(0, (1, 2, 3), ("q",) * 3, (0.5,) * 3, (0, 1, 0))
+
+
+BUDGET_ENTRY_POINTS = {
+    "RoundRecord": lambda eps: RoundRecord(0, (1,), ("q",), (eps,), (0,)),
+    "rr_param": lambda eps: rr_param(1, eps),
+    "debias": lambda eps: debias(1, 2, eps),
+    "RRQuery": lambda eps: RRQuery(eps, HLEdgePredicate(0, (), 0)),
+    "LawQuery": lambda eps: LawQuery(eps, "q", lambda d: 0.5),
+    "HLSolverConfig": lambda eps: HLSolverConfig(eps, 10),
+    "PCSolverConfig": lambda eps: PCSolverConfig(eps, 10),
+    "ExperimentConfig": lambda eps: ExperimentConfig(HLShape(2, 3), "hl-full", eps, 1, 0, 10),
+    "lift_crossover": lift_crossover,
+    "lower_crossover": lower_crossover,
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_every_budget_check_rejects_with_one_message(entry, bad):
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        BUDGET_ENTRY_POINTS[entry](bad)
 
 
 def test_round_record_columns_are_read_only_arrays(population, query):

@@ -9,6 +9,7 @@ from ldpsim._rng import substream
 from ldpsim.channels import ChannelSpec, bsc, bsc_transmit, lift_channel, lower_crossover
 from ldpsim.engine import Datum, InteractivityMode, Side, execute, sample_population
 from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
+from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
     Answer,
     CAP_ABORTED,
@@ -39,17 +40,6 @@ def one_bit_protocol(sender: Side, f, channel) -> TableProtocol:
         param_fn=lambda inp, prefix: float(f(inp)),
         channel=channel,
     )
-
-
-def law_query(epsilon, name, p_alice, p_bob) -> LawQuery:
-    def law(datum):
-        if datum.side is Side.ALICE:
-            return p_alice
-        if datum.side is Side.BOB:
-            return p_bob
-        return 0.5
-
-    return LawQuery(epsilon=epsilon, descriptor=name, law_fn=law)
 
 
 PAIR = (Datum(Side.ALICE, "x"), Datum(Side.BOB, "y"))
@@ -208,26 +198,14 @@ def test_distribution_sums_to_one_and_guards():
 def test_distribution_serialize_round_trip():
     import io
 
-    dist = TranscriptDistribution({"": 0.25, "01": 0.75})
+    dist = TranscriptDistribution({"01": 0.7, "": 0.3})
     buffer = io.StringIO()
     dist.serialize(buffer)
-    parsed = TranscriptDistribution.parse(io.StringIO(buffer.getvalue()))
-    assert parsed.probs == dist.probs
-    assert dist.tv_distance(parsed) == 0.0
-
-
-def test_distribution_parse_names_the_bad_line():
-    with pytest.raises(ValueError, match="line 2: expected"):
-        TranscriptDistribution.parse(["0 0.5", "1", "11 0.5"])
-    with pytest.raises(ValueError, match="line 1: expected"):
-        TranscriptDistribution.parse(["0 0.5 0.5", "1 0.5"])
-    with pytest.raises(ValueError, match=r"line 3: probability 'half' is not a number"):
-        TranscriptDistribution.parse(["0 0.5", "", "1 half"])
-
-
-def test_distribution_parse_skips_blank_lines():
-    parsed = TranscriptDistribution.parse(["", "- 0.25\n", "  ", "01 0.75\n"])
-    assert parsed.probs == {"": 0.25, "01": 0.75}
+    # sorted keys, "-" for the empty transcript, and repr probabilities that read back exactly
+    assert buffer.getvalue() == "- 0.3\n01 0.7\n"
+    rows = (line.split() for line in buffer.getvalue().splitlines())
+    parsed = TranscriptDistribution({("" if key == "-" else key): float(prob) for key, prob in rows})
+    assert parsed.probs == dist.probs and dist.tv_distance(parsed) == 0.0
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3, 6])
@@ -584,23 +562,17 @@ def test_transform_preserves_distribution_randomized():
         assert tv <= 1e-12
 
 
-def test_transform_keeps_answer_functions():
+def test_transform_answers_with_the_source_pairs():
     protocol = SimultaneousProtocol(
         num_rounds=2,
         alice_param=lambda _inp, pairs: 1.0,
         bob_param=lambda _inp, pairs: 0.0,
-        alice_answer=lambda inp, pairs: ("alice", inp, pairs),
-        bob_answer=lambda inp, pairs: ("bob", inp, pairs),
     )
     alternating = simultaneous_to_alternating(protocol)
-    assert alternating.source.alice_answer is protocol.alice_answer
     dist = enumerate_transcript_distribution(alternating, 1, 0)
     (bits,) = [k for k, v in dist.probs.items() if v == 1.0]
     bits = tuple(int(b) for b in bits)
     assert alternating.action(bits).fn(bits) == ((1, 0), (1, 0))
-    a_ans, b_ans = alternating.answers(bits, 1, 0)
-    assert a_ans == ("alice", 1, ((1, 0), (1, 0)))
-    assert b_ans == ("bob", 0, ((1, 0), (1, 0)))
 
 
 def test_transform_dependency_order_sound():
