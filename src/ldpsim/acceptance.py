@@ -48,6 +48,8 @@ EXACT_TV = 1e-12
 # one ulp of the closed-form values 1/8 and 1/4
 CHANNEL_ULP = 1e-15
 
+# the budget of every run of :func:`_experiment`
+_EPSILON = 1.0
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 
@@ -68,6 +70,12 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _experiment(problem, solver: str, trials: int, label: str, group_size: int):
+    """A run at :data:`_EPSILON`, seeded from ``label``."""
+    seed = derive_key(ACCEPTANCE_SEED, label)
+    return run_experiment(ExperimentConfig(problem, solver, _EPSILON, trials, seed, group_size))
 
 
 def _audit_run(problem, solver: str, seed: int, epsilon: float, group_size: int):
@@ -107,41 +115,23 @@ def _privacy_exactness() -> tuple[bool, str]:
 
 
 def _pc_accuracy() -> tuple[bool, str]:
-    epsilon, hops, size, trials = 1.0, 3, 16, 300
-    m = pc_group_bound(epsilon, hops, size, beta=1.0 / 6.0)
-    result = run_experiment(
-        ExperimentConfig(
-            problem=PCShape(hops, size),
-            solver="pc",
-            epsilon=epsilon,
-            trials=trials,
-            seed=derive_key(ACCEPTANCE_SEED, "c2"),
-            group_size=m,
-        )
-    )
+    hops, size, trials = 3, 16, 300
+    m = pc_group_bound(_EPSILON, hops, size, beta=1.0 / 6.0)
+    result = _experiment(PCShape(hops, size), "pc", trials, "c2", m)
     low = result.wilson_ci_95[0]
     ok = result.success_rate >= 5.0 / 6.0 and low >= 0.75
     return ok, f"m={m}, success {result.success_count}/{trials}, wilson low {low:.4f}"
 
 
 def _hl_accuracy() -> tuple[bool, str]:
-    epsilon, branching, num_levels, trials = 1.0, 4, 9, 200
+    branching, num_levels, trials = 4, 9, 200
     beta = 0.1
-    n = hl_sample_bound(epsilon, branching, beta=beta)
-    eps2 = epsilon / 2.0
+    n = hl_sample_bound(_EPSILON, branching, beta=beta)
+    eps2 = _EPSILON / 2.0
     factor = ((eps2 + 2.0) / (eps2 * math.sqrt(2.0))) ** 2
     assert n > 100.0 * factor * (2 * math.ceil(math.log2(branching)) + 2 + math.log(1.0 / beta))
     assert n > 25.0 * math.log(4.0 / beta)
-    result = run_experiment(
-        ExperimentConfig(
-            problem=HLShape(branching, num_levels),
-            solver="hl-full",
-            epsilon=epsilon,
-            trials=trials,
-            seed=derive_key(ACCEPTANCE_SEED, "c3"),
-            group_size=n,
-        )
-    )
+    result = _experiment(HLShape(branching, num_levels), "hl-full", trials, "c3", n)
     low = result.wilson_ci_95[0]
     ok = result.success_rate >= 0.9 and low >= 0.8
     return ok, f"n={n}, consistent {result.success_count}/{trials}, wilson low {low:.4f}"
@@ -350,28 +340,10 @@ def _channel_math() -> tuple[bool, str]:
 
 
 def _interactivity_gap() -> tuple[bool, str]:
-    epsilon, branching, num_levels, trials = 1.0, 4, 9, 50
-    n = hl_sample_bound(epsilon, branching, beta=0.1)
-    full = run_experiment(
-        ExperimentConfig(
-            problem=HLShape(branching, num_levels),
-            solver="hl-full",
-            epsilon=epsilon,
-            trials=trials,
-            seed=derive_key(ACCEPTANCE_SEED, "c9-full"),
-            group_size=n,
-        )
-    )
-    baseline = run_experiment(
-        ExperimentConfig(
-            problem=HLShape(branching, num_levels),
-            solver="hl-baseline",
-            epsilon=epsilon,
-            trials=trials,
-            seed=derive_key(ACCEPTANCE_SEED, "c9-base"),
-            group_size=n,
-        )
-    )
+    branching, num_levels, trials = 4, 9, 50
+    n = hl_sample_bound(_EPSILON, branching, beta=0.1)
+    full = _experiment(HLShape(branching, num_levels), "hl-full", trials, "c9-full", n)
+    baseline = _experiment(HLShape(branching, num_levels), "hl-baseline", trials, "c9-base", n)
     ratio = baseline.mean_sample_complexity / n
     overlap = _intervals_overlap(full.wilson_ci_95, baseline.wilson_ci_95)
     ok = ratio >= num_levels - 1 and overlap

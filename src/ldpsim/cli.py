@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from contextlib import suppress
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -29,7 +30,6 @@ from .harness import (
     write_csv,
 )
 from .problems import (
-    ENUMERATION_GUARD,
     chase_pointers,
     gen_hl_instance,
     gen_pc_instance,
@@ -210,7 +210,7 @@ def _cmd_gen_instance(args) -> int:
     if args.kind == "hl":
         inst = gen_hl_instance(args.b, args.l, args.seed)
         write_instance(inst, buffer)
-        if inst.branching**inst.num_levels <= ENUMERATION_GUARD:
+        with suppress(ValueError):  # more leaves than the enumeration guard
             buffer.write(f"consistent_count {hl_count_consistent(inst)}\n")
     else:
         inst = gen_pc_instance(args.k, args.l, args.seed)
@@ -220,20 +220,31 @@ def _cmd_gen_instance(args) -> int:
     return 0
 
 
-_SOLVERS = ("full", "baseline")
 _MERGEABLE = ("b", "l", "k", "eps", "n", "m", "trials", "seed", "threshold", "solver", "problem")
 
 
 def _apply_config_file(args) -> None:
+    """Fill each flag left unset from the ``--config`` JSON file, parsing a
+    value as the flag parses the same text, through its ``type`` and
+    ``choices``."""
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as handle:
         defaults = json.load(handle)
+    flags = {action.dest: action for action in args.flags._actions}
     for key, value in defaults.items():
         if key not in _MERGEABLE:
             raise ValueError(f"unknown config file key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        if getattr(args, key, None) is not None:
+            continue
+        flag, text = flags[key], str(value)
+        try:
+            value = flag.type(text) if flag.type else text
+        except ValueError:
+            raise ValueError(f"config file key {key!r}: invalid {flag.type.__name__} value {text!r}") from None
+        if flag.choices is not None and value not in flag.choices:
+            raise ValueError(f"config file key {key!r}: unknown {key} {text!r}; choose from {', '.join(flag.choices)}")
+        setattr(args, key, value)
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -241,28 +252,24 @@ def _experiment_config(args) -> ExperimentConfig:
         if getattr(args, key, None) is None:
             raise ValueError(f"missing required option --{key}")
     solver_flag = args.solver or "full"
-    if solver_flag not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver_flag!r}; choose from {', '.join(_SOLVERS)}")
     if args.problem == "hl":
         if args.b is None or args.l is None or args.n is None:
             raise ValueError("hidden-layers runs need --b, --l and --n")
-        shape, group_size = HLShape(int(args.b), int(args.l)), args.n
+        shape, group_size = HLShape(args.b, args.l), args.n
         solver = "hl-baseline" if solver_flag == "baseline" else "hl-full"
-    elif args.problem == "pc":
+    else:
         if args.k is None or args.l is None or args.m is None:
             raise ValueError("pointer-chasing runs need --k, --l and --m")
         if solver_flag != "full":
             raise ValueError(f"--solver {solver_flag} applies only to --problem hl")
-        shape, group_size, solver = PCShape(int(args.k), int(args.l)), args.m, "pc"
-    else:
-        raise ValueError(f"unknown problem {args.problem!r}")
+        shape, group_size, solver = PCShape(args.k, args.l), args.m, "pc"
     return ExperimentConfig(
         problem=shape,
         solver=solver,
-        epsilon=float(args.eps),
-        trials=int(args.trials),
-        seed=int(args.seed),
-        group_size=int(group_size),
+        epsilon=args.eps,
+        trials=args.trials,
+        seed=args.seed,
+        group_size=group_size,
         threshold=args.threshold,
     )
 
@@ -442,11 +449,12 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, help="total per-user privacy budget")
     parser.add_argument("--n", type=int, help="population / per-query group size (hl)")
     parser.add_argument("--m", type=int, help="per-bit group size (pc)")
-    parser.add_argument("--solver", choices=_SOLVERS, help="default: full")
+    parser.add_argument("--solver", choices=("full", "baseline"), help="default: full")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
     parser.add_argument("--out")
+    parser.set_defaults(flags=parser)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

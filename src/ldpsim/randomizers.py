@@ -324,15 +324,16 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     problem's universe are not tried, so the value can fall below the true
     local-DP worst case.
 
-    The id axis is cut at both ends of every round that covers a slice of ids
-    with one descriptor, and around every id of any other round, so all users
-    of a segment are asked the same queries in the same order. Each round
-    looks up its terms once per distinct descriptor and gathers them by the
-    record's codes. The audit folds one vector of terms per (side, segment),
-    in round order from zero, which gives each user the same floats as a
-    user-by-user fold; a user listed twice in one round counts twice. Its
-    cost grows with rounds and segments, plus one gather over the audited
-    users at the end.
+    Each round splits into runs: maximal stretches of consecutive ascending
+    ids asked one descriptor. A round over a slice with one descriptor is one
+    run; any other round is split by one scan. The id axis is cut at both
+    ends of every run, so all users of a segment are asked the same queries
+    in the same order. Each round looks up its terms once per distinct
+    descriptor, and the audit adds each run's terms to its segments by
+    slice, in round order from zero, which gives each user the same floats
+    as a user-by-user fold; a user listed twice in one round falls in two
+    runs and counts twice. Its cost grows with runs and segments, plus one
+    gather over the audited users at the end.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
     row_pairs: dict[str, np.ndarray] = {}
@@ -352,42 +353,37 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
             row_pairs[descriptor] = rows
         return rows
 
-    # terms[r][side, ..., j]: round r's rows; (2, 3) for a round over a slice
-    # with one descriptor, else (2, 1 or len(users), 3)
-    # points: both ends of each such slice round, in round order; cuts: the
-    # cut arrays of every other round
-    terms, points, cuts = [], [], []
+    # terms[r]: the (2, 3) rows of run r; points: both ends of each run, in
+    # round order
+    terms, points = [], []
     for record in transcript.rounds:
-        index = record.index
-        top = index.stop - 1 if isinstance(index, slice) else index.max()
-        if top >= population.size:
-            raise AuditError("transcript names a user outside the population")
+        index, codes = record.index, record.codes
         rows = [rows_for(descriptor) for descriptor in record.descriptors]
-        term = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)[:, record.codes]
-        if isinstance(index, slice) and term.ndim == 2:
+        if isinstance(index, slice) and isinstance(codes, int):
+            terms.append(rows[codes])
             points += (index.start, index.stop)
-        else:
-            cuts += (record.users, record.users + 1)
-            term = term.reshape(2, -1, len(data))
-        terms.append(term)
+            continue
+        users, codes = record.users, np.broadcast_to(codes, record.users.shape)
+        # a run ends where the next id does not follow or the descriptor changes
+        breaks = (np.diff(users) != 1) | (np.diff(codes) != 0)
+        firsts = np.flatnonzero(np.concatenate(([True], breaks)))
+        lasts = np.append(firsts[1:], users.size) - 1
+        terms += map(rows.__getitem__, codes[firsts].tolist())
+        points += np.stack((users[firsts], users[lasts] + 1), axis=1).ravel().tolist()
     if not terms:
         return AuditReport(per_user=AuditValues([], []))
 
     # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
     # the running total of terms against data[j] for its users on that side
-    points = np.array(points, dtype=np.int64)
-    edges = np.unique(np.concatenate([points, *cuts]))
+    edges = np.unique(points)
+    if edges[-1] > population.size:
+        raise AuditError("transcript names a user outside the population")
     ends = iter(edges.searchsorted(points).tolist())
     sums = np.zeros((2, edges.size - 1, len(data)))
     covered = np.zeros(edges.size - 1, dtype=bool)
-    for record, term in zip(transcript.rounds, terms):
-        if term.ndim == 2:
-            segments = slice(next(ends), next(ends))
-            sums[:, segments] += term[:, None, :]
-        else:
-            segments = edges.searchsorted(record.users)
-            # unbuffered, so a user listed twice in one round is counted twice
-            np.add.at(sums, (slice(None), segments), term)
+    for term in terms:
+        segments = slice(next(ends), next(ends))
+        sums[:, segments] += term[:, None, :]
         covered[segments] = True
 
     # one gather over the audited users: a user of segment s on side c gets best[2s + c]

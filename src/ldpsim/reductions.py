@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
@@ -542,21 +543,16 @@ class SimultaneousProtocol(TwoPartyProtocol):
 class AlternatingProtocol(TwoPartyProtocol):
     """Reschedule of a simultaneous protocol into alternating rounds.
 
-    ``rounds`` lists (speaker, bit count) per alternating round;
     ``positions`` maps each flat bit position to (speaker, index in that
     speaker's original sequence). The protocol runs noiselessly over the
     flat bit transcript and halts with the source's pairs.
     """
 
     source: SimultaneousProtocol
-    rounds: tuple[tuple[Side, int], ...]
     positions: tuple[tuple[Side, int], ...]
     channel = NOISELESS
 
     def __post_init__(self):
-        flat = [speaker for speaker, count in self.rounds for _ in range(count)]
-        if flat != [speaker for speaker, _ in self.positions]:
-            raise ValueError("rounds and positions disagree")
         self._pos_of = {key: pos for pos, key in enumerate(self.positions)}
         for pos, (speaker, t) in enumerate(self.positions):
             for i in range(t):
@@ -564,6 +560,11 @@ class AlternatingProtocol(TwoPartyProtocol):
                     if self._pos_of[(side, i)] >= pos:
                         raise ValueError("schedule violates a data dependency")
         self.max_bits = len(self.positions)
+
+    @property
+    def rounds(self) -> tuple[tuple[Side, int], ...]:
+        """(speaker, bit count) per alternating round: the runs of one speaker in ``positions``."""
+        return tuple((speaker, len(list(run))) for speaker, run in groupby(speaker for speaker, _ in self.positions))
 
     @property
     def num_rounds(self) -> int:
@@ -591,19 +592,16 @@ def simultaneous_to_alternating(protocol: SimultaneousProtocol) -> AlternatingPr
     if not isinstance(protocol, SimultaneousProtocol):
         raise ValueError("input protocol must be simultaneous")
     total = protocol.num_rounds
-    rounds: list[tuple[Side, int]] = [(Side.BOB, 1)]
     positions: list[tuple[Side, int]] = [(Side.BOB, 0)]
     next_index = {Side.ALICE: 0, Side.BOB: 1}
     speaker = Side.ALICE
     while next_index[Side.ALICE] < total or next_index[Side.BOB] < total:
         start = next_index[speaker]
         count = min(2, total - start)
-        if count > 0:
-            rounds.append((speaker, count))
-            positions.extend((speaker, start + i) for i in range(count))
-            next_index[speaker] = start + count
+        positions.extend((speaker, start + i) for i in range(count))
+        next_index[speaker] = start + count
         speaker = speaker.other
-    return AlternatingProtocol(source=protocol, rounds=tuple(rounds), positions=tuple(positions))
+    return AlternatingProtocol(source=protocol, positions=tuple(positions))
 
 
 def alternating_pairs_distribution(

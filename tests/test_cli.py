@@ -135,6 +135,12 @@ def test_gen_instance_deterministic(capsys):
     assert "consistent_count 2" in out1
 
 
+def test_gen_instance_omits_the_count_past_the_enumeration_guard(capsys):
+    code, stdout, stderr = run_cli(capsys, "gen-instance", "hl", "--b", "4", "--l", "13", "--seed", "1")
+    assert code == 0 and stderr == ""
+    assert stdout and "consistent_count" not in stdout
+
+
 def test_run_json_output(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -188,6 +194,32 @@ def test_config_file_solver_key_is_applied(capsys, tmp_path):
     code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1")
     assert code == 1 and stdout == ""
     assert "unknown solver 'fastest'" in stderr
+
+
+_HL_FLAGS = ("--problem", "hl", "--b", "2", "--l", "3", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ({"threshold": "0.2", "n": 10, "trials": 1, "eps": 1}, None),
+        ({"trials": 2.5, "n": 10.9, "eps": 1}, "config file key 'trials': invalid int value '2.5'"),
+        ({"n": 10, "trials": True, "eps": 1}, "config file key 'trials': invalid int value 'True'"),
+        ({"n": 10, "trials": 1, "eps": "one"}, "config file key 'eps': invalid float value 'one'"),
+    ],
+    ids=["text-threshold", "fractional-trials", "boolean-trials", "text-eps"],
+)
+def test_config_file_values_parse_as_their_flags(capsys, tmp_path, values, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, stdout, stderr = run_cli(capsys, "run", *_HL_FLAGS, "--config", str(cfg))
+    if error is None:
+        flags = [word for key, value in values.items() for word in (f"--{key}", str(value))]
+        assert (code, stdout) == run_cli(capsys, "run", *_HL_FLAGS, *flags)[:2]
+        assert code == 0
+    else:
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {error}\n"
 
 
 def test_run_missing_required_flags(capsys):

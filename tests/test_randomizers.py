@@ -380,7 +380,7 @@ _FUZZ_LOG = {
 @st.composite
 def _hand_built_audit_case(draw):
     """A population and a transcript mixing sliced, overlapping sliced,
-    shuffled, duplicate-id and mixed-descriptor rounds."""
+    two-block sliced, shuffled, duplicate-id and mixed-descriptor rounds."""
     from ldpsim.engine import Population, RoundRecord
 
     n = draw(st.integers(1, 16))
@@ -388,8 +388,8 @@ def _hand_built_audit_case(draw):
     descriptor = st.sampled_from(sorted(_FUZZ_LAWS))
     rounds, last = [], (0, n)
     for i in range(draw(st.integers(1, 7))):
-        kind = draw(st.sampled_from(["sliced", "overlapping", "shuffled", "duplicate", "mixed"]))
-        if kind in ("sliced", "overlapping"):
+        kind = draw(st.sampled_from(["sliced", "overlapping", "blocks", "shuffled", "duplicate", "mixed"]))
+        if kind in ("sliced", "overlapping", "blocks"):
             low, high = last if kind == "overlapping" else (0, n)
             start = draw(st.integers(low, high - 1))
             last = (start, draw(st.integers(start + 1, n)))
@@ -401,7 +401,13 @@ def _hand_built_audit_case(draw):
             if kind == "duplicate":
                 users.insert(draw(st.integers(0, len(users))), draw(st.sampled_from(users)))
         k = len(users)
-        ids = draw(st.lists(descriptor, min_size=k, max_size=k)) if kind == "mixed" else [draw(descriptor)] * k
+        if kind == "mixed":
+            ids = draw(st.lists(descriptor, min_size=k, max_size=k))
+        elif kind == "blocks":
+            split = draw(st.integers(0, k))
+            ids = [draw(descriptor)] * split + [draw(descriptor)] * (k - split)
+        else:
+            ids = [draw(descriptor)] * k
         outputs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
         rounds.append(RoundRecord(i, users, ids, [0.7] * k, outputs))
     return Population(np.array(sides), "A", "B", seed=0), Transcript(tuple(rounds))
@@ -412,6 +418,35 @@ def _hand_built_audit_case(draw):
 def test_segment_fold_equals_per_user_fold_on_hand_built_transcripts(case):
     pop, transcript = case
     _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
+
+
+def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
+    from ldpsim.engine import Population, RoundRecord
+
+    n = 9464
+    pop = Population(np.arange(n) % 3 % 2, "A", "B", seed=0)
+    quarters = np.split(np.arange(n), 4)
+    names = sorted(_FUZZ_LAWS)
+    one = RoundRecord(0, np.arange(n), np.repeat(names, n // 4), [0.7] * n, np.zeros(n, dtype=np.uint8))
+    shared = [
+        RoundRecord(i, ids, [name] * ids.size, [0.7] * ids.size, [0] * ids.size)
+        for i, (ids, name) in enumerate(zip(quarters, names))
+    ]
+    assert isinstance(one.index, slice) and len(one.descriptors) == 4
+    blocks = audit_transcript(Transcript((one,)), pop, _FUZZ_LOG).per_user
+    rounds = audit_transcript(Transcript(tuple(shared)), pop, _FUZZ_LOG).per_user
+    assert np.array_equal(blocks.user_ids, np.arange(n))
+    assert np.array_equal(blocks.user_ids, rounds.user_ids) and np.array_equal(blocks.ratios, rounds.ratios)
+
+
+@pytest.mark.parametrize("users", [[1, 2, 3], [3, 0], [0, 2, 3]])
+def test_audit_rejects_a_user_outside_the_population(users):
+    from ldpsim.engine import Population, RoundRecord
+
+    pop = Population(np.array([0, 1, 0]), "A", "B", seed=0)
+    record = RoundRecord(0, users, ["a"] * len(users), [0.7] * len(users), [0] * len(users))
+    with pytest.raises(AuditError, match="transcript names a user outside the population"):
+        audit_transcript(Transcript((record,)), pop, _FUZZ_LOG)
 
 
 @pytest.mark.parametrize("solver", ["hl-full", "hl-baseline", "pc"])
