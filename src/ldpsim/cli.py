@@ -231,6 +231,8 @@ def _apply_config_file(args) -> None:
         return
     with open(args.config, "r", encoding="utf-8") as handle:
         defaults = json.load(handle)
+    if not isinstance(defaults, dict):
+        raise ValueError(f"config file {args.config}: expected a JSON object, got {type(defaults).__name__}")
     flags = {action.dest: action for action in args.flags._actions}
     for key, value in defaults.items():
         if key not in _MERGEABLE:
@@ -353,7 +355,7 @@ def _cmd_reduce_lower(args) -> int:
     with open(args.protocol, "r", encoding="utf-8") as handle:
         source = parse_onebit_file(handle)
     epsilon = float(args.eps)
-    lowered = lower_multi_to_two_party(source, epsilon, eta=args.eta)
+    lowered = lower_multi_to_two_party(source, epsilon)
     steps = []
     prefix: tuple[int, ...] = ()
     while True:
@@ -450,7 +452,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="population / per-query group size (hl)")
     parser.add_argument("--m", type=int, help="per-bit group size (pc)")
     parser.add_argument("--solver", choices=("full", "baseline"), help="default: full")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
     parser.add_argument("--out")
@@ -506,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     lower = reduce_sub.add_parser("lower", help="one-bit LDP protocol -> two-party BSC protocol")
     lower.add_argument("--eps", type=float, required=True)
     lower.add_argument("--protocol", required=True)
-    lower.add_argument("--eta", type=float)
     lower.add_argument("--out")
     lower.set_defaults(func=_cmd_reduce_lower)
     amplify = reduce_sub.add_parser("amplify", help="majority-vote channel amplification")

@@ -14,7 +14,10 @@ Conversions provided:
   budget. A public coin assigns each simulated user to a player; the player
   sends a bias-corrected bit, and a public keep/skip coin decides whether the
   received bit or a fixed default enters the transcript. Entered-bit
-  distributions match the source exactly.
+  distributions match the source exactly. One channel bit enters per
+  simulated user, so the lowered protocol's ``max_bits`` is the source's
+  ``max_users`` and there is no separate communication cap; a source that
+  runs past its ``max_users`` fails enumeration with :class:`ReductionError`.
 * round reschedule: a simultaneous-rounds protocol becomes an alternating
   one with Bob speaking first and one extra round, preserving the joint
   output distribution.
@@ -59,14 +62,6 @@ class Answer:
     transcript to the announced answer."""
 
     fn: Callable[[tuple[int, ...]], Any]
-
-
-@dataclass(frozen=True)
-class CapAborted:
-    """Answer marker produced when a bit cap cut the protocol short."""
-
-
-CAP_ABORTED = CapAborted()
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,7 @@ def fixed_onebit(epsilon: float, data_pair: tuple[Datum, Datum], queries: Sequen
     return OneBitSequence(epsilon=epsilon, data_pair=data_pair, step_fn=step_fn, max_users=len(queries))
 
 
-def enumerate_onebit_distribution(
-    protocol: OneBitLDPProtocol,
-    max_paths: int = ENUMERATION_GUARD,
-) -> TranscriptDistribution:
+def enumerate_onebit_distribution(protocol: OneBitLDPProtocol) -> TranscriptDistribution:
     """Exact published-bit distribution of a one-bit protocol, with each
     user's datum an independent fair draw from ``data_pair``."""
 
@@ -311,7 +303,7 @@ def enumerate_onebit_distribution(
             p_one += 0.5 * _check_prob(float(act.law(datum)), context)
         return 1.0 - p_one, p_one
 
-    return _enumerate(branch, max_paths)
+    return _enumerate(branch, ENUMERATION_GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +312,15 @@ def enumerate_onebit_distribution(
 
 
 class LiftedDriver(CountDriver, OneBitLDPProtocol):
-    """Sequential driver replaying a two-party BSC protocol with one fresh
-    user per channel bit.
+    """Sequential locally private driver replaying a two-party BSC protocol
+    with one fresh user per channel bit.
 
-    If the user's side matches the bit's sender they answer randomized
-    response on the bit the sender would send; otherwise they publish an
-    unbiased bit. Bit ``i`` is answered by user ``i``. The state is the
-    published prefix, and each round appends its one bit.
+    ``protocol`` must be deterministic and run over a BSC whose advantage is
+    exactly ``lift_crossover(epsilon)``; ``data_pair`` carries the players'
+    inputs as user payloads. If the user's side matches the bit's sender they
+    answer randomized response on the bit the sender would send; otherwise
+    they publish an unbiased bit. Bit ``i`` is answered by user ``i``. The
+    state is the published prefix, and each round appends its one bit.
     """
 
     def __init__(self, protocol: TwoPartyProtocol, epsilon: float, data_pair: tuple[Datum, Datum]):
@@ -389,18 +383,7 @@ class _LiftedBitQuery(LawQuery):
         return f"lift-bit({len(self._prefix)},{self._sender.value},{_key(self._prefix) or '-'})"
 
 
-def lift_two_party_to_ldp(
-    protocol: TwoPartyProtocol,
-    epsilon: float,
-    data_pair: tuple[Datum, Datum],
-) -> LiftedDriver:
-    """Build the sequential locally private driver simulating ``protocol``.
-
-    ``protocol`` must be deterministic and run over a BSC whose advantage is
-    exactly ``lift_crossover(epsilon)``; ``data_pair`` carries the players'
-    inputs as user payloads.
-    """
-    return LiftedDriver(protocol, epsilon, data_pair)
+lift_two_party_to_ldp = LiftedDriver
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +394,9 @@ def lift_two_party_to_ldp(
 class LoweredProtocol(TwoPartyProtocol):
     """Two-party BSC protocol simulating a one-bit LDP protocol bit for bit.
 
+    One channel bit enters the transcript per simulated user, so the lowered
+    protocol is exactly as long as ``source``: its ``max_bits`` is the
+    source's ``max_users``, and a source that runs past it fails enumeration.
     Public randomness assigns each simulated user to a player by fair coin.
     With the user's response law p over the source's data pair and s = p_min +
     p_max, the assigned player sends a bias-corrected bit and the received
@@ -418,21 +404,18 @@ class LoweredProtocol(TwoPartyProtocol):
     same construction runs on the complement laws, with skips entering 1.
     """
 
-    def __init__(self, source: OneBitLDPProtocol, epsilon: float, max_bits: int | None = None):
+    def __init__(self, source: OneBitLDPProtocol, epsilon: float):
         self.source = source
         self.epsilon = epsilon
         self.channel = lower_channel(epsilon)
         self._advantage = lower_crossover(epsilon)
-        self.max_bits = source.max_users if max_bits is None else int(max_bits)
+        self.max_bits = source.max_users
         self.cases_used: set[str] = set()
 
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
-        act = self.source.action(prefix)
-        if isinstance(act, Answer):
-            return act
-        if len(prefix) >= self.max_bits:
-            return Answer(lambda _transcript: CAP_ABORTED)
-        query = act
+        query = self.source.action(prefix)
+        if isinstance(query, Answer):
+            return query
         laws = {datum: _check_prob(float(query.law(datum)), "source law") for datum in self.source.data_pair}
         p_min = min(laws.values())
         p_max = max(laws.values())
@@ -468,30 +451,13 @@ class LoweredProtocol(TwoPartyProtocol):
             return lowered(_check_prob(float(query.law(input_datum)), "holder law"))
 
         self.cases_used.add(case)
-        steps = tuple(
+        return tuple(
             (0.5, SendStep(sender=side, send_param=send_param, use_prob=use_prob, skip_bit=skip_bit, label=case))
             for side in (Side.ALICE, Side.BOB)
         )
-        return steps
 
 
-def lower_multi_to_two_party(
-    source: OneBitLDPProtocol,
-    epsilon: float,
-    eta: float | None = None,
-) -> LoweredProtocol:
-    """Build the two-party BSC protocol equivalent to ``source``.
-
-    When ``eta`` is given, the bit budget is capped at
-    ceil(e^epsilon * max_users / eta); executions cut short by the cap
-    halt with :data:`CAP_ABORTED`, which harnesses count as an error.
-    """
-    max_bits = None
-    if eta is not None:
-        if not 0.0 < eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
-        max_bits = math.ceil(math.exp(epsilon) * source.max_users / eta)
-    return LoweredProtocol(source, epsilon, max_bits=max_bits)
+lower_multi_to_two_party = LoweredProtocol
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +570,11 @@ def simultaneous_to_alternating(protocol: SimultaneousProtocol) -> AlternatingPr
     return AlternatingProtocol(source=protocol, positions=tuple(positions))
 
 
-def alternating_pairs_distribution(
-    protocol: AlternatingProtocol,
-    alice_input,
-    bob_input,
-    max_paths: int = ENUMERATION_GUARD,
-) -> TranscriptDistribution:
+def alternating_pairs_distribution(protocol: AlternatingProtocol, alice_input, bob_input) -> TranscriptDistribution:
     """The alternating transcript distribution mapped back onto the source's
     flattened pair representation, directly comparable with the source's
     :func:`enumerate_transcript_distribution`."""
-    flat = enumerate_transcript_distribution(protocol, alice_input, bob_input, max_paths)
+    flat = enumerate_transcript_distribution(protocol, alice_input, bob_input)
     probs: dict[str, float] = {}
     for bits, prob in flat.probs.items():
         pairs = protocol.pairs_from(tuple(int(b) for b in bits))

@@ -222,6 +222,35 @@ def test_config_file_values_parse_as_their_flags(capsys, tmp_path, values, error
         assert stderr == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("content", ["[1]", '"x"', "3"])
+def test_config_file_must_be_a_json_object(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, stdout, stderr = run_cli(capsys, "run", "--seed", "1", "--config", str(cfg))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert str(cfg) in stderr and "JSON object" in stderr
+
+
+_PC_KEYS = {"problem": "pc", "k": 1, "l": 2, "eps": 20.0, "m": 30, "trials": 2}
+
+
+def test_config_file_seed_key_is_applied(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_PC_KEYS, "seed": 3}))
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert (code, stdout) == run_cli(capsys, "run", "--config", str(cfg), "--seed", "3")[:2]
+    assert json.loads(stdout)["seed"] == 3
+    # an explicit --seed still wins over the file
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(cfg), "--seed", "4")
+    assert code == 0 and json.loads(stdout)["seed"] == 4
+    # with a seed in neither, the command names the flag
+    cfg.write_text(json.dumps(_PC_KEYS))
+    code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, stdout, stderr) == (1, "", "error: missing required option --seed\n")
+
+
 def test_run_missing_required_flags(capsys):
     code, _stdout, stderr = run_cli(capsys, "run", "--problem", "pc", "--seed", "1")
     assert code == 1
@@ -229,10 +258,11 @@ def test_run_missing_required_flags(capsys):
 
 
 def test_seed_is_mandatory(capsys):
-    code, _stdout, _stderr = run_cli(
+    code, _stdout, stderr = run_cli(
         capsys, "run", "--problem", "pc", "--k", "1", "--l", "2", "--eps", "1", "--m", "5", "--trials", "1"
     )
     assert code == 1
+    assert stderr == "error: missing required option --seed\n"
 
 
 def test_sweep_csv_output(capsys):
@@ -262,6 +292,19 @@ def test_sweep_csv_output(capsys):
     lines = stdout.splitlines()
     assert lines[0].startswith("problem,solver,shape")
     assert len(lines) == 3
+
+
+def test_sweep_json_output(capsys):
+    code, stdout, _ = run_cli(
+        capsys,
+        "sweep",
+        *("--problem", "pc", "--k", "1", "--l", "2", "--eps", "20", "--m", "10", "--trials", "2", "--seed", "3"),
+        *("--axis", "m", "--values", "10,20", "--format", "json"),
+    )
+    assert code == 0
+    rows = json.loads(stdout)
+    assert [(row["axis"], row["axis_value"], row["group_size"]) for row in rows] == [("m", "10", 10), ("m", "20", 20)]
+    assert all(row["trials"] == 2 for row in rows)
 
 
 def test_audit_table(capsys):
@@ -414,6 +457,13 @@ def test_reduce_lower_echo(capsys, tmp_path):
     payload = json.loads(stdout)
     assert payload["lower_advantage"] == pytest.approx(0.25, abs=1e-12)
     assert [s["case"] for s in payload["steps"]] == ["case1", "case2"]
+
+
+def test_reduce_lower_has_no_eta_flag(capsys, tmp_path):
+    proto = tmp_path / "onebit.txt"
+    proto.write_text(ONE_BIT_FILE)
+    code, stdout, _ = run_cli(capsys, "reduce", "lower", "--eta", "0.5", "--eps", str(LN3), "--protocol", str(proto))
+    assert code == 1 and stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,26 @@
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ldpsim import harness
 from ldpsim._rng import derive_key
-from ldpsim.engine import InteractivityMode, round_complexity
+from ldpsim.engine import (
+    CountDriver,
+    Halt,
+    InteractivityMode,
+    LdpSimError,
+    RoundSpec,
+    round_complexity,
+    sample_population,
+)
 from ldpsim.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     HLShape,
     PCShape,
+    Trial,
     build_trial,
     result_rows,
     run_experiment,
@@ -17,6 +28,7 @@ from ldpsim.harness import (
     wilson_interval,
     write_csv,
 )
+from ldpsim.randomizers import RRQuery
 
 WILSON_Z = 1.96
 
@@ -105,6 +117,45 @@ def test_threshold_none_keeps_solver_default():
     assert build_trial(hl_config(), 1).driver.config.threshold == 0.2
     assert build_trial(pc_config(), 1).driver.config.threshold == 0.15
     assert build_trial(pc_config(threshold=0.3), 1).driver.config.threshold == 0.3
+
+
+@dataclass(frozen=True)
+class _VotesOne:
+    descriptor: str = "votes-one"
+
+    def __call__(self, datum) -> bool:
+        return True
+
+
+class _TwiceAskedDriver(CountDriver):
+    """Asks user 0 the same always-1 predicate in two rounds, then halts."""
+
+    def start(self):
+        return 0
+
+    def decide(self, asked):
+        return Halt(None) if asked == 2 else RoundSpec(users=[0], queries=RRQuery(1.0, _VotesOne()))
+
+    def advance(self, asked, ones, size):
+        return asked + 1
+
+
+def _twice_voting_trial() -> Trial:
+    population = sample_population(1, "alice", "bob", seed=2)
+    return Trial(_TwiceAskedDriver(), population, InteractivityMode.FULL, 3, lambda answer: True)
+
+
+def test_execute_rejects_a_user_voting_one_twice():
+    with pytest.raises(LdpSimError, match="voted 1 more than once"):
+        _twice_voting_trial().execute()
+
+
+def test_engine_errors_are_counted_with_no_samples_rounds_or_audit(monkeypatch):
+    monkeypatch.setattr(harness, "build_trial", lambda cfg, seed: _twice_voting_trial())
+    result = run_experiment(pc_config(trials=3))
+    assert result.engine_error_count == result.trials == 3
+    assert result.success_count == result.wrong_answer_count == result.decode_failure_count == 0
+    assert result.mean_sample_complexity == result.mean_round_complexity == result.max_user_audit == 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +263,22 @@ def test_sweep_epsilon_trend_at_fixed_population():
 def test_sweep_unknown_axis():
     with pytest.raises(ValueError, match="axis"):
         sweep(pc_config(), "widgets", [1])
+
+
+@pytest.mark.parametrize(
+    "cfg, axis, value, shape, other",
+    [
+        (hl_config(trials=1), "B", "3", "B=3;L=3", pc_config()),
+        (hl_config(trials=1), "L", "4", "B=2;L=4", pc_config()),
+        (pc_config(problem=PCShape(1, 8)), "k", "2", "k=2;l=8", hl_config()),
+        (pc_config(), "l", "4", "k=1;l=4", hl_config()),
+    ],
+)
+def test_sweep_shape_axes(cfg, axis, value, shape, other):
+    (row,) = result_rows(cfg, sweep(cfg, axis, [value]), axis=axis)
+    assert (row["shape"], row["axis"], row["axis_value"]) == (shape, axis, value)
+    with pytest.raises(ValueError, match=f"axis '{axis}' does not apply to this problem"):
+        sweep(other, axis, [value])
 
 
 def test_csv_reproducible_and_schema_fixed():

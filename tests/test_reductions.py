@@ -12,7 +12,8 @@ from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
     Answer,
-    CAP_ABORTED,
+    LiftedDriver,
+    LoweredProtocol,
     OneBitSequence,
     ReductionError,
     SimultaneousProtocol,
@@ -452,20 +453,27 @@ def test_lower_channel_advantage():
     assert lowered.channel.advantage == pytest.approx(lower_crossover(1.0), abs=1e-15)
 
 
-def test_lower_cap_aborts_are_reported():
-    queries = [law_query(0.5, f"q{i}", 0.5, 0.5) for i in range(4)]
-    source = fixed_onebit(0.5, PAIR, queries)
-    lowered = lower_multi_to_two_party(source, 0.5)
-    lowered.max_bits = 2  # force the cap below the protocol length
-    _transcript, answer = simulate_two_party(lowered, PAIR[0], PAIR[1], seed=3)
-    assert answer is CAP_ABORTED
+def test_conversion_names_are_their_classes():
+    assert lift_two_party_to_ldp is LiftedDriver
+    assert lower_multi_to_two_party is LoweredProtocol
 
 
-def test_lower_eta_cap_size():
+def test_lowered_protocol_is_as_long_as_its_source():
     queries = [law_query(1.0, f"q{i}", 0.5, 0.5) for i in range(3)]
-    source = fixed_onebit(1.0, PAIR, queries)
-    lowered = lower_multi_to_two_party(source, 1.0, eta=0.5)
-    assert lowered.max_bits == math.ceil(math.exp(1.0) * 3 / 0.5)
+    lowered = lower_multi_to_two_party(fixed_onebit(1.0, PAIR, queries), 1.0)
+    assert lowered.max_bits == 3
+    assert {len(key) for key in enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs} == {3}
+
+
+def test_lowering_a_source_that_runs_past_max_users_fails():
+    # a source that never halts must not be cut short into a shorter distribution
+    query = law_query(0.5, "forever", 0.5, 0.5)
+    source = OneBitSequence(0.5, PAIR, lambda prefix: query, max_users=2)
+    lowered = lower_multi_to_two_party(source, 0.5)
+    with pytest.raises(ReductionError, match="exceeded its own max_bits without halting"):
+        enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
+    with pytest.raises(ReductionError, match="exceeded max_users without halting"):
+        enumerate_onebit_distribution(source)
 
 
 def test_simulate_two_party_matches_enumeration_roughly():
