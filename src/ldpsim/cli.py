@@ -230,7 +230,10 @@ def _apply_config_file(args) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as handle:
-        defaults = json.load(handle)
+        try:
+            defaults = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {args.config}: not valid JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise ValueError(f"config file {args.config}: expected a JSON object, got {type(defaults).__name__}")
     flags = {action.dest: action for action in args.flags._actions}

@@ -151,11 +151,6 @@ class PCInstance:
             if any(not 1 <= v <= self.size for v in vec):
                 raise ValueError(f"{name} entries must lie in [1, {self.size}]")
 
-    @property
-    def num_bits(self) -> int:
-        """Bits needed to encode a pointer value as (value - 1), big-endian."""
-        return pointer_bits(self.size)
-
     def data_pair(self) -> tuple[Datum, Datum]:
         return (Datum(Side.ALICE, self.alice_ptrs), Datum(Side.BOB, self.bob_ptrs))
 
@@ -251,7 +246,7 @@ def parse_predicate(descriptor: str, instance: HLInstance | PCInstance):
             side=Side(parts[0]),
             location=int(parts[1]),
             bit_index=int(parts[2]),
-            num_bits=instance.num_bits,
+            num_bits=pointer_bits(instance.size),
         )
     raise ValueError(f"unknown predicate descriptor: {descriptor!r}")
 

@@ -33,7 +33,11 @@ protocol reports either a leaf or the probability mass entering bit 0 and
 bit 1; for two-party protocols that mass is summed over the public lottery,
 the sent bit, the channel flip and the keep/skip coin, so branches that enter
 the same bit are merged and a depth-d protocol visits at most 2^(d+1) - 1
-prefixes.
+prefixes. The walk keeps its own stack instead of recursing, so only the
+``ENUMERATION_GUARD`` of 2^20 visited prefixes bounds its depth. A
+:class:`TableProtocol` builds each prefix's step once and keeps it, so its
+``sender_fn`` must be a pure function of the prefix, as the lift already
+assumes.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
 from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side, _checked_budget
-from .randomizers import LawQuery, rr_param
+from .randomizers import LawQuery, _rr_laws
 
 ENUMERATION_GUARD = 2**20
 _PROB_SLACK = 1e-9
@@ -62,6 +66,9 @@ class Answer:
     transcript to the announced answer."""
 
     fn: Callable[[tuple[int, ...]], Any]
+
+
+_ANNOUNCE_TRANSCRIPT = Answer(lambda transcript: transcript)
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,8 @@ class TableProtocol(TwoPartyProtocol):
 
     ``sender_fn(prefix)`` names the speaker; ``param_fn(input, prefix)`` is
     the probability that the speaker sends 1. Runs for exactly ``num_bits``
-    bits, then halts announcing the transcript.
+    bits, then halts announcing the transcript. Each prefix's step is built
+    once and kept, so ``sender_fn`` must be a pure function of the prefix.
     """
 
     num_bits: int
@@ -116,13 +124,18 @@ class TableProtocol(TwoPartyProtocol):
         if self.num_bits < 0:
             raise ValueError("num_bits must be nonnegative")
         self.max_bits = self.num_bits
+        self._steps: dict[tuple[int, ...], tuple[tuple[float, SendStep]]] = {}
 
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
         if len(prefix) >= self.num_bits:
-            return Answer(lambda transcript: transcript)
-        sender = self.sender_fn(prefix)
-        step = SendStep(sender=sender, send_param=lambda inp, p=prefix: self.param_fn(inp, p))
-        return ((1.0, step),)
+            return _ANNOUNCE_TRANSCRIPT
+        act = self._steps.get(prefix)
+        if act is None:
+            # the step binds param_fn, not self, so the protocol and its steps form no cycle
+            param_fn = self.param_fn
+            step = SendStep(sender=self.sender_fn(prefix), send_param=lambda inp: param_fn(inp, prefix))
+            act = self._steps[prefix] = ((1.0, step),)
+        return act
 
 
 class TranscriptDistribution:
@@ -164,31 +177,32 @@ def _enumerate(
     branch: Callable[[tuple[int, ...]], tuple[float, float] | None],
     max_paths: int,
 ) -> TranscriptDistribution:
-    """Depth-first enumeration of a bit-tree protocol.
+    """Depth-first enumeration of a bit-tree protocol, in pre-order with bit
+    0 before bit 1.
 
     ``branch(prefix)`` returns None at a leaf, else the probability masses
     entering bit 0 and bit 1 after ``prefix``; a zero mass prunes that bit.
-    ``max_paths`` bounds the number of visited prefixes, leaves included.
+    ``max_paths`` bounds the number of visited prefixes, leaves included; the
+    walk keeps its own stack, so nothing else bounds the depth.
     """
     probs: dict[str, float] = {}
     visited = 0
-
-    def visit(prefix: tuple[int, ...], prob: float) -> None:
-        nonlocal visited
+    stack: list[tuple[tuple[int, ...], str, float]] = [((), "", 1.0)]
+    while stack:
+        prefix, key, prob = stack.pop()
         visited += 1
         if visited > max_paths:
             raise ValueError(f"enumeration exceeds {max_paths} prefixes")
         masses = branch(prefix)
         if masses is None:
-            probs[_key(prefix)] = prob
-            return
+            probs[key] = prob
+            continue
         zero, one = masses
-        if zero != 0.0:
-            visit(prefix + (0,), prob * zero)
+        # bit 1 is pushed first so that bit 0's subtree is visited first
         if one != 0.0:
-            visit(prefix + (1,), prob * one)
-
-    visit((), 1.0)
+            stack.append((prefix + (1,), key + "1", prob * one))
+        if zero != 0.0:
+            stack.append((prefix + (0,), key + "0", prob * zero))
     return TranscriptDistribution(probs)
 
 
@@ -204,35 +218,47 @@ def enumerate_transcript_distribution(
     channel flip and the keep/skip coin, of the weights of the branches that
     enter it, so a bit no branch enters keeps mass exactly 0.
     """
+    action = protocol.action
+    max_bits = protocol.max_bits
     crossover = protocol.channel.crossover
+    keep = 1.0 - crossover
     noisy = crossover > 0.0
 
     def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
-        if len(prefix) > protocol.max_bits:
+        if len(prefix) > max_bits:
             raise ReductionError("protocol exceeded its own max_bits without halting")
-        act = protocol.action(prefix)
+        act = action(prefix)
         if isinstance(act, Answer):
             return None
         mass = [0.0, 0.0]
         for branch_prob, step in act:
             if branch_prob == 0.0:
                 continue
-            inp = alice_input if step.sender is Side.ALICE else bob_input
-            p_send = _check_prob(float(step.send_param(inp)), f"step {step.label or len(prefix)}")
+            p_send = float(step.send_param(alice_input if step.sender is Side.ALICE else bob_input))
+            if not 0.0 <= p_send <= 1.0:
+                p_send = _check_prob(p_send, f"step {step.label or len(prefix)}")
+            use, skip = step.use_prob, step.skip_bit
+            # each weight is ((branch_prob * p_s) * p_r) * p_e, with factors of exactly 1 left out,
+            # and each bit's mass adds them in the order sent, received, entered
             for sent, p_s in ((1, p_send), (0, 1.0 - p_send)):
                 if p_s == 0.0:
                     continue
+                w = branch_prob * p_s
                 if noisy:
-                    received_branches = ((sent, 1.0 - crossover), (1 - sent, crossover))
-                else:
-                    received_branches = ((sent, 1.0),)
-                for received, p_r in received_branches:
-                    if step.use_prob < 1.0:
-                        entered_branches = ((received, step.use_prob), (step.skip_bit, 1.0 - step.use_prob))
+                    w_kept, w_flipped = w * keep, w * crossover
+                    if use < 1.0:
+                        mass[sent] += w_kept * use
+                        mass[skip] += w_kept * (1.0 - use)
+                        mass[1 - sent] += w_flipped * use
+                        mass[skip] += w_flipped * (1.0 - use)
                     else:
-                        entered_branches = ((received, 1.0),)
-                    for entered, p_e in entered_branches:
-                        mass[entered] += branch_prob * p_s * p_r * p_e
+                        mass[sent] += w_kept
+                        mass[1 - sent] += w_flipped
+                elif use < 1.0:
+                    mass[sent] += w * use
+                    mass[skip] += w * (1.0 - use)
+                else:
+                    mass[sent] += w
         return mass[0], mass[1]
 
     return _enumerate(branch, max_paths)
@@ -281,7 +307,7 @@ def fixed_onebit(epsilon: float, data_pair: tuple[Datum, Datum], queries: Sequen
 
     def step_fn(prefix: tuple[int, ...]):
         if len(prefix) >= len(queries):
-            return Answer(lambda transcript: transcript)
+            return _ANNOUNCE_TRANSCRIPT
         return queries[len(prefix)]
 
     return OneBitSequence(epsilon=epsilon, data_pair=data_pair, step_fn=step_fn, max_users=len(queries))
@@ -291,16 +317,22 @@ def enumerate_onebit_distribution(protocol: OneBitLDPProtocol) -> TranscriptDist
     """Exact published-bit distribution of a one-bit protocol, with each
     user's datum an independent fair draw from ``data_pair``."""
 
+    action = protocol.action
+    max_users = protocol.max_users
+    data_pair = protocol.data_pair
+
     def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
-        if len(prefix) > protocol.max_users:
+        if len(prefix) > max_users:
             raise ReductionError("one-bit protocol exceeded max_users without halting")
-        act = protocol.action(prefix)
+        act = action(prefix)
         if isinstance(act, Answer):
             return None
-        context = f"law at bit {len(prefix)}"
         p_one = 0.0
-        for datum in protocol.data_pair:
-            p_one += 0.5 * _check_prob(float(act.law(datum)), context)
+        for datum in data_pair:
+            p = float(act.law(datum))
+            if not 0.0 <= p <= 1.0:
+                p = _check_prob(p, f"law at bit {len(prefix)}")
+            p_one += 0.5 * p
         return 1.0 - p_one, p_one
 
     return _enumerate(branch, ENUMERATION_GUARD)
@@ -350,7 +382,7 @@ class LiftedDriver(CountDriver, OneBitLDPProtocol):
                 value = float(step.send_param(datum.payload))
                 if value not in (0.0, 1.0):
                     raise ValueError("lift requires deterministic next-bit functions")
-                return rr_param(int(value), self.epsilon)
+                return _rr_laws(self.epsilon)[value == 1.0]
             return 0.5
 
         return _LiftedBitQuery(self.epsilon, law, prefix, step.sender)

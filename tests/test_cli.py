@@ -232,6 +232,14 @@ def test_config_file_must_be_a_json_object(capsys, tmp_path, content):
     assert str(cfg) in stderr and "JSON object" in stderr
 
 
+def test_config_file_that_is_not_json_names_the_file(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"problem": ')
+    code, stdout, stderr = run_cli(capsys, "run", "--seed", "1", "--config", str(cfg))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: config file {cfg}: not valid JSON: Expecting value: line 1 column 13 (char 12)\n"
+
+
 _PC_KEYS = {"problem": "pc", "k": 1, "l": 2, "eps": 20.0, "m": 30, "trials": 2}
 
 
@@ -510,6 +518,16 @@ def test_enumerate_output(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "enumerate", "--protocol", str(proto), "--x", "1", "--y", "0")
     assert code == 0
     assert stdout.splitlines() == ["0 0.375", "1 0.625"]
+
+
+def test_enumerate_deep_protocol(capsys, tmp_path):
+    # one row per reached prefix: -, 1, 11, ...; far deeper than Python's recursion limit
+    bits = 1200
+    rows = "".join(f"step prefix={'1' * t or '-'} sender=alice p0=1 p1=1\n" for t in range(bits))
+    proto = tmp_path / "deep.txt"
+    proto.write_text(f"two-party bits={bits} channel=noiseless\n" + rows)
+    code, stdout, stderr = run_cli(capsys, "enumerate", "--protocol", str(proto), "--x", "0", "--y", "1")
+    assert (code, stdout, stderr) == (0, f"{'1' * bits} 1.0\n", "")
 
 
 @pytest.mark.parametrize("flag, value", [("--x", "2"), ("--x", "-1"), ("--y", "2"), ("--y", "-1")])

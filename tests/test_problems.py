@@ -218,9 +218,9 @@ def test_pc_predicate_semantics():
     inst = gen_pc_instance(2, 8, seed=22)
     alice, bob = inst.data_pair()
     code = inst.alice_ptrs[0] - 1
-    for bit_index in range(1, inst.num_bits + 1):
-        expected = (code >> (inst.num_bits - bit_index)) & 1 == 1
-        pred = PCBitPredicate(Side.ALICE, 1, bit_index, inst.num_bits)
+    for bit_index in range(1, pointer_bits(inst.size) + 1):
+        expected = (code >> (pointer_bits(inst.size) - bit_index)) & 1 == 1
+        pred = PCBitPredicate(Side.ALICE, 1, bit_index, pointer_bits(inst.size))
         assert pred(alice) == expected
         assert not pred(bob)
         assert not pred(SENTINEL_DATUM)
@@ -231,9 +231,8 @@ def test_pointer_bits_is_shared():
 
     assert [pointer_bits(size) for size in (2, 3, 4, 5, 16, 17)] == [1, 2, 2, 3, 4, 5]
     for size in (2, 7, 16):
-        inst = gen_pc_instance(1, size, seed=size)
         driver = PCSolverDriver(1, size, PCSolverConfig(epsilon=1.0, m=1))
-        assert inst.num_bits == driver.num_bits == pointer_bits(size)
+        assert driver.num_bits == pointer_bits(size)
 
 
 def test_predicate_descriptors_round_trip():
@@ -243,7 +242,7 @@ def test_predicate_descriptors_round_trip():
     root_pred = HLEdgePredicate(0, (), 1)
     assert parse_predicate(root_pred.descriptor, hl_inst) == root_pred
     pc_inst = gen_pc_instance(2, 8, seed=24)
-    pc_pred = PCBitPredicate(Side.BOB, 5, 2, pc_inst.num_bits)
+    pc_pred = PCBitPredicate(Side.BOB, 5, 2, pointer_bits(pc_inst.size))
     assert parse_predicate(pc_pred.descriptor, pc_inst) == pc_pred
     with pytest.raises(ValueError):
         parse_predicate("nonsense(1,2)", hl_inst)

@@ -17,7 +17,7 @@ from ldpsim.engine import (
     execute,
     sample_population,
 )
-from ldpsim.problems import gen_hl_instance, gen_pc_instance
+from ldpsim.problems import gen_hl_instance, gen_pc_instance, pointer_bits
 from ldpsim.randomizers import (
     AuditError,
     AuditReport,
@@ -153,7 +153,7 @@ def test_audit_user_single_query_bounded_by_budget():
     alice, bob = inst.data_pair()
     from ldpsim.problems import PCBitPredicate
 
-    q = RRQuery(1.0, PCBitPredicate(Side.ALICE, 1, 1, inst.num_bits))
+    q = RRQuery(1.0, PCBitPredicate(Side.ALICE, 1, 1, pointer_bits(inst.size)))
     value = audit_user([(q, 1)], alice, [bob, SENTINEL_DATUM])
     assert value <= 1.0 + 1e-12
 

@@ -1,4 +1,6 @@
 import math
+import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -242,6 +244,67 @@ def test_enumeration_path_guard():
     )
     with pytest.raises(ValueError, match="exceeds"):
         enumerate_transcript_distribution(protocol, 0, 0, max_paths=1000)
+
+
+def test_deep_onebit_protocol_enumerates():
+    # far deeper than Python's recursion limit; only the prefix guard bounds the walk
+    queries = [LawQuery(LN3, "always-1", lambda datum: 1.0)] * 1200
+    assert enumerate_onebit_distribution(fixed_onebit(LN3, PAIR, queries)).probs == {"1" * 1200: 1.0}
+
+
+def _constant_send(p: float) -> TableProtocol:
+    return TableProtocol(num_bits=1, sender_fn=lambda prefix: Side.ALICE, param_fn=lambda inp, prefix: p, channel=bsc(0.25))
+
+
+@pytest.mark.parametrize("slack, exact", [(1.0 + 5e-10, 1.0), (-5e-10, 0.0)])
+def test_send_probability_within_slack_enumerates_as_its_bound(slack, exact):
+    dist = enumerate_transcript_distribution(_constant_send(slack), 0, 0)
+    assert dist.probs == enumerate_transcript_distribution(_constant_send(exact), 0, 0).probs
+
+
+def test_send_probability_outside_unit_interval_names_the_step():
+    with pytest.raises(ReductionError, match=re.escape("step 0: probability 1.5 outside [0, 1]")):
+        enumerate_transcript_distribution(_constant_send(1.5), 0, 0)
+
+
+def test_onebit_law_outside_unit_interval_names_the_bit():
+    class BareQuery:  # LawQuery would reject this law itself
+        def law(self, datum):
+            return 1.5
+
+    protocol = fixed_onebit(LN3, PAIR, [LawQuery(LN3, "half", lambda datum: 0.5), BareQuery()])
+    with pytest.raises(ReductionError, match=re.escape("law at bit 1: probability 1.5 outside [0, 1]")):
+        enumerate_onebit_distribution(protocol)
+
+
+def test_table_protocol_asks_its_sender_once_per_prefix():
+    asked = Counter()
+
+    def sender_fn(prefix):
+        asked[prefix] += 1
+        return (Side.ALICE, Side.BOB)[len(prefix) % 2]
+
+    protocol = TableProtocol(
+        num_bits=3, sender_fn=sender_fn, param_fn=lambda inp, prefix: float(inp), channel=lift_channel(LN3)
+    )
+    for x, y in product((0, 1), repeat=2):
+        enumerate_transcript_distribution(protocol, x, y)
+        enumerate_onebit_distribution(lift_two_party_to_ldp(protocol, LN3, (Datum(Side.ALICE, x), Datum(Side.BOB, y))))
+    assert asked == {prefix: 1 for t in range(3) for prefix in product((0, 1), repeat=t)}
+
+
+def test_table_protocol_keeps_no_step_when_its_sender_raises():
+    asked = []
+
+    def sender_fn(prefix):
+        asked.append(prefix)
+        raise ValueError("no sender")
+
+    protocol = TableProtocol(num_bits=1, sender_fn=sender_fn, param_fn=lambda inp, prefix: 0.0, channel=ChannelSpec())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no sender"):
+            enumerate_transcript_distribution(protocol, 0, 0)
+    assert asked == [(), ()]
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_pc_consumes_exact_user_and_round_counts():
     inst = gen_pc_instance(3, 16, seed=9)
     config = PCSolverConfig(epsilon=1.0, m=7)
     _pop, result = run_pc(inst, config, seed=10)
-    num_bits = inst.num_bits
+    num_bits = pointer_bits(inst.size)
     assert sample_complexity(result.transcript) == (inst.hops + 1) * num_bits * config.m
     assert round_complexity(result.transcript) == (inst.hops + 1) * num_bits
     # fresh users per round by construction
