@@ -1,4 +1,5 @@
-"""Bit channels: binary symmetric channels and majority amplification.
+"""Bit channels: binary symmetric channels and the exact flip probability of
+majority amplification.
 
 A channel is nothing but its flip probability (``crossover``); a noiseless
 channel is crossover 0. The complementary quantity ``advantage = 1/2 -
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import _checked_budget
 
@@ -39,14 +38,6 @@ NOISELESS = ChannelSpec()
 
 def bsc(crossover: float) -> ChannelSpec:
     return ChannelSpec(crossover)
-
-
-def bsc_transmit(bit: int, spec: ChannelSpec, rng: np.random.Generator) -> int:
-    """Send one bit and return the received bit; the sender sees that bit too."""
-    bit = int(bit)
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return bit ^ int(rng.random() < spec.crossover)
 
 
 def lift_crossover(epsilon: float) -> float:
@@ -82,26 +73,3 @@ def majority_flip_probability(crossover: float, votes: int) -> float:
         math.comb(votes, i) * crossover**i * (1.0 - crossover) ** (votes - i)
         for i in range((votes + 1) // 2, votes + 1)
     )
-
-
-@dataclass(frozen=True)
-class AmplifiedChannel:
-    """A BSC wrapped in repetition coding: each bit is sent ``votes`` times
-    and the majority is taken as received."""
-
-    inner: ChannelSpec
-    votes: int
-    effective: ChannelSpec
-
-    def transmit(self, bit: int, rng: np.random.Generator) -> int:
-        """Send one bit ``votes`` times and return the majority; the sender
-        sees that bit too."""
-        ones = sum(bsc_transmit(bit, self.inner, rng) for _ in range(self.votes))
-        return int(ones > self.votes // 2)
-
-
-def majority_amplify(inner: ChannelSpec, votes: int) -> AmplifiedChannel:
-    """Repetition-code ``inner``; the effective spec carries the exact
-    majority flip probability."""
-    effective = ChannelSpec(majority_flip_probability(inner.crossover, votes))
-    return AmplifiedChannel(inner=inner, votes=votes, effective=effective)

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .acceptance import CRITERIA, run_suite
-from .channels import NOISELESS, bsc, lift_crossover, lower_crossover, majority_amplify
+from .channels import NOISELESS, bsc, lift_crossover, lower_crossover, majority_flip_probability
 from .engine import Datum, LdpSimError, Side
 from .harness import (
     ExperimentConfig,
@@ -184,8 +184,21 @@ def parse_onebit_file(lines: Iterable[str]):
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# input and output plumbing
 # ---------------------------------------------------------------------------
+
+
+def _open_text(path: str) -> io.StringIO:
+    """The text of the UTF-8 file ``path``, with newlines read as ``open``
+    reads them; bytes that are not UTF-8 raise a ValueError that names the
+    file and the line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -229,11 +242,10 @@ def _apply_config_file(args) -> None:
     ``choices``."""
     if not getattr(args, "config", None):
         return
-    with open(args.config, "r", encoding="utf-8") as handle:
-        try:
-            defaults = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {args.config}: not valid JSON: {exc}") from None
+    try:
+        defaults = json.load(_open_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {args.config}: not valid JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise ValueError(f"config file {args.config}: expected a JSON object, got {type(defaults).__name__}")
     flags = {action.dest: action for action in args.flags._actions}
@@ -321,8 +333,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_reduce_lift(args) -> int:
-    with open(args.protocol, "r", encoding="utf-8") as handle:
-        protocol = parse_two_party_file(handle)
+    protocol = parse_two_party_file(_open_text(args.protocol))
     epsilon = float(args.eps)
     pair = (Datum(Side.ALICE, "alice-input"), Datum(Side.BOB, "bob-input"))
     lifted = lift_two_party_to_ldp(protocol, epsilon, pair)  # validates the channel
@@ -355,8 +366,7 @@ def _cmd_reduce_lift(args) -> int:
 
 
 def _cmd_reduce_lower(args) -> int:
-    with open(args.protocol, "r", encoding="utf-8") as handle:
-        source = parse_onebit_file(handle)
+    source = parse_onebit_file(_open_text(args.protocol))
     epsilon = float(args.eps)
     lowered = lower_multi_to_two_party(source, epsilon)
     steps = []
@@ -391,13 +401,9 @@ def _cmd_reduce_lower(args) -> int:
 
 
 def _cmd_reduce_amplify(args) -> int:
-    amplified = majority_amplify(bsc(float(args.flip)), int(args.m))
+    flip, votes = bsc(float(args.flip)).crossover, int(args.m)
     _emit_json(
-        {
-            "inner_flip": amplified.inner.crossover,
-            "votes": amplified.votes,
-            "effective_flip": amplified.effective.crossover,
-        },
+        {"inner_flip": flip, "votes": votes, "effective_flip": majority_flip_probability(flip, votes)},
         args.out,
     )
     return 0
@@ -424,8 +430,7 @@ def _cmd_reduce_rounds(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    with open(args.protocol, "r", encoding="utf-8") as handle:
-        protocol = parse_two_party_file(handle)
+    protocol = parse_two_party_file(_open_text(args.protocol))
     distribution = enumerate_transcript_distribution(protocol, args.x, args.y)
     buffer = io.StringIO()
     distribution.serialize(buffer)

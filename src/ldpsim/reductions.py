@@ -18,6 +18,10 @@ Conversions provided:
   simulated user, so the lowered protocol's ``max_bits`` is the source's
   ``max_users`` and there is no separate communication cap; a source that
   runs past its ``max_users`` fails enumeration with :class:`ReductionError`.
+* one-bit view: :func:`one_bit_view` turns any sequentially interactive
+  :class:`~ldpsim.engine.CountDriver`, whose every round asks the next fresh
+  user ids, into a one-bit-per-user protocol that the lowering takes; a
+  driver that asks a user again is refused with :class:`ReductionError`.
 * round reschedule: a simultaneous-rounds protocol becomes an alternating
   one with Bob speaking first and one extra round, preserving the joint
   output distribution.
@@ -298,6 +302,54 @@ class OneBitSequence(OneBitLDPProtocol):
 
     def action(self, prefix: tuple[int, ...]) -> Answer | Any:
         return self.step_fn(prefix)
+
+
+def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Datum]) -> OneBitSequence:
+    """A sequentially interactive driver as a one-bit-per-user protocol.
+
+    Each round must ask the next fresh user ids in order, so user
+    ``len(prefix)`` publishes bit ``len(prefix)``, and gets the round's
+    shared query or their own entry of its per-user list. The view keeps the
+    driver's state and decision at each prefix that starts a round, and
+    folds each finished round with one ``advance``; it is meant for exact
+    enumeration at tiny shapes, and its ``max_users`` is the driver's
+    ``users_required``. A round that asks any other id raises
+    :class:`ReductionError` naming that user: a fully interactive driver,
+    which asks its users again, has no one-bit view.
+    """
+    # each prefix that starts a round -> (state, users asked, queries), or the Answer of a halt
+    rounds: dict[tuple[int, ...], tuple[Any, int, Any] | Answer] = {}
+
+    def round_at(start: tuple[int, ...], state) -> tuple[Any, int, Any] | Answer:
+        action = driver.decide(state)
+        if isinstance(action, Halt):
+            rounds[start] = Answer(lambda _transcript, answer=action.answer: answer)
+            return rounds[start]
+        users = list(action.users)
+        if not users:
+            raise ReductionError(f"the round at bit {len(start)} asks no user")
+        for expected, user in enumerate(users, start=len(start)):
+            if user != expected:
+                raise ReductionError(
+                    f"the round at bit {len(start)} asks user {user}, not the fresh user {expected}: "
+                    "only a sequentially interactive driver has a one-bit view"
+                )
+        queries = action.queries if hasattr(action.queries, "law") else list(action.queries)
+        rounds[start] = state, len(users), queries
+        return rounds[start]
+
+    def step_fn(prefix: tuple[int, ...]):
+        start: tuple[int, ...] = ()
+        at = rounds.get(start) or round_at(start, driver.start())
+        while not isinstance(at, Answer):
+            state, asked, queries = at
+            if len(prefix) < len(start) + asked:
+                return queries if hasattr(queries, "law") else queries[len(prefix) - len(start)]
+            start = prefix[: len(start) + asked]
+            at = rounds.get(start) or round_at(start, driver.advance(state, sum(start[-asked:]), asked))
+        return at
+
+    return OneBitSequence(epsilon=epsilon, data_pair=data_pair, step_fn=step_fn, max_users=driver.users_required)
 
 
 def fixed_onebit(epsilon: float, data_pair: tuple[Datum, Datum], queries: Sequence[Any]) -> OneBitSequence:

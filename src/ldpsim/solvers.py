@@ -11,18 +11,23 @@
 * :class:`PCSolverDriver` is sequentially interactive: it reconstructs one
   pointer value per phase, bit by bit, each bit from a fresh group of users
   at the full budget.
+
+Both drivers are :class:`~ldpsim.engine.CountDriver` subclasses, and only
+a driver knows its round layout. The sequential ones, ``pc`` and the
+baseline, ask the next fresh user ids every round, so
+:func:`~ldpsim.reductions.one_bit_view` turns them into one-bit-per-user
+protocols that the paper's lowering takes. The fully interactive walk asks
+its users again, so the view refuses it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .engine import CountDriver, Datum, Halt, RoundSpec, Side, _checked_budget
+from .engine import CountDriver, Halt, RoundSpec, Side, _checked_budget
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, debias
-from .reductions import Answer, OneBitSequence
 
 
 @dataclass(frozen=True)
@@ -170,38 +175,6 @@ class PCSolverDriver(CountDriver):
     @property
     def users_required(self) -> int:
         return (self.hops + 1) * self.num_bits * self.config.m
-
-
-def pc_one_bit_view(hops: int, size: int, config: PCSolverConfig, data_pair: tuple[Datum, Datum]) -> OneBitSequence:
-    """The pointer-chasing solver as a one-bit-per-user protocol.
-
-    Sequential interaction already gives every user a single randomized-
-    response bit, so the solver lowers to a two-party channel protocol
-    directly. The view groups the published bits into per-query chunks of
-    ``m`` and folds each chunk prefix once into the driver's state, from the
-    state before its last chunk; it is only meant for exact enumeration at
-    tiny shapes. The fully interactive tree-walk solver has no such view:
-    its users answer once per round, not once ever.
-    """
-    driver = PCSolverDriver(hops, size, config)
-    m = config.m
-
-    @functools.lru_cache(maxsize=None)
-    def state_at(chunks: tuple[int, ...]):
-        return driver.advance(state_at(chunks[:-m]), sum(chunks[-m:]), m) if chunks else driver.start()
-
-    def step_fn(prefix: tuple[int, ...]):
-        action = driver.decide(state_at(prefix[: len(prefix) - len(prefix) % m]))
-        if isinstance(action, Halt):
-            return Answer(lambda _transcript, answer=action.answer: answer)
-        return action.queries
-
-    return OneBitSequence(
-        epsilon=config.epsilon,
-        data_pair=data_pair,
-        step_fn=step_fn,
-        max_users=driver.users_required,
-    )
 
 
 def hl_sample_bound(epsilon: float, branching: int, beta: float = 0.1) -> int:

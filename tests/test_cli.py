@@ -109,6 +109,22 @@ def test_protocol_file_errors_name_the_line(capsys, tmp_path, case):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["enumerate", "lift", "lower"])
+def test_protocol_file_that_is_not_utf8_names_the_file_and_the_line(capsys, tmp_path, command):
+    text = ONE_BIT_FILE if command == "lower" else TWO_PARTY_FILE
+    proto = tmp_path / "proto.txt"
+    proto.write_bytes(text.encode() + b"\n\xff\n")
+    argv = {
+        "enumerate": ["enumerate", "--protocol", str(proto), "--x", "0", "--y", "1"],
+        "lift": ["reduce", "lift", "--eps", str(LN3), "--protocol", str(proto)],
+        "lower": ["reduce", "lower", "--eps", str(LN3), "--protocol", str(proto)],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    lineno = text.count("\n") + 2
+    assert stderr == f"error: {proto}: line {lineno}: not UTF-8 text (invalid start byte)\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -238,6 +254,14 @@ def test_config_file_that_is_not_json_names_the_file(capsys, tmp_path):
     code, stdout, stderr = run_cli(capsys, "run", "--seed", "1", "--config", str(cfg))
     assert code == 1 and stdout == ""
     assert stderr == f"error: config file {cfg}: not valid JSON: Expecting value: line 1 column 13 (char 12)\n"
+
+
+def test_config_file_that_is_not_utf8_names_the_file_and_the_line(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"problem": "pc",\n\xff\xfe{')
+    code, stdout, stderr = run_cli(capsys, "run", "--seed", "1", "--config", str(cfg))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {cfg}: line 2: not UTF-8 text (invalid start byte)\n"
 
 
 _PC_KEYS = {"problem": "pc", "k": 1, "l": 2, "eps": 20.0, "m": 30, "trials": 2}
@@ -501,6 +525,21 @@ def test_reduce_amplify_echo(capsys):
     code, stdout, _ = run_cli(capsys, "reduce", "amplify", "--flip", "0.25", "--m", "3")
     assert code == 0
     assert json.loads(stdout)["effective_flip"] == 0.15625
+    assert stdout == '{\n  "effective_flip": 0.15625,\n  "inner_flip": 0.25,\n  "votes": 3\n}\n'
+
+
+@pytest.mark.parametrize(
+    "flip, votes, message",
+    [
+        ("0.5", "3", "crossover must lie in [0, 1/2)"),
+        ("0.6", "4", "crossover must lie in [0, 1/2)"),
+        ("0.25", "4", "votes must be an odd natural number"),
+        ("0.25", "0", "votes must be an odd natural number"),
+    ],
+)
+def test_reduce_amplify_checks_the_flip_before_the_votes(capsys, flip, votes, message):
+    code, stdout, stderr = run_cli(capsys, "reduce", "amplify", "--flip", flip, "--m", votes)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
 def test_reduce_rounds_echo(capsys):

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldpsim._rng import substream
-from ldpsim.channels import ChannelSpec, bsc, bsc_transmit, lift_channel, lower_crossover
-from ldpsim.engine import Datum, InteractivityMode, Side, execute, sample_population
+from ldpsim.channels import ChannelSpec, bsc, lift_channel, lower_crossover
+from ldpsim.engine import CountDriver, Datum, Halt, InteractivityMode, RoundSpec, Side, execute, sample_population
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
@@ -29,6 +30,7 @@ from ldpsim.reductions import (
     fixed_onebit,
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
+    one_bit_view,
     simultaneous_to_alternating,
 )
 
@@ -160,7 +162,7 @@ def simulate_two_party(protocol, alice_input, bob_input, seed):
                 break
         inp = alice_input if step.sender is Side.ALICE else bob_input
         sent = int(rng.random() < _check_prob(float(step.send_param(inp)), "simulation"))
-        received = bsc_transmit(sent, protocol.channel, rng)
+        received = sent ^ int(rng.random() < protocol.channel.crossover)
         entered = received if step.use_prob >= 1.0 or rng.random() < step.use_prob else step.skip_bit
         prefix = prefix + (entered,)
     raise AssertionError("two-party protocol did not halt within max_bits")
@@ -553,17 +555,97 @@ def test_lower_applies_to_pointer_chasing_solver():
     # the sequential solver is natively one bit per user, so lowering it
     # preserves the transcript distribution exactly
     from ldpsim.problems import gen_pc_instance
-    from ldpsim.solvers import PCSolverConfig, pc_one_bit_view
+    from ldpsim.solvers import PCSolverConfig, PCSolverDriver
 
     inst = gen_pc_instance(1, 2, seed=31)
-    config = PCSolverConfig(epsilon=LN2, m=2)
-    source = pc_one_bit_view(inst.hops, inst.size, config, inst.data_pair())
+    driver = PCSolverDriver(inst.hops, inst.size, PCSolverConfig(epsilon=LN2, m=2))
+    source = one_bit_view(driver, LN2, inst.data_pair())
     lowered = lower_multi_to_two_party(source, LN2)
     alice, bob = inst.data_pair()
     tv = enumerate_onebit_distribution(source).tv_distance(
         enumerate_transcript_distribution(lowered, alice, bob)
     )
     assert tv <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one-bit views of count drivers
+# ---------------------------------------------------------------------------
+
+
+def _tiny_trial(solver, shape, group_size, seed):
+    cfg = ExperimentConfig(shape, solver, LN3, trials=1, seed=seed, group_size=group_size)
+    return build_trial(cfg, seed)
+
+
+def test_one_bit_view_refuses_the_fully_interactive_walk():
+    trial = _tiny_trial("hl-full", HLShape(2, 2), 2, seed=5)
+    view = one_bit_view(trial.driver, LN3, (trial.population.alice_datum, trial.population.bob_datum))
+    assert view.action((0,)).descriptor == view.action((1,)).descriptor
+    # the walk's second round asks users 0 and 1 again instead of the fresh users 2 and 3
+    with pytest.raises(ReductionError, match="the round at bit 2 asks user 0, not the fresh user 2"):
+        view.action((0, 1))
+    with pytest.raises(ReductionError, match="asks user 0"):
+        enumerate_onebit_distribution(view)
+
+
+@pytest.mark.parametrize(
+    "solver, shape, group_size",
+    [("pc", (1, 4), 2), ("pc", (2, 5), 1), ("hl-baseline", (2, 3), 2), ("hl-baseline", (3, 2), 1)],
+)
+def test_one_bit_view_walked_along_an_execution_gives_its_transcript(solver, shape, group_size):
+    problem = PCShape(*shape) if solver == "pc" else HLShape(*shape)
+    for seed in range(5):
+        trial = _tiny_trial(solver, problem, group_size, seed)
+        result = trial.execute()
+        rounds = result.transcript.rounds
+        users = [int(user) for record in rounds for user in record.users]
+        bits = tuple(int(bit) for record in rounds for bit in record.outputs)
+        descriptors = [name for record in rounds for name in record.randomizer_ids]
+        assert users == list(range(len(users)))
+        view = one_bit_view(trial.driver, LN3, (trial.population.alice_datum, trial.population.bob_datum))
+        assert [view.action(bits[:user]).descriptor for user in users] == descriptors
+        answer = view.action(bits)
+        assert isinstance(answer, Answer) and answer.fn(bits) == result.answer
+
+
+class _TwoUsersPerRound(CountDriver):
+    """Two rounds, each asking the next two fresh users their own query,
+    handed over as a generator."""
+
+    users_required = 4
+
+    def __init__(self, queries):
+        self.queries = queries
+
+    def start(self):
+        return 0
+
+    def decide(self, state):
+        if state == 2:
+            return Halt("done")
+        return RoundSpec(users=[2 * state, 2 * state + 1], queries=(q for q in self.queries[2 * state : 2 * state + 2]))
+
+    def advance(self, state, ones, asked):
+        return state + 1
+
+
+def test_one_bit_view_refuses_a_round_without_users():
+    # such a round would start the next round at the same prefix, over and over
+    driver = _TwoUsersPerRound([])
+    driver.decide = lambda state: RoundSpec(users=range(0), queries=[])
+    with pytest.raises(ReductionError, match="the round at bit 0 asks no user"):
+        one_bit_view(driver, LN3, PAIR).action(())
+
+
+def test_one_bit_view_gives_each_user_their_own_query():
+    queries = [law_query(LN3, f"own-{i}", p, 1.0 - p) for i, p in enumerate((0.75, 0.6, 0.5, 0.4))]
+    view = one_bit_view(_TwoUsersPerRound(queries), LN3, PAIR)
+    for prefix in product((0, 1), repeat=4):
+        assert [view.action(prefix[:user]) for user in range(4)] == queries
+        assert view.action(prefix).fn(prefix) == "done"
+    nonadaptive = fixed_onebit(LN3, PAIR, queries)
+    assert enumerate_onebit_distribution(view).probs == enumerate_onebit_distribution(nonadaptive).probs
 
 
 # ---------------------------------------------------------------------------

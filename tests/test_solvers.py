@@ -16,7 +16,7 @@ from ldpsim.engine import (
 )
 from ldpsim.problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent, pointer_bits
 from ldpsim.randomizers import audit_transcript, debias
-from ldpsim.reductions import enumerate_onebit_distribution
+from ldpsim.reductions import enumerate_onebit_distribution, one_bit_view
 from ldpsim.solvers import (
     DecodeFailure,
     HLSolverConfig,
@@ -25,7 +25,6 @@ from ldpsim.solvers import (
     PCSolverDriver,
     hl_sample_bound,
     pc_group_bound,
-    pc_one_bit_view,
 )
 
 LN3 = math.log(3.0)
@@ -199,30 +198,49 @@ def test_pc_exact_threshold_resolves_to_zero_bit():
     assert follow_up.queries.predicate.location == 1
 
 
-@pytest.mark.parametrize("hops, size, m", [(1, 4, 2), (2, 5, 1)])
-def test_pc_one_bit_view_folds_each_chunk_prefix_once(monkeypatch, hops, size, m):
+def _folds_and_round_prefixes(monkeypatch, driver, data_pair, group):
+    """The states that ``advance`` folds while the whole one-bit view of
+    ``driver`` is enumerated, and the distinct prefixes that start a round
+    of ``group`` users, the empty one left out."""
     steps = []
-    advance = PCSolverDriver.advance
+    advance = type(driver).advance
 
     def counted(self, state, ones, asked):
         steps.append(state)
         return advance(self, state, ones, asked)
 
-    monkeypatch.setattr(PCSolverDriver, "advance", counted)
-    inst = gen_pc_instance(hops, size, seed=31)
-    view = pc_one_bit_view(hops, size, PCSolverConfig(epsilon=1.0, m=m), inst.data_pair())
+    monkeypatch.setattr(type(driver), "advance", counted)
+    view = one_bit_view(driver, driver.config.epsilon, data_pair)
     step_fn, reached = view.step_fn, set()
 
     def recorded(prefix):
-        reached.add(prefix[: len(prefix) - len(prefix) % m])
+        reached.add(prefix[: len(prefix) - len(prefix) % group])
         return step_fn(prefix)
 
     view.step_fn = recorded
     enumerate_onebit_distribution(view)
     reached.discard(())
+    return steps, reached
+
+
+@pytest.mark.parametrize("hops, size, m", [(1, 4, 2), (2, 5, 1)])
+def test_pc_one_bit_view_folds_each_chunk_prefix_once(monkeypatch, hops, size, m):
+    inst = gen_pc_instance(hops, size, seed=31)
+    driver = PCSolverDriver(hops, size, PCSolverConfig(epsilon=1.0, m=m))
+    steps, reached = _folds_and_round_prefixes(monkeypatch, driver, inst.data_pair(), m)
     # one step per distinct full-chunk prefix: a path of d chunks costs d steps
     assert len(steps) == len(reached)
-    assert max(map(len, reached)) == (hops + 1) * pointer_bits(size) * m
+    assert max(map(len, reached)) == (hops + 1) * pointer_bits(size) * m == driver.users_required
+
+
+@pytest.mark.parametrize("branching, num_levels, n", [(2, 3, 2), (3, 2, 1)])
+def test_hl_baseline_one_bit_view_folds_each_round_prefix_once(monkeypatch, branching, num_levels, n):
+    inst = gen_hl_instance(branching, num_levels, seed=31)
+    driver = HLSolverDriver(branching, num_levels, HLSolverConfig(epsilon=1.0, n=n), fresh_groups=True)
+    steps, reached = _folds_and_round_prefixes(monkeypatch, driver, inst.data_pair(), n)
+    assert len(steps) == len(reached)
+    # a walk that probes every child of every level asks every user the driver declares
+    assert max(map(len, reached)) == branching * num_levels * n == driver.users_required
 
 
 def test_pc_group_bound_pinned():
