@@ -273,28 +273,46 @@ def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
 
 
 def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
-    rows = [line.rstrip("\n") for line in lines if line.strip()]
+    """Parse :func:`write_instance`'s text. A missing or malformed field, or
+    a row that is not a whole pointer vector, raises ``ValueError`` naming
+    its 1-based line."""
+    rows = [(number, line.split()) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         raise ValueError("empty instance file")
-    tag, *fields = rows[0].split(" ")
-    params = dict(f.split("=", 1) for f in fields)
+    number, (tag, *fields) = rows[0]
+    params = {}
+    for field in fields:
+        key, equals, value = field.partition("=")
+        if not equals:
+            raise ValueError(f"line {number}: field {field!r} is not key=value")
+        params[key] = value
+
+    def integer(key: str) -> int:
+        if key not in params:
+            raise ValueError(f"line {number}: missing field {key!r}")
+        try:
+            return int(params[key])
+        except ValueError:
+            raise ValueError(f"line {number}: field {key!r} is not an integer: {params[key]!r}") from None
+
     if tag == "hl":
         return HLInstance(
-            branching=int(params["branching"]),
-            num_levels=int(params["num_levels"]),
-            alice_layer=int(params["alice_layer"]),
-            bob_layer=int(params["bob_layer"]),
-            label_seed=int(params["label_seed"]),
+            branching=integer("branching"),
+            num_levels=integer("num_levels"),
+            alice_layer=integer("alice_layer"),
+            bob_layer=integer("bob_layer"),
+            label_seed=integer("label_seed"),
         )
     if tag == "pc":
         vectors = {}
-        for row in rows[1:]:
-            name, *values = row.split(" ")
-            vectors[name] = tuple(int(v) for v in values)
-        return PCInstance(
-            hops=int(params["hops"]),
-            size=int(params["size"]),
-            alice_ptrs=vectors["alice"],
-            bob_ptrs=vectors["bob"],
-        )
-    raise ValueError(f"unknown instance tag: {tag!r}")
+        for row_number, (name, *values) in rows[1:]:
+            try:
+                vectors[name] = tuple(int(v) for v in values)
+            except ValueError:
+                raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
+        hops, size = integer("hops"), integer("size")
+        for name in ("alice", "bob"):
+            if name not in vectors:
+                raise ValueError(f"line {number}: pc instance has no {name!r} row")
+        return PCInstance(hops=hops, size=size, alice_ptrs=vectors["alice"], bob_ptrs=vectors["bob"])
+    raise ValueError(f"line {number}: unknown instance tag: {tag!r}")

@@ -202,12 +202,17 @@ class AuditValues(Mapping[int, float]):
     """Read-only mapping view of audit values over two columns: ``user_ids``
     (int64, strictly ascending) and ``ratios`` (float64).
 
+    ``audit_transcript`` hands over its segment form instead: the segment
+    edges, which segments were audited, the (side, segment) values and the
+    population's side codes. ``max()`` and ``len()`` read that form alone;
+    the columns are built on first read, by one gather, and kept.
+
     Iteration, ``items()`` and ``values()`` convert the columns with one
     ``tolist()`` each, so they yield Python ``int`` and ``float`` in ascending
     id order; ``[]`` and ``in`` binary-search the id column.
     """
 
-    __slots__ = ("user_ids", "ratios")
+    __slots__ = ("_ids", "_ratios", "_segments")
 
     def __init__(self, user_ids, ratios):
         user_ids = _column(user_ids, np.int64)
@@ -216,18 +221,41 @@ class AuditValues(Mapping[int, float]):
             raise ValueError("user ids and ratios must be 1-D columns of equal length")
         if np.any(user_ids[1:] <= user_ids[:-1]):
             raise ValueError("user ids must be strictly ascending")
-        self.user_ids = user_ids
-        self.ratios = ratios
+        self._ids, self._ratios, self._segments = user_ids, ratios, None
 
     @classmethod
-    def _trusted(cls, user_ids: np.ndarray, ratios: np.ndarray) -> AuditValues:
-        """Columns from ``audit_transcript``, which built ``user_ids`` strictly
-        ascending: both fresh arrays, made read-only here without a copy."""
-        user_ids.setflags(write=False)
-        ratios.setflags(write=False)
+    def _of_segments(cls, edges, covered, best, side_codes) -> AuditValues:
+        """Segment s holds the ids [edges[s], edges[s + 1]) and was audited
+        when covered[s]; its users on side c (``side_codes``) get best[c, s]."""
         values = object.__new__(cls)
-        values.user_ids, values.ratios = user_ids, ratios
+        values._ids = values._ratios = None
+        values._segments = (edges, covered, best, side_codes)
         return values
+
+    @property
+    def user_ids(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def ratios(self) -> np.ndarray:
+        return self._columns()[1]
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two columns, gathered from the segment form on first read: a
+        user of segment s on side c gets best[c, s]."""
+        if self._ids is None:
+            edges, covered, best, side_codes = self._segments
+            lengths = np.diff(edges)
+            segment_of = np.repeat(np.arange(lengths.size), lengths)
+            uids = np.arange(edges[0], edges[-1])
+            if not covered.all():
+                audited = np.repeat(covered, lengths)
+                uids, segment_of = uids[audited], segment_of[audited]
+            ratios = best[side_codes[uids], segment_of]
+            uids.setflags(write=False)
+            ratios.setflags(write=False)
+            self._ids, self._ratios = uids, ratios
+        return self._ids, self._ratios
 
     @classmethod
     def of(cls, mapping: Mapping[int, float]) -> AuditValues:
@@ -264,7 +292,10 @@ class AuditValues(Mapping[int, float]):
         return iter(self.user_ids.tolist())
 
     def __len__(self) -> int:
-        return self.user_ids.size
+        if self._segments is None:
+            return self._ids.size
+        edges, covered = self._segments[:2]
+        return int(np.diff(edges)[covered].sum())
 
     def items(self) -> ItemsView[int, float]:
         return _AuditItems(self)
@@ -274,7 +305,15 @@ class AuditValues(Mapping[int, float]):
 
     def max(self) -> float:
         """The largest audit value, 0.0 when no user was audited."""
-        return float(self.ratios.max()) if self.ratios.size else 0.0
+        if self._segments is None:
+            return float(self._ratios.max()) if self._ratios.size else 0.0
+        # a (side, segment) value counts when the segment was audited and
+        # holds a user of that side: Alice (0) if its least code is 0, Bob
+        # (1) if its greatest is 1
+        edges, covered, best, side_codes = self._segments
+        codes, starts = side_codes[edges[0] : edges[-1]], edges[:-1] - edges[0]
+        held = np.stack((np.minimum.reduceat(codes, starts) == 0, np.maximum.reduceat(codes, starts) == 1))
+        return float(best[held & covered].max())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -332,8 +371,9 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     descriptor, and the audit adds each run's terms to its segments by
     slice, in round order from zero, which gives each user the same floats
     as a user-by-user fold; a user listed twice in one round falls in two
-    runs and counts twice. Its cost grows with runs and segments, plus one
-    gather over the audited users at the end.
+    runs and counts twice. Its cost grows with runs and segments, not with
+    users: the report keeps each (side, segment) value, and its per-user
+    columns are gathered only when first read.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
     row_pairs: dict[str, np.ndarray] = {}
@@ -386,16 +426,7 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
         sums[:, segments] += term[:, None, :]
         covered[segments] = True
 
-    # one gather over the audited users: a user of segment s on side c gets best[2s + c]
-    best = sums.max(axis=2).T.ravel()
-    lengths = np.diff(edges)
-    pair_of = np.repeat(np.arange(0, best.size, 2), lengths)
-    uids = np.arange(edges[0], edges[-1])
-    if not covered.all():
-        audited = np.repeat(covered, lengths)
-        uids, pair_of = uids[audited], pair_of[audited]
-    maxima = best.take(pair_of + population.side_codes[uids])
-    return AuditReport(per_user=AuditValues._trusted(uids, maxima))
+    return AuditReport(per_user=AuditValues._of_segments(edges, covered, sums.max(axis=2), population.side_codes))
 
 
 def write_audit_report(report: AuditReport, declared_epsilon: float, stream: TextIO) -> None:

@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 from itertools import product
 
@@ -266,7 +267,14 @@ def test_instance_round_trip():
 
 
 def test_read_instance_rejects_garbage():
-    with pytest.raises(ValueError):
-        read_instance(io.StringIO("mystery a=1\n"))
-    with pytest.raises(ValueError):
-        read_instance(io.StringIO(""))
+    for text, message in [
+        ("mystery a=1\n", "line 1: unknown instance tag: 'mystery'"),
+        ("", "empty instance file"),
+        ("hl branching=2\n", "line 1: missing field 'num_levels'"),
+        ("\nhl branching2\n", "line 2: field 'branching2' is not key=value"),
+        ("hl branching=2 num_levels=x\n", "line 1: field 'num_levels' is not an integer: 'x'"),
+        ("pc hops=1 size=2 indexing=1\nalice 1 2\n", "line 1: pc instance has no 'bob' row"),
+        ("pc hops=1 size=2 indexing=1\nalice 1 2\n\nbob 1 two\n", "line 4: row 'bob' holds a value"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            read_instance(io.StringIO(text))

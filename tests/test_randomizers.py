@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -358,6 +359,9 @@ def _reference_audit(transcript, pop, query_log):
 def _assert_audit_matches_reference(transcript, pop, query_log):
     report = audit_transcript(transcript, pop, query_log)
     uids, maxima, worst = _reference_audit(transcript, pop, query_log)
+    # the maximum and the count come from the segment form, before any column is read
+    assert report.per_user._ids is None
+    assert report.max_ratio() == (maxima.max() if uids.size else 0.0) and len(report.per_user) == uids.size
     assert np.array_equal(report.per_user.user_ids, uids)
     assert np.array_equal(report.per_user.ratios, maxima)  # the same floats, not just close ones
     assert report.worst_user == worst
@@ -437,6 +441,40 @@ def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
     rounds = audit_transcript(Transcript(tuple(shared)), pop, _FUZZ_LOG).per_user
     assert np.array_equal(blocks.user_ids, np.arange(n))
     assert np.array_equal(blocks.user_ids, rounds.user_ids) and np.array_equal(blocks.ratios, rounds.ratios)
+
+
+def test_segment_max_ignores_a_side_absent_from_its_segment():
+    from ldpsim.engine import Population, RoundRecord
+    from ldpsim.randomizers import _by_side_query, _law_log_ratio
+
+    # users 0-4 are all Alice, so Bob's row of round 0 (0.2231 against the
+    # sentinel) belongs to no user; round 1 adds nothing to anyone
+    pop = Population(np.array([0, 0, 0, 0, 0, 0, 1, 0, 1, 1]), "A", "B", seed=0)
+    log = {"ab": _by_side_query(0.7, "ab", 0.55, 0.6), "flat": _by_side_query(0.7, "flat", 0.5, 0.5)}
+    rounds = (
+        RoundRecord(0, range(5), ["ab"] * 5, [0.7] * 5, [0] * 5),
+        RoundRecord(1, range(5, 10), ["flat"] * 5, [0.7] * 5, [0] * 5),
+    )
+    report = audit_transcript(Transcript(rounds), pop, log)
+    assert report.max_ratio() == _law_log_ratio(0.55, 0.6) == pytest.approx(0.1178, abs=1e-4)
+    assert len(report.per_user) == 10
+    assert report.per_user.ratios.max() == report.max_ratio() and report.worst_user == 0
+
+
+def test_audit_max_and_count_store_nothing_per_user():
+    # one pc trial at the benchmark's shape: 16 rounds of 2,366 fresh users
+    pop, result = _pc_execution(seed=3, epsilon=1.0, hops=3, size=16, m=2366)
+    audit_transcript(result.transcript, pop, result.query_log)  # numpy imports a module on first use
+    tracemalloc.start()
+    try:
+        report = audit_transcript(result.transcript, pop, result.query_log)
+        report.max_ratio()
+        audited = len(report.per_user)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert audited == 37856
+    assert peak < 8 * audited
 
 
 @pytest.mark.parametrize("users", [[1, 2, 3], [3, 0], [0, 2, 3]])
