@@ -181,7 +181,7 @@ def _lift_tv(protocol: TableProtocol, epsilon: float, x: int, y: int) -> float:
 
 def _lift_equivalence() -> tuple[bool, str]:
     """Transcript distributions of deterministic <=3-bit BSC protocols match
-    their lifted sequential drivers exactly.
+    their lifted one-bit protocols exactly.
 
     Depths 1 and 2 enumerate every (sender, next-bit function) assignment
     literally, over all four input pairs. For depth 3 the check runs over

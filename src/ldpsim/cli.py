@@ -339,7 +339,7 @@ def _cmd_reduce_lift(args) -> int:
     lifted = lift_two_party_to_ldp(protocol, epsilon, pair)  # validates the channel
     steps = []
     # over the lift's BSC every prefix is reachable, so each needs a row;
-    # the lifted driver raises, naming the first prefix the table lacks
+    # the lifted protocol raises, naming the first prefix the table lacks
     for prefix in (prefix for t in range(protocol.num_bits) for prefix in product((0, 1), repeat=t)):
         query = lifted.action(prefix)
         sender = protocol.sender_fn(prefix)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import hash_limit, premixed_keys, round_bits, substream
 
-DEFAULT_MAX_ROUNDS = 10_000_000
+MAX_ROUNDS = 10_000_000
 
 
 class LdpSimError(RuntimeError):
@@ -413,13 +413,12 @@ def execute(
     population: Population,
     mode: InteractivityMode,
     seed: int,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> ExecutionResult:
     """Run ``driver`` against ``population`` under ``mode``.
 
     Deterministic given (driver, population, mode, seed). Raises
     :class:`InteractivityViolation` when the driver breaks the mode,
-    :class:`DivergenceError` after ``max_rounds`` rounds without a halt.
+    :class:`DivergenceError` after ``MAX_ROUNDS`` rounds without a halt.
     """
     transcript = Transcript()
     # one read-only id column per execution: a step-1 range round's users are a view of it
@@ -438,8 +437,8 @@ def execute(
         if not isinstance(action, RoundSpec):
             raise TypeError(f"driver returned {type(action).__name__}, expected RoundSpec or Halt")
         round_index = len(transcript.rounds)
-        if round_index >= max_rounds:
-            raise DivergenceError(f"driver did not halt within {max_rounds} rounds")
+        if round_index >= MAX_ROUNDS:
+            raise DivergenceError(f"driver did not halt within {MAX_ROUNDS} rounds")
 
         users, index = _user_array(action.users, ids)
         if users.size < 1:
@@ -602,19 +601,30 @@ def write_transcript(transcript: Transcript, stream: TextIO) -> None:
 
 
 def read_transcript(lines: Iterable[str]) -> Transcript:
+    """Parse :func:`write_transcript`'s text. A malformed or invalid line,
+    or a round index out of order, raises ``ValueError`` naming the line."""
     rounds = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line:
             continue
-        index_s, users_s, ids_s, eps_s, outs_s = line.split("\t")
-        rounds.append(
-            RoundRecord(
-                round_index=int(index_s),
-                users=tuple(int(u) for u in users_s.split(" ")),
-                randomizer_ids=tuple(ids_s.split(" ")),
-                epsilons=tuple(float(e) for e in eps_s.split(" ")),
-                outputs=tuple(int(b) for b in outs_s.split(" ")),
+        try:
+            columns = line.split("\t")
+            if len(columns) != 5:
+                raise ValueError(f"expected 5 tab-separated columns, got {len(columns)}")
+            index_s, users_s, ids_s, eps_s, outs_s = columns
+            round_index = int(index_s)
+            if round_index != len(rounds):
+                raise ValueError(f"round {len(rounds)} carries index {round_index}")
+            rounds.append(
+                RoundRecord(
+                    round_index=round_index,
+                    users=tuple(int(u) for u in users_s.split(" ")),
+                    randomizer_ids=tuple(ids_s.split(" ")),
+                    epsilons=tuple(float(e) for e in eps_s.split(" ")),
+                    outputs=tuple(int(b) for b in outs_s.split(" ")),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return Transcript(tuple(rounds))

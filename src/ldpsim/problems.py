@@ -274,8 +274,9 @@ def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
 
 def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
     """Parse :func:`write_instance`'s text. A missing or malformed field, or
-    a row that is not a whole pointer vector, raises ``ValueError`` naming
-    its 1-based line."""
+    a row holding a value that is not an integer, raises ``ValueError``
+    naming its 1-based line; a value out of range or a row of the wrong
+    length names the header's line, whose fields bound every row."""
     rows = [(number, line.split()) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         raise ValueError("empty instance file")
@@ -295,8 +296,15 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
         except ValueError:
             raise ValueError(f"line {number}: field {key!r} is not an integer: {params[key]!r}") from None
 
+    def build(cls, **values):
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+
     if tag == "hl":
-        return HLInstance(
+        return build(
+            HLInstance,
             branching=integer("branching"),
             num_levels=integer("num_levels"),
             alice_layer=integer("alice_layer"),
@@ -314,5 +322,5 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
         for name in ("alice", "bob"):
             if name not in vectors:
                 raise ValueError(f"line {number}: pc instance has no {name!r} row")
-        return PCInstance(hops=hops, size=size, alice_ptrs=vectors["alice"], bob_ptrs=vectors["bob"])
+        return build(PCInstance, hops=hops, size=size, alice_ptrs=vectors["alice"], bob_ptrs=vectors["bob"])
     raise ValueError(f"line {number}: unknown instance tag: {tag!r}")

@@ -4,8 +4,8 @@ sequentially interactive one-bit locally private protocols.
 Conversions provided:
 
 * lift: a deterministic two-party protocol over a BSC whose advantage equals
-  :func:`~ldpsim.channels.lift_crossover` of the budget becomes a sequential
-  driver in which each channel bit is answered by one fresh user -- the
+  :func:`~ldpsim.channels.lift_crossover` of the budget becomes a one-bit
+  protocol in which each channel bit is answered by one fresh user -- the
   sender-side user applies randomized response to the bit the sender would
   send, any other user answers uniformly. The transcript distributions are
   identical.
@@ -25,6 +25,10 @@ Conversions provided:
 * round reschedule: a simultaneous-rounds protocol becomes an alternating
   one with Bob speaking first and one extra round, preserving the joint
   output distribution.
+
+Every one-bit protocol here -- lifted, fixed, read from a file or a view --
+is a :class:`OneBitSequence`, a :class:`~ldpsim.engine.CountDriver` that the
+engine runs with one fresh user per round.
 
 Every two-party protocol here -- table, lowered, simultaneous and
 alternating -- is a :class:`TwoPartyProtocol` over a channel given by its
@@ -177,17 +181,14 @@ def _check_prob(x: float, context: str) -> float:
     raise ReductionError(f"{context}: probability {x} outside [0, 1]")
 
 
-def _enumerate(
-    branch: Callable[[tuple[int, ...]], tuple[float, float] | None],
-    max_paths: int,
-) -> TranscriptDistribution:
+def _enumerate(branch: Callable[[tuple[int, ...]], tuple[float, float] | None]) -> TranscriptDistribution:
     """Depth-first enumeration of a bit-tree protocol, in pre-order with bit
     0 before bit 1.
 
     ``branch(prefix)`` returns None at a leaf, else the probability masses
     entering bit 0 and bit 1 after ``prefix``; a zero mass prunes that bit.
-    ``max_paths`` bounds the number of visited prefixes, leaves included; the
-    walk keeps its own stack, so nothing else bounds the depth.
+    ``ENUMERATION_GUARD`` bounds the number of visited prefixes, leaves
+    included; the walk keeps its own stack, so nothing else bounds the depth.
     """
     probs: dict[str, float] = {}
     visited = 0
@@ -195,8 +196,8 @@ def _enumerate(
     while stack:
         prefix, key, prob = stack.pop()
         visited += 1
-        if visited > max_paths:
-            raise ValueError(f"enumeration exceeds {max_paths} prefixes")
+        if visited > ENUMERATION_GUARD:
+            raise ValueError(f"enumeration exceeds {ENUMERATION_GUARD} prefixes")
         masses = branch(prefix)
         if masses is None:
             probs[key] = prob
@@ -210,12 +211,7 @@ def _enumerate(
     return TranscriptDistribution(probs)
 
 
-def enumerate_transcript_distribution(
-    protocol: TwoPartyProtocol,
-    alice_input,
-    bob_input,
-    max_paths: int = ENUMERATION_GUARD,
-) -> TranscriptDistribution:
+def enumerate_transcript_distribution(protocol: TwoPartyProtocol, alice_input, bob_input) -> TranscriptDistribution:
     """Exact entered-bit transcript distribution of a two-party protocol.
 
     Each bit's mass is the sum, over the step lottery, the sent bit, the
@@ -265,7 +261,7 @@ def enumerate_transcript_distribution(
                     mass[sent] += w
         return mass[0], mass[1]
 
-    return _enumerate(branch, max_paths)
+    return _enumerate(branch)
 
 
 # ---------------------------------------------------------------------------
@@ -273,27 +269,18 @@ def enumerate_transcript_distribution(
 # ---------------------------------------------------------------------------
 
 
-class OneBitLDPProtocol(ABC):
+@dataclass
+class OneBitSequence(CountDriver):
     """A sequential protocol in which every user answers one single-bit call.
 
-    ``action(prefix)`` maps the published bits so far to the next user's
+    ``step_fn(prefix)`` maps the published bits so far to the next user's
     query (an object with ``law(datum)``) or an :class:`Answer`. The per-user
     response law is exposed analytically; conversions never estimate it.
     ``data_pair`` holds the (Alice, Bob) data of the underlying instance.
+
+    As a :class:`~ldpsim.engine.CountDriver` its state is the published
+    prefix: round ``i`` asks user ``i`` alone and appends their one bit.
     """
-
-    epsilon: float
-    data_pair: tuple[Datum, Datum]
-    max_users: int
-
-    @abstractmethod
-    def action(self, prefix: tuple[int, ...]) -> Answer | Any:
-        raise NotImplementedError
-
-
-@dataclass
-class OneBitSequence(OneBitLDPProtocol):
-    """One-bit protocol driven by ``step_fn(prefix) -> query | Answer``."""
 
     epsilon: float
     data_pair: tuple[Datum, Datum]
@@ -302,6 +289,18 @@ class OneBitSequence(OneBitLDPProtocol):
 
     def action(self, prefix: tuple[int, ...]) -> Answer | Any:
         return self.step_fn(prefix)
+
+    def start(self) -> tuple[int, ...]:
+        return ()
+
+    def decide(self, prefix: tuple[int, ...]) -> RoundSpec | Halt:
+        act = self.step_fn(prefix)
+        if isinstance(act, Answer):
+            return Halt(act.fn(prefix))
+        return RoundSpec(users=[len(prefix)], queries=act)
+
+    def advance(self, prefix: tuple[int, ...], ones: int, asked: int) -> tuple[int, ...]:
+        return prefix + (ones,)
 
 
 def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Datum]) -> OneBitSequence:
@@ -365,11 +364,11 @@ def fixed_onebit(epsilon: float, data_pair: tuple[Datum, Datum], queries: Sequen
     return OneBitSequence(epsilon=epsilon, data_pair=data_pair, step_fn=step_fn, max_users=len(queries))
 
 
-def enumerate_onebit_distribution(protocol: OneBitLDPProtocol) -> TranscriptDistribution:
+def enumerate_onebit_distribution(protocol: OneBitSequence) -> TranscriptDistribution:
     """Exact published-bit distribution of a one-bit protocol, with each
     user's datum an independent fair draw from ``data_pair``."""
 
-    action = protocol.action
+    action = protocol.step_fn  # what ``action`` calls, without its frame
     max_users = protocol.max_users
     data_pair = protocol.data_pair
 
@@ -387,7 +386,7 @@ def enumerate_onebit_distribution(protocol: OneBitLDPProtocol) -> TranscriptDist
             p_one += 0.5 * p
         return 1.0 - p_one, p_one
 
-    return _enumerate(branch, ENUMERATION_GUARD)
+    return _enumerate(branch)
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +394,26 @@ def enumerate_onebit_distribution(protocol: OneBitLDPProtocol) -> TranscriptDist
 # ---------------------------------------------------------------------------
 
 
-class LiftedDriver(CountDriver, OneBitLDPProtocol):
-    """Sequential locally private driver replaying a two-party BSC protocol
-    with one fresh user per channel bit.
+def lift_two_party_to_ldp(protocol: TwoPartyProtocol, epsilon: float, data_pair: tuple[Datum, Datum]) -> OneBitSequence:
+    """A sequential one-bit protocol replaying a two-party BSC protocol with
+    one fresh user per channel bit.
 
     ``protocol`` must be deterministic and run over a BSC whose advantage is
     exactly ``lift_crossover(epsilon)``; ``data_pair`` carries the players'
     inputs as user payloads. If the user's side matches the bit's sender they
     answer randomized response on the bit the sender would send; otherwise
-    they publish an unbiased bit. Bit ``i`` is answered by user ``i``. The
-    state is the published prefix, and each round appends its one bit.
+    they publish an unbiased bit.
     """
+    expected = lift_crossover(epsilon)
+    if abs(protocol.channel.advantage - expected) > 1e-12:
+        raise ValueError(
+            f"channel advantage {protocol.channel.advantage} does not match "
+            f"the lift value {expected} for epsilon={epsilon}"
+        )
+    epsilon = _checked_budget(epsilon)
 
-    def __init__(self, protocol: TwoPartyProtocol, epsilon: float, data_pair: tuple[Datum, Datum]):
-        expected = lift_crossover(epsilon)
-        if abs(protocol.channel.advantage - expected) > 1e-12:
-            raise ValueError(
-                f"channel advantage {protocol.channel.advantage} does not match "
-                f"the lift value {expected} for epsilon={epsilon}"
-            )
-        self.protocol = protocol
-        self.epsilon = _checked_budget(epsilon)
-        self.data_pair = data_pair
-        self.max_users = protocol.max_bits
-
-    def action(self, prefix: tuple[int, ...]) -> Answer | LawQuery:
-        act = self.protocol.action(prefix)
+    def step_fn(prefix: tuple[int, ...]) -> Answer | LawQuery:
+        act = protocol.action(prefix)
         if isinstance(act, Answer):
             return act
         if len(act) != 1 or act[0][0] != 1.0:
@@ -429,27 +422,17 @@ class LiftedDriver(CountDriver, OneBitLDPProtocol):
         if step.use_prob != 1.0:
             raise ValueError("lift requires protocols that enter every received bit")
 
-        def law(datum: Datum, step=step) -> float:
+        def law(datum: Datum) -> float:
             if datum.side is step.sender and datum.payload is not None:
                 value = float(step.send_param(datum.payload))
                 if value not in (0.0, 1.0):
                     raise ValueError("lift requires deterministic next-bit functions")
-                return _rr_laws(self.epsilon)[value == 1.0]
+                return _rr_laws(epsilon)[value == 1.0]
             return 0.5
 
-        return _LiftedBitQuery(self.epsilon, law, prefix, step.sender)
+        return _LiftedBitQuery(epsilon, law, prefix, step.sender)
 
-    def start(self) -> tuple[int, ...]:
-        return ()
-
-    def decide(self, prefix: tuple[int, ...]) -> RoundSpec | Halt:
-        act = self.action(prefix)
-        if isinstance(act, Answer):
-            return Halt(act.fn(prefix))
-        return RoundSpec(users=[len(prefix)], queries=act)
-
-    def advance(self, prefix: tuple[int, ...], ones: int, asked: int) -> tuple[int, ...]:
-        return prefix + (ones,)
+    return OneBitSequence(epsilon, data_pair, step_fn, max_users=protocol.max_bits)
 
 
 class _LiftedBitQuery(LawQuery):
@@ -458,16 +441,13 @@ class _LiftedBitQuery(LawQuery):
     because exact enumeration reads only the law."""
 
     def __init__(self, epsilon: float, law_fn: Callable[[Datum], float], prefix: tuple[int, ...], sender: Side):
-        # the frozen dataclass's own way to set fields; ``epsilon`` is checked by the driver
+        # the frozen dataclass's own way to set fields; ``epsilon`` is checked by the lift
         for name, value in (("epsilon", epsilon), ("law_fn", law_fn), ("_prefix", prefix), ("_sender", sender)):
             object.__setattr__(self, name, value)
 
     @property
     def descriptor(self) -> str:
         return f"lift-bit({len(self._prefix)},{self._sender.value},{_key(self._prefix) or '-'})"
-
-
-lift_two_party_to_ldp = LiftedDriver
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +468,7 @@ class LoweredProtocol(TwoPartyProtocol):
     same construction runs on the complement laws, with skips entering 1.
     """
 
-    def __init__(self, source: OneBitLDPProtocol, epsilon: float):
+    def __init__(self, source: OneBitSequence, epsilon: float):
         self.source = source
         self.epsilon = epsilon
         self.channel = lower_channel(epsilon)

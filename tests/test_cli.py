@@ -6,9 +6,10 @@ from dataclasses import replace
 import pytest
 
 from ldpsim.cli import main, parse_onebit_file, parse_two_party_file
+from ldpsim.engine import InteractivityMode, execute, sample_population
 from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.problems import read_instance
-from ldpsim.randomizers import write_audit_report
+from ldpsim.randomizers import AUDIT_SLACK, audit_transcript, write_audit_report
 from ldpsim.reductions import enumerate_transcript_distribution
 
 LN3 = math.log(3.0)
@@ -48,6 +49,24 @@ def test_parse_onebit_file():
     protocol = parse_onebit_file(io.StringIO(ONE_BIT_FILE))
     assert protocol.max_users == 2
     assert protocol.epsilon == pytest.approx(LN3, rel=1e-12)
+
+
+def test_parsed_onebit_protocol_runs_on_the_engine():
+    protocol = parse_onebit_file(io.StringIO(ONE_BIT_FILE))
+    alice, bob = protocol.data_pair
+    for seed in range(4):
+        population = sample_population(protocol.max_users, alice.payload, bob.payload, seed=seed)
+        result = execute(protocol, population, InteractivityMode.SEQUENTIAL, seed=seed + 10)
+        rounds = result.transcript.rounds
+        assert [(record.users.tolist(), record.randomizer_ids) for record in rounds] == [
+            ([0], ("file-user-0",)),
+            ([1], ("file-user-1",)),
+        ]
+        # a fixed protocol answers with its transcript: the published bits, as Python ints
+        assert result.answer == tuple(int(record.outputs[0]) for record in rounds)
+        assert all(type(bit) is int for bit in result.answer)
+        report = audit_transcript(result.transcript, population, result.query_log)
+        assert report.max_ratio() <= protocol.epsilon + AUDIT_SLACK
 
 
 def test_parse_rejects_malformed():

@@ -388,9 +388,10 @@ def test_execute_laws_zero_and_one_pin_the_bit(population, p, bit):
         assert result.transcript.rounds[0].outputs.tolist() == [bit] * 10
 
 
-def test_divergence_guard(population, query):
-    with pytest.raises(DivergenceError):
-        execute(NeverHalts(query), population, InteractivityMode.FULL, seed=1, max_rounds=25)
+def test_divergence_guard(population, query, monkeypatch):
+    monkeypatch.setattr("ldpsim.engine.MAX_ROUNDS", 25)
+    with pytest.raises(DivergenceError, match="within 25 rounds"):
+        execute(NeverHalts(query), population, InteractivityMode.FULL, seed=1)
 
 
 def test_execution_reproducible(population, query):
@@ -544,6 +545,25 @@ def test_transcript_round_trip(population, query):
     write_transcript(result.transcript, buffer)
     parsed = read_transcript(io.StringIO(buffer.getvalue()))
     assert parsed == result.transcript
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("1\t1 2", "expected 5 tab-separated columns, got 2"),
+        ("1\tx\tq\t1.0\t0", "invalid literal for int()"),
+        ("1\t1\tq\t1.0\t2", "outputs must be bits"),
+        ("1\t1\tq\t-1.0\t0", "epsilon must be positive and finite"),
+        ("1\t1 2\tq\t1.0 1.0\t0 1", "users, randomizer_ids, epsilons, outputs must have equal length"),
+        ("5\t1\tq\t1.0\t0", "round 1 carries index 5"),
+    ],
+    ids=["columns", "user-id", "output", "budget", "lengths", "index"],
+)
+def test_read_transcript_names_the_bad_line(bad_line, message):
+    # a good round, a blank line, then the bad one: line numbers count every line
+    text = "0\t0\tq\t1.0\t1\n\n" + bad_line + "\n"
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {message}")):
+        read_transcript(io.StringIO(text))
 
 
 def test_shared_record_reads_like_a_hand_built_one(population, query):

@@ -275,6 +275,13 @@ def test_read_instance_rejects_garbage():
         ("hl branching=2 num_levels=x\n", "line 1: field 'num_levels' is not an integer: 'x'"),
         ("pc hops=1 size=2 indexing=1\nalice 1 2\n", "line 1: pc instance has no 'bob' row"),
         ("pc hops=1 size=2 indexing=1\nalice 1 2\n\nbob 1 two\n", "line 4: row 'bob' holds a value"),
+        ("pc hops=0 size=2 indexing=1\nalice 1 2\nbob 2 1\n", "line 1: hops must be at least 1"),
+        ("\npc hops=1 size=2 indexing=1\nalice 1 9\nbob 2 1\n", "line 2: alice_ptrs entries must lie in [1, 2]"),
+        ("pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2\n", "line 1: bob_ptrs must have length 2"),
+        (
+            "hl branching=2 num_levels=3 alice_layer=1 bob_layer=1 label_seed=0\n",
+            "line 1: alice_layer must be even in [0, 1]",
+        ),
     ]:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             read_instance(io.StringIO(text))

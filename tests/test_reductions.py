@@ -15,7 +15,6 @@ from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
     Answer,
-    LiftedDriver,
     LoweredProtocol,
     OneBitSequence,
     ReductionError,
@@ -214,7 +213,7 @@ def test_distribution_serialize_round_trip():
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3, 6])
-def test_max_paths_bounds_visited_prefixes(depth):
+def test_max_paths_bounds_visited_prefixes(depth, monkeypatch):
     # a fair noiseless bit per step: the full binary tree of 2^(d+1) - 1 prefixes
     protocol = TableProtocol(
         num_bits=depth,
@@ -223,29 +222,33 @@ def test_max_paths_bounds_visited_prefixes(depth):
         channel=ChannelSpec(),
     )
     prefixes = 2 ** (depth + 1) - 1
-    dist = enumerate_transcript_distribution(protocol, 0, 0, max_paths=prefixes)
+    monkeypatch.setattr("ldpsim.reductions.ENUMERATION_GUARD", prefixes)
+    dist = enumerate_transcript_distribution(protocol, 0, 0)
     assert len(dist.probs) == 2**depth
-    with pytest.raises(ValueError, match="exceeds"):
-        enumerate_transcript_distribution(protocol, 0, 0, max_paths=prefixes - 1)
+    monkeypatch.setattr("ldpsim.reductions.ENUMERATION_GUARD", prefixes - 1)
+    with pytest.raises(ValueError, match=f"exceeds {prefixes - 1} prefixes"):
+        enumerate_transcript_distribution(protocol, 0, 0)
 
 
-def test_lowered_protocol_visits_one_prefix_per_transcript_prefix():
+def test_lowered_protocol_visits_one_prefix_per_transcript_prefix(monkeypatch):
     # lottery, sent bit, flip and keep/skip branches entering one bit are merged
     queries = [law_query(LN3, f"q{i}", 0.75, 0.25) for i in range(3)]
     lowered = lower_multi_to_two_party(fixed_onebit(LN3, PAIR, queries), LN3)
-    dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1], max_paths=2**4 - 1)
+    monkeypatch.setattr("ldpsim.reductions.ENUMERATION_GUARD", 2**4 - 1)
+    dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
     assert len(dist.probs) == 8
 
 
-def test_enumeration_path_guard():
+def test_enumeration_path_guard(monkeypatch):
     protocol = TableProtocol(
         num_bits=30,
         sender_fn=lambda prefix: Side.ALICE,
         param_fn=lambda inp, prefix: 0.5,
         channel=ChannelSpec(),
     )
-    with pytest.raises(ValueError, match="exceeds"):
-        enumerate_transcript_distribution(protocol, 0, 0, max_paths=1000)
+    monkeypatch.setattr("ldpsim.reductions.ENUMERATION_GUARD", 1000)
+    with pytest.raises(ValueError, match="exceeds 1000 prefixes"):
+        enumerate_transcript_distribution(protocol, 0, 0)
 
 
 def test_deep_onebit_protocol_enumerates():
@@ -519,7 +522,6 @@ def test_lower_channel_advantage():
 
 
 def test_conversion_names_are_their_classes():
-    assert lift_two_party_to_ldp is LiftedDriver
     assert lower_multi_to_two_party is LoweredProtocol
 
 
@@ -607,6 +609,27 @@ def test_one_bit_view_walked_along_an_execution_gives_its_transcript(solver, sha
         assert [view.action(bits[:user]).descriptor for user in users] == descriptors
         answer = view.action(bits)
         assert isinstance(answer, Answer) and answer.fn(bits) == result.answer
+
+
+def test_one_bit_view_runs_on_the_engine():
+    from ldpsim.problems import gen_pc_instance
+    from ldpsim.solvers import PCSolverConfig, PCSolverDriver
+
+    m = 2
+    inst = gen_pc_instance(1, 4, seed=7)
+    driver = PCSolverDriver(inst.hops, inst.size, PCSolverConfig(epsilon=LN3, m=m))
+    view = one_bit_view(driver, LN3, inst.data_pair())
+    alice, bob = inst.data_pair()
+    for seed in range(5):
+        population = sample_population(view.max_users, alice.payload, bob.payload, seed=seed)
+        result = execute(view, population, InteractivityMode.SEQUENTIAL, seed=seed + 20)
+        bits = [int(record.outputs[0]) for record in result.transcript.rounds]
+        assert [int(record.users[0]) for record in result.transcript.rounds] == list(range(len(bits)))
+        state = driver.start()
+        for start in range(0, len(bits), m):
+            state = driver.advance(state, sum(bits[start : start + m]), m)
+        halt = driver.decide(state)
+        assert isinstance(halt, Halt) and result.answer == halt.answer
 
 
 class _TwoUsersPerRound(CountDriver):
