@@ -68,13 +68,17 @@ def _rows(lines: Iterable[str], kind: str) -> list[tuple[int, str, list[str]]]:
     return rows
 
 
-def _fields(lineno: int, words: Sequence[str]) -> dict[str, str]:
-    """The ``key=value`` words of one row."""
+def _fields(lineno: int, words: Sequence[str], known: Sequence[str]) -> dict[str, str]:
+    """The ``key=value`` words of one row; each key is one of ``known``, given once."""
     fields = {}
     for word in words:
         key, sep, value = word.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: field {word!r} has no '='")
+        if key not in known:
+            raise ValueError(f"line {lineno}: unknown field {key!r}; expected {', '.join(known)}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated field {key!r}")
         fields[key] = value
     return fields
 
@@ -119,7 +123,7 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
     Malformed lines raise a ``ValueError`` that names the line.
     """
     (lineno, _kind, words), *body = _rows(lines, "two-party")
-    header = _fields(lineno, words)
+    header = _fields(lineno, words, ("bits", "channel", "flip"))
     num_bits = _number(lineno, header, "bits", int)
     if num_bits < 0:
         raise ValueError(f"line {lineno}: bits must be nonnegative")
@@ -130,6 +134,8 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
             raise ValueError(f"line {lineno}: flip must lie in [0, 1/2)")
         channel = bsc(flip)
     elif kind == "noiseless":
+        if "flip" in header:
+            raise ValueError(f"line {lineno}: flip needs channel=bsc")
         channel = NOISELESS
     else:
         raise ValueError(f"line {lineno}: unknown channel {kind!r}")
@@ -137,7 +143,7 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
     for lineno, first, words in body:
         if first != "step":
             raise ValueError(f"line {lineno}: expected a 'step' row, got {first!r}")
-        fields = _fields(lineno, words)
+        fields = _fields(lineno, words, ("prefix", "sender", "p0", "p1"))
         text = _field(lineno, fields, "prefix")
         prefix = _parse_prefix(lineno, text)
         if len(prefix) >= num_bits:
@@ -165,7 +171,7 @@ def parse_onebit_file(lines: Iterable[str]):
     ``user p_alice=... p_bob=...`` line per user, in speaking order.
     Malformed lines raise a ``ValueError`` that names the line."""
     (header_line, _kind, words), *body = _rows(lines, "one-bit")
-    header = _fields(header_line, words)
+    header = _fields(header_line, words, ("eps", "users"))
     epsilon = _number(header_line, header, "eps")
     if not (0.0 < epsilon < float("inf")):
         raise ValueError(f"line {header_line}: eps must be positive and finite")
@@ -174,7 +180,7 @@ def parse_onebit_file(lines: Iterable[str]):
     for i, (lineno, first, words) in enumerate(body):
         if first != "user":
             raise ValueError(f"line {lineno}: expected a 'user' row, got {first!r}")
-        fields = _fields(lineno, words)
+        fields = _fields(lineno, words, ("p_alice", "p_bob"))
         p_alice, p_bob = _probability(lineno, fields, "p_alice"), _probability(lineno, fields, "p_bob")
         queries.append(_by_side_query(epsilon, f"file-user-{i}", p_alice, p_bob))
     if len(queries) != num_users:
@@ -341,7 +347,7 @@ def _cmd_reduce_lift(args) -> int:
     # over the lift's BSC every prefix is reachable, so each needs a row;
     # the lifted protocol raises, naming the first prefix the table lacks
     for prefix in (prefix for t in range(protocol.num_bits) for prefix in product((0, 1), repeat=t)):
-        query = lifted.action(prefix)
+        query = lifted.step_fn(prefix)
         sender = protocol.sender_fn(prefix)
         steps.append(
             {

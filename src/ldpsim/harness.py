@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
@@ -203,32 +204,20 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
     return Trial(driver, population, mode, derive_key(seed, "execution"), oracle)
 
 
-def _run_trial(cfg: ExperimentConfig, trial_index: int) -> dict[str, Any]:
+def _run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[str, int, int, float]:
+    """Trial ``trial_index`` of ``cfg`` as ``(outcome, samples, rounds, max_audit)``,
+    ``outcome`` one of "success", "wrong_answer", "decode_failure" and "engine_error"."""
     trial = build_trial(cfg, derive_key(cfg.seed, "trial", trial_index))
-    outcome = {
-        "success": False,
-        "wrong_answer": False,
-        "decode_failure": False,
-        "engine_error": False,
-        "samples": 0,
-        "rounds": 0,
-        "max_audit": 0.0,
-    }
     try:
         result = trial.execute()
     except LdpSimError:
-        outcome["engine_error"] = True
-        return outcome
-    outcome["samples"] = sample_complexity(result.transcript)
-    outcome["rounds"] = round_complexity(result.transcript)
-    outcome["max_audit"] = trial.audit(result).max_ratio()
+        return ("engine_error", 0, 0, 0.0)
+    samples = sample_complexity(result.transcript)
+    rounds = round_complexity(result.transcript)
+    max_audit = trial.audit(result).max_ratio()
     if isinstance(result.answer, DecodeFailure):
-        outcome["decode_failure"] = True
-    elif trial.oracle(result.answer):
-        outcome["success"] = True
-    else:
-        outcome["wrong_answer"] = True
-    return outcome
+        return ("decode_failure", samples, rounds, max_audit)
+    return ("success" if trial.oracle(result.answer) else "wrong_answer", samples, rounds, max_audit)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -239,17 +228,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     per-user audit value over every trial.
     """
     start = time.perf_counter()
-    outcomes = [_run_trial(cfg, t) for t in range(cfg.trials)]
+    outcomes, samples, rounds, max_audits = zip(*(_run_trial(cfg, t) for t in range(cfg.trials)))
+    counts = Counter(outcomes)
     return ExperimentResult(
-        success_count=sum(o["success"] for o in outcomes),
+        success_count=counts["success"],
         trials=cfg.trials,
-        mean_sample_complexity=sum(o["samples"] for o in outcomes) / cfg.trials,
-        mean_round_complexity=sum(o["rounds"] for o in outcomes) / cfg.trials,
-        max_user_audit=max(o["max_audit"] for o in outcomes),
+        mean_sample_complexity=sum(samples) / cfg.trials,
+        mean_round_complexity=sum(rounds) / cfg.trials,
+        max_user_audit=max(max_audits),
         wall_time=time.perf_counter() - start,
-        wrong_answer_count=sum(o["wrong_answer"] for o in outcomes),
-        decode_failure_count=sum(o["decode_failure"] for o in outcomes),
-        engine_error_count=sum(o["engine_error"] for o in outcomes),
+        wrong_answer_count=counts["wrong_answer"],
+        decode_failure_count=counts["decode_failure"],
+        engine_error_count=counts["engine_error"],
     )
 
 

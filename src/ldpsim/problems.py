@@ -273,10 +273,11 @@ def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
 
 
 def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
-    """Parse :func:`write_instance`'s text. A missing or malformed field, or
-    a row holding a value that is not an integer, raises ``ValueError``
-    naming its 1-based line; a value out of range or a row of the wrong
-    length names the header's line, whose fields bound every row."""
+    """Parse :func:`write_instance`'s text. A missing, malformed, unknown or
+    repeated field, a row name given twice, or a row holding a value that
+    is not an integer, raises ``ValueError`` naming its 1-based line; a
+    value out of range or a row of the wrong length names the header's
+    line, whose fields bound every row."""
     rows = [(number, line.split()) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         raise ValueError("empty instance file")
@@ -286,7 +287,18 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
         key, equals, value = field.partition("=")
         if not equals:
             raise ValueError(f"line {number}: field {field!r} is not key=value")
+        if key in params:
+            raise ValueError(f"line {number}: repeated field {key!r}")
         params[key] = value
+    known = {
+        "hl": ("branching", "num_levels", "alice_layer", "bob_layer", "label_seed"),
+        "pc": ("hops", "size", "indexing"),
+    }.get(tag)
+    if known is None:
+        raise ValueError(f"line {number}: unknown instance tag: {tag!r}")
+    for key in params:
+        if key not in known:
+            raise ValueError(f"line {number}: unknown field {key!r}; expected {', '.join(known)}")
 
     def integer(key: str) -> int:
         if key not in params:
@@ -303,24 +315,19 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
             raise ValueError(f"line {number}: {exc}") from None
 
     if tag == "hl":
-        return build(
-            HLInstance,
-            branching=integer("branching"),
-            num_levels=integer("num_levels"),
-            alice_layer=integer("alice_layer"),
-            bob_layer=integer("bob_layer"),
-            label_seed=integer("label_seed"),
-        )
-    if tag == "pc":
-        vectors = {}
-        for row_number, (name, *values) in rows[1:]:
-            try:
-                vectors[name] = tuple(int(v) for v in values)
-            except ValueError:
-                raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
-        hops, size = integer("hops"), integer("size")
-        for name in ("alice", "bob"):
-            if name not in vectors:
-                raise ValueError(f"line {number}: pc instance has no {name!r} row")
-        return build(PCInstance, hops=hops, size=size, alice_ptrs=vectors["alice"], bob_ptrs=vectors["bob"])
-    raise ValueError(f"line {number}: unknown instance tag: {tag!r}")
+        return build(HLInstance, **{key: integer(key) for key in known})
+    if params.get("indexing", "1") != "1":
+        raise ValueError(f"line {number}: indexing must be 1, not {params['indexing']!r}")
+    vectors = {}
+    for row_number, (name, *values) in rows[1:]:
+        if name in vectors:
+            raise ValueError(f"line {row_number}: a second {name!r} row")
+        try:
+            vectors[name] = tuple(int(v) for v in values)
+        except ValueError:
+            raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
+    hops, size = integer("hops"), integer("size")
+    for name in ("alice", "bob"):
+        if name not in vectors:
+            raise ValueError(f"line {number}: pc instance has no {name!r} row")
+    return build(PCInstance, hops=hops, size=size, alice_ptrs=vectors["alice"], bob_ptrs=vectors["bob"])

@@ -285,9 +285,6 @@ class AuditValues(Mapping[int, float]):
             raise KeyError(uid)
         return float(self.ratios[pos])
 
-    def __contains__(self, uid) -> bool:
-        return self._position(uid) >= 0
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.user_ids.tolist())
 

@@ -287,9 +287,6 @@ class OneBitSequence(CountDriver):
     step_fn: Callable[[tuple[int, ...]], Any]
     max_users: int
 
-    def action(self, prefix: tuple[int, ...]) -> Answer | Any:
-        return self.step_fn(prefix)
-
     def start(self) -> tuple[int, ...]:
         return ()
 
@@ -368,14 +365,14 @@ def enumerate_onebit_distribution(protocol: OneBitSequence) -> TranscriptDistrib
     """Exact published-bit distribution of a one-bit protocol, with each
     user's datum an independent fair draw from ``data_pair``."""
 
-    action = protocol.step_fn  # what ``action`` calls, without its frame
+    step_fn = protocol.step_fn
     max_users = protocol.max_users
     data_pair = protocol.data_pair
 
     def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) > max_users:
             raise ReductionError("one-bit protocol exceeded max_users without halting")
-        act = action(prefix)
+        act = step_fn(prefix)
         if isinstance(act, Answer):
             return None
         p_one = 0.0
@@ -477,7 +474,7 @@ class LoweredProtocol(TwoPartyProtocol):
         self.cases_used: set[str] = set()
 
     def action(self, prefix: tuple[int, ...]) -> Answer | tuple[tuple[float, SendStep], ...]:
-        query = self.source.action(prefix)
+        query = self.source.step_fn(prefix)
         if isinstance(query, Answer):
             return query
         laws = {datum: _check_prob(float(query.law(datum)), "source law") for datum in self.source.data_pair}

@@ -1,14 +1,17 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpsim.cli import main, parse_onebit_file, parse_two_party_file
-from ldpsim.engine import InteractivityMode, execute, sample_population
+from ldpsim.engine import InteractivityMode, execute, read_transcript, sample_population
 from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
-from ldpsim.problems import read_instance
+from ldpsim.problems import gen_hl_instance, gen_pc_instance, read_instance
 from ldpsim.randomizers import AUDIT_SLACK, audit_transcript, write_audit_report
 from ldpsim.reductions import enumerate_transcript_distribution
 
@@ -109,6 +112,41 @@ _BAD_PROTOCOL_FILES = {
     "one-bit-wrong-header": ("lower", "two-party bits=1\n", 1, "one-bit protocol header"),
     "one-bit-user-count": ("lower", "one-bit eps=1 users=2\nuser p_alice=0.75 p_bob=0.25\n", 1, "users=2"),
     "one-bit-no-eps": ("lower", "one-bit users=1\nuser p_alice=0.75 p_bob=0.25\n", 1, "missing field 'eps'"),
+    # fields a reader does not know, or is given twice, are refused rather than ignored
+    "two-party-misspelled-channel": (
+        "enumerate",
+        "two-party bits=1 chanel=bsc flip=0.3\nstep prefix=- sender=alice p0=0 p1=1\n",
+        1,
+        "unknown field 'chanel'",
+    ),
+    "two-party-noiseless-flip": (
+        "enumerate",
+        "two-party bits=1 channel=noiseless flip=0.3\nstep prefix=- sender=alice p0=0 p1=1\n",
+        1,
+        "flip needs channel=bsc",
+    ),
+    "two-party-flip-no-channel": (
+        "enumerate",
+        "two-party bits=1 flip=0.3\nstep prefix=- sender=alice p0=0 p1=1\n",
+        1,
+        "flip needs channel=bsc",
+    ),
+    "two-party-repeated-field": (
+        "enumerate",
+        "two-party bits=1 channel=bsc flip=0.3 flip=0.1\nstep prefix=- sender=alice p0=0 p1=1\n",
+        1,
+        "repeated field 'flip'",
+    ),
+    "step-unknown-field": ("enumerate", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0=0 p1=1 p2=0.5\n", 2, "'p2'"),
+    "lift-unknown-field": ("lift", _TWO_PARTY_HEADER + "step prefix=- sender=alice p0=0 p1=1 p2=0.5\n", 2, "'p2'"),
+    "one-bit-unknown-field": ("lower", "one-bit eps=1 users=1 extra=3\nuser p_alice=0.75 p_bob=0.25\n", 1, "'extra'"),
+    "user-unknown-field": ("lower", _ONE_BIT_HEADER + "user p_alice=0.75 p_bob=0.25 p_carol=1\n", 2, "'p_carol'"),
+    "user-repeated-field": (
+        "lower",
+        _ONE_BIT_HEADER + "user p_alice=0.75 p_bob=0.25 p_alice=0.5\n",
+        2,
+        "repeated field 'p_alice'",
+    ),
 }
 
 
@@ -144,6 +182,95 @@ def test_protocol_file_that_is_not_utf8_names_the_file_and_the_line(capsys, tmp_
     assert stderr == f"error: {proto}: line {lineno}: not UTF-8 text (invalid start byte)\n"
 
 
+# What the four readers know: each row tag with its field keys, and each key
+# with typical values; every field may also take one of the bad values.
+_FUZZ_FIELDS = {
+    "hl": {
+        "branching": ("1", "2", "3"),
+        "num_levels": ("2", "3", "4"),
+        "alice_layer": ("0", "2"),
+        "bob_layer": ("1", "3"),
+        "label_seed": ("0", "5"),
+    },
+    "pc": {"hops": ("1", "2"), "size": ("2", "3"), "indexing": ("1", "0")},
+    "alice": {},
+    "bob": {},
+    "oracle": {},
+    "consistent_count": {},
+    "two-party": {"bits": ("0", "1", "2"), "channel": ("bsc", "noiseless", "erasure"), "flip": ("0", "0.3", "0.5")},
+    "step": {
+        "prefix": ("-", "0", "1", "01", "2"),
+        "sender": ("alice", "bob", "carol"),
+        "p0": ("0", "0.5", "1", "1.5"),
+        "p1": ("0", "0.5", "1", "1.5"),
+    },
+    "one-bit": {"eps": ("1", "0.5", "0", "inf"), "users": ("0", "1", "2")},
+    "user": {"p_alice": ("0", "0.25", "0.75", "1"), "p_bob": ("0", "0.25", "0.75", "1")},
+}
+_FUZZ_BAD = ("", "x", "-1", "nan", "1e400")
+# the entries of rows without fields, and of transcript columns
+_FUZZ_ENTRIES = ("0", "1", "2", "3", "0.5", "x", "-1", "nan", "pc-bit(alice,1,1)")
+_FUZZ_ANY_FIELD = [
+    f"{key}={value}"
+    for fields in _FUZZ_FIELDS.values()
+    for key, values in fields.items()
+    for value in values + _FUZZ_BAD
+]
+
+
+def _fuzz_tagged_row(tag):
+    """``tag``, then each of its own fields or none, or some entries for a
+    row without fields, then perhaps one field of any row."""
+    own = st.tuples(
+        *(
+            st.one_of(st.just(""), st.sampled_from(values + _FUZZ_BAD).map(f"{key}={{}}".format))
+            for key, values in _FUZZ_FIELDS[tag].items()
+        )
+    )
+    if not _FUZZ_FIELDS[tag]:
+        own = st.lists(st.sampled_from(_FUZZ_ENTRIES), max_size=4)
+    other = st.one_of(st.just(""), st.sampled_from(_FUZZ_ANY_FIELD))
+    return st.builds(lambda own, other: " ".join((tag, *own, other)), own, other)
+
+
+# a transcript row: tab-separated columns of space-separated entries
+_fuzz_transcript_row = st.lists(st.lists(st.sampled_from(_FUZZ_ENTRIES), max_size=3).map(" ".join), max_size=6).map(
+    "\t".join
+)
+_fuzz_row = st.one_of(st.sampled_from(sorted(_FUZZ_FIELDS)).flatmap(_fuzz_tagged_row), _fuzz_transcript_row, st.text())
+_FUZZ_READERS = {
+    read_instance: "empty instance file",
+    read_transcript: None,  # an empty transcript is a valid one
+    parse_two_party_file: "expected a two-party protocol file, got an empty file",
+    parse_onebit_file: "expected a one-bit protocol file, got an empty file",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        # a file that starts with one of the four headers, and then anything
+        st.builds(
+            lambda header, rows: "\n".join((header, *rows)),
+            st.sampled_from(("hl", "pc", "two-party", "one-bit")).flatmap(_fuzz_tagged_row),
+            st.lists(_fuzz_row, max_size=4),
+        ),
+        st.lists(_fuzz_transcript_row, max_size=4).map("\n".join),
+        st.text(),
+    )
+)
+def test_readers_return_or_name_a_line_of_the_input(text):
+    lines = len(io.StringIO(text).readlines())
+    for reader, empty_message in _FUZZ_READERS.items():
+        try:
+            reader(io.StringIO(text))
+        except ValueError as exc:
+            message = str(exc)
+            if message != empty_message:
+                match = re.match(r"line (\d+): ", message)
+                assert match and 1 <= int(match.group(1)) <= lines, (reader.__name__, message)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -160,6 +287,20 @@ def test_gen_instance_pc_prints_oracle(capsys, tmp_path):
     inst = read_instance(lines[:3])
     assert inst.hops == 2 and inst.size == 8
     assert lines[3].startswith("oracle ")
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (("hl", "--b", "2", "--l", "3", "--seed", "5"), gen_hl_instance(2, 3, 5)),
+        (("pc", "--k", "2", "--l", "8", "--seed", "7"), gen_pc_instance(2, 8, 7)),
+    ],
+)
+def test_read_instance_reads_a_whole_gen_instance_file(capsys, argv, instance):
+    # the appended oracle or consistent_count row is left unread
+    code, stdout, _ = run_cli(capsys, "gen-instance", *argv)
+    assert code == 0 and stdout.splitlines()[-1].split()[0] in ("oracle", "consistent_count")
+    assert read_instance(io.StringIO(stdout)) == instance
 
 
 def test_gen_instance_deterministic(capsys):

@@ -282,6 +282,18 @@ def test_read_instance_rejects_garbage():
             "hl branching=2 num_levels=3 alice_layer=1 bob_layer=1 label_seed=0\n",
             "line 1: alice_layer must be even in [0, 1]",
         ),
+        ("pc hops=1 size=2 indexing=0\nalice 1 2\nbob 2 1\n", "line 1: indexing must be 1, not '0'"),
+        ("pc hops=1 size=2 indexing=1\nalice 2 2\nalice 1 2\nbob 2 1\n", "line 3: a second 'alice' row"),
+        ("pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2 1\n\nbob 1 1\n", "line 5: a second 'bob' row"),
+        ("pc hops=1 size=2 indexing=1 seed=3\nalice 1 2\nbob 2 1\n", "line 1: unknown field 'seed'"),
+        (
+            "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5 label_seed=6\n",
+            "line 1: repeated field 'label_seed'",
+        ),
+        (
+            "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5 extra=1\n",
+            "line 1: unknown field 'extra'",
+        ),
     ]:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             read_instance(io.StringIO(text))

@@ -107,10 +107,10 @@ def reference_bit_tree(is_leaf, p_one) -> dict[str, float]:
 
 def reference_onebit(protocol) -> dict[str, float]:
     def p_one(prefix):
-        query = protocol.action(prefix)
+        query = protocol.step_fn(prefix)
         return sum(0.5 * _check_prob(float(query.law(datum)), "reference") for datum in protocol.data_pair)
 
-    return reference_bit_tree(lambda prefix: isinstance(protocol.action(prefix), Answer), p_one)
+    return reference_bit_tree(lambda prefix: isinstance(protocol.step_fn(prefix), Answer), p_one)
 
 
 def reference_simultaneous(protocol, x, y) -> dict[str, float]:
@@ -583,10 +583,10 @@ def _tiny_trial(solver, shape, group_size, seed):
 def test_one_bit_view_refuses_the_fully_interactive_walk():
     trial = _tiny_trial("hl-full", HLShape(2, 2), 2, seed=5)
     view = one_bit_view(trial.driver, LN3, (trial.population.alice_datum, trial.population.bob_datum))
-    assert view.action((0,)).descriptor == view.action((1,)).descriptor
+    assert view.step_fn((0,)).descriptor == view.step_fn((1,)).descriptor
     # the walk's second round asks users 0 and 1 again instead of the fresh users 2 and 3
     with pytest.raises(ReductionError, match="the round at bit 2 asks user 0, not the fresh user 2"):
-        view.action((0, 1))
+        view.step_fn((0, 1))
     with pytest.raises(ReductionError, match="asks user 0"):
         enumerate_onebit_distribution(view)
 
@@ -606,8 +606,8 @@ def test_one_bit_view_walked_along_an_execution_gives_its_transcript(solver, sha
         descriptors = [name for record in rounds for name in record.randomizer_ids]
         assert users == list(range(len(users)))
         view = one_bit_view(trial.driver, LN3, (trial.population.alice_datum, trial.population.bob_datum))
-        assert [view.action(bits[:user]).descriptor for user in users] == descriptors
-        answer = view.action(bits)
+        assert [view.step_fn(bits[:user]).descriptor for user in users] == descriptors
+        answer = view.step_fn(bits)
         assert isinstance(answer, Answer) and answer.fn(bits) == result.answer
 
 
@@ -658,15 +658,15 @@ def test_one_bit_view_refuses_a_round_without_users():
     driver = _TwoUsersPerRound([])
     driver.decide = lambda state: RoundSpec(users=range(0), queries=[])
     with pytest.raises(ReductionError, match="the round at bit 0 asks no user"):
-        one_bit_view(driver, LN3, PAIR).action(())
+        one_bit_view(driver, LN3, PAIR).step_fn(())
 
 
 def test_one_bit_view_gives_each_user_their_own_query():
     queries = [law_query(LN3, f"own-{i}", p, 1.0 - p) for i, p in enumerate((0.75, 0.6, 0.5, 0.4))]
     view = one_bit_view(_TwoUsersPerRound(queries), LN3, PAIR)
     for prefix in product((0, 1), repeat=4):
-        assert [view.action(prefix[:user]) for user in range(4)] == queries
-        assert view.action(prefix).fn(prefix) == "done"
+        assert [view.step_fn(prefix[:user]) for user in range(4)] == queries
+        assert view.step_fn(prefix).fn(prefix) == "done"
     nonadaptive = fixed_onebit(LN3, PAIR, queries)
     assert enumerate_onebit_distribution(view).probs == enumerate_onebit_distribution(nonadaptive).probs
 
