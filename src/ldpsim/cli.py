@@ -30,6 +30,9 @@ from .harness import (
     write_csv,
 )
 from .problems import (
+    _field,
+    _fields,
+    _number,
     chase_pointers,
     gen_hl_instance,
     gen_pc_instance,
@@ -66,36 +69,6 @@ def _rows(lines: Iterable[str], kind: str) -> list[tuple[int, str, list[str]]]:
     if rows[0][1] != kind:
         raise ValueError(f"line {rows[0][0]}: expected a {kind} protocol header, got {rows[0][1]!r}")
     return rows
-
-
-def _fields(lineno: int, words: Sequence[str], known: Sequence[str]) -> dict[str, str]:
-    """The ``key=value`` words of one row; each key is one of ``known``, given once."""
-    fields = {}
-    for word in words:
-        key, sep, value = word.partition("=")
-        if not sep:
-            raise ValueError(f"line {lineno}: field {word!r} has no '='")
-        if key not in known:
-            raise ValueError(f"line {lineno}: unknown field {key!r}; expected {', '.join(known)}")
-        if key in fields:
-            raise ValueError(f"line {lineno}: repeated field {key!r}")
-        fields[key] = value
-    return fields
-
-
-def _field(lineno: int, fields: dict[str, str], key: str) -> str:
-    if key not in fields:
-        raise ValueError(f"line {lineno}: missing field {key!r}")
-    return fields[key]
-
-
-def _number(lineno: int, fields: dict[str, str], key: str, kind=float):
-    text = _field(lineno, fields, key)
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"line {lineno}: {key}={text!r} is not {noun}") from None
 
 
 def _probability(lineno: int, fields: dict[str, str], key: str) -> float:

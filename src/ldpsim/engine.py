@@ -304,12 +304,10 @@ def round_complexity(transcript: Transcript) -> int:
 class InteractivityMode(Enum):
     """How often users may speak.
 
-    NONINTERACTIVE: at most one round of simultaneous responses.
     SEQUENTIAL: every user answers at most one randomizer call, ever.
     FULL: users may be re-queried without restriction.
     """
 
-    NONINTERACTIVE = "noninteractive"
     SEQUENTIAL = "sequential"
     FULL = "full"
 
@@ -454,12 +452,6 @@ def execute(
             if counts.max() > 1:
                 raise ValueError(f"user {low + int(np.argmax(counts > 1))} queried twice within round {round_index}")
 
-        if mode is InteractivityMode.NONINTERACTIVE and round_index >= 1:
-            raise InteractivityViolation(
-                f"noninteractive mode allows a single round; round {round_index} queried user {int(users[0])}",
-                user_id=int(users[0]),
-                round_index=round_index,
-            )
         if mode is InteractivityMode.SEQUENTIAL:
             reused = seen[index]
             if reused.any():

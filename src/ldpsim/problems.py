@@ -272,41 +272,58 @@ def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
+def _fields(lineno: int, words: Sequence[str], known: Sequence[str]) -> dict[str, str]:
+    """The ``key=value`` words of one row; each key is one of ``known``, given once."""
+    fields = {}
+    for word in words:
+        key, sep, value = word.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: field {word!r} has no '='")
+        if key not in known:
+            raise ValueError(f"line {lineno}: unknown field {key!r}; expected {', '.join(known)}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated field {key!r}")
+        fields[key] = value
+    return fields
+
+
+def _field(lineno: int, fields: dict[str, str], key: str) -> str:
+    if key not in fields:
+        raise ValueError(f"line {lineno}: missing field {key!r}")
+    return fields[key]
+
+
+def _number(lineno: int, fields: dict[str, str], key: str, kind=float):
+    text = _field(lineno, fields, key)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {lineno}: {key}={text!r} is not {noun}") from None
+
+
 def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
     """Parse :func:`write_instance`'s text. A missing, malformed, unknown or
-    repeated field, a row name given twice, or a row holding a value that
-    is not an integer, raises ``ValueError`` naming its 1-based line; a
-    value out of range or a row of the wrong length names the header's
-    line, whose fields bound every row."""
+    repeated field, a row name unknown for the tag or given twice, or a row
+    holding a value that is not an integer, raises ``ValueError`` naming its
+    1-based line; a value out of range or a row of the wrong length names
+    the header's line, whose fields bound every row."""
     rows = [(number, line.split()) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         raise ValueError("empty instance file")
-    number, (tag, *fields) = rows[0]
-    params = {}
-    for field in fields:
-        key, equals, value = field.partition("=")
-        if not equals:
-            raise ValueError(f"line {number}: field {field!r} is not key=value")
-        if key in params:
-            raise ValueError(f"line {number}: repeated field {key!r}")
-        params[key] = value
-    known = {
-        "hl": ("branching", "num_levels", "alice_layer", "bob_layer", "label_seed"),
-        "pc": ("hops", "size", "indexing"),
+    number, (tag, *words) = rows[0]
+    # each tag's header fields, then the names of the rows that may follow
+    schema = {
+        "hl": (("branching", "num_levels", "alice_layer", "bob_layer", "label_seed"), ("consistent_count",)),
+        "pc": (("hops", "size", "indexing"), ("alice", "bob", "oracle")),
     }.get(tag)
-    if known is None:
+    if schema is None:
         raise ValueError(f"line {number}: unknown instance tag: {tag!r}")
-    for key in params:
-        if key not in known:
-            raise ValueError(f"line {number}: unknown field {key!r}; expected {', '.join(known)}")
-
-    def integer(key: str) -> int:
-        if key not in params:
-            raise ValueError(f"line {number}: missing field {key!r}")
-        try:
-            return int(params[key])
-        except ValueError:
-            raise ValueError(f"line {number}: field {key!r} is not an integer: {params[key]!r}") from None
+    known, row_names = schema
+    fields = _fields(number, words, known)
+    for row_number, (name, *_values) in rows[1:]:
+        if name not in row_names:
+            raise ValueError(f"line {row_number}: unknown row {name!r}; expected {', '.join(row_names)}")
 
     def build(cls, **values):
         try:
@@ -315,9 +332,9 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
             raise ValueError(f"line {number}: {exc}") from None
 
     if tag == "hl":
-        return build(HLInstance, **{key: integer(key) for key in known})
-    if params.get("indexing", "1") != "1":
-        raise ValueError(f"line {number}: indexing must be 1, not {params['indexing']!r}")
+        return build(HLInstance, **{key: _number(number, fields, key, int) for key in known})
+    if fields.get("indexing", "1") != "1":
+        raise ValueError(f"line {number}: indexing must be 1, not {fields['indexing']!r}")
     vectors = {}
     for row_number, (name, *values) in rows[1:]:
         if name in vectors:
@@ -326,7 +343,7 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
             vectors[name] = tuple(int(v) for v in values)
         except ValueError:
             raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
-    hops, size = integer("hops"), integer("size")
+    hops, size = _number(number, fields, "hops", int), _number(number, fields, "size", int)
     for name in ("alice", "bob"):
         if name not in vectors:
             raise ValueError(f"line {number}: pc instance has no {name!r} row")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
@@ -198,18 +196,14 @@ def audit_user(
     return worst
 
 
-class AuditValues(Mapping[int, float]):
-    """Read-only mapping view of audit values over two columns: ``user_ids``
-    (int64, strictly ascending) and ``ratios`` (float64).
+class AuditValues:
+    """Audit values as two columns: ``user_ids`` (int64, strictly ascending)
+    and ``ratios`` (float64).
 
     ``audit_transcript`` hands over its segment form instead: the segment
     edges, which segments were audited, the (side, segment) values and the
     population's side codes. ``max()`` and ``len()`` read that form alone;
     the columns are built on first read, by one gather, and kept.
-
-    Iteration, ``items()`` and ``values()`` convert the columns with one
-    ``tolist()`` each, so they yield Python ``int`` and ``float`` in ascending
-    id order; ``[]`` and ``in`` binary-search the id column.
     """
 
     __slots__ = ("_ids", "_ratios", "_segments")
@@ -258,7 +252,7 @@ class AuditValues(Mapping[int, float]):
         return self._ids, self._ratios
 
     @classmethod
-    def of(cls, mapping: Mapping[int, float]) -> AuditValues:
+    def of(cls, mapping: dict[int, float] | AuditValues) -> AuditValues:
         """``mapping`` itself when it is columnar, else its entries sorted by id."""
         if isinstance(mapping, cls):
             return mapping
@@ -267,38 +261,15 @@ class AuditValues(Mapping[int, float]):
         order = np.argsort(ids)
         return cls(ids[order], ratios[order])
 
-    def _position(self, uid) -> int:
-        """Index of ``uid`` in the id column, or -1 when it was not audited."""
-        ids = self.user_ids
-        try:
-            uid = operator.index(uid)
-        except TypeError:
-            return -1
-        if not ids.size or not int(ids[0]) <= uid <= int(ids[-1]):
-            return -1
-        pos = int(ids.searchsorted(uid))
-        return pos if ids[pos] == uid else -1
-
-    def __getitem__(self, uid) -> float:
-        pos = self._position(uid)
-        if pos < 0:
-            raise KeyError(uid)
-        return float(self.ratios[pos])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.user_ids.tolist())
-
     def __len__(self) -> int:
         if self._segments is None:
             return self._ids.size
         edges, covered = self._segments[:2]
         return int(np.diff(edges)[covered].sum())
 
-    def items(self) -> ItemsView[int, float]:
-        return _AuditItems(self)
-
-    def values(self) -> ValuesView[float]:
-        return _AuditRatios(self)
+    def items(self) -> Iterable[tuple[int, float]]:
+        """(id, value) pairs as Python ``int`` and ``float``, ascending by id."""
+        return zip(self.user_ids.tolist(), self.ratios.tolist())
 
     def max(self) -> float:
         """The largest audit value, 0.0 when no user was audited."""
@@ -312,19 +283,6 @@ class AuditValues(Mapping[int, float]):
         held = np.stack((np.minimum.reduceat(codes, starts) == 0, np.maximum.reduceat(codes, starts) == 1))
         return float(best[held & covered].max())
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _AuditItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping.user_ids.tolist(), self._mapping.ratios.tolist())
-
-
-class _AuditRatios(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping.ratios.tolist())
-
 
 @dataclass
 class AuditReport:
@@ -334,7 +292,7 @@ class AuditReport:
     when assigned, and always holds it as :class:`AuditValues` columns.
     """
 
-    per_user: Mapping[int, float]
+    per_user: AuditValues
 
     def __setattr__(self, name, value):
         if name == "per_user":

@@ -329,15 +329,6 @@ def test_sequential_fresh_users_pass(population, query):
     assert sample_complexity(result.transcript) == 5
 
 
-def test_noninteractive_allows_one_round_only(population, query):
-    one = QueryScript([[0, 1, 2]], query)
-    result = execute(one, population, InteractivityMode.NONINTERACTIVE, seed=1)
-    assert round_complexity(result.transcript) == 1
-    two = QueryScript([[0], [1]], query)
-    with pytest.raises(InteractivityViolation):
-        execute(two, population, InteractivityMode.NONINTERACTIVE, seed=1)
-
-
 def test_full_mode_allows_requerying(population, query):
     driver = QueryScript([[0, 1], [0, 1], [0]], query)
     result = execute(driver, population, InteractivityMode.FULL, seed=1)

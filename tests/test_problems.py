@@ -271,8 +271,8 @@ def test_read_instance_rejects_garbage():
         ("mystery a=1\n", "line 1: unknown instance tag: 'mystery'"),
         ("", "empty instance file"),
         ("hl branching=2\n", "line 1: missing field 'num_levels'"),
-        ("\nhl branching2\n", "line 2: field 'branching2' is not key=value"),
-        ("hl branching=2 num_levels=x\n", "line 1: field 'num_levels' is not an integer: 'x'"),
+        ("\nhl branching2\n", "line 2: field 'branching2' has no '='"),
+        ("hl branching=2 num_levels=x\n", "line 1: num_levels='x' is not an integer"),
         ("pc hops=1 size=2 indexing=1\nalice 1 2\n", "line 1: pc instance has no 'bob' row"),
         ("pc hops=1 size=2 indexing=1\nalice 1 2\n\nbob 1 two\n", "line 4: row 'bob' holds a value"),
         ("pc hops=0 size=2 indexing=1\nalice 1 2\nbob 2 1\n", "line 1: hops must be at least 1"),
@@ -286,6 +286,14 @@ def test_read_instance_rejects_garbage():
         ("pc hops=1 size=2 indexing=1\nalice 2 2\nalice 1 2\nbob 2 1\n", "line 3: a second 'alice' row"),
         ("pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2 1\n\nbob 1 1\n", "line 5: a second 'bob' row"),
         ("pc hops=1 size=2 indexing=1 seed=3\nalice 1 2\nbob 2 1\n", "line 1: unknown field 'seed'"),
+        (
+            "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5\nalice 1 2\n",
+            "line 2: unknown row 'alice'; expected consistent_count",
+        ),
+        (
+            "pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2 1\ncarol 5 5\n",
+            "line 4: unknown row 'carol'; expected alice, bob, oracle",
+        ),
         (
             "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5 label_seed=6\n",
             "line 1: repeated field 'label_seed'",
