@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import _checked_budget
+from .randomizers import _budget_exp
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,14 @@ def bsc(crossover: float) -> ChannelSpec:
 def lift_crossover(epsilon: float) -> float:
     """Channel advantage induced by lifting a budget-epsilon randomized
     response onto one channel bit: (e^eps - 1) / (4 (e^eps + 1))."""
-    e = math.exp(_checked_budget(epsilon))
-    return (e - 1.0) / (4.0 * (e + 1.0))
+    e = _budget_exp(epsilon)
+    return (e - 1.0) / (e + 1.0) / 4.0  # scaling by 4 after the quotient is exact and cannot overflow
 
 
 def lower_crossover(epsilon: float) -> float:
     """Channel advantage required when lowering a one-bit-per-user protocol
     to two parties: (e^eps - 1) / (2 (e^eps + 1)), twice the lift value."""
-    e = math.exp(_checked_budget(epsilon))
-    return (e - 1.0) / (2.0 * (e + 1.0))
+    return 2.0 * lift_crossover(epsilon)
 
 
 def lift_channel(epsilon: float) -> ChannelSpec:

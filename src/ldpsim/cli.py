@@ -12,7 +12,6 @@ import argparse
 import io
 import json
 import sys
-from contextlib import suppress
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -36,7 +35,6 @@ from .problems import (
     chase_pointers,
     gen_hl_instance,
     gen_pc_instance,
-    hl_count_consistent,
     write_instance,
 )
 from .randomizers import _by_side_query, write_audit_report
@@ -202,8 +200,8 @@ def _cmd_gen_instance(args) -> int:
     if args.kind == "hl":
         inst = gen_hl_instance(args.b, args.l, args.seed)
         write_instance(inst, buffer)
-        with suppress(ValueError):  # more leaves than the enumeration guard
-            buffer.write(f"consistent_count {hl_count_consistent(inst)}\n")
+        # each hidden level fixes one coordinate of a consistent leaf; the other L-2 are free
+        buffer.write(f"consistent_count {inst.branching ** (inst.num_levels - 2)}\n")
     else:
         inst = gen_pc_instance(args.k, args.l, args.seed)
         write_instance(inst, buffer)

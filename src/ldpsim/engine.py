@@ -148,9 +148,9 @@ class RoundRecord:
     are consecutive and ascending, else ``users`` itself.
     """
 
-    __slots__ = ("round_index", "users", "index", "descriptors", "codes", "epsilons", "outputs")
+    __slots__ = ("users", "index", "descriptors", "codes", "epsilons", "outputs")
 
-    def __init__(self, round_index: int, users, randomizer_ids, epsilons, outputs):
+    def __init__(self, users, randomizer_ids, epsilons, outputs):
         users = _column(users, np.int64)
         ids = tuple(randomizer_ids)
         epsilons = _column(epsilons, np.float64)
@@ -167,16 +167,16 @@ class RoundRecord:
         _checked_budget(budgets.max())
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
-        _fill(self, round_index, users, _index(users), *_first_use(ids), epsilons, outputs)
+        _fill(self, users, _index(users), *_first_use(ids), epsilons, outputs)
 
     @classmethod
-    def _trusted(cls, round_index, users: np.ndarray, index: slice | np.ndarray, descriptors, codes, epsilons, outputs):
+    def _trusted(cls, users: np.ndarray, index: slice | np.ndarray, descriptors, codes, epsilons, outputs):
         """A record from ``execute``, which has checked every column:
         ``users`` is a read-only int64 array of non-negative ids, ``index``
         their :func:`_index`, ``descriptors`` and ``codes`` their
         :func:`_first_use`, and ``epsilons`` and ``outputs`` read-only columns
         of valid budgets and bits."""
-        return _fill(object.__new__(cls), round_index, users, index, descriptors, codes, epsilons, outputs)
+        return _fill(object.__new__(cls), users, index, descriptors, codes, epsilons, outputs)
 
     @property
     def randomizer_ids(self) -> tuple[str, ...]:
@@ -195,8 +195,7 @@ class RoundRecord:
             return NotImplemented
         # the first-use form is canonical, so equal descriptors make equal records
         return (
-            self.round_index == other.round_index
-            and self.descriptors == other.descriptors
+            self.descriptors == other.descriptors
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.users, other.users)
             and np.array_equal(self.epsilons, other.epsilons)
@@ -207,15 +206,14 @@ class RoundRecord:
 
     def __repr__(self) -> str:
         return (
-            f"RoundRecord(round_index={self.round_index!r}, users={self.users!r}, "
-            f"randomizer_ids={self.randomizer_ids!r}, epsilons={self.epsilons!r}, outputs={self.outputs!r})"
+            f"RoundRecord(users={self.users!r}, randomizer_ids={self.randomizer_ids!r}, "
+            f"epsilons={self.epsilons!r}, outputs={self.outputs!r})"
         )
 
 
-def _fill(record: RoundRecord, round_index, users, index, descriptors, codes, epsilons, outputs) -> RoundRecord:
+def _fill(record: RoundRecord, users, index, descriptors, codes, epsilons, outputs) -> RoundRecord:
     """Sets the slots of a :class:`RoundRecord`, which refuses assignment."""
     put = object.__setattr__
-    put(record, "round_index", round_index)
     put(record, "users", users)
     put(record, "index", index)
     put(record, "descriptors", descriptors)
@@ -227,23 +225,13 @@ def _fill(record: RoundRecord, round_index, users, index, descriptors, codes, ep
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered rounds of a single execution."""
+    """Ordered rounds of a single execution; a round's index is its position."""
 
     rounds: tuple[RoundRecord, ...] = ()
 
-    def __post_init__(self):
-        for i, record in enumerate(self.rounds):
-            if record.round_index != i:
-                raise ValueError(f"round {i} carries index {record.round_index}")
-
     def extended(self, record: RoundRecord) -> "Transcript":
-        """This transcript with ``record`` appended; only the new record's
-        index is checked, since every earlier one already was."""
-        if record.round_index != len(self.rounds):
-            raise ValueError(f"round {len(self.rounds)} carries index {record.round_index}")
-        transcript = object.__new__(Transcript)
-        object.__setattr__(transcript, "rounds", self.rounds + (record,))
-        return transcript
+        """This transcript with ``record`` appended."""
+        return Transcript(self.rounds + (record,))
 
 
 def sample_complexity(transcript: Transcript) -> int:
@@ -565,23 +553,23 @@ def _respond(population, users, index, queries, keys, sides, round_index, one_vo
         epsilons.setflags(write=False)
     outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
-    return RoundRecord._trusted(round_index, users, index, descriptors, codes, epsilons, outputs)
+    return RoundRecord._trusted(users, index, descriptors, codes, epsilons, outputs)
 
 
 # ---------------------------------------------------------------------------
 # Transcript serialization: one round per line, tab-separated columns
-#   round_index <TAB> user ids <TAB> randomizer descriptors <TAB> budgets <TAB> bits
+#   round position <TAB> user ids <TAB> randomizer descriptors <TAB> budgets <TAB> bits
 # with space-separated entries inside each column. Descriptors are
 # whitespace-free by construction.
 # ---------------------------------------------------------------------------
 
 
 def write_transcript(transcript: Transcript, stream: TextIO) -> None:
-    for r in transcript.rounds:
+    for position, r in enumerate(transcript.rounds):
         stream.write(
             "\t".join(
                 (
-                    str(r.round_index),
+                    str(position),
                     " ".join(map(str, r.users.tolist())),
                     " ".join(r.randomizer_ids),
                     " ".join(map(repr, r.epsilons.tolist())),
@@ -610,7 +598,6 @@ def read_transcript(lines: Iterable[str]) -> Transcript:
                 raise ValueError(f"round {len(rounds)} carries index {round_index}")
             rounds.append(
                 RoundRecord(
-                    round_index=round_index,
                     users=tuple(int(u) for u in users_s.split(" ")),
                     randomizer_ids=tuple(ids_s.split(" ")),
                     epsilons=tuple(float(e) for e in eps_s.split(" ")),

@@ -321,9 +321,16 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
         raise ValueError(f"line {number}: unknown instance tag: {tag!r}")
     known, row_names = schema
     fields = _fields(number, words, known)
-    for row_number, (name, *_values) in rows[1:]:
+    vectors = {}
+    for row_number, (name, *values) in rows[1:]:
         if name not in row_names:
             raise ValueError(f"line {row_number}: unknown row {name!r}; expected {', '.join(row_names)}")
+        if name in vectors:
+            raise ValueError(f"line {row_number}: a second {name!r} row")
+        try:
+            vectors[name] = tuple(int(v) for v in values)
+        except ValueError:
+            raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
 
     def build(cls, **values):
         try:
@@ -335,14 +342,6 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
         return build(HLInstance, **{key: _number(number, fields, key, int) for key in known})
     if fields.get("indexing", "1") != "1":
         raise ValueError(f"line {number}: indexing must be 1, not {fields['indexing']!r}")
-    vectors = {}
-    for row_number, (name, *values) in rows[1:]:
-        if name in vectors:
-            raise ValueError(f"line {row_number}: a second {name!r} row")
-        try:
-            vectors[name] = tuple(int(v) for v in values)
-        except ValueError:
-            raise ValueError(f"line {row_number}: row {name!r} holds a value that is not an integer") from None
     hops, size = _number(number, fields, "hops", int), _number(number, fields, "size", int)
     for name in ("alice", "bob"):
         if name not in vectors:

@@ -41,6 +41,19 @@ def rr_param(vote: int, epsilon: float) -> float:
     return math.exp(-epsilon) / (1.0 + math.exp(-epsilon))
 
 
+def _budget_exp(epsilon, name: str = "epsilon") -> float:
+    """``e^epsilon`` for a budget at which it is finite and above 1, as
+    debiasing and the channels need; otherwise ``ValueError`` naming the
+    budget as ``name``."""
+    try:
+        e = math.exp(_checked_budget(epsilon))
+    except OverflowError:
+        e = math.inf
+    if not 1.0 < e < math.inf:
+        raise ValueError(f"{name} = {epsilon!r} is out of range: it must lie in about (1.1e-16, 709.78]")
+    return e
+
+
 @functools.lru_cache(maxsize=256)
 def _rr_laws(epsilon: float) -> tuple[float, float]:
     """``rr_param`` of a 0 vote and of a 1 vote, computed once per budget."""
@@ -54,12 +67,11 @@ def debias(sum_y: int, n: int, epsilon: float) -> float:
         (1/n) * (e^eps + 1)/(e^eps - 1) * (sum_y - n/(e^eps + 1)).
     The result may fall outside [0, 1].
     """
-    _checked_budget(epsilon)
+    e = _budget_exp(epsilon)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= sum_y <= n:
         raise ValueError(f"sum_y must lie in [0, {n}], got {sum_y}")
-    e = math.exp(epsilon)
     return (e + 1.0) / (e - 1.0) / n * (sum_y - n / (e + 1.0))
 
 

@@ -244,19 +244,16 @@ def enumerate_transcript_distribution(protocol: TwoPartyProtocol, alice_input, b
                 if p_s == 0.0:
                     continue
                 w = branch_prob * p_s
-                if noisy:
+                if use < 1.0:
+                    # a noiseless channel takes this branch too: keep is 1.0 and the flipped terms add 0.0
                     w_kept, w_flipped = w * keep, w * crossover
-                    if use < 1.0:
-                        mass[sent] += w_kept * use
-                        mass[skip] += w_kept * (1.0 - use)
-                        mass[1 - sent] += w_flipped * use
-                        mass[skip] += w_flipped * (1.0 - use)
-                    else:
-                        mass[sent] += w_kept
-                        mass[1 - sent] += w_flipped
-                elif use < 1.0:
-                    mass[sent] += w * use
-                    mass[skip] += w * (1.0 - use)
+                    mass[sent] += w_kept * use
+                    mass[skip] += w_kept * (1.0 - use)
+                    mass[1 - sent] += w_flipped * use
+                    mass[skip] += w_flipped * (1.0 - use)
+                elif noisy:
+                    mass[sent] += w * keep
+                    mass[1 - sent] += w * crossover
                 else:
                     mass[sent] += w
         return mass[0], mass[1]

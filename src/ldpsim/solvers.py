@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import CountDriver, Halt, RoundSpec, Side, _checked_budget
+from .engine import CountDriver, Halt, RoundSpec, Side
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
-from .randomizers import RRQuery, debias
+from .randomizers import RRQuery, _budget_exp, debias
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class HLSolverConfig:
     threshold: float = 0.2
 
     def __post_init__(self):
-        _checked_budget(self.epsilon)
+        _budget_exp(self.per_query_epsilon, "the per-query budget epsilon/2")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0 < self.threshold < 0.5:
@@ -63,7 +63,7 @@ class PCSolverConfig:
     threshold: float = 0.15
 
     def __post_init__(self):
-        _checked_budget(self.epsilon)
+        _budget_exp(self.epsilon)
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0 < self.threshold < 0.5:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ldpsim.cli import main, parse_onebit_file, parse_two_party_file
 from ldpsim.engine import InteractivityMode, execute, read_transcript, sample_population
-from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
-from ldpsim.problems import gen_hl_instance, gen_pc_instance, read_instance
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, Trial, build_trial
+from ldpsim.problems import gen_hl_instance, gen_pc_instance, hl_count_consistent, read_instance
 from ldpsim.randomizers import AUDIT_SLACK, audit_transcript, write_audit_report
 from ldpsim.reductions import enumerate_transcript_distribution
 
@@ -311,10 +311,46 @@ def test_gen_instance_deterministic(capsys):
     assert "consistent_count 2" in out1
 
 
-def test_gen_instance_omits_the_count_past_the_enumeration_guard(capsys):
+def test_gen_instance_prints_the_count_past_the_enumeration_guard(capsys):
     code, stdout, stderr = run_cli(capsys, "gen-instance", "hl", "--b", "4", "--l", "13", "--seed", "1")
     assert code == 0 and stderr == ""
-    assert stdout and "consistent_count" not in stdout
+    assert stdout.splitlines()[-1] == f"consistent_count {4 ** 11}"
+    # within the guard the printed count B^(L-2) is the brute-force count
+    for b, l, seed in ((2, 3, 5), (3, 4, 1), (4, 5, 2), (2, 2, 9)):
+        code, stdout, _ = run_cli(capsys, "gen-instance", "hl", "--b", str(b), "--l", str(l), "--seed", str(seed))
+        assert code == 0
+        assert stdout.splitlines()[-1] == f"consistent_count {hl_count_consistent(gen_hl_instance(b, l, seed))}"
+
+
+_HL_FLAGS = ["--problem", "hl", "--b", "2", "--l", "3", "--n", "5"]
+_PC_FLAGS = ["--problem", "pc", "--k", "1", "--l", "4", "--m", "5"]
+# each command with a budget out of range, and the budget its error names
+_OUT_OF_RANGE_BUDGETS = {
+    "run-hl-huge": (["run", *_HL_FLAGS, "--eps", "1e300", "--trials", "1"], "5e+299"),
+    "run-hl-tiny": (["run", *_HL_FLAGS, "--eps", "1e-300", "--trials", "1"], "5e-301"),
+    "run-pc": (["run", *_PC_FLAGS, "--eps", "800", "--trials", "1"], "800.0"),
+    "sweep-pc": (["sweep", *_PC_FLAGS, "--eps", "800", "--trials", "1", "--axis", "m", "--values", "5,6"], "800.0"),
+    "audit-pc": (["audit", *_PC_FLAGS, "--eps", "800"], "800.0"),
+    "lift": (["reduce", "lift", "--eps", "800"], "800.0"),
+    "lower": (["reduce", "lower", "--eps", "800"], "800.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE_BUDGETS))
+def test_a_budget_out_of_range_is_one_error_line(capsys, monkeypatch, tmp_path, case):
+    argv, budget = _OUT_OF_RANGE_BUDGETS[case]
+    if argv[0] == "reduce":
+        proto = tmp_path / "proto.txt"
+        proto.write_text(ONE_BIT_FILE if argv[1] == "lower" else TWO_PARTY_FILE)
+        argv = argv + ["--protocol", str(proto)]
+    else:
+        argv = argv + ["--seed", "1"]
+    # run, sweep and audit refuse the budget before any execution
+    monkeypatch.setattr(Trial, "execute", lambda self: pytest.fail("a trial executed"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert f"= {budget} is out of range" in stderr
 
 
 def test_run_json_output(capsys):

@@ -35,10 +35,9 @@ from ldpsim.solvers import HLSolverConfig, PCSolverConfig
 from test_randomizers import _reference_audit
 
 
-def record(i, users, outputs=None):
+def record(users, outputs=None):
     n = len(users)
     return RoundRecord(
-        round_index=i,
         users=tuple(users),
         randomizer_ids=("q",) * n,
         epsilons=(1.0,) * n,
@@ -175,23 +174,23 @@ def test_population_shares_payload_objects(population):
 
 def test_round_record_validation():
     with pytest.raises(ValueError):
-        RoundRecord(0, (1,), ("q", "r"), (1.0,), (0,))
+        RoundRecord((1,), ("q", "r"), (1.0,), (0,))
     with pytest.raises(ValueError):
-        RoundRecord(0, (), (), (), ())
+        RoundRecord((), (), (), ())
     with pytest.raises(ValueError):
-        RoundRecord(0, (1,), ("q",), (0.0,), (0,))
+        RoundRecord((1,), ("q",), (0.0,), (0,))
     with pytest.raises(ValueError):
-        RoundRecord(0, (1,), ("q",), (math.inf,), (0,))
+        RoundRecord((1,), ("q",), (math.inf,), (0,))
     # a broadcast budget column is checked through its one value
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
-            RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(bad), (3,)), (0, 1, 0))
-    shared = RoundRecord(0, (1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(0.5), (3,)), (0, 1, 0))
-    assert shared == RoundRecord(0, (1, 2, 3), ("q",) * 3, (0.5,) * 3, (0, 1, 0))
+            RoundRecord((1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(bad), (3,)), (0, 1, 0))
+    shared = RoundRecord((1, 2, 3), ("q",) * 3, np.broadcast_to(np.float64(0.5), (3,)), (0, 1, 0))
+    assert shared == RoundRecord((1, 2, 3), ("q",) * 3, (0.5,) * 3, (0, 1, 0))
 
 
 BUDGET_ENTRY_POINTS = {
-    "RoundRecord": lambda eps: RoundRecord(0, (1,), ("q",), (eps,), (0,)),
+    "RoundRecord": lambda eps: RoundRecord((1,), ("q",), (eps,), (0,)),
     "rr_param": lambda eps: rr_param(1, eps),
     "debias": lambda eps: debias(1, 2, eps),
     "RRQuery": lambda eps: RRQuery(eps, HLEdgePredicate(0, (), 0)),
@@ -212,11 +211,11 @@ def test_every_budget_check_rejects_with_one_message(entry, bad):
 
 
 def test_round_record_columns_are_read_only_arrays(population, query):
-    built = record(0, [3, 1, 2], outputs=[1, 0, 1])
+    built = record([3, 1, 2], outputs=[1, 0, 1])
     executed = execute(QueryScript([[3, 1, 2]], query), population, InteractivityMode.FULL, seed=1)
     ranged = execute(QueryScript([range(1, 4)], query), population, InteractivityMode.FULL, seed=1)
     bits = [int(response_uniform(1, uid, 0) < query.law(population.datum(uid))) for uid in (1, 2, 3)]
-    assert ranged.transcript.rounds[0] == RoundRecord(0, [1, 2, 3], [query.descriptor] * 3, [1.0] * 3, bits)
+    assert ranged.transcript.rounds[0] == RoundRecord([1, 2, 3], [query.descriptor] * 3, [1.0] * 3, bits)
     for rec in (built, executed.transcript.rounds[0], ranged.transcript.rounds[0]):
         assert isinstance(rec.randomizer_ids, tuple)
         for column, dtype in ((rec.users, np.int64), (rec.epsilons, np.float64), (rec.outputs, np.uint8)):
@@ -224,66 +223,56 @@ def test_round_record_columns_are_read_only_arrays(population, query):
             with pytest.raises(ValueError):
                 column[0] = 0
     source = np.array([4, 5])
-    rec = record(0, source)
+    rec = record(source)
     source[0] = 9  # the record holds its own copy
     assert rec.users.tolist() == [4, 5]
 
 
 def test_round_record_equality_is_by_value():
-    assert record(0, [1, 2], [0, 1]) == record(0, (1, 2), (0, 1))
-    assert record(0, [1, 2], [0, 1]) != record(0, [1, 2], [1, 1])
-    assert record(0, [1, 2]) != record(0, [2, 1])
-    assert record(0, [1, 2]) != record(1, [1, 2])
+    assert record([1, 2], [0, 1]) == record((1, 2), (0, 1))
+    assert record([1, 2], [0, 1]) != record([1, 2], [1, 1])
+    assert record([1, 2]) != record([2, 1])
 
 
 def test_round_record_rejects_bad_columns():
     with pytest.raises(ValueError, match="bits"):
-        record(0, [1], outputs=[2])
+        record([1], outputs=[2])
     with pytest.raises(ValueError, match="non-negative"):
-        record(0, [-1])
+        record([-1])
     with pytest.raises(ValueError, match="out of range"):
-        record(0, [1], outputs=[-1])
+        record([1], outputs=[-1])
 
 
 def test_sample_complexity_of_sparse_ids():
-    sparse = Transcript((record(0, [5, 10**15]), record(1, [10**15, 7])))
+    sparse = Transcript((record([5, 10**15]), record([10**15, 7])))
     assert sample_complexity(sparse) == 3
-
-
-def test_transcript_requires_consecutive_indices():
-    with pytest.raises(ValueError):
-        Transcript((record(1, [1]),))
 
 
 def test_sample_complexity_fixtures():
     assert sample_complexity(Transcript()) == 0
-    assert sample_complexity(Transcript((record(0, [1, 2, 3]),))) == 3
-    two = Transcript((record(0, [1, 2]), record(1, [2, 3])))
+    assert sample_complexity(Transcript((record([1, 2, 3]),))) == 3
+    two = Transcript((record([1, 2]), record([2, 3])))
     assert sample_complexity(two) == 3
 
 
 def test_round_complexity_fixtures():
     assert round_complexity(Transcript()) == 0
-    assert round_complexity(Transcript((record(0, [1]),))) == 1
-    rounds = tuple(record(i, [1]) for i in range(7))
+    assert round_complexity(Transcript((record([1]),))) == 1
+    rounds = tuple(record([1]) for _ in range(7))
     assert round_complexity(Transcript(rounds)) == 7
 
 
-def test_extended_checks_only_the_appended_index():
-    t = Transcript((record(0, [1, 2]),))
-    grown = t.extended(record(1, [5]))
-    assert grown == Transcript((record(0, [1, 2]), record(1, [5])))
-    assert grown.extended(record(2, [1])).rounds[2].round_index == 2
-    for misnumbered in (0, 2, 5):
-        with pytest.raises(ValueError, match=f"round 1 carries index {misnumbered}"):
-            t.extended(record(misnumbered, [5]))
-    with pytest.raises(ValueError, match="round 1 carries index 2"):
-        Transcript((record(0, [1]), record(2, [5])))
+def test_extended_appends_the_record():
+    t = Transcript((record([1, 2]),))
+    grown = t.extended(record([5]))
+    assert grown == Transcript((record([1, 2]), record([5])))
+    assert grown.extended(record([1])).rounds[2] == record([1])
+    assert t == Transcript((record([1, 2]),))  # the original is unchanged
 
 
 def test_sample_complexity_monotone_under_extension():
-    t = Transcript((record(0, [1, 2]),))
-    extended = t.extended(record(1, [5]))
+    t = Transcript((record([1, 2]),))
+    extended = t.extended(record([5]))
     assert sample_complexity(extended) >= sample_complexity(t)
 
 
@@ -307,7 +296,7 @@ def test_count_driver_folds_each_round_once_and_restarts_on_a_new_transcript(pop
     assert len({result.answer for result in runs}) > 1  # the runs differ, so no state leaked
     assert driver.steps == 3 * 3
     # a transcript that does not extend the last one folded is folded from the start
-    other = Transcript(tuple(record(i, [0, 1, 2], [1, 1, 0]) for i in range(3)))
+    other = Transcript(tuple(record([0, 1, 2], [1, 1, 0]) for _ in range(3)))
     assert driver.next_round(other, None).answer == (2, 2, 2)
     assert driver.steps == 3 * 3 + 3
     assert isinstance(driver.next_round(Transcript(other.rounds[:1]), None), RoundSpec)
@@ -568,9 +557,7 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
     for shared, read_back in zip(result.transcript.rounds, parsed.rounds, strict=True):
         n = shared.users.size
         assert type(shared.randomizer_ids) is tuple and shared.randomizer_ids == (query.descriptor,) * n
-        by_hand = RoundRecord(
-            shared.round_index, shared.users.tolist(), [query.descriptor] * n, [1.0] * n, shared.outputs.tolist()
-        )
+        by_hand = RoundRecord(shared.users.tolist(), [query.descriptor] * n, [1.0] * n, shared.outputs.tolist())
         assert shared == by_hand and by_hand == shared
         assert shared == read_back and read_back == shared
         index = _index(shared.users)
@@ -587,7 +574,7 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
     assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
     first = result.transcript.rounds[0]
     assert first.descriptors == (query.descriptor,) and first.codes == 0
-    differing = RoundRecord(0, first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
+    differing = RoundRecord(first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
     assert differing.descriptors == (query.descriptor, "other") and differing.codes.tolist() == [0] * 6 + [1]
     assert first != differing and differing != first
     with pytest.raises(AttributeError):
@@ -698,7 +685,7 @@ def _outcome(driver, pop, mode, seed):
 def _by_user(record):
     order = np.argsort(record.users, kind="stable")
     ids = tuple(record.randomizer_ids[i] for i in order.tolist())
-    return record.round_index, record.users[order], ids, record.epsilons[order], record.outputs[order]
+    return record.users[order], ids, record.epsilons[order], record.outputs[order]
 
 
 def _assert_matches_oracle(outcome, rounds, pop, mode, seed):
@@ -718,7 +705,7 @@ def _assert_matches_oracle(outcome, rounds, pop, mode, seed):
     for r, (record, (ids, _form, q)) in enumerate(zip(outcome.transcript.rounds, rounds, strict=True)):
         queries = [_QUERIES[i] for i in q] if isinstance(q, list) else [_QUERIES[q]] * len(ids)
         data = [pop.datum(uid) for uid in ids]
-        assert record.round_index == r and record.users.tolist() == ids
+        assert record.users.tolist() == ids
         assert record.randomizer_ids == tuple(query.descriptor for query in queries)
         assert record.epsilons.tolist() == [query.epsilon for query in queries]
         bits = [int(response_uniform(seed, uid, r) < query.law(d)) for uid, query, d in zip(ids, queries, data)]

@@ -291,6 +291,15 @@ def test_read_instance_rejects_garbage():
             "line 2: unknown row 'alice'; expected consistent_count",
         ),
         (
+            "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5\nconsistent_count x\n",
+            "line 2: row 'consistent_count' holds a value that is not an integer",
+        ),
+        (
+            "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5\n"
+            "consistent_count 5\n\nconsistent_count 6\n",
+            "line 4: a second 'consistent_count' row",
+        ),
+        (
             "pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2 1\ncarol 5 5\n",
             "line 4: unknown row 'carol'; expected alice, bob, oracle",
         ),

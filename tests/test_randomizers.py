@@ -248,17 +248,17 @@ def test_audit_counts_a_user_listed_twice_in_one_round_twice():
 
     pop = sample_population(2, "A", "B", seed=1)
     query = LawQuery(0.7, "law", lambda d: {Side.ALICE: 0.6, Side.BOB: 0.3}.get(d.side, 0.5))
-    twice = Transcript((RoundRecord(0, (0, 0), ("law", "law"), (0.7, 0.7), (1, 0)),))
-    mixed = Transcript((RoundRecord(0, (0, 1, 0), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
-    split = Transcript(tuple(RoundRecord(i, (0,), ("law",), (0.7,), (1,)) for i in range(2)))
+    twice = Transcript((RoundRecord((0, 0), ("law", "law"), (0.7, 0.7), (1, 0)),))
+    mixed = Transcript((RoundRecord((0, 1, 0), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
+    split = Transcript(tuple(RoundRecord((0,), ("law",), (0.7,), (1,)) for _ in range(2)))
     log = {"law": query, "flat": LawQuery(0.7, "flat", lambda d: 0.5)}
     expected = dict(audit_transcript(split, pop, log).per_user.items())[0]
     assert dict(audit_transcript(twice, pop, log).per_user.items())[0] == expected
     assert dict(audit_transcript(mixed, pop, log).per_user.items())[0] == expected
     # ends one id apart per entry, as a contiguous round's are, yet user 0 is listed twice
     wide = sample_population(3, "A", "B", seed=1)
-    spans = Transcript((RoundRecord(0, (0, 0, 2), ("law",) * 3, (0.7,) * 3, (1, 0, 1)),))
-    once = Transcript((RoundRecord(0, (0, 1, 2), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
+    spans = Transcript((RoundRecord((0, 0, 2), ("law",) * 3, (0.7,) * 3, (1, 0, 1)),))
+    once = Transcript((RoundRecord((0, 1, 2), ("law", "flat", "law"), (0.7,) * 3, (1, 0, 1)),))
     report = audit_transcript(spans, wide, log)
     assert report.per_user.user_ids.tolist() == [0, 2]
     value = dict(report.per_user.items())[0]
@@ -392,7 +392,7 @@ def _hand_built_audit_case(draw):
     sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     descriptor = st.sampled_from(sorted(_FUZZ_LAWS))
     rounds, last = [], (0, n)
-    for i in range(draw(st.integers(1, 7))):
+    for _ in range(draw(st.integers(1, 7))):
         kind = draw(st.sampled_from(["sliced", "overlapping", "blocks", "shuffled", "duplicate", "mixed"]))
         if kind in ("sliced", "overlapping", "blocks"):
             low, high = last if kind == "overlapping" else (0, n)
@@ -414,7 +414,7 @@ def _hand_built_audit_case(draw):
         else:
             ids = [draw(descriptor)] * k
         outputs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-        rounds.append(RoundRecord(i, users, ids, [0.7] * k, outputs))
+        rounds.append(RoundRecord(users, ids, [0.7] * k, outputs))
     return Population(np.array(sides), "A", "B", seed=0), Transcript(tuple(rounds))
 
 
@@ -432,10 +432,10 @@ def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
     pop = Population(np.arange(n) % 3 % 2, "A", "B", seed=0)
     quarters = np.split(np.arange(n), 4)
     names = sorted(_FUZZ_LAWS)
-    one = RoundRecord(0, np.arange(n), np.repeat(names, n // 4), [0.7] * n, np.zeros(n, dtype=np.uint8))
+    one = RoundRecord(np.arange(n), np.repeat(names, n // 4), [0.7] * n, np.zeros(n, dtype=np.uint8))
     shared = [
-        RoundRecord(i, ids, [name] * ids.size, [0.7] * ids.size, [0] * ids.size)
-        for i, (ids, name) in enumerate(zip(quarters, names))
+        RoundRecord(ids, [name] * ids.size, [0.7] * ids.size, [0] * ids.size)
+        for ids, name in zip(quarters, names)
     ]
     assert isinstance(one.index, slice) and len(one.descriptors) == 4
     blocks = audit_transcript(Transcript((one,)), pop, _FUZZ_LOG).per_user
@@ -453,8 +453,8 @@ def test_segment_max_ignores_a_side_absent_from_its_segment():
     pop = Population(np.array([0, 0, 0, 0, 0, 0, 1, 0, 1, 1]), "A", "B", seed=0)
     log = {"ab": _by_side_query(0.7, "ab", 0.55, 0.6), "flat": _by_side_query(0.7, "flat", 0.5, 0.5)}
     rounds = (
-        RoundRecord(0, range(5), ["ab"] * 5, [0.7] * 5, [0] * 5),
-        RoundRecord(1, range(5, 10), ["flat"] * 5, [0.7] * 5, [0] * 5),
+        RoundRecord(range(5), ["ab"] * 5, [0.7] * 5, [0] * 5),
+        RoundRecord(range(5, 10), ["flat"] * 5, [0.7] * 5, [0] * 5),
     )
     report = audit_transcript(Transcript(rounds), pop, log)
     assert report.max_ratio() == _law_log_ratio(0.55, 0.6) == pytest.approx(0.1178, abs=1e-4)
@@ -483,7 +483,7 @@ def test_audit_rejects_a_user_outside_the_population(users):
     from ldpsim.engine import Population, RoundRecord
 
     pop = Population(np.array([0, 1, 0]), "A", "B", seed=0)
-    record = RoundRecord(0, users, ["a"] * len(users), [0.7] * len(users), [0] * len(users))
+    record = RoundRecord(users, ["a"] * len(users), [0.7] * len(users), [0] * len(users))
     with pytest.raises(AuditError, match="transcript names a user outside the population"):
         audit_transcript(Transcript((record,)), pop, _FUZZ_LOG)
 

@@ -470,6 +470,21 @@ def test_lower_adaptive_two_user_equivalence():
     assert lowered.cases_used == {"case1", "case2"}
 
 
+def test_lower_at_a_budget_whose_channel_is_noiseless():
+    # from about eps = 37 the lowering's flip probability rounds to 0, so the
+    # enumerator takes its noiseless keep/skip path, here in both cases
+    epsilon = 40.0
+    queries = [law_query(epsilon, "low", 0.3, 0.6), law_query(epsilon, "high", 0.7, 0.8)]
+    source = fixed_onebit(epsilon, PAIR, queries)
+    lowered = lower_multi_to_two_party(source, epsilon)
+    assert lowered.channel.crossover == 0.0
+    tv = enumerate_onebit_distribution(source).tv_distance(
+        enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
+    )
+    assert tv <= 1e-12
+    assert lowered.cases_used == {"case1", "case2"}
+
+
 def test_lower_rejects_laws_violating_privacy_bound():
     # ratio 0.9/0.1 = 9 > e^1, so the construction must refuse
     source = fixed_onebit(1.0, PAIR, [law_query(1.0, "bad", 0.9, 0.1)])

@@ -187,7 +187,6 @@ def test_pc_exact_threshold_resolves_to_zero_bit():
     driver = PCSolverDriver(1, 2, config)
     spec = driver.next_round(Transcript(), public_rng=None)
     tie_round = RoundRecord(
-        round_index=0,
         users=tuple(spec.users),
         randomizer_ids=(spec.queries.descriptor,) * 8,
         epsilons=(LN3,) * 8,
@@ -316,7 +315,6 @@ def _walk_on_fixed_votes(driver, vote):
         users = tuple(action.users)
         asked.append(users)
         record = RoundRecord(
-            round_index=len(transcript.rounds),
             users=users,
             randomizer_ids=(action.queries.descriptor,) * len(users),
             epsilons=(action.queries.epsilon,) * len(users),
