@@ -13,7 +13,8 @@ Every random draw in the toolkit comes from one of two sources:
 Both are built on the splitmix64 finalizer. A response draw is still a pure
 function of (seed, user, round); only its evaluation is split.
 :func:`user_keys` hashes the round-independent part, ``mix(id ^ mix(seed))``,
-which an execution computes once per user, and :func:`round_draws` finishes
+which an execution computes for the users a round asks, and reuses while
+rounds ask the same users, and :func:`round_draws` finishes
 the hash for one round. The 53-bit integer draw ``k`` is below
 :func:`response_limit` of the law ``p`` exactly when ``k * 2**-53 < p``.
 
@@ -21,7 +22,7 @@ The engine's kernel, :func:`round_bits`, gives the same bits from eight numpy
 passes a round by two exact identities. A logical right shift distributes
 over xor, so for ``x = key ^ r`` the finalizer's first step
 ``x ^ (x >> 30)`` is ``(key ^ (key >> 30)) ^ (r ^ (r >> 30))``:
-:func:`premixed_keys` applies it to each key once per execution, and a round
+:func:`premixed_keys` applies it to each key as it hashes it, and a round
 xors in ``r ^ (r >> 30)`` as one 64-bit word. And the draw is ``k = h >> 11``
 of the 64-bit hash ``h``, so for an integer limit ``L < 2**53``, ``k < L``
 exactly when ``h < L << 11``: :func:`hash_limit` compares the hash before its
@@ -32,6 +33,7 @@ limit with low bits set, and :func:`round_bits` sets those users' bits itself.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -57,9 +59,15 @@ def _mix64(z: int) -> int:
 
 def _label_to_int(label) -> int:
     if isinstance(label, str):
-        digest = hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        return _string_label(label)
     return int(label) & _MASK64
+
+
+@functools.lru_cache(maxsize=1024)
+def _string_label(label: str) -> int:
+    """The blake2s value of a string label, computed once per label."""
+    digest = hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 def derive_key(seed: int, *labels) -> int:
@@ -141,7 +149,14 @@ def round_bits(premixed: np.ndarray, round_index: int, limits, cells) -> np.ndar
     """Each user's response bit (a bool array) in one round: the user with
     :func:`premixed_keys` ``premixed[i]`` draws below the law whose
     :func:`hash_limit` is ``limits[cells[i]]``. ``cells`` is an index column
-    into the list ``limits``, or one int for every user."""
+    into the list ``limits``, or one int for every user, whose one limit is
+    compared as a scalar."""
+    if isinstance(cells, int):
+        limit = limits[cells]
+        bits = round_hash(premixed, round_index) < np.uint64(limit)
+        if limit == _MASK64:  # law 1 draws 1 whatever the hash
+            bits.fill(True)
+        return bits
     table = np.array(limits, dtype=np.uint64)
     bits = round_hash(premixed, round_index) < table.take(cells)
     if _MASK64 in limits:  # law 1 draws 1 whatever the hash

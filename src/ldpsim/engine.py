@@ -10,6 +10,7 @@ round complexity.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -410,8 +411,7 @@ def execute(
     # one read-only id column per execution: a step-1 range round's users are a view of it
     ids = np.arange(population.size, dtype=np.int64)
     ids.setflags(write=False)
-    keys = premixed_keys(seed, ids.view(np.uint64))  # a view, so hashing copies no ids
-    sides = population.side_codes.astype(np.intp)
+    asked, keys = None, None  # the last round's slice, or None, and its users' premixed keys
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
@@ -452,7 +452,11 @@ def execute(
             seen[index] = True
 
         users.setflags(write=False)
-        record = _respond(population, users, index, action.queries, keys, sides, round_index, one_votes, query_log)
+        if not (isinstance(index, slice) and index == asked):
+            # hash only the users this round asks; a repeated slice reuses its keys
+            keys = premixed_keys(seed, users.view(np.uint64))  # a view, so hashing copies no ids
+            asked = index if isinstance(index, slice) else None
+        record = _respond(population, users, index, action.queries, keys, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
 
 
@@ -480,11 +484,19 @@ def _user_array(users, id_column: np.ndarray) -> tuple[np.ndarray, slice | np.nd
     return ids, (_index(ids) if ids.size else ids)
 
 
-def _checked_law(descriptor: str, law) -> float:
+def _checked_limit(descriptor: str, law) -> int:
+    """The :func:`~ldpsim._rng.hash_limit` of ``law``, which must lie in [0, 1]."""
     p = float(law)
-    if not 0.0 <= p <= 1.0:  # also rejects NaN
+    limit = _law_limit(p)
+    if limit is None:
         raise ValueError(f"query {descriptor!r} has response law {p!r}, outside [0, 1]")
-    return p
+    return limit
+
+
+@functools.lru_cache(maxsize=1024)
+def _law_limit(p: float) -> int | None:
+    """``hash_limit(p)``, computed once per law value; None outside [0, 1]."""
+    return hash_limit(p) if 0.0 <= p <= 1.0 else None  # also rejects NaN
 
 
 def _log_query(query_log: dict[str, Any], query) -> str:
@@ -511,18 +523,18 @@ def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tupl
         laws = map(query.vote_laws.__getitem__, votes)
     else:
         votes, laws = (False, False), [query.law(d) for d in data]
-    return tuple(hash_limit(_checked_law(descriptor, p)) for p in laws), votes
+    return tuple(_checked_limit(descriptor, p) for p in laws), votes
 
 
-def _respond(population, users, index, queries, keys, sides, round_index, one_votes, query_log) -> RoundRecord:
+def _respond(population, users, index, queries, keys, round_index, one_votes, query_log) -> RoundRecord:
     """Answers one round of :class:`RoundSpec` ``queries``.
 
     Each distinct query object is validated and logged once. Each distinct
     descriptor's law, vote and budget are read once per side from the query
     the log holds for it, which the audit reads too, and every user's draw is
     compared with the limit of their (descriptor, side) by
-    :func:`~ldpsim._rng.round_bits`. ``keys`` are the population's premixed
-    keys and ``sides`` its side codes as an index column.
+    :func:`~ldpsim._rng.round_bits`. ``keys[i]`` is the premixed key of
+    ``users[i]``, the round's own users, not the population's.
     """
     if hasattr(queries, "law"):
         descriptors, codes = (_log_query(query_log, queries),), 0
@@ -536,12 +548,13 @@ def _respond(population, users, index, queries, keys, sides, round_index, one_vo
     data = (population.alice_datum, population.bob_datum)
     limits, votes = zip(*(_read_sides(name, query, data) for name, query in zip(descriptors, distinct)))
     # each user's entry in the flattened (descriptor, side) tables; sides are 0 Alice, 1 Bob
-    cells = sides[index] if isinstance(codes, int) else 2 * codes + sides[index]
+    sides = population.side_codes[index]
+    cells = sides if isinstance(codes, int) else 2 * codes + sides
     if all(alice == bob for alice, bob in limits):
         # no law depends on the side: one limit per descriptor needs no gather by side
-        bits = round_bits(keys[index], round_index, [alice for alice, _ in limits], codes)
+        bits = round_bits(keys, round_index, [alice for alice, _ in limits], codes)
     else:
-        bits = round_bits(keys[index], round_index, [limit for pair in limits for limit in pair], cells)
+        bits = round_bits(keys, round_index, [limit for pair in limits for limit in pair], cells)
     if any(map(any, votes)):
         one_votes[index] += np.array(votes, dtype=bool).take(cells)
     budgets = [_checked_budget(query.epsilon) for query in distinct]

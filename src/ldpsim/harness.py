@@ -184,16 +184,15 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
     one place that maps a solver name to its driver and mode."""
     shape = cfg.problem
     instance_seed = derive_key(seed, "instance")
-    tuning = {} if cfg.threshold is None else {"threshold": cfg.threshold}
+    config = _solver_config(cfg)
     if cfg.solver == PC:
         instance = gen_pc_instance(shape.hops, shape.size, instance_seed)
-        driver = PCSolverDriver(shape.hops, shape.size, PCSolverConfig(cfg.epsilon, cfg.group_size, **tuning))
+        driver = PCSolverDriver(shape.hops, shape.size, config)
         mode = InteractivityMode.SEQUENTIAL
         oracle = lambda answer: answer == chase_pointers(instance)  # noqa: E731
     else:
         instance = gen_hl_instance(shape.branching, shape.num_levels, instance_seed)
         fresh = cfg.solver == HL_BASELINE
-        config = HLSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
         driver = HLSolverDriver(shape.branching, shape.num_levels, config, fresh_groups=fresh)
         mode = InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
         oracle = lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)  # noqa: E731
@@ -202,6 +201,14 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
         driver.users_required, alice.payload, bob.payload, derive_key(seed, "population")
     )
     return Trial(driver, population, mode, derive_key(seed, "execution"), oracle)
+
+
+def _solver_config(cfg: ExperimentConfig) -> PCSolverConfig | HLSolverConfig:
+    """The solver's config for ``cfg``, which refuses a budget or threshold
+    the solver cannot use."""
+    tuning = {} if cfg.threshold is None else {"threshold": cfg.threshold}
+    config = PCSolverConfig if cfg.solver == PC else HLSolverConfig
+    return config(cfg.epsilon, cfg.group_size, **tuning)
 
 
 def _run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[str, int, int, float]:
@@ -271,8 +278,13 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any, ExperimentResult]]:
-    """One run_experiment per axis value; empty values give an empty table."""
-    return [(value, run_experiment(_with_axis(cfg, axis, value))) for value in values]
+    """One run_experiment per axis value; empty values give an empty table.
+    Every value's config and solver config are built before the first
+    trial runs, so a value they refuse stops the sweep at once."""
+    configs = [_with_axis(cfg, axis, value) for value in values]
+    for config in configs:
+        _solver_config(config)
+    return [(value, run_experiment(config)) for value, config in zip(values, configs)]
 
 
 # CSV columns, fixed: config echo then result fields (wall time excluded so

@@ -121,9 +121,9 @@ class RRQuery:
 
     def audit_rows(self, data: Sequence[Datum]) -> np.ndarray:
         """rows[i, j]: :meth:`max_log_ratio` of ``data[i]`` against
-        ``data[j]``, for i in 0 and 1, with each datum's vote read once."""
-        votes = [self.vote(datum) for datum in data]
-        return np.array([[self.epsilon if mine != vote else 0.0 for vote in votes] for mine in votes[:2]])
+        ``data[j]``, for i in 0 and 1, with each datum's vote read once; a
+        read-only array shared by every query of the same budget and votes."""
+        return _rr_rows(self.epsilon, tuple(self.vote(datum) for datum in data))
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,14 @@ class LawQuery:
         ``data[j]``, for i in 0 and 1, with each datum's law read once."""
         laws = [self.law(datum) for datum in data]
         return np.array([[_law_log_ratio(mine, law) for law in laws] for mine in laws[:2]])
+
+
+@functools.lru_cache(maxsize=256)
+def _rr_rows(epsilon: float, votes: tuple[bool, ...]) -> np.ndarray:
+    """:meth:`RRQuery.audit_rows` of data with these ``votes``, built once."""
+    rows = np.array([[epsilon if mine != vote else 0.0 for vote in votes] for mine in votes[:2]])
+    rows.setflags(write=False)
+    return rows
 
 
 def _by_side_query(epsilon: float, descriptor: str, p_alice: float, p_bob: float) -> LawQuery:

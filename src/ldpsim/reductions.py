@@ -43,9 +43,9 @@ the sent bit, the channel flip and the keep/skip coin, so branches that enter
 the same bit are merged and a depth-d protocol visits at most 2^(d+1) - 1
 prefixes. The walk keeps its own stack instead of recursing, so only the
 ``ENUMERATION_GUARD`` of 2^20 visited prefixes bounds its depth. A
-:class:`TableProtocol` builds each prefix's step once and keeps it, so its
-``sender_fn`` must be a pure function of the prefix, as the lift already
-assumes.
+:class:`TableProtocol` keeps the step of each of the first
+``TABLE_STEP_CACHE`` prefixes it builds, so its ``sender_fn`` must be a pure
+function of the prefix, as the lift already assumes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side, _che
 from .randomizers import LawQuery, _rr_laws
 
 ENUMERATION_GUARD = 2**20
+# a TableProtocol keeps the steps of at most this many prefixes, every
+# prefix of a table up to 12 bits deep; past it, steps are built per call
+TABLE_STEP_CACHE = 4096
 _PROB_SLACK = 1e-9
 
 
@@ -119,8 +122,9 @@ class TableProtocol(TwoPartyProtocol):
 
     ``sender_fn(prefix)`` names the speaker; ``param_fn(input, prefix)`` is
     the probability that the speaker sends 1. Runs for exactly ``num_bits``
-    bits, then halts announcing the transcript. Each prefix's step is built
-    once and kept, so ``sender_fn`` must be a pure function of the prefix.
+    bits, then halts announcing the transcript. The steps of the first
+    :data:`TABLE_STEP_CACHE` prefixes asked are built once and kept, so
+    ``sender_fn`` must be a pure function of the prefix.
     """
 
     num_bits: int
@@ -142,7 +146,9 @@ class TableProtocol(TwoPartyProtocol):
             # the step binds param_fn, not self, so the protocol and its steps form no cycle
             param_fn = self.param_fn
             step = SendStep(sender=self.sender_fn(prefix), send_param=lambda inp: param_fn(inp, prefix))
-            act = self._steps[prefix] = ((1.0, step),)
+            act = ((1.0, step),)
+            if len(self._steps) < TABLE_STEP_CACHE:
+                self._steps[prefix] = act
         return act
 
 

@@ -330,6 +330,8 @@ _OUT_OF_RANGE_BUDGETS = {
     "run-hl-tiny": (["run", *_HL_FLAGS, "--eps", "1e-300", "--trials", "1"], "5e-301"),
     "run-pc": (["run", *_PC_FLAGS, "--eps", "800", "--trials", "1"], "800.0"),
     "sweep-pc": (["sweep", *_PC_FLAGS, "--eps", "800", "--trials", "1", "--axis", "m", "--values", "5,6"], "800.0"),
+    # the refused value comes after one the solver accepts
+    "sweep-axis": (["sweep", *_PC_FLAGS, "--eps", "1", "--trials", "2", "--axis", "epsilon", "--values", "1,800"], "800.0"),
     "audit-pc": (["audit", *_PC_FLAGS, "--eps", "800"], "800.0"),
     "lift": (["reduce", "lift", "--eps", "800"], "800.0"),
     "lower": (["reduce", "lower", "--eps", "800"], "800.0"),

@@ -1,13 +1,15 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpsim._rng import response_uniform
+from ldpsim import engine
+from ldpsim._rng import premixed_keys, response_uniform
 from ldpsim.channels import lift_crossover, lower_crossover
 from ldpsim.engine import (
     CountDriver,
@@ -28,10 +30,10 @@ from ldpsim.engine import (
     sample_population,
     write_transcript,
 )
-from ldpsim.harness import ExperimentConfig, HLShape
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.problems import HLEdgePredicate
 from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, debias, rr_param
-from ldpsim.solvers import HLSolverConfig, PCSolverConfig
+from ldpsim.solvers import HLSolverConfig, PCSolverConfig, pc_group_bound
 from test_randomizers import _reference_audit
 
 
@@ -773,3 +775,65 @@ def test_mixed_per_user_rounds_match_the_scalar_oracle(data, size, seed):
     rounds = data.draw(_mixed_rounds(size))
     mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
     _assert_matches_oracle(_outcome(_Scripted(rounds, _as_drawn), pop, mode, seed), rounds, pop, mode, seed)
+
+
+# ---------------------------------------------------------------------------
+# keys are hashed per round, for the users the round asks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The number of ids in each call of the engine's ``premixed_keys``."""
+    sizes = []
+
+    def spy(seed, user_ids):
+        sizes.append(user_ids.size)
+        return premixed_keys(seed, user_ids)
+
+    monkeypatch.setattr(engine, "premixed_keys", spy)
+    return sizes
+
+
+def test_a_sequential_execution_hashes_each_asked_user_once(hashed):
+    cfg = ExperimentConfig(PCShape(1, 4), "pc", 1.0, 1, 0, group_size=5)
+    result = build_trial(cfg, 11).execute()
+    # (k + 1) * log2(l) = 4 rounds, each hashing its group of m = 5 fresh users
+    assert hashed == [5] * 4 == [record.users.size for record in result.transcript.rounds]
+    assert sum(hashed) == sample_complexity(result.transcript)
+
+
+def test_a_full_execution_over_one_slice_hashes_it_once(hashed):
+    cfg = ExperimentConfig(HLShape(2, 3), "hl-full", 1.0, 1, 0, group_size=40)
+    trial = build_trial(cfg, 4)
+    result = trial.execute()
+    assert round_complexity(result.transcript) > 1
+    assert all(record.index == slice(0, 40) for record in result.transcript.rounds)
+    assert hashed == [40]
+
+
+def test_a_repeated_slice_reuses_its_keys_and_every_bit_is_the_scalar_bit(hashed):
+    size, seed = 12, 77
+    pop = Population(np.arange(size) % 2, "A", "B", seed=0)
+    a, b = list(range(2, 9)), list(range(0, 5))
+    rounds = [(a, "range", 0), (b, "range", 2), (a, "range", 1), (a, "range", 2), ([7, 1, 3], "list", [0, 2, 1])]
+    outcome = execute(_Scripted(rounds, _as_drawn), pop, InteractivityMode.FULL, seed=seed)
+    # slice A, slice B, A again after B, A reused, then the per-user list
+    assert hashed == [7, 5, 7, 3]
+    _assert_matches_oracle(outcome, rounds, pop, InteractivityMode.FULL, seed)
+
+
+def test_a_sequential_execution_allocates_about_its_columns_not_the_keys():
+    cfg = ExperimentConfig(PCShape(3, 16), "pc", 1.0, 1, 0, group_size=pc_group_bound(1.0, 3, 16))
+    trial = build_trial(cfg, 5)
+    users = trial.population.size
+    assert users == 37_856
+    tracemalloc.start()
+    try:
+        execute(trial.driver, trial.population, trial.mode, trial.execution_seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the id and one-vote columns take 8 bytes a user each, the bits and the
+    # sequential check 1 each; keys for the whole population would add 8 more
+    assert peak < 3 * 8 * users

@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,23 @@ def test_sweep_epsilon_trend_at_fixed_population():
     (low_eps, tight), (high_eps, loose) = table
     overlap = tight.wilson_ci_95[0] <= loose.wilson_ci_95[1] and loose.wilson_ci_95[0] <= tight.wilson_ci_95[1]
     assert tight.success_rate <= loose.success_rate or overlap
+
+
+@pytest.mark.parametrize(
+    "cfg, axis, values, message",
+    [
+        (pc_config(epsilon=1.0), "epsilon", [1.0, 800.0], "800.0 is out of range"),
+        (hl_config(trials=2), "epsilon", [1.0, 1e300], "5e+299 is out of range"),
+        (pc_config(), "m", [30, 0], "group_size must be at least 1"),
+        (pc_config(), "trials", [1, 0], "trials must be at least 1"),
+    ],
+)
+def test_sweep_refuses_a_bad_value_before_any_trial(monkeypatch, cfg, axis, values, message):
+    trials_run = []
+    monkeypatch.setattr(harness, "_run_trial", lambda cfg, index: trials_run.append(index))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(cfg, axis, values)
+    assert trials_run == []
 
 
 def test_sweep_unknown_axis():

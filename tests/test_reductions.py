@@ -14,6 +14,7 @@ from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
+    TABLE_STEP_CACHE,
     Answer,
     LoweredProtocol,
     OneBitSequence,
@@ -296,6 +297,21 @@ def test_table_protocol_asks_its_sender_once_per_prefix():
         enumerate_transcript_distribution(protocol, x, y)
         enumerate_onebit_distribution(lift_two_party_to_ldp(protocol, LN3, (Datum(Side.ALICE, x), Datum(Side.BOB, y))))
     assert asked == {prefix: 1 for t in range(3) for prefix in product((0, 1), repeat=t)}
+
+
+def test_table_protocol_keeps_at_most_the_cache_bound_of_steps():
+    # a fair 16-bit table has 65,535 prefixes, 16 times the bound
+    protocol = TableProtocol(
+        num_bits=16,
+        sender_fn=lambda prefix: (Side.ALICE, Side.BOB)[len(prefix) % 2],
+        param_fn=lambda inp, prefix: 0.5,
+        channel=ChannelSpec(),
+    )
+    assert 2**16 - 1 > TABLE_STEP_CACHE
+    for _ in range(2):  # the second walk reads the kept steps and builds the rest again
+        probs = enumerate_transcript_distribution(protocol, 0, 1).probs
+        assert len(protocol._steps) == TABLE_STEP_CACHE
+        assert len(probs) == 2**16 and set(probs.values()) == {2.0**-16}
 
 
 def test_table_protocol_keeps_no_step_when_its_sender_raises():
