@@ -10,21 +10,19 @@ Every random draw in the toolkit comes from one of two sources:
   used for user responses so that executions are replayable and the draw
   for a given user in a given round does not depend on evaluation order.
 
-Both are built on the splitmix64 finalizer. A response draw is still a pure
-function of (seed, user, round); only its evaluation is split.
-:func:`user_keys` hashes the round-independent part, ``mix(id ^ mix(seed))``,
-which an execution computes for the users a round asks, and reuses while
-rounds ask the same users, and :func:`round_draws` finishes
-the hash for one round. The 53-bit integer draw ``k`` is below
-:func:`response_limit` of the law ``p`` exactly when ``k * 2**-53 < p``.
-
-The engine's kernel, :func:`round_bits`, gives the same bits from eight numpy
-passes a round by two exact identities. A logical right shift distributes
-over xor, so for ``x = key ^ r`` the finalizer's first step
-``x ^ (x >> 30)`` is ``(key ^ (key >> 30)) ^ (r ^ (r >> 30))``:
-:func:`premixed_keys` applies it to each key as it hashes it, and a round
-xors in ``r ^ (r >> 30)`` as one 64-bit word. And the draw is ``k = h >> 11``
-of the 64-bit hash ``h``, so for an integer limit ``L < 2**53``, ``k < L``
+Both are built on the splitmix64 finalizer. :func:`response_uniform` is
+the scalar reference for a response draw; the engine's kernel gives the same
+draws from eight numpy passes a round. :func:`premixed_keys` hashes the
+round-independent part, ``mix(id ^ mix(seed))``, which an execution computes
+for the users a round asks and reuses while rounds ask the same users, and
+:func:`round_hash` finishes the hash for one round. Two exact identities make
+this cheap. A logical right shift distributes over xor, so for
+``x = key ^ r`` the finalizer's first step ``x ^ (x >> 30)`` is
+``(key ^ (key >> 30)) ^ (r ^ (r >> 30))``: :func:`premixed_keys` applies it
+to each key as it hashes it, and a round xors in ``r ^ (r >> 30)`` as one
+64-bit word. And the uniform draw is ``k * 2**-53`` with ``k = h >> 11`` of
+the 64-bit hash ``h``; ``p * 2**53`` is exact, so ``k`` is below the law
+``p`` exactly when ``k < L = ceil(p * 2**53)``, and for ``L < 2**53``
 exactly when ``h < L << 11``: :func:`hash_limit` compares the hash before its
 last shift. Law 1 is the one exception: its limit ``2**53`` would need
 ``2**64``, which no uint64 holds, so its hash limit is ``2**64 - 1``, the one
@@ -46,7 +44,7 @@ _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
 _TWO_53 = 2.0**53
 _MIX_A_NP, _MIX_B_NP = np.uint64(_MIX_A), np.uint64(_MIX_B)
-_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
+_S27, _S30, _S31 = map(np.uint64, (27, 30, 31))
 
 
 def _mix64(z: int) -> int:
@@ -90,8 +88,9 @@ def substream(seed: int, *labels) -> np.random.Generator:
 def response_uniform(seed: int, user_id: int, round_index: int) -> float:
     """Uniform [0, 1) draw for one user's response in one round.
 
-    Pure function of its arguments; agrees elementwise with
-    :func:`response_uniforms`.
+    Pure function of its arguments: the scalar reference that the kernel
+    (:func:`premixed_keys`, :func:`round_hash`, :func:`round_bits`) agrees
+    with bit for bit.
     """
     h = _mix64((int(seed) & _MASK64) ^ _GOLDEN)
     h = _mix64(h ^ (int(user_id) & _MASK64))
@@ -99,21 +98,12 @@ def response_uniform(seed: int, user_id: int, round_index: int) -> float:
     return (h >> 11) * _INV_2_53
 
 
-def response_uniforms(seed: int, user_ids: np.ndarray, round_index: int) -> np.ndarray:
-    """Vectorized :func:`response_uniform` over an array of user ids."""
-    return round_draws(user_keys(seed, user_ids), round_index).astype(np.float64) * _INV_2_53
-
-
-def user_keys(seed: int, user_ids: np.ndarray) -> np.ndarray:
-    """The round-independent part of each user's response hash (uint64)."""
-    base = np.uint64(_mix64((int(seed) & _MASK64) ^ _GOLDEN))
-    return _finish(_premix(np.asarray(user_ids, dtype=np.uint64) ^ base))
-
-
 def premixed_keys(seed: int, user_ids: np.ndarray) -> np.ndarray:
-    """:func:`user_keys` with the finalizer's first xor-shift applied, the
-    form :func:`round_hash` and :func:`round_bits` take."""
-    return _premix(user_keys(seed, user_ids))
+    """The round-independent part of each user's response hash (uint64),
+    with the finalizer's first xor-shift applied: the form :func:`round_hash`
+    and :func:`round_bits` take."""
+    base = np.uint64(_mix64((int(seed) & _MASK64) ^ _GOLDEN))
+    return _premix(_finish(_premix(np.asarray(user_ids, dtype=np.uint64) ^ base)))
 
 
 def round_hash(premixed: np.ndarray, round_index: int) -> np.ndarray:
@@ -123,26 +113,11 @@ def round_hash(premixed: np.ndarray, round_index: int) -> np.ndarray:
     return _finish(premixed ^ np.uint64(r ^ (r >> 30)))
 
 
-def round_draws(keys: np.ndarray, round_index: int) -> np.ndarray:
-    """53-bit integer draws ``k`` (uint64) of the users with ``keys`` in one
-    round; the uniform draw is ``k * 2**-53``."""
-    z = round_hash(_premix(keys.copy()), round_index)
-    z >>= _S11
-    return z
-
-
-def response_limit(p: float) -> int:
-    """``ceil(p * 2**53)`` for a law ``p`` in [0, 1]: a draw ``k`` from
-    :func:`round_draws` is below it exactly when ``k * 2**-53 < p``, because
-    ``k`` is an integer and ``p * 2**53`` is exact."""
-    return math.ceil(p * _TWO_53)
-
-
 def hash_limit(p: float) -> int:
-    """``response_limit(p) << 11``, below which a :func:`round_hash` gives a
-    draw below ``p``; law 1, whose value would be ``2**64``, gets ``2**64 - 1``
-    (see the module docstring)."""
-    return min(response_limit(p) << 11, _MASK64)
+    """``ceil(p * 2**53) << 11`` for a law ``p`` in [0, 1], below which a
+    :func:`round_hash` gives a draw below ``p``; law 1, whose value would be
+    ``2**64``, gets ``2**64 - 1`` (see the module docstring)."""
+    return min(math.ceil(p * _TWO_53) << 11, _MASK64)
 
 
 def round_bits(premixed: np.ndarray, round_index: int, limits, cells) -> np.ndarray:

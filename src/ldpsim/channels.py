@@ -61,11 +61,19 @@ def lower_channel(epsilon: float) -> ChannelSpec:
     return bsc(0.5 - lower_crossover(epsilon))
 
 
+# The largest odd vote count whose largest binomial coefficient,
+# comb(votes, (votes + 1) // 2), fits a float; 1031 votes overflow it.
+MAX_VOTES = 1029
+
+
 def majority_flip_probability(crossover: float, votes: int) -> float:
     """Exact flip probability of a majority vote over ``votes`` sends:
-    P[Binomial(votes, crossover) > votes/2]."""
+    P[Binomial(votes, crossover) > votes/2], for at most :data:`MAX_VOTES`
+    votes."""
     if votes < 1 or votes % 2 == 0:
         raise ValueError("votes must be an odd natural number")
+    if votes > MAX_VOTES:
+        raise ValueError(f"votes = {votes} is out of range: the exact majority flip takes at most {MAX_VOTES} votes")
     if not 0.0 <= crossover < 0.5:
         raise ValueError("crossover must lie in [0, 1/2)")
     return math.fsum(

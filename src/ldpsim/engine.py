@@ -76,7 +76,7 @@ class Population:
     users on the same side.
     """
 
-    def __init__(self, side_codes: np.ndarray, alice_payload, bob_payload, seed: int):
+    def __init__(self, side_codes: np.ndarray, alice_payload, bob_payload):
         codes = np.asarray(side_codes)
         if codes.ndim != 1 or codes.size < 1:
             raise ValueError("population needs at least one user")
@@ -86,7 +86,6 @@ class Population:
         self._codes.setflags(write=False)
         self._alice = Datum(Side.ALICE, alice_payload)
         self._bob = Datum(Side.BOB, bob_payload)
-        self.seed = seed
 
     @property
     def size(self) -> int:
@@ -116,7 +115,7 @@ def sample_population(n: int, alice_payload, bob_payload, seed: int) -> Populati
     if n < 1:
         raise ValueError("population size must be at least 1")
     coins = substream(seed, "population").random(n)
-    return Population((coins >= 0.5).astype(np.uint8), alice_payload, bob_payload, seed)
+    return Population((coins >= 0.5).astype(np.uint8), alice_payload, bob_payload)
 
 
 def _column(values, dtype) -> np.ndarray:

@@ -180,21 +180,15 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
     """Draw one trial of ``cfg`` from ``seed``: the instance from
     ``derive_key(seed, "instance")``, a population of
     ``driver.users_required`` users from ``derive_key(seed, "population")``,
-    and the execution seed ``derive_key(seed, "execution")``. This is the
-    one place that maps a solver name to its driver and mode."""
+    and the execution seed ``derive_key(seed, "execution")``."""
     shape = cfg.problem
     instance_seed = derive_key(seed, "instance")
-    config = _solver_config(cfg)
+    driver, mode = _driver(cfg)
     if cfg.solver == PC:
         instance = gen_pc_instance(shape.hops, shape.size, instance_seed)
-        driver = PCSolverDriver(shape.hops, shape.size, config)
-        mode = InteractivityMode.SEQUENTIAL
         oracle = lambda answer: answer == chase_pointers(instance)  # noqa: E731
     else:
         instance = gen_hl_instance(shape.branching, shape.num_levels, instance_seed)
-        fresh = cfg.solver == HL_BASELINE
-        driver = HLSolverDriver(shape.branching, shape.num_levels, config, fresh_groups=fresh)
-        mode = InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
         oracle = lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)  # noqa: E731
     alice, bob = instance.data_pair()
     population = sample_population(
@@ -203,12 +197,19 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
     return Trial(driver, population, mode, derive_key(seed, "execution"), oracle)
 
 
-def _solver_config(cfg: ExperimentConfig) -> PCSolverConfig | HLSolverConfig:
-    """The solver's config for ``cfg``, which refuses a budget or threshold
-    the solver cannot use."""
+def _driver(cfg: ExperimentConfig) -> tuple[ProtocolDriver, InteractivityMode]:
+    """The solver's driver for ``cfg`` and its interactivity mode: the one
+    place that maps a solver name to its driver. The driver refuses a shape,
+    and its config a budget or threshold, that the solver cannot use."""
+    shape = cfg.problem
     tuning = {} if cfg.threshold is None else {"threshold": cfg.threshold}
-    config = PCSolverConfig if cfg.solver == PC else HLSolverConfig
-    return config(cfg.epsilon, cfg.group_size, **tuning)
+    if cfg.solver == PC:
+        config = PCSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
+        return PCSolverDriver(shape.hops, shape.size, config), InteractivityMode.SEQUENTIAL
+    fresh = cfg.solver == HL_BASELINE
+    config = HLSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
+    driver = HLSolverDriver(shape.branching, shape.num_levels, config, fresh_groups=fresh)
+    return driver, InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
 
 
 def _run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[str, int, int, float]:
@@ -279,11 +280,11 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
 
 def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any, ExperimentResult]]:
     """One run_experiment per axis value; empty values give an empty table.
-    Every value's config and solver config are built before the first
-    trial runs, so a value they refuse stops the sweep at once."""
+    Every value's config and driver are built before the first trial runs,
+    so a value they refuse, a budget or a shape, stops the sweep at once."""
     configs = [_with_axis(cfg, axis, value) for value in values]
     for config in configs:
-        _solver_config(config)
+        _driver(config)
     return [(value, run_experiment(config)) for value, config in zip(values, configs)]
 
 

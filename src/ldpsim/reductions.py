@@ -584,11 +584,11 @@ class AlternatingProtocol(TwoPartyProtocol):
 
     def __post_init__(self):
         self._pos_of = {key: pos for pos, key in enumerate(self.positions)}
-        for pos, (speaker, t) in enumerate(self.positions):
-            for i in range(t):
-                for side in (Side.ALICE, Side.BOB):
-                    if self._pos_of[(side, i)] >= pos:
-                        raise ValueError("schedule violates a data dependency")
+        # bit t reads both sides' bits 0..t-1; checking bits t-1 of every t
+        # suffices, since by the same check each comes after all bits below it
+        for pos, (_, t) in enumerate(self.positions):
+            if t and max(self._pos_of[(Side.ALICE, t - 1)], self._pos_of[(Side.BOB, t - 1)]) > pos:
+                raise ValueError("schedule violates a data dependency")
         self.max_bits = len(self.positions)
 
     @property

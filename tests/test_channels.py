@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ldpsim.channels import (
+    MAX_VOTES,
     ChannelSpec,
     bsc,
     lift_channel,
@@ -71,6 +72,17 @@ def test_majority_rejects_even_votes():
         majority_flip_probability(0.25, 4)
     with pytest.raises(ValueError, match="votes must be an odd natural number"):
         majority_flip_probability(0.25, 0)
+
+
+def test_majority_refuses_more_votes_than_a_float_holds():
+    # the first term of the tail holds the largest binomial coefficient
+    assert float(math.comb(MAX_VOTES, (MAX_VOTES + 1) // 2)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(MAX_VOTES + 2, (MAX_VOTES + 3) // 2))
+    assert 0.0 < majority_flip_probability(0.4999, MAX_VOTES) < 0.4999
+    for votes in (MAX_VOTES + 2, 10**9 + 1):
+        with pytest.raises(ValueError, match=f"^votes = {votes} is out of range: .* at most 1029 votes$"):
+            majority_flip_probability(0.25, votes)
 
 
 def test_majority_effective_flip_strictly_decreasing_in_votes():

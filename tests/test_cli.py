@@ -733,6 +733,8 @@ def test_reduce_amplify_echo(capsys):
         ("0.6", "4", "crossover must lie in [0, 1/2)"),
         ("0.25", "4", "votes must be an odd natural number"),
         ("0.25", "0", "votes must be an odd natural number"),
+        ("0.25", "1031", "votes = 1031 is out of range: the exact majority flip takes at most 1029 votes"),
+        ("0.25", "1000000001", "votes = 1000000001 is out of range: the exact majority flip takes at most 1029 votes"),
     ],
 )
 def test_reduce_amplify_checks_the_flip_before_the_votes(capsys, flip, votes, message):

@@ -151,12 +151,12 @@ def test_sample_population_rejects_zero():
 @pytest.mark.parametrize("codes", [[0, 2, 0, 1], [0, -1], [0.5, 1.0], [1, 255]])
 def test_population_rejects_side_codes_other_than_0_and_1(codes):
     with pytest.raises(ValueError, match="side codes must be 0"):
-        Population(np.array(codes), "A", "B", seed=1)
+        Population(np.array(codes), "A", "B")
 
 
 def test_population_accepts_bool_and_list_side_codes():
     for codes in (np.array([True, False, True]), [1, 0, 1], (1.0, 0.0, 1.0)):
-        pop = Population(codes, "A", "B", seed=1)
+        pop = Population(codes, "A", "B")
         assert pop.side_codes.dtype == np.uint8 and pop.side_codes.tolist() == [1, 0, 1]
         assert [pop.datum(uid).payload for uid in range(pop.size)] == ["B", "A", "B"]
 
@@ -728,7 +728,7 @@ def _assert_matches_oracle(outcome, rounds, pop, mode, seed):
 @given(data=st.data(), size=st.integers(1, 24), seed=st.integers(0, 2**32))
 def test_slices_and_id_arrays_give_the_same_execution(data, size, seed):
     codes = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-    pop = Population(np.array(codes, dtype=np.uint8), "A", "B", seed=0)
+    pop = Population(np.array(codes, dtype=np.uint8), "A", "B")
     rounds = data.draw(_rounds(size))
     mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
     drawn = _outcome(_Scripted(rounds, _as_drawn), pop, mode, seed)
@@ -771,7 +771,7 @@ def _mixed_rounds(draw, size):
 @given(data=st.data(), size=st.integers(1, 24), seed=st.integers(0, 2**32))
 def test_mixed_per_user_rounds_match_the_scalar_oracle(data, size, seed):
     codes = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-    pop = Population(np.array(codes, dtype=np.uint8), "A", "B", seed=0)
+    pop = Population(np.array(codes, dtype=np.uint8), "A", "B")
     rounds = data.draw(_mixed_rounds(size))
     mode = data.draw(st.sampled_from([InteractivityMode.FULL, InteractivityMode.SEQUENTIAL]))
     _assert_matches_oracle(_outcome(_Scripted(rounds, _as_drawn), pop, mode, seed), rounds, pop, mode, seed)
@@ -814,7 +814,7 @@ def test_a_full_execution_over_one_slice_hashes_it_once(hashed):
 
 def test_a_repeated_slice_reuses_its_keys_and_every_bit_is_the_scalar_bit(hashed):
     size, seed = 12, 77
-    pop = Population(np.arange(size) % 2, "A", "B", seed=0)
+    pop = Population(np.arange(size) % 2, "A", "B")
     a, b = list(range(2, 9)), list(range(0, 5))
     rounds = [(a, "range", 0), (b, "range", 2), (a, "range", 1), (a, "range", 2), ([7, 1, 3], "list", [0, 2, 1])]
     outcome = execute(_Scripted(rounds, _as_drawn), pop, InteractivityMode.FULL, seed=seed)

@@ -93,7 +93,8 @@ def test_build_trial_wiring(cfg, mode, pop_size):
     trial = build_trial(cfg, 99)
     assert trial.mode is mode
     assert trial.population.size == trial.driver.users_required == pop_size
-    assert trial.population.seed == derive_key(99, "population")
+    drawn = sample_population(pop_size, "A", "B", derive_key(99, "population"))
+    assert np.array_equal(trial.population.side_codes, drawn.side_codes)
     assert trial.execution_seed == derive_key(99, "execution")
     again = build_trial(cfg, 99)
     assert again.execute().transcript == trial.execute().transcript
@@ -268,6 +269,10 @@ def test_sweep_epsilon_trend_at_fixed_population():
         (hl_config(trials=2), "epsilon", [1.0, 1e300], "5e+299 is out of range"),
         (pc_config(), "m", [30, 0], "group_size must be at least 1"),
         (pc_config(), "trials", [1, 0], "trials must be at least 1"),
+        (pc_config(), "k", [1, 0], "need hops >= 1 and size >= 2"),
+        (pc_config(), "l", [4, 1], "need hops >= 1 and size >= 2"),
+        (hl_config(trials=2), "B", [2, 0], "need branching >= 1 and num_levels >= 2"),
+        (hl_config(trials=2), "L", [3, 1], "need branching >= 1 and num_levels >= 2"),
     ],
 )
 def test_sweep_refuses_a_bad_value_before_any_trial(monkeypatch, cfg, axis, values, message):

@@ -415,7 +415,7 @@ def _hand_built_audit_case(draw):
             ids = [draw(descriptor)] * k
         outputs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
         rounds.append(RoundRecord(users, ids, [0.7] * k, outputs))
-    return Population(np.array(sides), "A", "B", seed=0), Transcript(tuple(rounds))
+    return Population(np.array(sides), "A", "B"), Transcript(tuple(rounds))
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,7 +429,7 @@ def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
     from ldpsim.engine import Population, RoundRecord
 
     n = 9464
-    pop = Population(np.arange(n) % 3 % 2, "A", "B", seed=0)
+    pop = Population(np.arange(n) % 3 % 2, "A", "B")
     quarters = np.split(np.arange(n), 4)
     names = sorted(_FUZZ_LAWS)
     one = RoundRecord(np.arange(n), np.repeat(names, n // 4), [0.7] * n, np.zeros(n, dtype=np.uint8))
@@ -450,7 +450,7 @@ def test_segment_max_ignores_a_side_absent_from_its_segment():
 
     # users 0-4 are all Alice, so Bob's row of round 0 (0.2231 against the
     # sentinel) belongs to no user; round 1 adds nothing to anyone
-    pop = Population(np.array([0, 0, 0, 0, 0, 0, 1, 0, 1, 1]), "A", "B", seed=0)
+    pop = Population(np.array([0, 0, 0, 0, 0, 0, 1, 0, 1, 1]), "A", "B")
     log = {"ab": _by_side_query(0.7, "ab", 0.55, 0.6), "flat": _by_side_query(0.7, "flat", 0.5, 0.5)}
     rounds = (
         RoundRecord(range(5), ["ab"] * 5, [0.7] * 5, [0] * 5),
@@ -482,7 +482,7 @@ def test_audit_max_and_count_store_nothing_per_user():
 def test_audit_rejects_a_user_outside_the_population(users):
     from ldpsim.engine import Population, RoundRecord
 
-    pop = Population(np.array([0, 1, 0]), "A", "B", seed=0)
+    pop = Population(np.array([0, 1, 0]), "A", "B")
     record = RoundRecord(users, ["a"] * len(users), [0.7] * len(users), [0] * len(users))
     with pytest.raises(AuditError, match="transcript names a user outside the population"):
         audit_transcript(Transcript((record,)), pop, _FUZZ_LOG)

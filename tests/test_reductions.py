@@ -15,6 +15,7 @@ from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
 from ldpsim.reductions import (
     TABLE_STEP_CACHE,
+    AlternatingProtocol,
     Answer,
     LoweredProtocol,
     OneBitSequence,
@@ -725,6 +726,26 @@ def test_transform_round_shape_general():
         alternating = simultaneous_to_alternating(_constant_sim(rounds, (1,) * rounds, (0,) * rounds))
         assert alternating.num_rounds == expected
         assert alternating.rounds[0] == (Side.BOB, 1)
+
+
+A, B = Side.ALICE, Side.BOB
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        ((A, 0), (A, 1), (B, 0), (B, 1)),  # Alice's bit 1 reads Bob's bit 0, published after it
+        ((B, 0), (A, 0), (B, 2), (A, 1), (B, 1), (A, 2)),  # Bob's bit 2 reads both sides' bit 1
+        ((B, 0), (A, 0), (A, 2), (B, 1), (A, 1), (B, 2)),  # Alice's bit 2 reads her own bit 1
+    ],
+)
+def test_a_schedule_that_reads_a_later_bit_is_refused(positions):
+    source = _constant_sim(3, (1, 0, 1), (0, 1, 1))
+    with pytest.raises(ValueError, match="^schedule violates a data dependency$"):
+        AlternatingProtocol(source=source, positions=positions)
+    # the same bits in round order are a valid schedule
+    in_order = tuple(sorted(positions, key=lambda key: (key[1], key[0].value)))
+    assert AlternatingProtocol(source=source, positions=in_order).max_bits == len(positions)
 
 
 def test_transform_rejects_alternating_input():

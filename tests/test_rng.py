@@ -10,14 +10,10 @@ from ldpsim._rng import (
     derive_key,
     hash_limit,
     premixed_keys,
-    response_limit,
     response_uniform,
-    response_uniforms,
     round_bits,
-    round_draws,
     round_hash,
     substream,
-    user_keys,
 )
 from ldpsim.randomizers import rr_param
 
@@ -35,41 +31,50 @@ def test_substream_reproducible():
     assert np.array_equal(a, b)
 
 
+def _kernel_uniforms(seed, users, round_index):
+    """The kernel's uniform draws ``(h >> 11) * 2**-53`` of ``users`` in one round."""
+    hashes = round_hash(premixed_keys(seed, users), round_index)
+    return (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _scalar_uniforms(seed, users, round_index):
+    return np.array([response_uniform(seed, int(u), round_index) for u in users])
+
+
 def test_scalar_and_vector_response_draws_agree():
     users = np.arange(1000, dtype=np.int64)
-    vec = response_uniforms(99, users, round_index=17)
-    scalars = [response_uniform(99, int(u), 17) for u in users]
-    assert np.allclose(vec, scalars, atol=0, rtol=0)
+    vec = _kernel_uniforms(99, users, round_index=17)
+    assert vec.tolist() == _scalar_uniforms(99, users, 17).tolist()
     assert ((vec >= 0) & (vec < 1)).all()
 
 
 def test_response_draws_vary_by_round_and_user():
-    users = np.arange(200, dtype=np.int64)
-    r0 = response_uniforms(5, users, 0)
-    r1 = response_uniforms(5, users, 1)
+    keys = premixed_keys(5, np.arange(200, dtype=np.int64))
+    r0, r1 = round_hash(keys, 0), round_hash(keys, 1)
     assert not np.array_equal(r0, r1)
     assert len(np.unique(r0)) == len(r0)
+    assert len(np.unique(r0 >> np.uint64(11))) == len(r0)  # the draws, not only the hashes
 
 
 def test_response_draws_roughly_uniform():
-    users = np.arange(200_000, dtype=np.int64)
-    draws = response_uniforms(1234, users, 3)
-    assert abs(draws.mean() - 0.5) < 0.005
-    assert abs((draws < 0.25).mean() - 0.25) < 0.005
+    keys = premixed_keys(1234, np.arange(200_000, dtype=np.int64))
+    laws = [0.25, 0.5]
+    limits = [hash_limit(p) for p in laws]
+    for cell, p in enumerate(laws):
+        assert abs(round_bits(keys, 3, limits, cell).mean() - p) < 0.005, p
 
 
 def test_keyed_draws_agree_with_the_scalar_draw():
     users = np.array([0, 1, 2, 17, 10_378, 2**31, 2**40 + 3, 2**62], dtype=np.int64)
     for seed in (0, 99, 2**64 - 1):
-        keys = user_keys(seed, users)
+        keys = premixed_keys(seed, users)
+        assert keys.dtype == np.uint64
         for round_index in (0, 1, 32, 10**6):
-            draws = round_draws(keys, round_index)
-            assert draws.dtype == np.uint64 and int(draws.max()) < 2**53
-            scalars = [response_uniform(seed, int(u), round_index) for u in users]
-            assert (draws.astype(np.float64) * 2.0**-53).tolist() == scalars
-            assert response_uniforms(seed, users, round_index).tolist() == scalars
+            assert round_hash(keys, round_index).dtype == np.uint64
+            assert _kernel_uniforms(seed, users, round_index).tolist() == _scalar_uniforms(seed, users, round_index).tolist()
     # a user's key does not depend on which other users are hashed with it
-    assert np.array_equal(user_keys(5, users)[3:5], user_keys(5, users[3:5]))
+    assert np.array_equal(premixed_keys(5, users)[3:5], premixed_keys(5, users[3:5]))
+    assert np.array_equal(premixed_keys(5, users)[7:], premixed_keys(5, users[7:].view(np.uint64)))
 
 
 def _threshold_laws(draws):
@@ -81,27 +86,32 @@ def _threshold_laws(draws):
 
 def test_integer_threshold_is_the_float_comparison():
     users = np.arange(4000, dtype=np.int64)
-    draws = round_draws(user_keys(7, users), 3)
-    uniforms = response_uniforms(7, users, 3)
-    laws = _threshold_laws(draws)
+    keys = premixed_keys(7, users)
+    hashes = round_hash(keys, 3)
+    uniforms = _scalar_uniforms(7, users, 3)
+    laws = _threshold_laws(hashes >> np.uint64(11))
     assert 0.0 in laws and 1.0 in laws and len(laws) > 150
     for p in laws:
-        limit = response_limit(p)
-        assert type(limit) is int and 0 <= limit <= 2**53
-        assert np.array_equal(draws < np.uint64(limit), uniforms < p), p
-    assert response_limit(0.0) == 0 and response_limit(1.0) == 2**53
+        limit = hash_limit(p)
+        assert type(limit) is int and 0 <= limit < 2**64
+        if p < 1.0:  # an integer limit on the draw, shifted: its low 11 bits are clear
+            assert limit % 2**11 == 0 and limit <= (2**53 - 1) << 11, p
+            assert np.array_equal(hashes < np.uint64(limit), uniforms < p), p
+        assert np.array_equal(round_bits(keys, 3, [limit], 0), uniforms < p), p
+    assert hash_limit(0.0) == 0 and hash_limit(1.0) == 2**64 - 1
     # at a drawn value the draw itself is not below the law, the next float up is
-    k = int(draws[0])
-    assert response_limit(k * 2.0**-53) == k and response_limit(math.nextafter(k * 2.0**-53, 1.0)) == k + 1
+    k = int(hashes[0]) >> 11
+    assert hash_limit(k * 2.0**-53) == k << 11 and hash_limit(math.nextafter(k * 2.0**-53, 1.0)) == (k + 1) << 11
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.floats(0.0, 1.0), k=st.integers(0, 2**53 - 1))
-def test_integer_threshold_matches_any_law(p, k):
-    assert (k < response_limit(p)) == (k * 2.0**-53 < p)
-    q = k * 2.0**-53
-    for law in (q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)):
-        assert (k < response_limit(law)) == (q < law)
+@given(p=st.floats(0.0, 1.0), h=st.integers(0, 2**64 - 1))
+def test_integer_threshold_matches_any_law(p, h):
+    # every law below 1: a hash is below the law's hash limit exactly when its draw is below the law
+    q = (h >> 11) * 2.0**-53
+    for law in (p, q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)):
+        if law < 1.0:
+            assert (h < hash_limit(law)) == (q < law), law
 
 
 _RNG_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -120,9 +130,13 @@ def _laws_around(seed, uid, round_index, extra):
 @settings(max_examples=150, deadline=None)
 @given(seed=_RNG_SEEDS, uid=st.integers(0, 2**62), round_index=_ROUNDS, extra=st.floats(0.0, 1.0))
 def test_public_draw_and_limit_give_the_scalar_bit(seed, uid, round_index, extra):
-    draw = int(round_draws(user_keys(seed, np.array([uid], dtype=np.uint64)), round_index)[0])
+    keys = premixed_keys(seed, np.array([uid], dtype=np.uint64))
+    h = int(round_hash(keys, round_index)[0])
     for p in _laws_around(seed, uid, round_index, extra):
-        assert (draw < response_limit(p)) == (response_uniform(seed, uid, round_index) < p), p
+        expected = response_uniform(seed, uid, round_index) < p
+        if p < 1.0:
+            assert (h < hash_limit(p)) == expected, p
+        assert round_bits(keys, round_index, [hash_limit(p)], 0)[0] == expected, p
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,14 +184,14 @@ def test_extreme_hashes_keep_the_law_zero_and_one_bits(round_index, top):
     base = _mix64((seed ^ 0x9E3779B97F4A7C15) & 2**64 - 1)
     uid = _unmix64(_unmix64(top) ^ round_index) ^ base
     assert _mix64(_mix64(_mix64(seed ^ 0x9E3779B97F4A7C15) ^ uid) ^ round_index) == top
-    ids = np.array([uid, 7], dtype=np.uint64)
-    draw = int(round_draws(user_keys(seed, ids), round_index)[0])
-    assert draw == top >> 11
-    keys = premixed_keys(seed, ids)
+    keys = premixed_keys(seed, np.array([uid, 7], dtype=np.uint64))
     assert int(round_hash(keys, round_index)[0]) == top
+    draw = top >> 11
+    assert response_uniform(seed, uid, round_index) == draw * 2.0**-53
     for p in (0.0, 5e-324, draw * 2.0**-53, math.nextafter(draw * 2.0**-53, 1.0), 1.0 - 2.0**-53, 1.0):
         expected = response_uniform(seed, uid, round_index) < p
-        assert (draw < response_limit(p)) == expected, p
+        if p < 1.0:
+            assert (top < hash_limit(p)) == expected, p
         assert round_bits(keys, round_index, [hash_limit(p)], 0)[0] == expected, p
         assert round_bits(keys, round_index, [hash_limit(0.5), hash_limit(p)], np.array([1, 0]))[0] == expected, p
     assert hash_limit(1.0) == 2**64 - 1 and hash_limit(0.0) == 0
