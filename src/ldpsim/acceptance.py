@@ -355,14 +355,12 @@ def _interactivity_gap() -> tuple[bool, str]:
 
 
 def _oracle_fixtures() -> tuple[bool, str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        figure = PCInstance(
-            hops=5,
-            size=8,
-            alice_ptrs=(8, 6, 5, 1, 2, 4, 3, 7),
-            bob_ptrs=(1, 2, 4, 6, 7, 8, 3, 5),
-        )
+    figure = PCInstance(
+        hops=5,
+        size=8,
+        alice_ptrs=(8, 6, 5, 1, 2, 4, 3, 7),
+        bob_ptrs=(1, 2, 4, 6, 7, 8, 3, 5),
+    )
     chase_ok = chase_pointers(figure) == 8
     grid_ok = True
     for branching in (1, 2, 3):

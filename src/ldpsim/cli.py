@@ -245,6 +245,9 @@ def _experiment_config(args) -> ExperimentConfig:
     for key in ("problem", "eps", "trials", "seed"):
         if getattr(args, key, None) is None:
             raise ValueError(f"missing required option --{key}")
+    for key, problem in (("b", "hl"), ("n", "hl"), ("k", "pc"), ("m", "pc")):
+        if args.problem != problem and getattr(args, key) is not None:
+            raise ValueError(f"--{key} applies only to --problem {problem}")
     solver_flag = args.solver or "full"
     if args.problem == "hl":
         if args.b is None or args.l is None or args.n is None:

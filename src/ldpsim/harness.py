@@ -268,7 +268,11 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     attr, cast = SWEEP_AXES[axis]
-    value = cast(value)
+    try:
+        value = cast(value)
+    except ValueError:
+        noun = "an integer" if cast is int else "a number"
+        raise ValueError(f"axis {axis!r}: {value!r} is not {noun}") from None
     if attr in ("group_size", "epsilon", "trials"):
         return replace(cfg, **{attr: value})
     if isinstance(cfg.problem, HLShape) and attr in ("branching", "num_levels"):

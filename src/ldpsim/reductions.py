@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Any, Callable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
@@ -571,30 +570,31 @@ class SimultaneousProtocol(TwoPartyProtocol):
 
 @dataclass
 class AlternatingProtocol(TwoPartyProtocol):
-    """Reschedule of a simultaneous protocol into alternating rounds.
+    """Reschedule of a simultaneous protocol into alternating rounds, adding
+    exactly one round overall and preserving outputs.
 
-    ``positions`` maps each flat bit position to (speaker, index in that
-    speaker's original sequence). The protocol runs noiselessly over the
-    flat bit transcript and halts with the source's pairs.
+    Bob opens with his bit 0; then the players take turns of two bits each
+    (Alice bits 0-1, Bob 1-2, Alice 2-3, ...), the last turn cut at the
+    source's ``num_rounds``, so each bit t comes after both sides' bits
+    below t, which are all it reads. ``rounds`` lists (speaker, bit count)
+    per turn, and ``positions`` maps each flat bit position to (speaker,
+    index in that speaker's original sequence). The protocol runs noiselessly
+    over the flat bit transcript and halts with the source's pairs.
     """
 
     source: SimultaneousProtocol
-    positions: tuple[tuple[Side, int], ...]
     channel = NOISELESS
 
     def __post_init__(self):
+        if not isinstance(self.source, SimultaneousProtocol):
+            raise ValueError("input protocol must be simultaneous")
+        total = self.source.num_rounds
+        turns = [(Side.BOB, range(1))]
+        turns += [((Side.ALICE, Side.BOB)[j % 2], range(j, min(j + 2, total))) for j in range(total)]
+        self.rounds = tuple((speaker, len(bits)) for speaker, bits in turns)
+        self.positions = tuple((speaker, t) for speaker, bits in turns for t in bits)
         self._pos_of = {key: pos for pos, key in enumerate(self.positions)}
-        # bit t reads both sides' bits 0..t-1; checking bits t-1 of every t
-        # suffices, since by the same check each comes after all bits below it
-        for pos, (_, t) in enumerate(self.positions):
-            if t and max(self._pos_of[(Side.ALICE, t - 1)], self._pos_of[(Side.BOB, t - 1)]) > pos:
-                raise ValueError("schedule violates a data dependency")
         self.max_bits = len(self.positions)
-
-    @property
-    def rounds(self) -> tuple[tuple[Side, int], ...]:
-        """(speaker, bit count) per alternating round: the runs of one speaker in ``positions``."""
-        return tuple((speaker, len(list(run))) for speaker, run in groupby(speaker for speaker, _ in self.positions))
 
     @property
     def num_rounds(self) -> int:
@@ -616,22 +616,7 @@ class AlternatingProtocol(TwoPartyProtocol):
         return _bit_step(speaker, param, self.pairs_from(prefix, upto=t))
 
 
-def simultaneous_to_alternating(protocol: SimultaneousProtocol) -> AlternatingProtocol:
-    """Reschedule: Bob opens, then players alternate publishing two bits per
-    round, adding exactly one round overall and preserving outputs."""
-    if not isinstance(protocol, SimultaneousProtocol):
-        raise ValueError("input protocol must be simultaneous")
-    total = protocol.num_rounds
-    positions: list[tuple[Side, int]] = [(Side.BOB, 0)]
-    next_index = {Side.ALICE: 0, Side.BOB: 1}
-    speaker = Side.ALICE
-    while next_index[Side.ALICE] < total or next_index[Side.BOB] < total:
-        start = next_index[speaker]
-        count = min(2, total - start)
-        positions.extend((speaker, start + i) for i in range(count))
-        next_index[speaker] = start + count
-        speaker = speaker.other
-    return AlternatingProtocol(source=protocol, positions=tuple(positions))
+simultaneous_to_alternating = AlternatingProtocol
 
 
 def alternating_pairs_distribution(protocol: AlternatingProtocol, alice_input, bob_input) -> TranscriptDistribution:

@@ -608,6 +608,28 @@ def test_pc_rejects_baseline_solver(capsys, command, extra):
     assert "--solver" in stderr
 
 
+_HL_SHAPE = ("--problem", "hl", "--b", "2", "--l", "3", "--n", "5", "--eps", "1", "--seed", "1")
+_PC_SHAPE = ("--problem", "pc", "--k", "1", "--l", "2", "--m", "5", "--eps", "1", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("run", ["--trials", "1"]), ("sweep", ["--trials", "1", "--axis", "epsilon", "--values", "1"]), ("audit", [])],
+)
+@pytest.mark.parametrize(
+    "base, flag, problem",
+    [(_HL_SHAPE, "--k", "pc"), (_HL_SHAPE, "--m", "pc"), (_PC_SHAPE, "--b", "hl"), (_PC_SHAPE, "--n", "hl")],
+)
+def test_a_flag_of_the_other_problem_is_refused(capsys, tmp_path, command, extra, base, flag, problem):
+    code, stdout, stderr = run_cli(capsys, command, *base, *extra, flag, "3")
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {flag} applies only to --problem {problem}\n"
+    # the same value from a config file is refused the same way
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: 3}))
+    assert run_cli(capsys, command, *base, *extra, "--config", str(cfg)) == (code, stdout, stderr)
+
+
 def test_reduce_lift_echo(capsys, tmp_path):
     proto = tmp_path / "proto.txt"
     proto.write_text(TWO_PARTY_FILE)

@@ -58,6 +58,7 @@ CLI_CASES = {
     "audit_pc.txt": [
         "audit", "--problem", "pc", "--k", "1", "--l", "4", "--m", "5", "--eps", "0.3", "--seed", "16",
     ],
+    "reduce_rounds_3.json": ["reduce", "rounds", "--rounds", "3"],
 }
 
 

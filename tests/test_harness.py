@@ -273,6 +273,8 @@ def test_sweep_epsilon_trend_at_fixed_population():
         (pc_config(), "l", [4, 1], "need hops >= 1 and size >= 2"),
         (hl_config(trials=2), "B", [2, 0], "need branching >= 1 and num_levels >= 2"),
         (hl_config(trials=2), "L", [3, 1], "need branching >= 1 and num_levels >= 2"),
+        (hl_config(trials=2), "n", ["30", "x"], "axis 'n': 'x' is not an integer"),
+        (pc_config(), "epsilon", ["1", "one"], "axis 'epsilon': 'one' is not a number"),
     ],
 )
 def test_sweep_refuses_a_bad_value_before_any_trial(monkeypatch, cfg, axis, values, message):

@@ -728,26 +728,6 @@ def test_transform_round_shape_general():
         assert alternating.rounds[0] == (Side.BOB, 1)
 
 
-A, B = Side.ALICE, Side.BOB
-
-
-@pytest.mark.parametrize(
-    "positions",
-    [
-        ((A, 0), (A, 1), (B, 0), (B, 1)),  # Alice's bit 1 reads Bob's bit 0, published after it
-        ((B, 0), (A, 0), (B, 2), (A, 1), (B, 1), (A, 2)),  # Bob's bit 2 reads both sides' bit 1
-        ((B, 0), (A, 0), (A, 2), (B, 1), (A, 1), (B, 2)),  # Alice's bit 2 reads her own bit 1
-    ],
-)
-def test_a_schedule_that_reads_a_later_bit_is_refused(positions):
-    source = _constant_sim(3, (1, 0, 1), (0, 1, 1))
-    with pytest.raises(ValueError, match="^schedule violates a data dependency$"):
-        AlternatingProtocol(source=source, positions=positions)
-    # the same bits in round order are a valid schedule
-    in_order = tuple(sorted(positions, key=lambda key: (key[1], key[0].value)))
-    assert AlternatingProtocol(source=source, positions=in_order).max_bits == len(positions)
-
-
 def test_transform_rejects_alternating_input():
     protocol = _constant_sim(1, (1,), (0,))
     alternating = simultaneous_to_alternating(protocol)
@@ -803,14 +783,33 @@ def test_transform_answers_with_the_source_pairs():
     assert alternating.action(bits).fn(bits) == ((1, 0), (1, 0))
 
 
-def test_transform_dependency_order_sound():
-    # bob's second bit must be computable from round-1 pairs only
-    alternating = simultaneous_to_alternating(_constant_sim(3, (1, 0, 1), (0, 1, 0)))
+@pytest.mark.parametrize("num_rounds", range(1, 9))
+def test_transform_dependency_order_sound(num_rounds):
+    alternating = simultaneous_to_alternating(_constant_sim(num_rounds, (1,) * num_rounds, (0,) * num_rounds))
     positions = alternating.positions
-    for pos, (speaker, t) in enumerate(positions):
+    # each side's bits 0..T-1 appear exactly once
+    assert len(positions) == 2 * num_rounds
+    assert set(positions) == {(side, t) for side in (Side.ALICE, Side.BOB) for t in range(num_rounds)}
+    assert positions[0] == (Side.BOB, 0)
+    # bit t reads both sides' bits 0..t-1, so each must be published before it
+    for pos, (_, t) in enumerate(positions):
         for i in range(t):
             for side in (Side.ALICE, Side.BOB):
                 assert positions.index((side, i)) < pos
+    assert alternating.num_rounds == num_rounds + 1
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        ((Side.ALICE, 0), (Side.BOB, 0)),  # covers round 0 of 2 only
+        ((Side.ALICE, 0), (Side.BOB, 0), (Side.ALICE, 2)),  # skips round 1
+    ],
+)
+def test_a_hand_built_schedule_is_refused(positions):
+    source = _constant_sim(2, (1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        AlternatingProtocol(source=source, positions=positions)
 
 
 # ---------------------------------------------------------------------------
