@@ -407,9 +407,9 @@ def execute(
     :class:`DivergenceError` after ``MAX_ROUNDS`` rounds without a halt.
     """
     transcript = Transcript()
-    # one read-only id column per execution: a step-1 range round's users are a view of it
-    ids = np.arange(population.size, dtype=np.int64)
-    ids.setflags(write=False)
+    # one read-only id column per population size, shared by every execution of
+    # that size: a step-1 range round's users are a view of it
+    ids = _id_column(population.size)
     asked, keys = None, None  # the last round's slice, or None, and its users' premixed keys
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
@@ -459,15 +459,28 @@ def execute(
         transcript = transcript.extended(record)
 
 
+@functools.lru_cache(maxsize=4)
+def _id_column(size: int) -> np.ndarray:
+    """The read-only int64 ids ``0..size-1``, kept for the last four
+    population sizes used.
+
+    A fresh column per execution costs an allocation the size of the
+    population, and freeing it at the end of each execution lets the heap
+    shrink and then fault its pages in again for the next one."""
+    ids = np.arange(size, dtype=np.int64)
+    ids.setflags(write=False)
+    return ids
+
+
 def _user_array(users, id_column: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
     """An int64 array of the requested user ids and its :func:`_index`.
 
-    A non-empty step-1 range inside ``id_column``, the execution's read-only
-    ids, is its own slice, unscanned, and its users are a view of that
-    column. Other ranges stay in numpy; a step-1 range that leaves the
-    column, whose view would silently stop at its end, is a fresh array like
-    them, which ``execute`` rejects. Anything else is copied into a fresh
-    array.
+    A non-empty step-1 range inside ``id_column``, the read-only ids that
+    :func:`_id_column` keeps for the population's size, is its own slice,
+    unscanned, and its users are a view of that column. Other ranges stay in
+    numpy; a step-1 range that leaves the column, whose view would silently
+    stop at its end, is a fresh array like them, which ``execute`` rejects.
+    Anything else is copied into a fresh array.
     """
     if isinstance(users, range):
         if users.step == 1 and 0 <= users.start < users.stop <= id_column.size:
@@ -517,12 +530,15 @@ def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tupl
     on each side datum. A predicate-based query's predicate is read once per
     datum and its law looked up in ``vote_laws``; any other query's law is
     read once per datum, and it votes False."""
+    alice, bob = data
     if hasattr(query, "vote"):
-        votes = tuple(query.vote(d) for d in data)
-        laws = map(query.vote_laws.__getitem__, votes)
+        votes = query.vote(alice), query.vote(bob)
+        laws = query.vote_laws
+        p, q = laws[votes[0]], laws[votes[1]]
     else:
-        votes, laws = (False, False), [query.law(d) for d in data]
-    return tuple(_checked_limit(descriptor, p) for p in laws), votes
+        votes = False, False
+        p, q = query.law(alice), query.law(bob)
+    return (_checked_limit(descriptor, p), _checked_limit(descriptor, q)), votes
 
 
 def _respond(population, users, index, queries, keys, round_index, one_votes, query_log) -> RoundRecord:
@@ -543,24 +559,36 @@ def _respond(population, users, index, queries, keys, round_index, one_votes, qu
             raise ValueError("per-user query list must match the user list length")
         named = {key: _log_query(query_log, query) for key, query in {id(q): q for q in queries}.items()}
         descriptors, codes = _first_use(list(map(named.__getitem__, map(id, queries))))
-    distinct = [query_log[descriptor] for descriptor in descriptors]
     data = (population.alice_datum, population.bob_datum)
-    limits, votes = zip(*(_read_sides(name, query, data) for name, query in zip(descriptors, distinct)))
-    # each user's entry in the flattened (descriptor, side) tables; sides are 0 Alice, 1 Bob
-    sides = population.side_codes[index]
-    cells = sides if isinstance(codes, int) else 2 * codes + sides
-    if all(alice == bob for alice, bob in limits):
-        # no law depends on the side: one limit per descriptor needs no gather by side
-        bits = round_bits(keys, round_index, [alice for alice, _ in limits], codes)
-    else:
-        bits = round_bits(keys, round_index, [limit for pair in limits for limit in pair], cells)
-    if any(map(any, votes)):
-        one_votes[index] += np.array(votes, dtype=bool).take(cells)
-    budgets = [_checked_budget(query.epsilon) for query in distinct]
+    sides = population.side_codes[index]  # 0 Alice, 1 Bob
     if isinstance(codes, int):
-        # one budget for every user: a read-only column of stride 0 over one float
-        epsilons = np.ndarray(users.shape, np.float64, np.float64(budgets[0]), 0, (0,))
+        # one descriptor for every user: its two limits, votes and budget need no table
+        (descriptor,) = descriptors
+        query = query_log[descriptor]
+        (alice, bob), (alice_vote, bob_vote) = _read_sides(descriptor, query, data)
+        if alice == bob:
+            bits = round_bits(keys, round_index, (alice,), 0)
+        else:
+            bits = round_bits(keys, round_index, (alice, bob), sides)
+        if alice_vote != bob_vote:
+            one_votes[index] += sides if bob_vote else sides ^ 1
+        elif alice_vote:
+            one_votes[index] += 1
+        # a read-only column of stride 0 over one float
+        epsilons = np.ndarray(users.shape, np.float64, np.float64(_checked_budget(query.epsilon)), 0, (0,))
     else:
+        # each user's entry in the flattened (descriptor, side) tables
+        limits, votes, budgets = [], [], []
+        for descriptor in descriptors:
+            query = query_log[descriptor]
+            pair, pair_votes = _read_sides(descriptor, query, data)
+            limits += pair
+            votes += pair_votes
+            budgets.append(_checked_budget(query.epsilon))
+        cells = 2 * codes + sides
+        bits = round_bits(keys, round_index, limits, cells)
+        if any(votes):
+            one_votes[index] += np.array(votes).take(cells)
         epsilons = np.array(budgets)[codes]
         epsilons.setflags(write=False)
     outputs = bits.view(np.uint8)

@@ -251,35 +251,34 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+# axis -> (config or shape field, cast, the shape it applies to or None for any)
 SWEEP_AXES = {
-    "n": ("group_size", int),
-    "m": ("group_size", int),
-    "group_size": ("group_size", int),
-    "epsilon": ("epsilon", float),
-    "trials": ("trials", int),
-    "B": ("branching", int),
-    "L": ("num_levels", int),
-    "k": ("hops", int),
-    "l": ("size", int),
+    "n": ("group_size", int, HLShape),
+    "m": ("group_size", int, PCShape),
+    "group_size": ("group_size", int, None),
+    "epsilon": ("epsilon", float, None),
+    "trials": ("trials", int, None),
+    "B": ("branching", int, HLShape),
+    "L": ("num_levels", int, HLShape),
+    "k": ("hops", int, PCShape),
+    "l": ("size", int, PCShape),
 }
 
 
 def _with_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
-    attr, cast = SWEEP_AXES[axis]
+    attr, cast, shape = SWEEP_AXES[axis]
     try:
         value = cast(value)
     except ValueError:
         noun = "an integer" if cast is int else "a number"
         raise ValueError(f"axis {axis!r}: {value!r} is not {noun}") from None
+    if shape is not None and not isinstance(cfg.problem, shape):
+        raise ValueError(f"axis {axis!r} does not apply to this problem")
     if attr in ("group_size", "epsilon", "trials"):
         return replace(cfg, **{attr: value})
-    if isinstance(cfg.problem, HLShape) and attr in ("branching", "num_levels"):
-        return replace(cfg, problem=replace(cfg.problem, **{attr: value}))
-    if isinstance(cfg.problem, PCShape) and attr in ("hops", "size"):
-        return replace(cfg, problem=replace(cfg.problem, **{attr: value}))
-    raise ValueError(f"axis {axis!r} does not apply to this problem")
+    return replace(cfg, problem=replace(cfg.problem, **{attr: value}))
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any, ExperimentResult]]:

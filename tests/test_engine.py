@@ -363,11 +363,33 @@ def test_execute_rejects_laws_outside_the_unit_interval(population, p, shared):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
 
+class SideLaw:
+    """A query object whose response law is one constant per side."""
+
+    epsilon = 1.0
+
+    def __init__(self, alice, bob, descriptor):
+        self.alice, self.bob, self.descriptor = alice, bob, descriptor
+
+    def law(self, datum):
+        return self.alice if datum.side is Side.ALICE else self.bob
+
+
 @pytest.mark.parametrize("p, bit", [(0.0, 0), (1.0, 1)])
 def test_execute_laws_zero_and_one_pin_the_bit(population, p, bit):
     for queries in (ConstantLaw(p), [ConstantLaw(p)] * 10):
         result = execute(QueryScript([range(10)], queries), population, InteractivityMode.FULL, seed=1)
         assert result.transcript.rounds[0].outputs.tolist() == [bit] * 10
+    # law p on one side and 1 - p on the other: two limits under one query,
+    # and a (descriptor, side) table under a per-user list of two descriptors
+    sides = population.side_codes[:10].tolist()
+    assert 0 < sum(sides) < 10
+    on_alice, on_bob = SideLaw(p, 1 - p, "p-on-alice"), SideLaw(1 - p, p, "p-on-bob")
+    for queries in (on_alice, on_bob, [on_alice] * 10, [on_alice, on_bob] * 5):
+        per_user = queries if isinstance(queries, list) else [queries] * 10
+        result = execute(QueryScript([range(10)], queries), population, InteractivityMode.FULL, seed=1)
+        expected = [bit if (side == 0) == (query is on_alice) else 1 - bit for query, side in zip(per_user, sides)]
+        assert result.transcript.rounds[0].outputs.tolist() == expected
 
 
 def test_divergence_guard(population, query, monkeypatch):
@@ -567,9 +589,11 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
         assert shared.index == index if isinstance(index, slice) else np.array_equal(shared.index, index)
     assert isinstance(result.transcript.rounds[0].index, slice)
     assert not isinstance(result.transcript.rounds[1].index, slice)
-    # step-1 range rounds view one id column of the execution, which no one can make writable
+    # step-1 range rounds view one id column, shared by every execution at the
+    # population's size, which no one can make writable
     first, last = result.transcript.rounds[0].users, result.transcript.rounds[2].users
-    assert np.shares_memory(first, last)
+    again = execute(QueryScript([range(0, 10)], query), population, InteractivityMode.FULL, seed=5)
+    assert np.shares_memory(first, last) and np.shares_memory(first, again.transcript.rounds[0].users)
     with pytest.raises(ValueError):
         last.setflags(write=True)
     assert parsed == result.transcript
@@ -831,9 +855,15 @@ def test_a_sequential_execution_allocates_about_its_columns_not_the_keys():
     tracemalloc.start()
     try:
         execute(trial.driver, trial.population, trial.mode, trial.execution_seed)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, first = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        execute(trial.driver, trial.population, trial.mode, trial.execution_seed)
+        second = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     # the id and one-vote columns take 8 bytes a user each, the bits and the
-    # sequential check 1 each; keys for the whole population would add 8 more
-    assert peak < 3 * 8 * users
+    # sequential check 1 each; keys for the whole population would add 8 more.
+    # The id column is built once per population size, so a second execution
+    # at this size allocates the one-vote column, the bits and the check alone.
+    assert first < 3 * 8 * users
+    assert second < 2 * 8 * users

@@ -297,6 +297,8 @@ def test_sweep_unknown_axis():
         (hl_config(trials=1), "L", "4", "B=2;L=4", pc_config()),
         (pc_config(problem=PCShape(1, 8)), "k", "2", "k=2;l=8", hl_config()),
         (pc_config(), "l", "4", "k=1;l=4", hl_config()),
+        (hl_config(trials=1), "n", "7", "B=2;L=3", pc_config()),
+        (pc_config(), "m", "7", "k=1;l=2", hl_config()),
     ],
 )
 def test_sweep_shape_axes(cfg, axis, value, shape, other):
