@@ -121,10 +121,6 @@ def _hl_accuracy() -> tuple[bool, str]:
     branching, num_levels, trials = 4, 9, 200
     beta = 0.1
     n = hl_sample_bound(_EPSILON, branching, beta=beta)
-    eps2 = _EPSILON / 2.0
-    factor = ((eps2 + 2.0) / (eps2 * math.sqrt(2.0))) ** 2
-    assert n > 100.0 * factor * (2 * math.ceil(math.log2(branching)) + 2 + math.log(1.0 / beta))
-    assert n > 25.0 * math.log(4.0 / beta)
     result = _experiment(HLShape(branching, num_levels), "hl-full", trials, "c3", n)
     low = result.wilson_ci_95[0]
     ok = result.success_rate >= 0.9 and low >= 0.8

@@ -19,24 +19,16 @@ from .acceptance import CRITERIA, run_suite
 from .channels import NOISELESS, bsc, lift_crossover, lower_crossover, majority_flip_probability
 from .engine import Datum, LdpSimError, Side
 from .harness import (
+    PROBLEMS,
+    SWEEP_AXES,
     ExperimentConfig,
-    HLShape,
-    PCShape,
     build_trial,
     result_rows,
     run_experiment,
     sweep,
     write_csv,
 )
-from .problems import (
-    _field,
-    _fields,
-    _number,
-    chase_pointers,
-    gen_hl_instance,
-    gen_pc_instance,
-    write_instance,
-)
+from .problems import _field, _fields, _number, write_instance
 from .randomizers import _by_side_query, write_audit_report
 from .reductions import (
     Answer,
@@ -196,21 +188,18 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def _cmd_gen_instance(args) -> int:
+    shape = PROBLEMS[args.kind](*(getattr(args, flag) for flag in _FLAGS[args.kind][:-1]))
+    instance, _oracle = shape.draw(args.seed)
     buffer = io.StringIO()
-    if args.kind == "hl":
-        inst = gen_hl_instance(args.b, args.l, args.seed)
-        write_instance(inst, buffer)
-        # each hidden level fixes one coordinate of a consistent leaf; the other L-2 are free
-        buffer.write(f"consistent_count {inst.branching ** (inst.num_levels - 2)}\n")
-    else:
-        inst = gen_pc_instance(args.k, args.l, args.seed)
-        write_instance(inst, buffer)
-        buffer.write(f"oracle {chase_pointers(inst)}\n")
+    write_instance(instance, buffer)
+    buffer.write(shape.footer(instance) + "\n")
     _emit(buffer.getvalue(), args.out)
     return 0
 
 
-_MERGEABLE = ("b", "l", "k", "eps", "n", "m", "trials", "seed", "threshold", "solver", "problem")
+# each problem's flags: its axis names in lower case, the group size's last
+_FLAGS = {name: [axis.lower() for axis in problem.axes] for name, problem in PROBLEMS.items()}
+_MERGEABLE = ("eps", "trials", "seed", "threshold", "solver", "problem", *(f for flags in _FLAGS.values() for f in flags))
 
 
 def _apply_config_file(args) -> None:
@@ -245,28 +234,25 @@ def _experiment_config(args) -> ExperimentConfig:
     for key in ("problem", "eps", "trials", "seed"):
         if getattr(args, key, None) is None:
             raise ValueError(f"missing required option --{key}")
-    for key, problem in (("b", "hl"), ("n", "hl"), ("k", "pc"), ("m", "pc")):
-        if args.problem != problem and getattr(args, key) is not None:
-            raise ValueError(f"--{key} applies only to --problem {problem}")
+    problem, flags = PROBLEMS[args.problem], _FLAGS[args.problem]
+    for name, other_flags in _FLAGS.items():
+        for key in other_flags:
+            if key not in flags and getattr(args, key) is not None:
+                raise ValueError(f"--{key} applies only to --problem {name}")
+    values = [getattr(args, key) for key in flags]
+    if None in values:
+        raise ValueError(f"{problem.noun} runs need --{', --'.join(flags[:-1])} and --{flags[-1]}")
     solver_flag = args.solver or "full"
-    if args.problem == "hl":
-        if args.b is None or args.l is None or args.n is None:
-            raise ValueError("hidden-layers runs need --b, --l and --n")
-        shape, group_size = HLShape(args.b, args.l), args.n
-        solver = "hl-baseline" if solver_flag == "baseline" else "hl-full"
-    else:
-        if args.k is None or args.l is None or args.m is None:
-            raise ValueError("pointer-chasing runs need --k, --l and --m")
-        if solver_flag != "full":
-            raise ValueError(f"--solver {solver_flag} applies only to --problem hl")
-        shape, group_size, solver = PCShape(args.k, args.l), args.m, "pc"
+    if solver_flag not in problem.solvers:
+        owner = next(other.name for other in PROBLEMS.values() if solver_flag in other.solvers)
+        raise ValueError(f"--solver {solver_flag} applies only to --problem {owner}")
     return ExperimentConfig(
-        problem=shape,
-        solver=solver,
+        problem=problem(*values[:-1]),
+        solver=problem.solvers[solver_flag],
         epsilon=args.eps,
         trials=args.trials,
         seed=args.seed,
-        group_size=group_size,
+        group_size=values[-1],
         threshold=args.threshold,
     )
 
@@ -432,14 +418,16 @@ def _cmd_acceptance(args) -> int:
 
 
 def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem", choices=("hl", "pc"))
-    parser.add_argument("--b", type=int, help="hidden-layers branching")
-    parser.add_argument("--l", type=int, help="tree levels (hl) or vector size (pc)")
-    parser.add_argument("--k", type=int, help="pointer-chasing hops")
+    parser.add_argument("--problem", choices=tuple(PROBLEMS))
+    meanings: dict[str, list[str]] = {}
+    for axis, (attr, _cast, problem) in SWEEP_AXES.items():
+        if problem is not None:
+            meanings.setdefault(axis.lower(), []).append(f"{problem.noun} {attr}")
+    for flag, meaning in meanings.items():
+        parser.add_argument(f"--{flag}", type=int, help=" or ".join(meaning))
     parser.add_argument("--eps", type=float, help="total per-user privacy budget")
-    parser.add_argument("--n", type=int, help="population / per-query group size (hl)")
-    parser.add_argument("--m", type=int, help="per-bit group size (pc)")
-    parser.add_argument("--solver", choices=("full", "baseline"), help="default: full")
+    solvers = dict.fromkeys(flag for problem in PROBLEMS.values() for flag in problem.solvers)
+    parser.add_argument("--solver", choices=tuple(solvers), help="default: full")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
@@ -459,18 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-instance", help="generate a problem instance")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    gen_hl = gen_sub.add_parser("hl", help="hidden layers")
-    gen_hl.add_argument("--b", type=int, required=True)
-    gen_hl.add_argument("--l", type=int, required=True)
-    gen_hl.add_argument("--seed", type=int, required=True)
-    gen_hl.add_argument("--out")
-    gen_hl.set_defaults(func=_cmd_gen_instance)
-    gen_pc = gen_sub.add_parser("pc", help="pointer chasing")
-    gen_pc.add_argument("--k", type=int, required=True)
-    gen_pc.add_argument("--l", type=int, required=True)
-    gen_pc.add_argument("--seed", type=int, required=True)
-    gen_pc.add_argument("--out")
-    gen_pc.set_defaults(func=_cmd_gen_instance)
+    for problem in PROBLEMS.values():
+        gen_problem = gen_sub.add_parser(problem.name, help=problem.noun)
+        for flag in _FLAGS[problem.name][:-1]:
+            gen_problem.add_argument(f"--{flag}", type=int, required=True)
+        gen_problem.add_argument("--seed", type=int, required=True)
+        gen_problem.add_argument("--out")
+        gen_problem.set_defaults(func=_cmd_gen_instance)
 
     run = sub.add_parser("run", help="run a Monte Carlo experiment")
     _add_run_flags(run)

@@ -12,7 +12,7 @@ import csv
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from ._rng import derive_key
@@ -28,15 +28,15 @@ from .engine import (
     sample_complexity,
     sample_population,
 )
-from .problems import chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent
+from .problems import HLInstance, PCInstance, chase_pointers, gen_hl_instance, gen_pc_instance, hl_consistent
 from .randomizers import AuditReport, audit_transcript
 from .solvers import DecodeFailure, HLSolverConfig, HLSolverDriver, PCSolverConfig, PCSolverDriver
 
 WILSON_Z = 1.96
 
-HL_FULL = "hl-full"
-HL_BASELINE = "hl-baseline"
-PC = "pc"
+# A problem is its shape class. ``axes`` names its fields in order, then the
+# group size; the row label, the sweep axes and the CLI flags derive from them.
+# ``PROBLEMS`` maps each name to its shape, ``SOLVERS`` each solver to its own.
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,50 @@ class HLShape:
     branching: int
     num_levels: int
 
+    name = "hl"
+    noun = "hidden-layers"
+    solvers = {"full": "hl-full", "baseline": "hl-baseline"}
+    axes = ("B", "L", "n")
+
+    def draw(self, seed: int) -> tuple[HLInstance, Callable[[Any], bool]]:
+        instance = gen_hl_instance(self.branching, self.num_levels, seed)
+        return instance, lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)
+
+    def driver(self, solver: str, epsilon: float, group_size: int, **tuning) -> tuple[ProtocolDriver, InteractivityMode]:
+        fresh = solver == self.solvers["baseline"]
+        config = HLSolverConfig(epsilon, group_size, **tuning)
+        driver = HLSolverDriver(self.branching, self.num_levels, config, fresh_groups=fresh)
+        return driver, InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
+
+    def footer(self, instance: HLInstance) -> str:
+        # each hidden level fixes one coordinate of a consistent leaf; the other L-2 are free
+        return f"consistent_count {instance.branching ** (instance.num_levels - 2)}"
+
 
 @dataclass(frozen=True)
 class PCShape:
     hops: int
     size: int
+
+    name = "pc"
+    noun = "pointer-chasing"
+    solvers = {"full": "pc"}
+    axes = ("k", "l", "m")
+
+    def draw(self, seed: int) -> tuple[PCInstance, Callable[[Any], bool]]:
+        instance = gen_pc_instance(self.hops, self.size, seed)
+        return instance, lambda answer: answer == chase_pointers(instance)
+
+    def driver(self, solver: str, epsilon: float, group_size: int, **tuning) -> tuple[ProtocolDriver, InteractivityMode]:
+        config = PCSolverConfig(epsilon, group_size, **tuning)
+        return PCSolverDriver(self.hops, self.size, config), InteractivityMode.SEQUENTIAL
+
+    def footer(self, instance: PCInstance) -> str:
+        return f"oracle {chase_pointers(instance)}"
+
+
+PROBLEMS = {shape.name: shape for shape in (HLShape, PCShape)}
+SOLVERS = {solver: shape for shape in PROBLEMS.values() for solver in shape.solvers.values()}
 
 
 @dataclass(frozen=True)
@@ -75,14 +114,17 @@ class ExperimentConfig:
         _checked_budget(self.epsilon)
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
-        if self.solver in (HL_FULL, HL_BASELINE):
-            if not isinstance(self.problem, HLShape):
-                raise ValueError(f"solver {self.solver} needs a hidden-layers shape")
-        elif self.solver == PC:
-            if not isinstance(self.problem, PCShape):
-                raise ValueError("solver pc needs a pointer-chasing shape")
-        else:
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        if not isinstance(self.problem, SOLVERS[self.solver]):
+            raise ValueError(f"solver {self.solver} needs a {SOLVERS[self.solver].noun} shape")
+
+    def driver(self) -> tuple[ProtocolDriver, InteractivityMode]:
+        """The solver's driver and its interactivity mode. The driver refuses
+        a shape, and its config a budget or threshold, that the solver cannot
+        use."""
+        tuning = {} if self.threshold is None else {"threshold": self.threshold}
+        return self.problem.driver(self.solver, self.epsilon, self.group_size, **tuning)
 
 
 @dataclass(frozen=True)
@@ -181,35 +223,13 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
     ``derive_key(seed, "instance")``, a population of
     ``driver.users_required`` users from ``derive_key(seed, "population")``,
     and the execution seed ``derive_key(seed, "execution")``."""
-    shape = cfg.problem
-    instance_seed = derive_key(seed, "instance")
-    driver, mode = _driver(cfg)
-    if cfg.solver == PC:
-        instance = gen_pc_instance(shape.hops, shape.size, instance_seed)
-        oracle = lambda answer: answer == chase_pointers(instance)  # noqa: E731
-    else:
-        instance = gen_hl_instance(shape.branching, shape.num_levels, instance_seed)
-        oracle = lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)  # noqa: E731
+    driver, mode = cfg.driver()
+    instance, oracle = cfg.problem.draw(derive_key(seed, "instance"))
     alice, bob = instance.data_pair()
     population = sample_population(
         driver.users_required, alice.payload, bob.payload, derive_key(seed, "population")
     )
     return Trial(driver, population, mode, derive_key(seed, "execution"), oracle)
-
-
-def _driver(cfg: ExperimentConfig) -> tuple[ProtocolDriver, InteractivityMode]:
-    """The solver's driver for ``cfg`` and its interactivity mode: the one
-    place that maps a solver name to its driver. The driver refuses a shape,
-    and its config a budget or threshold, that the solver cannot use."""
-    shape = cfg.problem
-    tuning = {} if cfg.threshold is None else {"threshold": cfg.threshold}
-    if cfg.solver == PC:
-        config = PCSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
-        return PCSolverDriver(shape.hops, shape.size, config), InteractivityMode.SEQUENTIAL
-    fresh = cfg.solver == HL_BASELINE
-    config = HLSolverConfig(cfg.epsilon, cfg.group_size, **tuning)
-    driver = HLSolverDriver(shape.branching, shape.num_levels, config, fresh_groups=fresh)
-    return driver, InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
 
 
 def _run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[str, int, int, float]:
@@ -253,15 +273,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 # axis -> (config or shape field, cast, the shape it applies to or None for any)
 SWEEP_AXES = {
-    "n": ("group_size", int, HLShape),
-    "m": ("group_size", int, PCShape),
     "group_size": ("group_size", int, None),
     "epsilon": ("epsilon", float, None),
     "trials": ("trials", int, None),
-    "B": ("branching", int, HLShape),
-    "L": ("num_levels", int, HLShape),
-    "k": ("hops", int, PCShape),
-    "l": ("size", int, PCShape),
+    **{
+        axis: (attr, int, shape)
+        for shape in PROBLEMS.values()
+        for axis, attr in zip(shape.axes, [*(field.name for field in fields(shape)), "group_size"])
+    },
 }
 
 
@@ -287,7 +306,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any,
     so a value they refuse, a budget or a shape, stops the sweep at once."""
     configs = [_with_axis(cfg, axis, value) for value in values]
     for config in configs:
-        _driver(config)
+        config.driver()
     return [(value, run_experiment(config)) for value, config in zip(values, configs)]
 
 
@@ -318,14 +337,11 @@ CSV_COLUMNS = [
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
-    if isinstance(cfg.problem, HLShape):
-        problem, shape = "hl", f"B={cfg.problem.branching};L={cfg.problem.num_levels}"
-    else:
-        problem, shape = "pc", f"k={cfg.problem.hops};l={cfg.problem.size}"
+    shape = cfg.problem
     return {
-        "problem": problem,
+        "problem": shape.name,
         "solver": cfg.solver,
-        "shape": shape,
+        "shape": ";".join(f"{axis}={value}" for axis, value in zip(shape.axes, astuple(shape))),
         "epsilon": repr(cfg.epsilon),
         "trials": cfg.trials,
         "seed": cfg.seed,

@@ -608,6 +608,27 @@ def test_pc_rejects_baseline_solver(capsys, command, extra):
     assert "--solver" in stderr
 
 
+_RUN = ("run", "--eps", "1", "--trials", "1", "--seed", "1")
+_SWEEP = ("sweep", *_PC_FLAGS, "--eps", "1", "--trials", "1", "--seed", "1", "--values", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ((*_RUN, "--problem", "hl", "--b", "2", "--l", "3"), "hidden-layers runs need --b, --l and --n"),
+        ((*_RUN, "--problem", "pc", "--k", "1", "--m", "5"), "pointer-chasing runs need --k, --l and --m"),
+        ((*_RUN, *_PC_FLAGS, "--solver", "baseline"), "--solver baseline applies only to --problem hl"),
+        (
+            (*_SWEEP, "--axis", "Q"),
+            "unknown sweep axis 'Q'; choose from ['B', 'L', 'epsilon', 'group_size', 'k', 'l', 'm', 'n', 'trials']",
+        ),
+        ((*_SWEEP, "--axis", "n"), "axis 'n' does not apply to this problem"),
+    ],
+)
+def test_problem_kind_errors_are_pinned_lines(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
 _HL_SHAPE = ("--problem", "hl", "--b", "2", "--l", "3", "--n", "5", "--eps", "1", "--seed", "1")
 _PC_SHAPE = ("--problem", "pc", "--k", "1", "--l", "2", "--m", "5", "--eps", "1", "--seed", "1")
 

@@ -59,6 +59,12 @@ CLI_CASES = {
         "audit", "--problem", "pc", "--k", "1", "--l", "4", "--m", "5", "--eps", "0.3", "--seed", "16",
     ],
     "reduce_rounds_3.json": ["reduce", "rounds", "--rounds", "3"],
+    "gen_instance_hl.txt": ["gen-instance", "hl", "--b", "3", "--l", "5", "--seed", "3"],
+    "gen_instance_pc.txt": ["gen-instance", "pc", "--k", "2", "--l", "8", "--seed", "3"],
+    "sweep_pc_l.csv": [
+        "sweep", "--problem", "pc", "--k", "1", "--l", "4", "--m", "5", "--eps", "0.7", "--trials", "2",
+        "--seed", "1", "--axis", "l", "--values", "4,8",
+    ],
 }
 
 

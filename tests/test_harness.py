@@ -76,6 +76,20 @@ def test_config_validation():
         hl_config(solver="mystery")
 
 
+@pytest.mark.parametrize(
+    "problem, solver, message",
+    [
+        ((2, 3), "hl-full", "solver hl-full needs a hidden-layers shape"),
+        (None, "pc", "solver pc needs a pointer-chasing shape"),
+        (HLShape(2, 3), "pc", "solver pc needs a pointer-chasing shape"),
+        (PCShape(1, 2), "hl-baseline", "solver hl-baseline needs a hidden-layers shape"),
+    ],
+)
+def test_config_refuses_a_problem_that_is_not_the_solvers_shape(problem, solver, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(problem, solver, 1.0, 1, 0, 5)
+
+
 # ---------------------------------------------------------------------------
 # build_trial
 # ---------------------------------------------------------------------------

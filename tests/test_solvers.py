@@ -128,7 +128,15 @@ def test_hl_audit_never_exceeds_budget():
 
 def test_hl_sample_bound_pinned():
     assert hl_sample_bound(1.0, 4, beta=0.1) == 10379
-    assert hl_sample_bound(1.0, 4, beta=0.1) > 25 * math.log(40.0)
+    # the least n above both terms of the tree-walk accuracy bound
+    for epsilon, branching, beta in ((1.0, 4, 0.1), (0.5, 2, 0.05), (3.0, 7, 0.3), (40.0, 1, 0.9)):
+        eps2 = epsilon / 2.0
+        factor = ((eps2 + 2.0) / (eps2 * math.sqrt(2.0))) ** 2
+        first = 100.0 * factor * (2 * math.ceil(math.log2(branching)) + 2 + math.log(1.0 / beta))
+        second = 25.0 * math.log(4.0 / beta)
+        n = hl_sample_bound(epsilon, branching, beta=beta)
+        assert n > first and n > second
+        assert not (n - 1 > first and n - 1 > second)
 
 
 # ---------------------------------------------------------------------------
