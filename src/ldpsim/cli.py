@@ -2,8 +2,10 @@
 
 Subcommands: gen-instance, run, sweep, audit, reduce (lift / lower /
 amplify / rounds), enumerate, acceptance. Exit codes: 0 success, 1 usage or
-runtime error, 2 acceptance failure. Seeds are mandatory wherever randomness
-is consumed; nothing is seeded from the wall clock.
+runtime error, 2 acceptance failure. Errors reach stderr as one ``error:``
+line and Python warnings as one ``warning:`` line per distinct message. Seeds
+are mandatory wherever randomness is consumed; nothing is seeded from the
+wall clock.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -511,11 +514,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError, LdpSimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    shown: set[str] = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+        text = str(message)
+        if text not in shown:
+            shown.add(text)
+            print(f"warning: {text}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except (ValueError, KeyError, OSError, LdpSimError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -164,8 +164,8 @@ class TranscriptDistribution:
         return self.probs.get(key, 0.0)
 
     def tv_distance(self, other: "TranscriptDistribution") -> float:
-        keys = set(self.probs) | set(other.probs)
-        return 0.5 * math.fsum(abs(self[k] - other[k]) for k in keys)
+        mine, theirs = self.probs, other.probs
+        return 0.5 * math.fsum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in mine.keys() | theirs.keys())
 
     def serialize(self, stream: TextIO) -> None:
         for key in sorted(self.probs):
@@ -410,6 +410,7 @@ def lift_two_party_to_ldp(protocol: TwoPartyProtocol, epsilon: float, data_pair:
             f"the lift value {expected} for epsilon={epsilon}"
         )
     epsilon = _checked_budget(epsilon)
+    laws = _rr_laws(epsilon)
 
     def step_fn(prefix: tuple[int, ...]) -> Answer | LawQuery:
         act = protocol.action(prefix)
@@ -420,33 +421,51 @@ def lift_two_party_to_ldp(protocol: TwoPartyProtocol, epsilon: float, data_pair:
         step = act[0][1]
         if step.use_prob != 1.0:
             raise ValueError("lift requires protocols that enter every received bit")
-
-        def law(datum: Datum) -> float:
-            if datum.side is step.sender and datum.payload is not None:
-                value = float(step.send_param(datum.payload))
-                if value not in (0.0, 1.0):
-                    raise ValueError("lift requires deterministic next-bit functions")
-                return _rr_laws(epsilon)[value == 1.0]
-            return 0.5
-
-        return _LiftedBitQuery(epsilon, law, prefix, step.sender)
+        return _LiftedBitQuery(epsilon, laws, prefix, step)
 
     return OneBitSequence(epsilon, data_pair, step_fn, max_users=protocol.max_bits)
 
 
 class _LiftedBitQuery(LawQuery):
     """The query of the user who answers bit ``len(prefix)`` of a lifted
-    protocol: a :class:`LawQuery` whose descriptor is built when read,
-    because exact enumeration reads only the law."""
+    protocol, sent by ``step``: a :class:`LawQuery` that answers the lift's
+    own law, randomized response (``laws``, the budget's 0-vote and 1-vote
+    laws) on the bit the sender would send and 1/2 on any other datum.
+    Those laws lie in [0, 1] by construction, so the law is not checked
+    again; the descriptor is built when read, because exact enumeration
+    reads only the law. Queries are equal when their budget, prefix and
+    step are."""
 
-    def __init__(self, epsilon: float, law_fn: Callable[[Datum], float], prefix: tuple[int, ...], sender: Side):
-        # the frozen dataclass's own way to set fields; ``epsilon`` is checked by the lift
-        for name, value in (("epsilon", epsilon), ("law_fn", law_fn), ("_prefix", prefix), ("_sender", sender)):
-            object.__setattr__(self, name, value)
+    def __init__(self, epsilon: float, laws: tuple[float, float], prefix: tuple[int, ...], step: SendStep):
+        # the frozen dataclass's fields are set past its __setattr__; ``epsilon`` is checked by the lift
+        self.__dict__.update(epsilon=epsilon, _laws=laws, _prefix=prefix, _step=step)
+
+    def law(self, datum: Datum) -> float:
+        step = self._step
+        if datum.side is step.sender and datum.payload is not None:
+            value = float(step.send_param(datum.payload))
+            if value not in (0.0, 1.0):
+                raise ValueError("lift requires deterministic next-bit functions")
+            return self._laws[value == 1.0]
+        return 0.5
 
     @property
     def descriptor(self) -> str:
-        return f"lift-bit({len(self._prefix)},{self._sender.value},{_key(self._prefix) or '-'})"
+        return f"lift-bit({len(self._prefix)},{self._step.sender.value},{_key(self._prefix) or '-'})"
+
+    def _identity(self) -> tuple:
+        return self.epsilon, self._prefix, self._step
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(epsilon={self.epsilon!r}, descriptor={self.descriptor!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -353,6 +354,28 @@ def test_a_budget_out_of_range_is_one_error_line(capsys, monkeypatch, tmp_path, 
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert f"= {budget} is out of range" in stderr
+
+
+def _regime_warning(hops: int) -> str:
+    return f"warning: hops={hops} is outside the recommended hops < size/log2(size) regime for size=4\n"
+
+
+def test_a_python_warning_is_one_warning_line(capsys):
+    # every trial at k = 2 and k = 3 warns; each distinct message is printed once, with no path or source line
+    sweep = ["sweep", *_PC_FLAGS, "--eps", "0.7", "--trials", "2", "--seed", "1", "--axis", "k", "--values", "2,3,2"]
+    run = ["run", "--problem", "pc", "--k", "3", "--l", "4", "--m", "5", "--eps", "0.7", "--trials", "3", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # Python's own action for a UserWarning, which the test suite makes an error
+        code, stdout, stderr = run_cli(capsys, *sweep)
+        assert (code, stderr) == (0, _regime_warning(2) + _regime_warning(3))
+        assert run_cli(capsys, *sweep) == (code, stdout, stderr)
+        code, run_stdout, stderr = run_cli(capsys, *run)
+        assert code == 0 and stderr.startswith(_regime_warning(3) + "wall time: ") and stderr.count("\n") == 2
+    # the warning filters still govern, and the warnings leave the exit code and stdout as they are
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, *sweep) == (0, stdout, "")
+        assert run_cli(capsys, *run)[:2] == (0, run_stdout)
 
 
 def test_run_json_output(capsys):

@@ -34,6 +34,8 @@ from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, write_audit_
 from ldpsim.solvers import HLSolverConfig, HLSolverDriver
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# a deterministic 3-bit protocol over the lift's channel at eps = ln 3, both players sending
+LIFT_PROTOCOL = str(GOLDEN_DIR / "lift_ln3_protocol.txt")
 
 CLI_CASES = {
     "run_hl_full.csv": [
@@ -65,6 +67,8 @@ CLI_CASES = {
         "sweep", "--problem", "pc", "--k", "1", "--l", "4", "--m", "5", "--eps", "0.7", "--trials", "2",
         "--seed", "1", "--axis", "l", "--values", "4,8",
     ],
+    "reduce_lift_ln3.json": ["reduce", "lift", "--eps", "1.0986122886681098", "--protocol", LIFT_PROTOCOL],
+    "enumerate_ln3_x0_y1.txt": ["enumerate", "--x", "0", "--y", "1", "--protocol", LIFT_PROTOCOL],
 }
 
 

@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 
 from ldpsim._rng import substream
 from ldpsim.channels import ChannelSpec, bsc, lift_channel, lower_crossover
-from ldpsim.engine import CountDriver, Datum, Halt, InteractivityMode, RoundSpec, Side, execute, sample_population
+from ldpsim.engine import (
+    SENTINEL_DATUM,
+    CountDriver,
+    Datum,
+    Halt,
+    InteractivityMode,
+    RoundSpec,
+    Side,
+    execute,
+    sample_population,
+)
 from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.randomizers import LawQuery, audit_transcript, rr_param
 from ldpsim.randomizers import _by_side_query as law_query
@@ -199,6 +209,48 @@ def test_distribution_sums_to_one_and_guards():
         TranscriptDistribution({"0": 0.4, "1": 0.4})
     dist = TranscriptDistribution({"0": 0.5, "1": 0.5})
     assert math.fsum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_tv(a: TranscriptDistribution, b: TranscriptDistribution) -> float:
+    """Total variation over the set union of both supports, reading each
+    side through ``__getitem__``."""
+    keys = set(a.probs) | set(b.probs)
+    return 0.5 * math.fsum(abs(a[k] - b[k]) for k in keys)
+
+
+_TV_KEYS = ("", "0", "1", "00", "01", "10", "11", "010", "111")
+
+
+@st.composite
+def _distribution_pairs(draw):
+    """Two distributions whose supports overlap, are disjoint or are equal;
+    the empty transcript key is one of the keys drawn."""
+    keys = st.sampled_from(_TV_KEYS)
+    support_a = draw(st.lists(keys, min_size=1, max_size=len(_TV_KEYS) - 1, unique=True))
+    relation = draw(st.sampled_from(("overlapping", "disjoint", "equal")))
+    if relation == "equal":
+        support_b = draw(st.permutations(support_a))
+    elif relation == "disjoint":
+        rest = [key for key in _TV_KEYS if key not in support_a]
+        support_b = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=len(rest), unique=True))
+    else:
+        support_b = [support_a[0], *draw(st.lists(keys.filter(lambda key: key != support_a[0]), unique=True))]
+
+    def distribution(support):
+        weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(support), max_size=len(support)))
+        total = math.fsum(weights)
+        return TranscriptDistribution({key: weight / total for key, weight in zip(support, weights)})
+
+    return distribution(support_a), distribution(support_b)
+
+
+@settings(max_examples=300)
+@given(_distribution_pairs())
+def test_tv_distance_matches_the_set_union_formula(pair):
+    a, b = pair
+    assert a.tv_distance(b) == _reference_tv(a, b)
+    assert a.tv_distance(b) == b.tv_distance(a)
+    assert a.tv_distance(a) == 0.0 and b.tv_distance(b) == 0.0
 
 
 def test_distribution_serialize_round_trip():
@@ -391,6 +443,57 @@ def test_lift_rejects_randomized_next_bit():
     lifted = lift_two_party_to_ldp(protocol, 1.0, PAIR)
     with pytest.raises(ValueError, match="deterministic"):
         enumerate_onebit_distribution(lifted)
+
+
+@pytest.mark.parametrize("epsilon", [LN3, 1.0])
+def test_lifted_query_contract(epsilon):
+    # a 2-bit table: the root's sender sends their input, each later sender their input XOR the bit before
+    senders = {(): Side.ALICE, (0,): Side.BOB, (1,): Side.ALICE}
+
+    def next_bit(inp, prefix):
+        return inp ^ (prefix[-1] if prefix else 0)
+
+    protocol = TableProtocol(
+        num_bits=2,
+        sender_fn=lambda prefix: senders[prefix],
+        param_fn=lambda inp, prefix: float(next_bit(inp, prefix)),
+        channel=lift_channel(epsilon),
+    )
+    lifted = lift_two_party_to_ldp(protocol, epsilon, (Datum(Side.ALICE, 1), Datum(Side.BOB, 0)))
+    audited = (Datum(Side.ALICE, 1), Datum(Side.BOB, 0), SENTINEL_DATUM)
+    queries = {}
+    for prefix, sender in senders.items():
+        query = queries[prefix] = lifted.step_fn(prefix)
+        assert isinstance(query, LawQuery) and query.epsilon == epsilon
+        for payload in (0, 1):
+            assert query.law(Datum(sender, payload)) == rr_param(next_bit(payload, prefix), epsilon)
+            assert query.law(Datum(sender.other, payload)) == 0.5
+        assert query.law(SENTINEL_DATUM) == 0.5
+        assert query.descriptor == f"lift-bit({len(prefix)},{sender.value},{''.join(map(str, prefix)) or '-'})"
+        assert query == query and hash(query) == hash(query)
+        assert query.descriptor in repr(query)
+
+        def reference_law(datum, sender=sender, prefix=prefix):
+            if datum.side is sender and datum.payload is not None:
+                return rr_param(next_bit(datum.payload, prefix), epsilon)
+            return 0.5
+
+        reference = LawQuery(epsilon, "reference", reference_law)
+        assert query.audit_rows(audited).tolist() == reference.audit_rows(audited).tolist()
+        assert query.max_log_ratio(audited[0], audited[1]) == reference.max_log_ratio(audited[0], audited[1])
+    assert len({queries[()], queries[(0,)], queries[(1,)]}) == 3
+    assert queries[(0,)] != queries[(1,)] and queries[()] != queries[(0,)]
+
+    randomized = TableProtocol(
+        num_bits=2,
+        sender_fn=lambda prefix: senders[prefix],
+        param_fn=lambda inp, prefix: 0.3,
+        channel=lift_channel(epsilon),
+    )
+    query = lift_two_party_to_ldp(randomized, epsilon, PAIR).step_fn((1,))
+    with pytest.raises(ValueError, match="^lift requires deterministic next-bit functions$"):
+        query.law(Datum(Side.ALICE, 0))
+    assert query.law(Datum(Side.BOB, 0)) == 0.5
 
 
 def test_lifted_driver_is_sequential_and_private():
