@@ -195,7 +195,6 @@ def _cmd_gen_instance(args) -> int:
     instance, _oracle = shape.draw(args.seed)
     buffer = io.StringIO()
     write_instance(instance, buffer)
-    buffer.write(shape.footer(instance) + "\n")
     _emit(buffer.getvalue(), args.out)
     return 0
 

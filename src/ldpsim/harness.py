@@ -59,10 +59,6 @@ class HLShape:
         driver = HLSolverDriver(self.branching, self.num_levels, config, fresh_groups=fresh)
         return driver, InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
 
-    def footer(self, instance: HLInstance) -> str:
-        # each hidden level fixes one coordinate of a consistent leaf; the other L-2 are free
-        return f"consistent_count {instance.branching ** (instance.num_levels - 2)}"
-
 
 @dataclass(frozen=True)
 class PCShape:
@@ -81,9 +77,6 @@ class PCShape:
     def driver(self, solver: str, epsilon: float, group_size: int, **tuning) -> tuple[ProtocolDriver, InteractivityMode]:
         config = PCSolverConfig(epsilon, group_size, **tuning)
         return PCSolverDriver(self.hops, self.size, config), InteractivityMode.SEQUENTIAL
-
-    def footer(self, instance: PCInstance) -> str:
-        return f"oracle {chase_pointers(instance)}"
 
 
 PROBLEMS = {shape.name: shape for shape in (HLShape, PCShape)}
@@ -127,6 +120,19 @@ class ExperimentConfig:
         return self.problem.driver(self.solver, self.epsilon, self.group_size, **tuning)
 
 
+# What a trial can end in, as ``_run_trial`` returns it; the result counts
+# each in its ``<outcome>_count`` field.
+OUTCOMES = ("success", "wrong_answer", "decode_failure", "engine_error")
+
+# A row's result columns in CSV order, each read by name from the result;
+# wall time is left out, so rows are reproducible from config and seed alone.
+RESULT_COLUMNS = (
+    "success_count", "success_rate", "wilson_low", "wilson_high",
+    "mean_sample_complexity", "mean_round_complexity", "max_user_audit",
+    "wrong_answer_count", "decode_failure_count", "engine_error_count",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """Aggregates over the trials of one experiment."""
@@ -149,22 +155,17 @@ class ExperimentResult:
     def wilson_ci_95(self) -> tuple[float, float]:
         return wilson_interval(self.success_count, self.trials)
 
+    @property
+    def wilson_low(self) -> float:
+        return self.wilson_ci_95[0]
+
+    @property
+    def wilson_high(self) -> float:
+        return self.wilson_ci_95[1]
+
     def to_dict(self) -> dict[str, Any]:
-        """The result's data columns; ``wall_time`` is left out, so the
-        dict is reproducible from the config and seed alone."""
-        return {
-            "success_count": self.success_count,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "wilson_low": self.wilson_ci_95[0],
-            "wilson_high": self.wilson_ci_95[1],
-            "mean_sample_complexity": self.mean_sample_complexity,
-            "mean_round_complexity": self.mean_round_complexity,
-            "max_user_audit": self.max_user_audit,
-            "wrong_answer_count": self.wrong_answer_count,
-            "decode_failure_count": self.decode_failure_count,
-            "engine_error_count": self.engine_error_count,
-        }
+        """``trials`` and the :data:`RESULT_COLUMNS`."""
+        return {"trials": self.trials, **{column: getattr(self, column) for column in RESULT_COLUMNS}}
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -234,7 +235,7 @@ def build_trial(cfg: ExperimentConfig, seed: int) -> Trial:
 
 def _run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[str, int, int, float]:
     """Trial ``trial_index`` of ``cfg`` as ``(outcome, samples, rounds, max_audit)``,
-    ``outcome`` one of "success", "wrong_answer", "decode_failure" and "engine_error"."""
+    ``outcome`` one of :data:`OUTCOMES`."""
     trial = build_trial(cfg, derive_key(cfg.seed, "trial", trial_index))
     try:
         result = trial.execute()
@@ -258,16 +259,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.perf_counter()
     outcomes, samples, rounds, max_audits = zip(*(_run_trial(cfg, t) for t in range(cfg.trials)))
     counts = Counter(outcomes)
+    unknown = counts.keys() - set(OUTCOMES)
+    if unknown:
+        raise ValueError(f"trial outcomes outside OUTCOMES: {', '.join(sorted(unknown))}")
     return ExperimentResult(
-        success_count=counts["success"],
         trials=cfg.trials,
         mean_sample_complexity=sum(samples) / cfg.trials,
         mean_round_complexity=sum(rounds) / cfg.trials,
         max_user_audit=max(max_audits),
         wall_time=time.perf_counter() - start,
-        wrong_answer_count=counts["wrong_answer"],
-        decode_failure_count=counts["decode_failure"],
-        engine_error_count=counts["engine_error"],
+        **{f"{outcome}_count": counts[outcome] for outcome in OUTCOMES},
     )
 
 
@@ -310,29 +311,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any,
     return [(value, run_experiment(config)) for value, config in zip(values, configs)]
 
 
-# CSV columns, fixed: config echo then result fields (wall time excluded so
-# rows are reproducible from config and seed alone).
+# CSV columns, fixed: the config echo, the sweep axis, then the result columns.
 CSV_COLUMNS = [
-    "problem",
-    "solver",
-    "shape",
-    "epsilon",
-    "trials",
-    "seed",
-    "group_size",
-    "threshold",
-    "axis",
-    "axis_value",
-    "success_count",
-    "success_rate",
-    "wilson_low",
-    "wilson_high",
-    "mean_sample_complexity",
-    "mean_round_complexity",
-    "max_user_audit",
-    "wrong_answer_count",
-    "decode_failure_count",
-    "engine_error_count",
+    "problem", "solver", "shape", "epsilon", "trials", "seed", "group_size", "threshold",
+    "axis", "axis_value", *RESULT_COLUMNS,
 ]
 
 

@@ -252,9 +252,18 @@ def parse_predicate(descriptor: str, instance: HLInstance | PCInstance):
 
 
 # ---------------------------------------------------------------------------
-# Instance serialization: header line with parameters, then explicit vectors
-# (pointer chasing) or nothing further (hidden layers; labelings are lazy).
+# Instance serialization: header line with parameters, explicit vectors for
+# pointer chasing (hidden-layer labelings are lazy), then the footer row.
 # ---------------------------------------------------------------------------
+
+
+def _footer(inst: HLInstance | PCInstance) -> tuple[str, int]:
+    """The footer row's name and value: the chase's answer, or the number of
+    consistent leaves, B^(L-2) unenumerated, since each hidden level fixes
+    one coordinate of a consistent leaf and the other L-2 are free."""
+    if isinstance(inst, HLInstance):
+        return "consistent_count", inst.branching ** (inst.num_levels - 2)
+    return "oracle", chase_pointers(inst)
 
 
 def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
@@ -270,6 +279,8 @@ def write_instance(inst: HLInstance | PCInstance, stream: TextIO) -> None:
         stream.write("bob " + " ".join(map(str, inst.bob_ptrs)) + "\n")
     else:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
+    name, value = _footer(inst)
+    stream.write(f"{name} {value}\n")
 
 
 def _fields(lineno: int, words: Sequence[str], known: Sequence[str]) -> dict[str, str]:
@@ -307,7 +318,8 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
     repeated field, a row name unknown for the tag or given twice, or a row
     holding a value that is not an integer, raises ``ValueError`` naming its
     1-based line; a value out of range or a row of the wrong length names
-    the header's line, whose fields bound every row."""
+    the header's line, whose fields bound every row. A footer row other
+    than the instance's own names its line; the footer may be left out."""
     rows = [(number, line.split()) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         raise ValueError("empty instance file")
@@ -334,9 +346,14 @@ def read_instance(lines: Iterable[str]) -> HLInstance | PCInstance:
 
     def build(cls, **values):
         try:
-            return cls(**values)
+            instance = cls(**values)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
+        name, value = _footer(instance)
+        if vectors.get(name, (value,)) != (value,):
+            row_number = next(n for n, words in rows if words[0] == name)
+            raise ValueError(f"line {row_number}: row {name!r} does not match the instance's {name} {value}")
+        return instance
 
     if tag == "hl":
         return build(HLInstance, **{key: _number(number, fields, key, int) for key in known})

@@ -433,8 +433,9 @@ class _LiftedBitQuery(LawQuery):
     laws) on the bit the sender would send and 1/2 on any other datum.
     Those laws lie in [0, 1] by construction, so the law is not checked
     again; the descriptor is built when read, because exact enumeration
-    reads only the law. Queries are equal when their budget, prefix and
-    step are."""
+    reads only the law. Queries compare by identity: the engine compares a
+    logged query only with another of the same descriptor, and a lifted
+    query's descriptor names its own prefix."""
 
     def __init__(self, epsilon: float, laws: tuple[float, float], prefix: tuple[int, ...], step: SendStep):
         # the frozen dataclass's fields are set past its __setattr__; ``epsilon`` is checked by the lift
@@ -453,16 +454,9 @@ class _LiftedBitQuery(LawQuery):
     def descriptor(self) -> str:
         return f"lift-bit({len(self._prefix)},{self._step.sender.value},{_key(self._prefix) or '-'})"
 
-    def _identity(self) -> tuple:
-        return self.epsilon, self._prefix, self._step
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
+    # the dataclass's own methods read ``law_fn``, which a lifted query does not hold
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(epsilon={self.epsilon!r}, descriptor={self.descriptor!r})"

@@ -298,7 +298,7 @@ def test_gen_instance_pc_prints_oracle(capsys, tmp_path):
     ],
 )
 def test_read_instance_reads_a_whole_gen_instance_file(capsys, argv, instance):
-    # the appended oracle or consistent_count row is left unread
+    # the footer, an oracle or consistent_count row, is read and checked against the instance
     code, stdout, _ = run_cli(capsys, "gen-instance", *argv)
     assert code == 0 and stdout.splitlines()[-1].split()[0] in ("oracle", "consistent_count")
     assert read_instance(io.StringIO(stdout)) == instance

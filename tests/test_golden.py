@@ -54,6 +54,15 @@ CLI_CASES = {
         "sweep", "--problem", "hl", "--b", "2", "--l", "3", "--n", "30", "--trials", "2",
         "--seed", "14", "--eps", "0.3", "--axis", "epsilon", "--values", "0.3,0.7",
     ],
+    # JSON is run's default format
+    "run_pc.json": [
+        "run", "--problem", "pc", "--k", "1", "--l", "4", "--m", "30", "--eps", "0.7",
+        "--trials", "3", "--seed", "13",
+    ],
+    "sweep_hl_eps.json": [
+        "sweep", "--problem", "hl", "--b", "2", "--l", "3", "--n", "30", "--trials", "2",
+        "--seed", "14", "--eps", "0.3", "--axis", "epsilon", "--values", "0.3,0.7", "--format", "json",
+    ],
     "audit_hl.txt": [
         "audit", "--problem", "hl", "--b", "2", "--l", "3", "--n", "12", "--eps", "0.7", "--seed", "15",
     ],

@@ -18,6 +18,7 @@ from ldpsim.engine import (
 )
 from ldpsim.harness import (
     CSV_COLUMNS,
+    RESULT_COLUMNS,
     ExperimentConfig,
     HLShape,
     PCShape,
@@ -172,6 +173,13 @@ def test_engine_errors_are_counted_with_no_samples_rounds_or_audit(monkeypatch):
     assert result.engine_error_count == result.trials == 3
     assert result.success_count == result.wrong_answer_count == result.decode_failure_count == 0
     assert result.mean_sample_complexity == result.mean_round_complexity == result.max_user_audit == 0
+
+
+def test_an_outcome_outside_the_outcome_list_is_refused(monkeypatch):
+    # a count that dropped the outcome would leave the counts short of the trials
+    monkeypatch.setattr(harness, "_run_trial", lambda cfg, trial_index: ("budget_breach", 1, 1, 0.0))
+    with pytest.raises(ValueError, match="budget_breach"):
+        run_experiment(pc_config(trials=2))
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +341,5 @@ def test_csv_reproducible_and_schema_fixed():
     header = buf1.getvalue().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     assert "wall_time" not in header
+    assert set(run_experiment(cfg).to_dict()) == {"trials", *RESULT_COLUMNS}
+    assert tuple(CSV_COLUMNS[-len(RESULT_COLUMNS) :]) == RESULT_COLUMNS

@@ -311,6 +311,19 @@ def test_read_instance_rejects_garbage():
             "hl branching=2 num_levels=3 alice_layer=0 bob_layer=1 label_seed=5 extra=1\n",
             "line 1: unknown field 'extra'",
         ),
+        # a footer row must state the instance's own answer or count, as one value
+        (
+            "pc hops=1 size=2 indexing=1\nalice 1 2\nbob 2 1\n\noracle 1\n",
+            "line 5: row 'oracle' does not match the instance's oracle 2",
+        ),
+        (
+            "hl branching=3 num_levels=4 alice_layer=0 bob_layer=1 label_seed=5\nconsistent_count 27\n",
+            "line 2: row 'consistent_count' does not match the instance's consistent_count 9",
+        ),
+        (
+            "pc hops=2 size=2 indexing=1\noracle 2 2\nalice 1 2\nbob 2 1\n",
+            "line 2: row 'oracle' does not match the instance's oracle 2",
+        ),
     ]:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             read_instance(io.StringIO(text))
