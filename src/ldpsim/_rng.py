@@ -80,9 +80,19 @@ def derive_key(seed: int, *labels) -> int:
     return h
 
 
+def checked_seed(seed: int) -> int:
+    """``seed``, which must lie in [0, 2**64): :func:`derive_key` reads a
+    seed modulo 2**64, so a seed outside would name the same experiment as
+    the seed it equals there."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 def substream(seed: int, *labels) -> np.random.Generator:
-    """A fresh numpy generator for the given (seed, label path)."""
-    return np.random.default_rng(derive_key(seed, *labels))
+    """A fresh numpy generator for the given (seed, label path); ``seed``
+    must lie in [0, 2**64)."""
+    return np.random.default_rng(derive_key(checked_seed(seed), *labels))
 
 
 def response_uniform(seed: int, user_id: int, round_index: int) -> float:

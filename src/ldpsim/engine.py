@@ -499,16 +499,9 @@ def _user_array(users, id_column: np.ndarray) -> tuple[np.ndarray, slice | np.nd
 def _checked_limit(descriptor: str, law) -> int:
     """The :func:`~ldpsim._rng.hash_limit` of ``law``, which must lie in [0, 1]."""
     p = float(law)
-    limit = _law_limit(p)
-    if limit is None:
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError(f"query {descriptor!r} has response law {p!r}, outside [0, 1]")
-    return limit
-
-
-@functools.lru_cache(maxsize=1024)
-def _law_limit(p: float) -> int | None:
-    """``hash_limit(p)``, computed once per law value; None outside [0, 1]."""
-    return hash_limit(p) if 0.0 <= p <= 1.0 else None  # also rejects NaN
+    return hash_limit(p)
 
 
 def _log_query(query_log: dict[str, Any], query) -> str:

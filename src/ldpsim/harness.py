@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
-from ._rng import derive_key
+from ._rng import checked_seed, derive_key
 from .engine import (
     ExecutionResult,
     InteractivityMode,
@@ -105,6 +105,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _checked_budget(self.epsilon)
+        checked_seed(self.seed)
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
         if self.solver not in SOLVERS:

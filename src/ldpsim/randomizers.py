@@ -36,9 +36,8 @@ def rr_param(vote: int, epsilon: float) -> float:
     0-vote, evaluated in overflow-safe form.
     """
     _checked_budget(epsilon)
-    if vote:
-        return 1.0 / (1.0 + math.exp(-epsilon))
-    return math.exp(-epsilon) / (1.0 + math.exp(-epsilon))
+    e = math.exp(-epsilon)
+    return 1.0 / (1.0 + e) if vote else e / (1.0 + e)
 
 
 def _budget_exp(epsilon, name: str = "epsilon") -> float:
@@ -52,12 +51,6 @@ def _budget_exp(epsilon, name: str = "epsilon") -> float:
     if not 1.0 < e < math.inf:
         raise ValueError(f"{name} = {epsilon!r} is out of range: it must lie in about (1.1e-16, 709.78]")
     return e
-
-
-@functools.lru_cache(maxsize=256)
-def _rr_laws(epsilon: float) -> tuple[float, float]:
-    """``rr_param`` of a 0 vote and of a 1 vote, computed once per budget."""
-    return rr_param(0, epsilon), rr_param(1, epsilon)
 
 
 def debias(sum_y: int, n: int, epsilon: float) -> float:
@@ -106,7 +99,7 @@ class RRQuery:
     @property
     def vote_laws(self) -> tuple[float, float]:
         """The response law of a 0 vote and of a 1 vote."""
-        return _rr_laws(self.epsilon)
+        return rr_param(0, self.epsilon), rr_param(1, self.epsilon)
 
     def law(self, datum: Datum) -> float:
         return self.vote_laws[self.vote(datum)]
@@ -185,8 +178,6 @@ def _law_log_ratio(p: float, q: float) -> float:
         return 0.0
     terms = []
     for a, b in ((p, q), (1.0 - p, 1.0 - q)):
-        if a == b:
-            continue
         if a == 0.0 or b == 0.0:
             return math.inf
         terms.append(abs(math.log(a / b)))
@@ -351,22 +342,17 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     columns are gathered only when first read.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
-    row_pairs: dict[str, np.ndarray] = {}
 
     def rows_for(descriptor: str) -> np.ndarray:
         """rows[side, j]: the query's worst-case term for a user on that side
         (Alice 0, Bob 1) against data[j]."""
-        rows = row_pairs.get(descriptor)
-        if rows is None:
-            query = query_log.get(descriptor)
-            if query is None:
-                raise AuditError(f"descriptor {descriptor!r} missing from the query log")
-            try:
-                rows = query.audit_rows(data)
-            except Exception as exc:  # noqa: BLE001
-                raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
-            row_pairs[descriptor] = rows
-        return rows
+        query = query_log.get(descriptor)
+        if query is None:
+            raise AuditError(f"descriptor {descriptor!r} missing from the query log")
+        try:
+            return query.audit_rows(data)
+        except Exception as exc:  # noqa: BLE001
+            raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
 
     # terms[r]: the (2, 3) rows of run r; points: both ends of each run, in
     # round order

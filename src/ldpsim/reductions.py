@@ -57,7 +57,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_channel, lower_crossover
 from .engine import CountDriver, Datum, Halt, LdpSimError, RoundSpec, Side, _checked_budget
-from .randomizers import LawQuery, _rr_laws
+from .randomizers import LawQuery, rr_param
 
 ENUMERATION_GUARD = 2**20
 # a TableProtocol keeps the steps of at most this many prefixes, every
@@ -227,7 +227,6 @@ def enumerate_transcript_distribution(protocol: TwoPartyProtocol, alice_input, b
     max_bits = protocol.max_bits
     crossover = protocol.channel.crossover
     keep = 1.0 - crossover
-    noisy = crossover > 0.0
 
     def branch(prefix: tuple[int, ...]) -> tuple[float, float] | None:
         if len(prefix) > max_bits:
@@ -249,18 +248,16 @@ def enumerate_transcript_distribution(protocol: TwoPartyProtocol, alice_input, b
                 if p_s == 0.0:
                     continue
                 w = branch_prob * p_s
+                # on a noiseless channel keep is 1.0 and the flipped terms add 0.0
                 if use < 1.0:
-                    # a noiseless channel takes this branch too: keep is 1.0 and the flipped terms add 0.0
                     w_kept, w_flipped = w * keep, w * crossover
                     mass[sent] += w_kept * use
                     mass[skip] += w_kept * (1.0 - use)
                     mass[1 - sent] += w_flipped * use
                     mass[skip] += w_flipped * (1.0 - use)
-                elif noisy:
+                else:
                     mass[sent] += w * keep
                     mass[1 - sent] += w * crossover
-                else:
-                    mass[sent] += w
         return mass[0], mass[1]
 
     return _enumerate(branch)
@@ -410,7 +407,7 @@ def lift_two_party_to_ldp(protocol: TwoPartyProtocol, epsilon: float, data_pair:
             f"the lift value {expected} for epsilon={epsilon}"
         )
     epsilon = _checked_budget(epsilon)
-    laws = _rr_laws(epsilon)
+    laws = rr_param(0, epsilon), rr_param(1, epsilon)
 
     def step_fn(prefix: tuple[int, ...]) -> Answer | LawQuery:
         act = protocol.action(prefix)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -72,6 +73,9 @@ def test_majority_rejects_even_votes():
         majority_flip_probability(0.25, 4)
     with pytest.raises(ValueError, match="votes must be an odd natural number"):
         majority_flip_probability(0.25, 0)
+    # the flip is checked as a channel checks it, before any vote is counted
+    with pytest.raises(ValueError, match=re.escape("crossover must lie in [0, 1/2)")):
+        majority_flip_probability(0.5, 3)
 
 
 def test_majority_refuses_more_votes_than_a_float_holds():

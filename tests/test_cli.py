@@ -102,6 +102,7 @@ _BAD_PROTOCOL_FILES = {
     "step-wrong-row": ("enumerate", _TWO_PARTY_HEADER + "user prefix=- sender=alice p0=0 p1=1\n", 2, "'step' row"),
     "two-party-wrong-header": ("enumerate", "\none-bit eps=1 users=0\n", 2, "two-party protocol header"),
     "two-party-bad-bits": ("enumerate", "two-party bits=two channel=noiseless\n", 1, "not an integer"),
+    "two-party-negative-bits": ("enumerate", "two-party bits=-1 channel=noiseless\n", 1, "bits must be nonnegative"),
     "two-party-no-flip": ("enumerate", "two-party bits=1 channel=bsc\n", 1, "missing field 'flip'"),
     "two-party-bad-flip": ("enumerate", "two-party bits=1 channel=bsc flip=0.5\n", 1, "flip must lie in"),
     "two-party-bad-channel": ("enumerate", "two-party bits=1 channel=erasure\n", 1, "unknown channel"),
@@ -443,8 +444,9 @@ _HL_FLAGS = ("--problem", "hl", "--b", "2", "--l", "3", "--seed", "1")
         ({"trials": 2.5, "n": 10.9, "eps": 1}, "config file key 'trials': invalid int value '2.5'"),
         ({"n": 10, "trials": True, "eps": 1}, "config file key 'trials': invalid int value 'True'"),
         ({"n": 10, "trials": 1, "eps": "one"}, "config file key 'eps': invalid float value 'one'"),
+        ({"n": 10, "trials": 1, "eps": 1, "colour": "red"}, "unknown config file key 'colour'"),
     ],
-    ids=["text-threshold", "fractional-trials", "boolean-trials", "text-eps"],
+    ids=["text-threshold", "fractional-trials", "boolean-trials", "text-eps", "unknown-key"],
 )
 def test_config_file_values_parse_as_their_flags(capsys, tmp_path, values, error):
     cfg = tmp_path / "cfg.json"
@@ -502,6 +504,22 @@ def test_config_file_seed_key_is_applied(capsys, tmp_path):
     cfg.write_text(json.dumps(_PC_KEYS))
     code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg))
     assert (code, stdout, stderr) == (1, "", "error: missing required option --seed\n")
+
+
+# derive_key reads a seed modulo 2**64, so a seed outside [0, 2**64) would alias another
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", *_PC_FLAGS, "--eps", "1", "--trials", "1"),
+        ("sweep", *_PC_FLAGS, "--eps", "1", "--trials", "1", "--axis", "l", "--values", "4"),
+        ("audit", *_PC_FLAGS, "--eps", "1"),
+        ("gen-instance", "pc", "--k", "1", "--l", "4"),
+    ],
+    ids=["run", "sweep", "audit", "gen-instance"],
+)
+def test_a_seed_outside_64_bits_is_refused(capsys, argv, seed):
+    assert run_cli(capsys, *argv, "--seed", seed) == (1, "", f"error: seed {seed} is outside [0, 2**64)\n")
 
 
 def test_run_missing_required_flags(capsys):

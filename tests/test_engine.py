@@ -146,6 +146,8 @@ def test_sample_population_deterministic():
 def test_sample_population_rejects_zero():
     with pytest.raises(ValueError):
         sample_population(0, "A", "B", seed=1)
+    with pytest.raises(ValueError, match="^population needs at least one user$"):
+        Population(np.array([], dtype=np.uint8), "A", "B")
 
 
 @pytest.mark.parametrize("codes", [[0, 2, 0, 1], [0, -1], [0.5, 1.0], [1, 255]])
@@ -167,6 +169,9 @@ def test_population_shares_payload_objects(population):
         datum = population.datum(uid)
         assert datum is (population.alice_datum if datum.side is Side.ALICE else population.bob_datum)
         assert datum.payload == ("A" if datum.side is Side.ALICE else "B")
+    for outside in (-1, population.size):
+        with pytest.raises(ValueError, match=f"^unknown user id {outside}$"):
+            population.datum(outside)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +338,40 @@ def test_duplicate_user_within_round_rejected(population, query):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
 
-# the population fixture holds 10 users
-@pytest.mark.parametrize("users", [[99], range(9, 11), range(-1, 2)], ids=["list", "past-the-end", "negative-start"])
+# the population fixture holds 10 users; the last two id lists are not consecutive, so no slice stands for them
+@pytest.mark.parametrize(
+    "users",
+    [[99], range(9, 11), range(-1, 2), [0, 99], [-1, 2]],
+    ids=["list", "past-the-end", "negative-start", "listed-past-the-end", "listed-negative"],
+)
 def test_unknown_user_rejected(population, query, users):
     driver = QueryScript([users], query)
     with pytest.raises(ValueError, match="outside the population"):
         execute(driver, population, InteractivityMode.FULL, seed=1)
+
+
+class ReturnsText(ProtocolDriver):
+    def next_round(self, transcript, public_rng):
+        return "halt"
+
+
+@pytest.mark.parametrize(
+    "make_driver, error, message",
+    [
+        (lambda query: ReturnsText(), TypeError, "driver returned str, expected RoundSpec or Halt"),
+        (lambda query: QueryScript([range(0)], query), ValueError, "round must query at least one user"),
+        (lambda query: QueryScript([[]], query), ValueError, "round must query at least one user"),
+        (
+            lambda query: QueryScript([[0, 1, 2]], [query, query]),
+            ValueError,
+            "per-user query list must match the user list length",
+        ),
+    ],
+    ids=["not-a-round", "empty-range", "empty-list", "short-query-list"],
+)
+def test_execute_refuses_a_malformed_round(population, query, make_driver, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        execute(make_driver(query), population, InteractivityMode.FULL, seed=1)
 
 
 class ConstantLaw:
@@ -603,8 +636,10 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
     differing = RoundRecord(first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
     assert differing.descriptors == (query.descriptor, "other") and differing.codes.tolist() == [0] * 6 + [1]
     assert first != differing and differing != first
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'descriptors'"):
         first.descriptors = ("other",)
+    with pytest.raises(AttributeError, match="cannot delete field 'users'"):
+        del first.users
     with pytest.raises(ValueError):
         differing.codes[0] = 1
 

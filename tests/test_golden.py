@@ -5,12 +5,19 @@ float summation order or number formatting changes the text. Regenerate
 the files in ``tests/golden/`` only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Check every CLI golden against ``python -m ldpsim.cli`` run as a process,
+writing no file; the check exits 1 and names each golden whose bytes differ:
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -18,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ldpsim
 from ldpsim.cli import main
 from ldpsim.engine import (
     Halt,
@@ -36,6 +44,8 @@ from ldpsim.solvers import HLSolverConfig, HLSolverDriver
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 # a deterministic 3-bit protocol over the lift's channel at eps = ln 3, both players sending
 LIFT_PROTOCOL = str(GOLDEN_DIR / "lift_ln3_protocol.txt")
+# a 3-bit protocol over a noiseless channel, every send probability non-dyadic
+NOISELESS_PROTOCOL = str(GOLDEN_DIR / "noiseless_protocol.txt")
 
 CLI_CASES = {
     "run_hl_full.csv": [
@@ -78,6 +88,7 @@ CLI_CASES = {
     ],
     "reduce_lift_ln3.json": ["reduce", "lift", "--eps", "1.0986122886681098", "--protocol", LIFT_PROTOCOL],
     "enumerate_ln3_x0_y1.txt": ["enumerate", "--x", "0", "--y", "1", "--protocol", LIFT_PROTOCOL],
+    "enumerate_noiseless_x1_y0.txt": ["enumerate", "--x", "1", "--y", "0", "--protocol", NOISELESS_PROTOCOL],
 }
 
 
@@ -152,11 +163,22 @@ user p_alice=0.7 p_bob=0.35
 LOWER_CASES = {"reduce_lower_eps0.9.json": "0.9", "reduce_lower_eps1.7.json": "1.7"}
 
 
-def _lower_output(eps: str) -> str:
+@contextlib.contextmanager
+def _lower_source():
+    """The path of a temporary file holding ``_LOWER_SOURCE``."""
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(tmp) / "source.txt"
         source.write_text(_LOWER_SOURCE, encoding="utf-8")
-        return _cli_output(["reduce", "lower", "--eps", eps, "--protocol", str(source)])
+        yield str(source)
+
+
+def _lower_argv(eps: str, source: str) -> list[str]:
+    return ["reduce", "lower", "--eps", eps, "--protocol", source]
+
+
+def _lower_output(eps: str) -> str:
+    with _lower_source() as source:
+        return _cli_output(_lower_argv(eps, source))
 
 
 MIXED_CASES = ("transcript_mixed.tsv", "audit_mixed.txt")
@@ -178,7 +200,30 @@ def test_output_matches_golden(name):
     assert _output(name) == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
+def check() -> int:
+    """Runs each CLI and lowering golden's command as ``python -m
+    ldpsim.cli``, with the ``ldpsim`` imported here, and compares its
+    stdout with the golden's bytes; 1 when any differs or fails, naming it."""
+    src = str(Path(ldpsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    differing = []
+    with _lower_source() as source:
+        cases = {**CLI_CASES, **{name: _lower_argv(eps, source) for name, eps in LOWER_CASES.items()}}
+        for name, argv in cases.items():
+            run = subprocess.run([sys.executable, "-m", "ldpsim.cli", *argv], capture_output=True, env=env)
+            if run.returncode != 0 or run.stdout != (GOLDEN_DIR / name).read_bytes():
+                differing.append(name)
+                print(f"differs: {name} (exit {run.returncode})", file=sys.stderr)
+                sys.stderr.write(run.stderr.decode(errors="replace"))
+    print(f"{len(cases) - len(differing)} of {len(cases)} CLI goldens match", file=sys.stderr)
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    if sys.argv[1:]:
+        sys.exit(check())
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in NAMES:
         (GOLDEN_DIR / name).write_text(_output(name), encoding="utf-8")

@@ -249,6 +249,39 @@ def test_predicate_descriptors_round_trip():
         parse_predicate("nonsense(1,2)", hl_inst)
 
 
+_HL = gen_hl_instance(3, 4, seed=23)
+_REFUSALS = {
+    "label-off-layer": (
+        lambda: _HL.alice_payload.label((0,) * (_HL.alice_layer + 1)),
+        ValueError,
+        f"vertex {(0,) * (_HL.alice_layer + 1)} is not on layer {_HL.alice_layer}",
+    ),
+    "hl-no-branching": (lambda: gen_hl_instance(0, 3, 1), ValueError, "need branching >= 1 and num_levels >= 2"),
+    "hl-one-level": (lambda: gen_hl_instance(2, 1, 1), ValueError, "need branching >= 1 and num_levels >= 2"),
+    "pc-size-one": (lambda: PCInstance(1, 1, (1,), (1,)), ValueError, "size must be at least 2"),
+    # size 1 would reach the regime check's division by log2(1) = 0
+    "gen-pc-size-one": (lambda: gen_pc_instance(1, 1, 1), ValueError, "need hops >= 1 and size >= 2"),
+    "unclosed-descriptor": (
+        lambda: parse_predicate("pc-bit(alice,1,1", gen_pc_instance(1, 4, 1)),
+        ValueError,
+        "malformed predicate descriptor: 'pc-bit(alice,1,1'",
+    ),
+    "pc-bit-on-hl": (
+        lambda: parse_predicate("pc-bit(alice,1,1)", _HL),
+        ValueError,
+        "pc-bit descriptors need a pointer chasing instance",
+    ),
+    "write-other": (lambda: write_instance(object(), io.StringIO()), TypeError, "cannot serialize object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_problems_refuse_what_they_cannot_take(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ldpsim.randomizers import (
     AuditValues,
     LawQuery,
     RRQuery,
+    _law_log_ratio,
     audit_transcript,
     audit_user,
     debias,
@@ -170,6 +171,8 @@ def test_law_query_max_log_ratio():
     expected = max(math.log(0.75 / 0.5), math.log(0.5 / 0.25))
     assert q.max_log_ratio(a, b) == pytest.approx(expected, rel=1e-12)
     assert q.max_log_ratio(a, a) == 0.0
+    # 1 - p == 1 - q although p != q: the worst case is the ratio of the laws
+    assert _law_log_ratio(1e-20, 2e-20) == math.log(2.0)
 
 
 def test_audit_rows_read_each_datum_once_and_match_max_log_ratio():

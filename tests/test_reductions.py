@@ -30,6 +30,7 @@ from ldpsim.reductions import (
     LoweredProtocol,
     OneBitSequence,
     ReductionError,
+    SendStep,
     SimultaneousProtocol,
     TableProtocol,
     TranscriptDistribution,
@@ -443,6 +444,51 @@ def test_lift_rejects_randomized_next_bit():
     lifted = lift_two_party_to_ldp(protocol, 1.0, PAIR)
     with pytest.raises(ValueError, match="deterministic"):
         enumerate_onebit_distribution(lifted)
+
+
+class _OneStep(TwoPartyProtocol):
+    """A one-bit protocol over the lift's channel at ln 3 whose first action is ``act``."""
+
+    channel = lift_channel(LN3)
+    max_bits = 1
+
+    def __init__(self, act):
+        self.act = act
+
+    def action(self, prefix):
+        return Answer(tuple) if prefix else self.act
+
+
+def _lift_of(act):
+    return enumerate_onebit_distribution(lift_two_party_to_ldp(_OneStep(act), LN3, PAIR))
+
+
+_ALICE_SENDS_X = SendStep(Side.ALICE, float)
+_REFUSED_CONVERSIONS = {
+    "negative-bits": (
+        lambda: TableProtocol(-1, lambda prefix: Side.ALICE, lambda inp, prefix: 0.0, ChannelSpec()),
+        "num_bits must be nonnegative",
+    ),
+    "lift-lottery": (
+        lambda: _lift_of(((0.5, _ALICE_SENDS_X), (0.5, _ALICE_SENDS_X))),
+        "lift requires protocols without public step lotteries",
+    ),
+    "lift-skips": (
+        lambda: _lift_of(((1.0, SendStep(Side.ALICE, float, use_prob=0.5)),)),
+        "lift requires protocols that enter every received bit",
+    ),
+    "no-rounds": (
+        lambda: SimultaneousProtocol(0, lambda inp, pairs: 0.5, lambda inp, pairs: 0.5),
+        "num_rounds must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_CONVERSIONS))
+def test_conversions_refuse_what_they_cannot_take(case):
+    build, message = _REFUSED_CONVERSIONS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("epsilon", [LN3, 1.0])

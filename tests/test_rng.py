@@ -29,6 +29,11 @@ def test_substream_reproducible():
     a = substream(42, "x").random(5)
     b = substream(42, "x").random(5)
     assert np.array_equal(a, b)
+    # the widest seed is accepted; one past either end would alias a seed inside
+    assert np.array_equal(substream(2**64 - 1, "x").random(5), substream(2**64 - 1, "x").random(5))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"^seed {seed} is outside \\[0, 2\\*\\*64\\)$"):
+            substream(seed, "x")
 
 
 def _kernel_uniforms(seed, users, round_index):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ def test_config_validation():
         HLSolverConfig(epsilon=1.0, n=10, threshold=0.5)
     with pytest.raises(ValueError):
         PCSolverConfig(epsilon=1.0, m=0)
+    with pytest.raises(ValueError, match=re.escape("threshold must lie in (0, 0.5)")):
+        PCSolverConfig(1.0, 5, threshold=0.5)
     assert HLSolverConfig(epsilon=1.0, n=10).per_query_epsilon == 0.5
 
 
