@@ -1,11 +1,11 @@
 """Transcript data model and execution engine for locally private protocols.
 
 An execution is a loop between a :class:`ProtocolDriver` (the analyst) and a
-:class:`Population` of users. Each round the driver names a set of users and
-a single-bit randomizer per user; the engine evaluates the randomizers on the
-users' private data, publishes the bits, and appends a :class:`RoundRecord`.
-The engine enforces the declared interactivity mode and accounts sample and
-round complexity.
+:class:`Population` of users. Each round the driver names a few groups of
+users, each a step-1 ``range`` of ids with one single-bit randomizer; the
+engine evaluates the randomizers on the users' private data, publishes the
+bits, and appends a :class:`RoundRecord`. The engine enforces the declared
+interactivity mode and accounts sample and round complexity.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence, TextIO
+from itertools import chain, repeat
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
-from ._rng import hash_limit, premixed_keys, round_bits, substream
+from ._rng import checked_seed, hash_limit, premixed_keys, round_bits, substream
 
 MAX_ROUNDS = 10_000_000
 
@@ -139,16 +140,16 @@ class RoundRecord:
     ``randomizer_ids`` reads as a tuple with one descriptor per user. Records
     compare by value and cannot be changed.
 
-    A record keeps each distinct descriptor once: ``descriptors`` lists them
-    in order of first use, and ``codes`` gives each user's position in it,
-    0 when there is one descriptor, else a read-only int64 column. First-use
-    order makes this form canonical, so records compare by it, and the tuple
-    ``randomizer_ids`` is built only when read.
-    ``index`` is the round's :func:`_index`: the slice of its ids when they
-    are consecutive and ascending, else ``users`` itself.
+    ``groups`` holds the round as its groups, in the order asked: one
+    ``(ids, descriptor, budget)`` per maximal run of consecutive ascending
+    ids asked one descriptor at one budget, with ``ids`` a step-1 ``range``.
+    Maximal runs make this form canonical, so records compare by it, and the
+    per-user tuple ``randomizer_ids`` is built only when read. The
+    constructor takes the per-user columns and splits them into these runs,
+    so a round that lists an id twice, or out of order, keeps its content.
     """
 
-    __slots__ = ("users", "index", "descriptors", "codes", "epsilons", "outputs")
+    __slots__ = ("users", "groups", "epsilons", "outputs")
 
     def __init__(self, users, randomizer_ids, epsilons, outputs):
         users = _column(users, np.int64)
@@ -161,28 +162,24 @@ class RoundRecord:
             raise ValueError("users, randomizer_ids, epsilons, outputs must have equal length")
         if users.min() < 0:
             raise ValueError("user ids must be non-negative")
-        # a broadcast column (stride 0) holds one value, so check one element
-        budgets = epsilons[:1] if epsilons.strides == (0,) else epsilons
-        _checked_budget(budgets.min())
-        _checked_budget(budgets.max())
+        # one group per maximal run of consecutive ascending ids with one descriptor and budget
+        runs = _merged(zip((range(uid, uid + 1) for uid in users.tolist()), zip(ids, epsilons.tolist())))
+        groups = tuple((run, descriptor, _checked_budget(epsilon)) for run, (descriptor, epsilon) in runs)
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
-        _fill(self, users, _index(users), *_first_use(ids), epsilons, outputs)
+        _fill(self, users, groups, epsilons, outputs)
 
     @classmethod
-    def _trusted(cls, users: np.ndarray, index: slice | np.ndarray, descriptors, codes, epsilons, outputs):
+    def _trusted(cls, users: np.ndarray, groups, epsilons, outputs):
         """A record from ``execute``, which has checked every column:
-        ``users`` is a read-only int64 array of non-negative ids, ``index``
-        their :func:`_index`, ``descriptors`` and ``codes`` their
-        :func:`_first_use`, and ``epsilons`` and ``outputs`` read-only columns
-        of valid budgets and bits."""
-        return _fill(object.__new__(cls), users, index, descriptors, codes, epsilons, outputs)
+        ``users`` is a read-only int64 array of the ids of ``groups``, which
+        are maximal runs of valid budgets, and ``epsilons`` and ``outputs``
+        are read-only columns of their budgets and bits."""
+        return _fill(object.__new__(cls), users, groups, epsilons, outputs)
 
     @property
     def randomizer_ids(self) -> tuple[str, ...]:
-        if isinstance(self.codes, int):
-            return self.descriptors * self.users.size
-        return tuple(map(self.descriptors.__getitem__, self.codes.tolist()))
+        return tuple(chain.from_iterable(repeat(descriptor, len(ids)) for ids, descriptor, _ in self.groups))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RoundRecord")
@@ -193,14 +190,8 @@ class RoundRecord:
     def __eq__(self, other):
         if not isinstance(other, RoundRecord):
             return NotImplemented
-        # the first-use form is canonical, so equal descriptors make equal records
-        return (
-            self.descriptors == other.descriptors
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.users, other.users)
-            and np.array_equal(self.epsilons, other.epsilons)
-            and np.array_equal(self.outputs, other.outputs)
-        )
+        # the groups are canonical and fix the users and budgets
+        return self.groups == other.groups and np.array_equal(self.outputs, other.outputs)
 
     __hash__ = None
 
@@ -211,16 +202,26 @@ class RoundRecord:
         )
 
 
-def _fill(record: RoundRecord, users, index, descriptors, codes, epsilons, outputs) -> RoundRecord:
+def _fill(record: RoundRecord, users, groups, epsilons, outputs) -> RoundRecord:
     """Sets the slots of a :class:`RoundRecord`, which refuses assignment."""
     put = object.__setattr__
     put(record, "users", users)
-    put(record, "index", index)
-    put(record, "descriptors", descriptors)
-    put(record, "codes", codes)
+    put(record, "groups", groups)
     put(record, "epsilons", epsilons)
     put(record, "outputs", outputs)
     return record
+
+
+def _merged(groups: Iterable[tuple[range, Any]]) -> list[tuple[range, Any]]:
+    """``groups`` of ``(ids, label)``, with ``ids`` a step-1 range, where
+    each group whose ids continue the last one's and whose label equals its
+    label is joined to it."""
+    merged: list[tuple[range, Any]] = []
+    for ids, label in groups:
+        if merged and merged[-1][0].stop == ids.start and merged[-1][1] == label:
+            ids = range(merged.pop()[0].start, ids.stop)
+        merged.append((ids, label))
+    return merged
 
 
 @dataclass(frozen=True)
@@ -235,18 +236,14 @@ class Transcript:
 
 
 def sample_complexity(transcript: Transcript) -> int:
-    """Number of distinct users appearing anywhere in the transcript."""
-    if not transcript.rounds:
-        return 0
-    indices = [record.index for record in transcript.rounds]
-    top = max(index.stop - 1 if isinstance(index, slice) else int(index.max()) for index in indices)
-    if top >= 4 * sum(record.users.size for record in transcript.rounds):
-        # sparse ids, e.g. from a hand-written file: sort rather than mask
-        return int(np.unique(np.concatenate([record.users for record in transcript.rounds])).size)
-    seen = np.zeros(top + 1, dtype=bool)
-    for index in indices:
-        seen[index] = True
-    return int(np.count_nonzero(seen))
+    """Number of distinct users appearing anywhere in the transcript: the
+    size of the union of every group's ids."""
+    total = reach = 0
+    for start, stop in sorted((ids.start, ids.stop) for r in transcript.rounds for ids, _d, _e in r.groups):
+        if stop > reach:
+            total += stop - max(start, reach)
+            reach = stop
+    return total
 
 
 def _checked_budget(epsilon) -> float:
@@ -255,33 +252,6 @@ def _checked_budget(epsilon) -> float:
     if not (epsilon > 0 and math.isfinite(epsilon)):  # also rejects NaN
         raise ValueError("epsilon must be positive and finite")
     return epsilon
-
-
-def _first_use(keys: Sequence) -> tuple[tuple, int | np.ndarray]:
-    """The distinct ``keys`` in order of first use, and each key's position
-    among them: 0 when there is one distinct key, else a read-only int64
-    column."""
-    distinct = tuple(dict.fromkeys(keys))
-    if len(distinct) == 1:
-        return distinct, 0
-    position = {key: code for code, key in enumerate(distinct)}
-    codes = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
-    codes.setflags(write=False)
-    return distinct, codes
-
-
-def _index(users: np.ndarray) -> slice | np.ndarray:
-    """``slice(a, a + n)`` when the ``n`` ids in ``users`` are consecutive and
-    ascending from ``a``, otherwise ``users`` itself.
-
-    Indexing by the slice selects the same elements as indexing by the ids,
-    but as a view, with no gather, and a slice cannot name an id twice.
-    """
-    n = users.size
-    first = int(users[0])
-    if int(users[-1]) - first != n - 1 or (n > 2 and not (np.diff(users) == 1).all()):
-        return users
-    return slice(first, first + n)
 
 
 def round_complexity(transcript: Transcript) -> int:
@@ -302,23 +272,35 @@ class InteractivityMode(Enum):
 
 @dataclass
 class RoundSpec:
-    """A driver's request for one round.
+    """A driver's request for one round: a few groups of users, each asked
+    one query.
 
-    ``queries`` is either a single query object applied to every listed user
-    (anything with a ``law`` attribute) or an iterable with one query per
-    user, such as a list, an object array or a generator. Both take the same
-    columnar draw: the engine reads each distinct query's law once per side,
-    not once per user. ``users`` is any iterable of ids; a ``range`` stays a
-    numpy range and is never expanded element by element. A query exposes
-    ``descriptor`` (str), ``epsilon`` (float) and ``law(datum)`` (the
-    Bernoulli parameter of its output on that datum); predicate-based
-    queries additionally expose ``vote(datum)`` and ``vote_laws``, the law
-    of a 0 vote and of a 1 vote, so the engine reads their predicate once
-    per side.
+    ``RoundSpec(users=range(a, b), queries=query)`` asks users a..b-1 the
+    one ``query``. A round of several groups passes a tuple of step-1
+    ranges as ``users`` and an equal-length tuple of queries, one per group;
+    groups of one round must not overlap. A query exposes ``descriptor``
+    (str), ``epsilon`` (float) and ``law(datum)`` (the Bernoulli parameter
+    of its output on that datum); predicate-based queries additionally
+    expose ``vote(datum)`` and ``vote_laws``, the law of a 0 vote and of a 1
+    vote, so the engine reads their predicate once per side.
     """
 
-    users: Sequence[int]
+    users: range | tuple[range, ...]
     queries: Any
+
+    def groups(self) -> tuple[tuple[range, Any], ...]:
+        """The round as ``(ids, query)`` pairs, in the order asked."""
+        users, queries = self.users, self.queries
+        if isinstance(users, range):
+            groups = ((users, queries),)
+        elif isinstance(users, tuple) and isinstance(queries, tuple) and len(users) == len(queries):
+            groups = tuple(zip(users, queries))
+        else:
+            raise ValueError("round users must be a range, or a tuple of ranges with a tuple of as many queries")
+        for ids, _query in groups:
+            if not isinstance(ids, range) or ids.step != 1:
+                raise ValueError("round users must be step-1 ranges")
+        return groups
 
 
 @dataclass(frozen=True)
@@ -402,15 +384,17 @@ def execute(
 ) -> ExecutionResult:
     """Run ``driver`` against ``population`` under ``mode``.
 
-    Deterministic given (driver, population, mode, seed). Raises
-    :class:`InteractivityViolation` when the driver breaks the mode,
-    :class:`DivergenceError` after ``MAX_ROUNDS`` rounds without a halt.
+    Deterministic given (driver, population, mode, seed); ``seed`` must lie
+    in [0, 2**64). Raises :class:`InteractivityViolation` when the driver
+    breaks the mode, :class:`DivergenceError` after ``MAX_ROUNDS`` rounds
+    without a halt.
     """
+    checked_seed(seed)
     transcript = Transcript()
     # one read-only id column per population size, shared by every execution of
-    # that size: a step-1 range round's users are a view of it
+    # that size: a round's users are a view of it, or joined from its views
     ids = _id_column(population.size)
-    asked, keys = None, None  # the last round's slice, or None, and its users' premixed keys
+    asked, keys = None, None  # the last round's id ranges and each range's premixed keys
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
@@ -425,37 +409,38 @@ def execute(
         if round_index >= MAX_ROUNDS:
             raise DivergenceError(f"driver did not halt within {MAX_ROUNDS} rounds")
 
-        users, index = _user_array(action.users, ids)
-        if users.size < 1:
+        groups = action.groups()
+        if not groups:
             raise ValueError("round must query at least one user")
-        if isinstance(index, slice):
-            if index.start < 0 or index.stop > population.size:
+        reach = 0
+        for start, stop in sorted([(users.start, users.stop) for users, _query in groups]):
+            if start >= stop:
+                raise ValueError("round must query at least one user")
+            if start < 0 or stop > population.size:
                 raise ValueError("round names a user outside the population")
-        else:
-            low = int(users.min())
-            if low < 0 or users.max() >= population.size:
-                raise ValueError("round names a user outside the population")
-            counts = np.bincount(users - low)
-            if counts.max() > 1:
-                raise ValueError(f"user {low + int(np.argmax(counts > 1))} queried twice within round {round_index}")
+            if start < reach:
+                raise ValueError(f"user {start} queried twice within round {round_index}")
+            reach = stop
+        groups = _merged([(users, _log_query(query_log, query)) for users, query in groups])
+        ranges = [users for users, _descriptor in groups]
 
         if mode is InteractivityMode.SEQUENTIAL:
-            reused = seen[index]
-            if reused.any():
-                first = int(users[np.argmax(reused)])
-                raise InteractivityViolation(
-                    f"sequential mode reuses user {first} in round {round_index}",
-                    user_id=first,
-                    round_index=round_index,
-                )
-            seen[index] = True
+            for users in ranges:
+                reused = seen[users.start : users.stop]
+                if reused.any():
+                    first = users.start + int(np.argmax(reused))
+                    raise InteractivityViolation(
+                        f"sequential mode reuses user {first} in round {round_index}",
+                        user_id=first,
+                        round_index=round_index,
+                    )
+                seen[users.start : users.stop] = True
 
-        users.setflags(write=False)
-        if not (isinstance(index, slice) and index == asked):
-            # hash only the users this round asks; a repeated slice reuses its keys
-            keys = premixed_keys(seed, users.view(np.uint64))  # a view, so hashing copies no ids
-            asked = index if isinstance(index, slice) else None
-        record = _respond(population, users, index, action.queries, keys, round_index, one_votes, query_log)
+        if ranges != asked:
+            # hash only the users this round asks; a repeated round reuses its keys
+            keys = [premixed_keys(seed, ids[r.start : r.stop].view(np.uint64)) for r in ranges]  # views: no id copy
+            asked = ranges
+        record = _respond(population, ids, groups, keys, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
 
 
@@ -470,30 +455,6 @@ def _id_column(size: int) -> np.ndarray:
     ids = np.arange(size, dtype=np.int64)
     ids.setflags(write=False)
     return ids
-
-
-def _user_array(users, id_column: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
-    """An int64 array of the requested user ids and its :func:`_index`.
-
-    A non-empty step-1 range inside ``id_column``, the read-only ids that
-    :func:`_id_column` keeps for the population's size, is its own slice,
-    unscanned, and its users are a view of that column. Other ranges stay in
-    numpy; a step-1 range that leaves the column, whose view would silently
-    stop at its end, is a fresh array like them, which ``execute`` rejects.
-    Anything else is copied into a fresh array.
-    """
-    if isinstance(users, range):
-        if users.step == 1 and 0 <= users.start < users.stop <= id_column.size:
-            index = slice(users.start, users.stop)
-            return id_column[index], index
-        ids = np.arange(users.start, users.stop, users.step, dtype=np.int64)
-        if users.step == 1 and ids.size:
-            return ids, slice(users.start, users.stop)
-    else:
-        if not isinstance(users, (list, tuple, np.ndarray)):
-            users = list(users)
-        ids = np.array(users, dtype=np.int64)
-    return ids, (_index(ids) if ids.size else ids)
 
 
 def _checked_limit(descriptor: str, law) -> int:
@@ -534,59 +495,44 @@ def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tupl
     return (_checked_limit(descriptor, p), _checked_limit(descriptor, q)), votes
 
 
-def _respond(population, users, index, queries, keys, round_index, one_votes, query_log) -> RoundRecord:
-    """Answers one round of :class:`RoundSpec` ``queries``.
+def _respond(population, column, groups, keys, round_index, one_votes, query_log) -> RoundRecord:
+    """Answers one round of ``(range, descriptor)`` ``groups``.
 
-    Each distinct query object is validated and logged once. Each distinct
-    descriptor's law, vote and budget are read once per side from the query
-    the log holds for it, which the audit reads too, and every user's draw is
-    compared with the limit of their (descriptor, side) by
-    :func:`~ldpsim._rng.round_bits`. ``keys[i]`` is the premixed key of
-    ``users[i]``, the round's own users, not the population's.
+    Each group's law, vote and budget are read once per side from the query
+    the log holds for its descriptor, which the audit reads too, and its
+    users' draws are compared with its one or two limits by
+    :func:`~ldpsim._rng.round_bits`. ``keys`` holds each group's premixed
+    keys, and the record's ``users`` are views of the id ``column``.
     """
-    if hasattr(queries, "law"):
-        descriptors, codes = (_log_query(query_log, queries),), 0
-    else:
-        queries = list(queries)
-        if len(queries) != users.size:
-            raise ValueError("per-user query list must match the user list length")
-        named = {key: _log_query(query_log, query) for key, query in {id(q): q for q in queries}.items()}
-        descriptors, codes = _first_use(list(map(named.__getitem__, map(id, queries))))
     data = (population.alice_datum, population.bob_datum)
-    sides = population.side_codes[index]  # 0 Alice, 1 Bob
-    if isinstance(codes, int):
-        # one descriptor for every user: its two limits, votes and budget need no table
-        (descriptor,) = descriptors
+    bits, records = [], []
+    for (ids, descriptor), group_keys in zip(groups, keys):
         query = query_log[descriptor]
+        index = slice(ids.start, ids.stop)
+        sides = population.side_codes[index]  # 0 Alice, 1 Bob
         (alice, bob), (alice_vote, bob_vote) = _read_sides(descriptor, query, data)
         if alice == bob:
-            bits = round_bits(keys, round_index, (alice,), 0)
+            bits.append(round_bits(group_keys, round_index, (alice,), 0))
         else:
-            bits = round_bits(keys, round_index, (alice, bob), sides)
+            bits.append(round_bits(group_keys, round_index, (alice, bob), sides))
         if alice_vote != bob_vote:
             one_votes[index] += sides if bob_vote else sides ^ 1
         elif alice_vote:
             one_votes[index] += 1
+        records.append((ids, descriptor, _checked_budget(query.epsilon)))
+    if len(records) == 1:
+        users = column[index]
         # a read-only column of stride 0 over one float
-        epsilons = np.ndarray(users.shape, np.float64, np.float64(_checked_budget(query.epsilon)), 0, (0,))
+        epsilons = np.ndarray(users.shape, np.float64, np.float64(records[0][2]), 0, (0,))
+        outputs = bits[0].view(np.uint8)
     else:
-        # each user's entry in the flattened (descriptor, side) tables
-        limits, votes, budgets = [], [], []
-        for descriptor in descriptors:
-            query = query_log[descriptor]
-            pair, pair_votes = _read_sides(descriptor, query, data)
-            limits += pair
-            votes += pair_votes
-            budgets.append(_checked_budget(query.epsilon))
-        cells = 2 * codes + sides
-        bits = round_bits(keys, round_index, limits, cells)
-        if any(votes):
-            one_votes[index] += np.array(votes).take(cells)
-        epsilons = np.array(budgets)[codes]
+        users = np.concatenate([column[ids.start : ids.stop] for ids, _d, _e in records])
+        epsilons = np.repeat([epsilon for _ids, _d, epsilon in records], [len(ids) for ids, _d, _e in records])
+        outputs = np.concatenate(bits).view(np.uint8)
+        users.setflags(write=False)
         epsilons.setflags(write=False)
-    outputs = bits.view(np.uint8)
     outputs.setflags(write=False)
-    return RoundRecord._trusted(users, index, descriptors, codes, epsilons, outputs)
+    return RoundRecord._trusted(users, tuple(records), epsilons, outputs)
 
 
 # ---------------------------------------------------------------------------

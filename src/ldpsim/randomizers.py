@@ -329,17 +329,16 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     problem's universe are not tried, so the value can fall below the true
     local-DP worst case.
 
-    Each round splits into runs: maximal stretches of consecutive ascending
-    ids asked one descriptor. A round over a slice with one descriptor is one
-    run; any other round is split by one scan. The id axis is cut at both
-    ends of every run, so all users of a segment are asked the same queries
-    in the same order. Each round looks up its terms once per distinct
-    descriptor, and the audit adds each run's terms to its segments by
-    slice, in round order from zero, which gives each user the same floats
-    as a user-by-user fold; a user listed twice in one round falls in two
-    runs and counts twice. Its cost grows with runs and segments, not with
-    users: the report keeps each (side, segment) value, and its per-user
-    columns are gathered only when first read.
+    A round is its record's groups: maximal runs of consecutive ascending
+    ids asked one descriptor at one budget. The id axis is cut at both ends
+    of every group, so all users of a segment are asked the same queries in
+    the same order. The audit adds each group's terms to its segments by
+    slice, in round order
+    from zero and in group order within a round, which gives each user the
+    same floats as a user-by-user fold; a user listed twice in one round
+    falls in two groups and counts twice. Its cost grows with groups and
+    segments, not with users: the report keeps each (side, segment) value,
+    and its per-user columns are gathered only when first read.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
 
@@ -354,23 +353,13 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
         except Exception as exc:  # noqa: BLE001
             raise AuditError(f"query {descriptor!r} not evaluable: {exc}") from exc
 
-    # terms[r]: the (2, 3) rows of run r; points: both ends of each run, in
+    # terms[g]: the (2, 3) rows of group g; points: both ends of each group, in
     # round order
     terms, points = [], []
     for record in transcript.rounds:
-        index, codes = record.index, record.codes
-        rows = [rows_for(descriptor) for descriptor in record.descriptors]
-        if isinstance(index, slice) and isinstance(codes, int):
-            terms.append(rows[codes])
-            points += (index.start, index.stop)
-            continue
-        users, codes = record.users, np.broadcast_to(codes, record.users.shape)
-        # a run ends where the next id does not follow or the descriptor changes
-        breaks = (np.diff(users) != 1) | (np.diff(codes) != 0)
-        firsts = np.flatnonzero(np.concatenate(([True], breaks)))
-        lasts = np.append(firsts[1:], users.size) - 1
-        terms += map(rows.__getitem__, codes[firsts].tolist())
-        points += np.stack((users[firsts], users[lasts] + 1), axis=1).ravel().tolist()
+        for ids, descriptor, _epsilon in record.groups:
+            terms.append(rows_for(descriptor))
+            points += (ids.start, ids.stop)
     if not terms:
         return AuditReport(per_user=AuditValues([], []))
 

@@ -293,7 +293,7 @@ class OneBitSequence(CountDriver):
         act = self.step_fn(prefix)
         if isinstance(act, Answer):
             return Halt(act.fn(prefix))
-        return RoundSpec(users=[len(prefix)], queries=act)
+        return RoundSpec(users=range(len(prefix), len(prefix) + 1), queries=act)
 
     def advance(self, prefix: tuple[int, ...], ones: int, asked: int) -> tuple[int, ...]:
         return prefix + (ones,)
@@ -303,8 +303,8 @@ def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Da
     """A sequentially interactive driver as a one-bit-per-user protocol.
 
     Each round must ask the next fresh user ids in order, so user
-    ``len(prefix)`` publishes bit ``len(prefix)``, and gets the round's
-    shared query or their own entry of its per-user list. The view keeps the
+    ``len(prefix)`` publishes bit ``len(prefix)``, and gets the query of
+    the round's group that holds their id. The view keeps the
     driver's state and decision at each prefix that starts a round, and
     folds each finished round with one ``advance``; it is meant for exact
     enumeration at tiny shapes, and its ``max_users`` is the driver's
@@ -312,7 +312,7 @@ def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Da
     :class:`ReductionError` naming that user: a fully interactive driver,
     which asks its users again, has no one-bit view.
     """
-    # each prefix that starts a round -> (state, users asked, queries), or the Answer of a halt
+    # each prefix that starts a round -> (state, users asked, (ids, query) groups), or the Answer of a halt
     rounds: dict[tuple[int, ...], tuple[Any, int, Any] | Answer] = {}
 
     def round_at(start: tuple[int, ...], state) -> tuple[Any, int, Any] | Answer:
@@ -320,7 +320,8 @@ def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Da
         if isinstance(action, Halt):
             rounds[start] = Answer(lambda _transcript, answer=action.answer: answer)
             return rounds[start]
-        users = list(action.users)
+        groups = action.groups()
+        users = [user for ids, _query in groups for user in ids]
         if not users:
             raise ReductionError(f"the round at bit {len(start)} asks no user")
         for expected, user in enumerate(users, start=len(start)):
@@ -329,17 +330,16 @@ def one_bit_view(driver: CountDriver, epsilon: float, data_pair: tuple[Datum, Da
                     f"the round at bit {len(start)} asks user {user}, not the fresh user {expected}: "
                     "only a sequentially interactive driver has a one-bit view"
                 )
-        queries = action.queries if hasattr(action.queries, "law") else list(action.queries)
-        rounds[start] = state, len(users), queries
+        rounds[start] = state, len(users), groups
         return rounds[start]
 
     def step_fn(prefix: tuple[int, ...]):
         start: tuple[int, ...] = ()
         at = rounds.get(start) or round_at(start, driver.start())
         while not isinstance(at, Answer):
-            state, asked, queries = at
+            state, asked, groups = at
             if len(prefix) < len(start) + asked:
-                return queries if hasattr(queries, "law") else queries[len(prefix) - len(start)]
+                return next(query for ids, query in groups if len(prefix) in ids)
             start = prefix[: len(start) + asked]
             at = rounds.get(start) or round_at(start, driver.advance(state, sum(start[-asked:]), asked))
         return at

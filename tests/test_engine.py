@@ -53,7 +53,9 @@ class HaltImmediately(ProtocolDriver):
 
 
 class QueryScript(ProtocolDriver):
-    """Issues the scripted user lists round by round, then halts."""
+    """Issues the scripted rounds in order, then halts. A round is a range,
+    asked ``query``, or a tuple of ranges, each asked ``query`` or its own
+    entry of ``query`` when that is a tuple."""
 
     def __init__(self, rounds, query):
         self.script = list(rounds)
@@ -62,7 +64,15 @@ class QueryScript(ProtocolDriver):
     def next_round(self, transcript, public_rng):
         if len(transcript.rounds) >= len(self.script):
             return Halt(len(transcript.rounds))
-        return RoundSpec(users=self.script[len(transcript.rounds)], queries=self.query)
+        users = self.script[len(transcript.rounds)]
+        if isinstance(users, range) or isinstance(self.query, tuple):
+            return RoundSpec(users=users, queries=self.query)
+        return RoundSpec(users=users, queries=(self.query,) * len(users))
+
+
+def singles(ids):
+    """One group of one id for each of ``ids``, in order."""
+    return tuple(range(uid, uid + 1) for uid in ids)
 
 
 class CountsSeen(CountDriver):
@@ -89,7 +99,7 @@ class NeverHalts(ProtocolDriver):
         self.query = query
 
     def next_round(self, transcript, public_rng):
-        return RoundSpec(users=[0], queries=self.query)
+        return RoundSpec(users=range(1), queries=self.query)
 
 
 @pytest.fixture
@@ -219,7 +229,7 @@ def test_every_budget_check_rejects_with_one_message(entry, bad):
 
 def test_round_record_columns_are_read_only_arrays(population, query):
     built = record([3, 1, 2], outputs=[1, 0, 1])
-    executed = execute(QueryScript([[3, 1, 2]], query), population, InteractivityMode.FULL, seed=1)
+    executed = execute(QueryScript([singles([3, 1, 2])], query), population, InteractivityMode.FULL, seed=1)
     ranged = execute(QueryScript([range(1, 4)], query), population, InteractivityMode.FULL, seed=1)
     bits = [int(response_uniform(1, uid, 0) < query.law(population.datum(uid))) for uid in (1, 2, 3)]
     assert ranged.transcript.rounds[0] == RoundRecord([1, 2, 3], [query.descriptor] * 3, [1.0] * 3, bits)
@@ -311,7 +321,7 @@ def test_count_driver_folds_each_round_once_and_restarts_on_a_new_transcript(pop
 
 
 def test_sequential_reuse_is_a_violation(population, query):
-    driver = QueryScript([[1, 2], [1]], query)
+    driver = QueryScript([range(1, 3), range(1, 2)], query)
     with pytest.raises(InteractivityViolation) as info:
         execute(driver, population, InteractivityMode.SEQUENTIAL, seed=1)
     assert info.value.user_id == 1
@@ -319,35 +329,45 @@ def test_sequential_reuse_is_a_violation(population, query):
 
 
 def test_sequential_fresh_users_pass(population, query):
-    driver = QueryScript([[0, 1], [2, 3], [4]], query)
+    driver = QueryScript([range(0, 2), range(2, 4), range(4, 5)], query)
     result = execute(driver, population, InteractivityMode.SEQUENTIAL, seed=1)
     assert round_complexity(result.transcript) == 3
     assert sample_complexity(result.transcript) == 5
 
 
 def test_full_mode_allows_requerying(population, query):
-    driver = QueryScript([[0, 1], [0, 1], [0]], query)
+    driver = QueryScript([range(0, 2), range(0, 2), range(0, 1)], query)
     result = execute(driver, population, InteractivityMode.FULL, seed=1)
     assert sample_complexity(result.transcript) == 2
     assert round_complexity(result.transcript) == 3
 
 
 def test_duplicate_user_within_round_rejected(population, query):
-    driver = QueryScript([[1, 1]], query)
-    with pytest.raises(ValueError, match="twice within round"):
-        execute(driver, population, InteractivityMode.FULL, seed=1)
+    # groups of one round that overlap, listed in either order, with or without a gap between others
+    for groups, user in [
+        (singles([1, 1]), 1),
+        ((range(0, 3), range(2, 5)), 2),
+        ((range(6, 9), range(0, 2), range(4, 7)), 6),
+        ((range(5, 6), range(0, 9)), 5),
+    ]:
+        driver = QueryScript([range(0, 10), groups], query)
+        with pytest.raises(ValueError, match=f"^user {user} queried twice within round 1$"):
+            execute(driver, population, InteractivityMode.FULL, seed=1)
 
 
-# the population fixture holds 10 users; the last two id lists are not consecutive, so no slice stands for them
+# the population fixture holds 10 users; the last two rounds are two groups each
 @pytest.mark.parametrize(
     "users",
-    [[99], range(9, 11), range(-1, 2), [0, 99], [-1, 2]],
+    [(range(99, 100),), range(9, 11), range(-1, 2), (range(0, 1), range(99, 100)), (range(-1, 0), range(2, 3))],
     ids=["list", "past-the-end", "negative-start", "listed-past-the-end", "listed-negative"],
 )
 def test_unknown_user_rejected(population, query, users):
     driver = QueryScript([users], query)
     with pytest.raises(ValueError, match="outside the population"):
         execute(driver, population, InteractivityMode.FULL, seed=1)
+
+
+_SHAPE = "round users must be a range, or a tuple of ranges with a tuple of as many queries"
 
 
 class ReturnsText(ProtocolDriver):
@@ -360,14 +380,31 @@ class ReturnsText(ProtocolDriver):
     [
         (lambda query: ReturnsText(), TypeError, "driver returned str, expected RoundSpec or Halt"),
         (lambda query: QueryScript([range(0)], query), ValueError, "round must query at least one user"),
-        (lambda query: QueryScript([[]], query), ValueError, "round must query at least one user"),
+        (lambda query: QueryScript([()], query), ValueError, "round must query at least one user"),
         (
-            lambda query: QueryScript([[0, 1, 2]], [query, query]),
+            lambda query: QueryScript([(range(0, 2), range(3, 3))], query),
             ValueError,
-            "per-user query list must match the user list length",
+            "round must query at least one user",
         ),
+        (lambda query: QueryScript([singles([0, 1, 2])], (query, query)), ValueError, _SHAPE),
+        (lambda query: QueryScript([[0, 1, 2]], query), ValueError, _SHAPE),
+        (lambda query: SpecScript([RoundSpec(users=(range(0, 2),), queries=query)]), ValueError, _SHAPE),
+        (lambda query: QueryScript([range(0, 6, 2)], query), ValueError, "round users must be step-1 ranges"),
+        (lambda query: QueryScript([(range(3, 0, -1),)], (query,)), ValueError, "round users must be step-1 ranges"),
+        (lambda query: QueryScript([([0, 1],)], (query,)), ValueError, "round users must be step-1 ranges"),
     ],
-    ids=["not-a-round", "empty-range", "empty-list", "short-query-list"],
+    ids=[
+        "not-a-round",
+        "empty-range",
+        "empty-list",
+        "empty-group",
+        "short-query-list",
+        "id-list",
+        "one-query-for-a-tuple",
+        "step-2",
+        "descending",
+        "list-group",
+    ],
 )
 def test_execute_refuses_a_malformed_round(population, query, make_driver, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -391,7 +428,7 @@ class ConstantLaw:
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-user"])
 def test_execute_rejects_laws_outside_the_unit_interval(population, p, shared):
     query = ConstantLaw(p)
-    driver = QueryScript([range(3)], query if shared else [query] * 3)
+    driver = QueryScript([range(3) if shared else singles(range(3))], query)
     with pytest.raises(ValueError, match=re.escape(f"'constant-law' has response law {p!r}")):
         execute(driver, population, InteractivityMode.FULL, seed=1)
 
@@ -410,19 +447,38 @@ class SideLaw:
 
 @pytest.mark.parametrize("p, bit", [(0.0, 0), (1.0, 1)])
 def test_execute_laws_zero_and_one_pin_the_bit(population, p, bit):
-    for queries in (ConstantLaw(p), [ConstantLaw(p)] * 10):
-        result = execute(QueryScript([range(10)], queries), population, InteractivityMode.FULL, seed=1)
+    for users in (range(10), singles(range(10))):
+        result = execute(QueryScript([users], ConstantLaw(p)), population, InteractivityMode.FULL, seed=1)
         assert result.transcript.rounds[0].outputs.tolist() == [bit] * 10
     # law p on one side and 1 - p on the other: two limits under one query,
-    # and a (descriptor, side) table under a per-user list of two descriptors
+    # and one-id groups of two queries taking turns
     sides = population.side_codes[:10].tolist()
     assert 0 < sum(sides) < 10
     on_alice, on_bob = SideLaw(p, 1 - p, "p-on-alice"), SideLaw(1 - p, p, "p-on-bob")
-    for queries in (on_alice, on_bob, [on_alice] * 10, [on_alice, on_bob] * 5):
-        per_user = queries if isinstance(queries, list) else [queries] * 10
-        result = execute(QueryScript([range(10)], queries), population, InteractivityMode.FULL, seed=1)
+    for users, queries in (
+        (range(10), on_alice),
+        (range(10), on_bob),
+        (singles(range(10)), (on_alice,) * 10),
+        (singles(range(10)), (on_alice, on_bob) * 5),
+    ):
+        per_user = queries if isinstance(queries, tuple) else [queries] * 10
+        result = execute(QueryScript([users], queries), population, InteractivityMode.FULL, seed=1)
         expected = [bit if (side == 0) == (query is on_alice) else 1 - bit for query, side in zip(per_user, sides)]
         assert result.transcript.rounds[0].outputs.tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, -1])
+def test_execute_refuses_a_seed_outside_64_bits(population, query, seed):
+    # 2**64 + 5 would otherwise name the execution at seed 5
+    with pytest.raises(ValueError, match=f"^seed {seed} is outside \\[0, 2\\*\\*64\\)$"):
+        execute(QueryScript([range(0, 3)], query), population, InteractivityMode.FULL, seed=seed)
+
+
+def test_execute_checks_its_seed_once_per_call(population, query, monkeypatch):
+    checked = []
+    monkeypatch.setattr(engine, "checked_seed", lambda seed: checked.append(seed) or seed)
+    result = execute(QueryScript([range(0, 3)] * 4, query), population, InteractivityMode.FULL, seed=2**64 - 1)
+    assert checked == [2**64 - 1] and round_complexity(result.transcript) == 4
 
 
 def test_divergence_guard(population, query, monkeypatch):
@@ -432,7 +488,7 @@ def test_divergence_guard(population, query, monkeypatch):
 
 
 def test_execution_reproducible(population, query):
-    script = [[0, 1, 2, 3], [4, 5], [0, 6]]
+    script = [range(0, 4), range(4, 6), (range(0, 1), range(6, 7))]
     r1 = execute(QueryScript(script, query), population, InteractivityMode.FULL, seed=9)
     r2 = execute(QueryScript(script, query), population, InteractivityMode.FULL, seed=9)
     assert r1.transcript == r2.transcript
@@ -452,7 +508,9 @@ def test_execute_reads_a_predicate_once_per_side(shared):
 
     hl_pop = sample_population(8, alice_payload=_alice_hl_payload(), bob_payload=_bob_hl_payload(), seed=13)
     query = RRQuery(epsilon=0.8, predicate=CountingEdge(level=0, vertex=(), child=0))
-    result = execute(QueryScript([range(8)], query if shared else [query] * 8), hl_pop, InteractivityMode.FULL, seed=3)
+    # one-id groups of one query over consecutive ids join into one group
+    script = QueryScript([range(8) if shared else singles(range(8))], query)
+    result = execute(script, hl_pop, InteractivityMode.FULL, seed=3)
     assert calls == [Side.ALICE, Side.BOB]  # one read per side datum, for both the vote and the law
     votes = [query.vote(hl_pop.datum(uid)) for uid in range(8)]
     assert result.one_vote_counts.tolist() == votes
@@ -475,7 +533,7 @@ def test_per_user_and_shared_paths_agree(population):
         def next_round(self, transcript, public_rng):
             if transcript.rounds:
                 return Halt(None)
-            return RoundSpec(users=range(8), queries=[query] * 8)
+            return RoundSpec(users=singles(range(8)), queries=(query,) * 8)
 
     class Shared(ProtocolDriver):
         def next_round(self, transcript, public_rng):
@@ -487,19 +545,20 @@ def test_per_user_and_shared_paths_agree(population):
         def next_round(self, transcript, public_rng):
             if transcript.rounds:
                 return Halt(None)
-            return RoundSpec(users=np.arange(8), queries=np.array([query] * 8, dtype=object))
+            return RoundSpec(users=(range(0, 4), range(4, 8)), queries=(query, query))
 
     class PerUserGenerator(ProtocolDriver):
         def next_round(self, transcript, public_rng):
             if transcript.rounds:
                 return Halt(None)
-            return RoundSpec(users=(u for u in range(8)), queries=(query for _ in range(8)))
+            return RoundSpec(users=(range(0, 3), range(3, 4), range(4, 8)), queries=(query,) * 3)
 
     r_list = execute(PerUser(), hl_pop, InteractivityMode.FULL, seed=3)
     r_shared = execute(Shared(), hl_pop, InteractivityMode.FULL, seed=3)
     r_array = execute(PerUserArray(), hl_pop, InteractivityMode.FULL, seed=3)
     r_generator = execute(PerUserGenerator(), hl_pop, InteractivityMode.FULL, seed=3)
     assert r_list.transcript == r_shared.transcript == r_array.transcript == r_generator.transcript
+    assert r_list.transcript.rounds[0].groups == ((range(8), query.descriptor, 0.8),)
     assert np.array_equal(r_list.one_vote_counts, r_array.one_vote_counts)
     assert np.array_equal(r_list.one_vote_counts, r_shared.one_vote_counts)
 
@@ -517,7 +576,7 @@ def _bob_hl_payload():
 
 
 def test_vote_counting(population, query):
-    driver = QueryScript([[0, 1], [0, 1]], query)
+    driver = QueryScript([range(0, 2), singles([1, 0])], query)
     result = execute(driver, population, InteractivityMode.FULL, seed=2)
     # the always-true predicate votes 1 in both rounds for both users
     assert result.one_vote_counts[0] == 2
@@ -526,7 +585,7 @@ def test_vote_counting(population, query):
 
 
 def test_query_log_collects_descriptors(population, query):
-    driver = QueryScript([[0, 1]], query)
+    driver = QueryScript([range(0, 2)], query)
     result = execute(driver, population, InteractivityMode.FULL, seed=2)
     assert set(result.query_log) == {"always-true"}
 
@@ -540,7 +599,7 @@ _SPACES = (" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u3000")
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-user"])
 def test_query_log_rejects_empty_or_whitespace_descriptors(population, descriptor, shared):
     query = LawQuery(1.0, descriptor, _side_law)
-    driver = QueryScript([range(3)], query if shared else [query] * 3)
+    driver = QueryScript([range(3) if shared else singles(range(3))], query)
     message = f"randomizer descriptor must be non-empty and whitespace-free: {descriptor!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         execute(driver, population, InteractivityMode.FULL, seed=1)
@@ -565,7 +624,7 @@ def test_query_log_rejects_a_descriptor_reused_for_a_different_query(population,
     if across_rounds:
         specs = [RoundSpec(users=range(3), queries=first), RoundSpec(users=range(3), queries=second)]
     else:
-        specs = [RoundSpec(users=range(3), queries=[first, second, first])]
+        specs = [RoundSpec(users=singles(range(3)), queries=(first, second, first))]
     with pytest.raises(ValueError, match=re.escape("descriptor 'q' reused for a different query")):
         execute(SpecScript(specs), population, InteractivityMode.FULL, seed=1)
 
@@ -576,7 +635,7 @@ def test_query_log_rejects_a_descriptor_reused_for_a_different_query(population,
 
 
 def test_transcript_round_trip(population, query):
-    driver = QueryScript([[0, 1, 2], [3, 4]], query)
+    driver = QueryScript([range(0, 3), singles([4, 3])], query)
     result = execute(driver, population, InteractivityMode.FULL, seed=4)
     buffer = io.StringIO()
     write_transcript(result.transcript, buffer)
@@ -603,10 +662,56 @@ def test_read_transcript_names_the_bad_line(bad_line, message):
         read_transcript(io.StringIO(text))
 
 
-def test_shared_record_reads_like_a_hand_built_one(population, query):
-    from ldpsim.engine import _index
+@st.composite
+def _transcript_text(draw):
+    """Hand-written transcript text whose rounds list shuffled, descending,
+    step-2, duplicate-id, consecutive and mixed-descriptor or mixed-budget
+    id lists."""
+    lines = []
+    for position in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["shuffled", "descending", "step-2", "duplicate", "consecutive", "mixed"]))
+        start = draw(st.integers(0, 30))
+        size = draw(st.integers(1, 8))
+        if kind == "shuffled":
+            users = draw(st.permutations(range(start, start + size)))
+        elif kind == "descending":
+            users = list(range(start + size - 1, start - 1, -1))
+        elif kind == "step-2":
+            users = list(range(start, start + 2 * size, 2))
+        elif kind == "duplicate":
+            users = draw(st.lists(st.integers(start, start + 3), min_size=size, max_size=size))
+            users.insert(draw(st.integers(0, size)), draw(st.sampled_from(users)))
+        else:
+            users = list(range(start, start + size))
+        n = len(users)
+        if kind == "mixed":
+            ids = draw(st.lists(st.sampled_from(["a", "b", "pc-bit(alice,1,2)"]), min_size=n, max_size=n))
+            budgets = draw(st.lists(st.sampled_from([0.7, 1.3, 1e-05]), min_size=n, max_size=n))
+        else:
+            ids, budgets = [draw(st.sampled_from(["a", "b"]))] * n, [draw(st.sampled_from([0.7, 2.5]))] * n
+        bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        columns = (users, ids, map(repr, budgets), bits)
+        lines.append("\t".join([str(position), *(" ".join(map(str, column)) for column in columns)]) + "\n")
+    return "".join(lines)
 
-    script = QueryScript([range(2, 9), [7, 3, 5], range(0, 10)], query)
+
+@settings(max_examples=150, deadline=None)
+@given(text=_transcript_text())
+def test_reading_then_writing_a_transcript_gives_its_text(text):
+    transcript = read_transcript(io.StringIO(text))
+    buffer = io.StringIO()
+    write_transcript(transcript, buffer)
+    assert buffer.getvalue() == text
+    for record in transcript.rounds:
+        # the groups are the maximal runs of consecutive ascending ids with one descriptor and budget
+        assert sum(len(ids) for ids, _d, _e in record.groups) == record.users.size
+        for (ids, descriptor, epsilon), (after, *labels) in zip(record.groups, record.groups[1:]):
+            assert ids.step == 1 and (ids.stop != after.start or [descriptor, epsilon] != labels)
+        assert RoundRecord(record.users, record.randomizer_ids, record.epsilons, record.outputs) == record
+
+
+def test_shared_record_reads_like_a_hand_built_one(population, query):
+    script = QueryScript([range(2, 9), singles([7, 3, 5]), range(0, 10)], query)
     result = execute(script, population, InteractivityMode.FULL, seed=4)
     buffer = io.StringIO()
     write_transcript(result.transcript, buffer)
@@ -617,11 +722,13 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
         by_hand = RoundRecord(shared.users.tolist(), [query.descriptor] * n, [1.0] * n, shared.outputs.tolist())
         assert shared == by_hand and by_hand == shared
         assert shared == read_back and read_back == shared
-        index = _index(shared.users)
-        assert type(shared.index) is type(index)
-        assert shared.index == index if isinstance(index, slice) else np.array_equal(shared.index, index)
-    assert isinstance(result.transcript.rounds[0].index, slice)
-    assert not isinstance(result.transcript.rounds[1].index, slice)
+        assert shared.groups == by_hand.groups == read_back.groups
+    # a step-1 range is one group; ids that do not follow each other are a group each
+    assert [record.groups for record in result.transcript.rounds] == [
+        ((range(2, 9), query.descriptor, 1.0),),
+        tuple((range(uid, uid + 1), query.descriptor, 1.0) for uid in (7, 3, 5)),
+        ((range(0, 10), query.descriptor, 1.0),),
+    ]
     # step-1 range rounds view one id column, shared by every execution at the
     # population's size, which no one can make writable
     first, last = result.transcript.rounds[0].users, result.transcript.rounds[2].users
@@ -632,20 +739,20 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
     assert parsed == result.transcript
     assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
     first = result.transcript.rounds[0]
-    assert first.descriptors == (query.descriptor,) and first.codes == 0
     differing = RoundRecord(first.users, [query.descriptor] * 6 + ["other"], first.epsilons, first.outputs)
-    assert differing.descriptors == (query.descriptor, "other") and differing.codes.tolist() == [0] * 6 + [1]
+    assert differing.groups == ((range(2, 8), query.descriptor, 1.0), (range(8, 9), "other", 1.0))
+    assert differing.randomizer_ids == (query.descriptor,) * 6 + ("other",)
     assert first != differing and differing != first
-    with pytest.raises(AttributeError, match="cannot assign to field 'descriptors'"):
-        first.descriptors = ("other",)
+    with pytest.raises(AttributeError, match="cannot assign to field 'groups'"):
+        first.groups = ()
     with pytest.raises(AttributeError, match="cannot delete field 'users'"):
         del first.users
     with pytest.raises(ValueError):
-        differing.codes[0] = 1
+        differing.epsilons[0] = 2.0
 
 
 def test_write_transcript_prints_python_numbers(population, query):
-    result = execute(QueryScript([[0, 1, 2], [3, 4]], query), population, InteractivityMode.FULL, seed=4)
+    result = execute(QueryScript([range(0, 3), range(3, 5)], query), population, InteractivityMode.FULL, seed=4)
     buffer = io.StringIO()
     write_transcript(result.transcript, buffer)
     assert "np." not in buffer.getvalue()
@@ -705,9 +812,9 @@ def _rounds(draw, size):
 
 
 class _Scripted(ProtocolDriver):
-    """Asks scripted rounds, each user list built by ``spell(ids, form)``;
-    a round's query index ``q`` is one index for every user or a list of
-    per-user indices."""
+    """Asks scripted rounds. A round's query index ``q`` is one index for
+    every user, with the groups built by ``spell(ids, form)``, or a list of
+    per-user indices, with one group of one id per user in the order asked."""
 
     def __init__(self, rounds, spell):
         self.rounds = rounds
@@ -717,23 +824,26 @@ class _Scripted(ProtocolDriver):
         if len(transcript.rounds) == len(self.rounds):
             return Halt(None)
         ids, form, q = self.rounds[len(transcript.rounds)]
-        queries = [_QUERIES[i] for i in q] if isinstance(q, list) else _QUERIES[q]
-        return RoundSpec(users=self.spell(ids, form), queries=queries)
+        if isinstance(q, list):
+            return RoundSpec(users=singles(ids), queries=tuple(_QUERIES[i] for i in q))
+        users = self.spell(ids, form)
+        return RoundSpec(users=users, queries=_QUERIES[q] if isinstance(users, range) else (_QUERIES[q],) * len(users))
 
 
 def _as_drawn(ids, form):
-    if form == "range":
+    """A range for a "range" or "single" round, two ranges that continue each
+    other for a "list" round, one group of one id per user otherwise."""
+    if form in ("range", "single"):
         return range(ids[0], ids[-1] + 1)
-    if form == "step-2":
-        return range(ids[0], ids[-1] + 1, 2)
-    if form == "shuffled":
-        return np.array(ids)
-    return list(ids)
+    if form == "list" and len(ids) > 1:
+        middle = ids[len(ids) // 2]
+        return range(ids[0], middle), range(middle, ids[-1] + 1)
+    return singles(ids)
 
 
 def _descending(ids, form):
-    """The same ids, never ascending when there are two or more."""
-    return np.array(sorted(ids, reverse=True))
+    """The same ids as one-id groups, never ascending when there are two or more."""
+    return singles(sorted(ids, reverse=True))
 
 
 def _outcome(driver, pop, mode, seed):
@@ -867,7 +977,7 @@ def test_a_full_execution_over_one_slice_hashes_it_once(hashed):
     trial = build_trial(cfg, 4)
     result = trial.execute()
     assert round_complexity(result.transcript) > 1
-    assert all(record.index == slice(0, 40) for record in result.transcript.rounds)
+    assert all(len(record.groups) == 1 and record.groups[0][0] == range(0, 40) for record in result.transcript.rounds)
     assert hashed == [40]
 
 
@@ -877,8 +987,8 @@ def test_a_repeated_slice_reuses_its_keys_and_every_bit_is_the_scalar_bit(hashed
     a, b = list(range(2, 9)), list(range(0, 5))
     rounds = [(a, "range", 0), (b, "range", 2), (a, "range", 1), (a, "range", 2), ([7, 1, 3], "list", [0, 2, 1])]
     outcome = execute(_Scripted(rounds, _as_drawn), pop, InteractivityMode.FULL, seed=seed)
-    # slice A, slice B, A again after B, A reused, then the per-user list
-    assert hashed == [7, 5, 7, 3]
+    # slice A, slice B, A again after B, A reused, then three one-id groups, each hashed alone
+    assert hashed == [7, 5, 7, 1, 1, 1]
     _assert_matches_oracle(outcome, rounds, pop, InteractivityMode.FULL, seed)
 
 

@@ -22,7 +22,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ldpsim
@@ -114,7 +113,8 @@ def _transcript_output() -> str:
 
 class _MixedScript(ProtocolDriver):
     """Asks a fixed script of rounds, then halts; each round is (users,
-    queries), with one query for all users or a list of per-user queries."""
+    queries), one range with one query or a tuple of ranges with a tuple of
+    one query per range."""
 
     def __init__(self, script):
         self.script = script
@@ -124,6 +124,11 @@ class _MixedScript(ProtocolDriver):
             return Halt(None)
         users, queries = self.script[len(transcript.rounds)]
         return RoundSpec(users=users, queries=queries)
+
+
+def _one_id_groups(ids) -> tuple[range, ...]:
+    """One group of one id for each of ``ids``, in order."""
+    return tuple(range(uid, uid + 1) for uid in ids)
 
 
 def _mixed_outputs() -> tuple[str, str]:
@@ -141,10 +146,10 @@ def _mixed_outputs() -> tuple[str, str]:
         LawQuery(0.7, "golden-law", lambda d: law.get(d.side, 0.45)),
     ]
     script = [
-        (range(10), [q[i % 4] for i in range(10)]),
-        ([7, 2, 9, 4], [q[0], q[3], q[3], q[1]]),
+        (_one_id_groups(range(10)), tuple(q[i % 4] for i in range(10))),
+        (_one_id_groups([7, 2, 9, 4]), (q[0], q[3], q[3], q[1])),
         (range(3, 8), q[2]),
-        (np.array([0, 5, 1]), [q[1]] * 3),
+        (_one_id_groups([0, 5, 1]), (q[1],) * 3),
     ]
     result = execute(_MixedScript(script), population, InteractivityMode.FULL, seed=33)
     transcript, audit = io.StringIO(), io.StringIO()

@@ -151,7 +151,7 @@ class _TwiceAskedDriver(CountDriver):
         return 0
 
     def decide(self, asked):
-        return Halt(None) if asked == 2 else RoundSpec(users=[0], queries=RRQuery(1.0, _VotesOne()))
+        return Halt(None) if asked == 2 else RoundSpec(users=range(1), queries=RRQuery(1.0, _VotesOne()))
 
     def advance(self, asked, ones, size):
         return asked + 1

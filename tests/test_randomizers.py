@@ -440,7 +440,8 @@ def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
         RoundRecord(ids, [name] * ids.size, [0.7] * ids.size, [0] * ids.size)
         for ids, name in zip(quarters, names)
     ]
-    assert isinstance(one.index, slice) and len(one.descriptors) == 4
+    expected = [(range(ids[0], ids[-1] + 1), name, 0.7) for ids, name in zip(quarters, names)]
+    assert list(one.groups) == expected
     blocks = audit_transcript(Transcript((one,)), pop, _FUZZ_LOG).per_user
     rounds = audit_transcript(Transcript(tuple(shared)), pop, _FUZZ_LOG).per_user
     assert np.array_equal(blocks.user_ids, np.arange(n))

@@ -814,8 +814,8 @@ def test_one_bit_view_runs_on_the_engine():
 
 
 class _TwoUsersPerRound(CountDriver):
-    """Two rounds, each asking the next two fresh users their own query,
-    handed over as a generator."""
+    """Two rounds, each asking the next two fresh users their own query, as
+    two groups of one id."""
 
     users_required = 4
 
@@ -828,7 +828,9 @@ class _TwoUsersPerRound(CountDriver):
     def decide(self, state):
         if state == 2:
             return Halt("done")
-        return RoundSpec(users=[2 * state, 2 * state + 1], queries=(q for q in self.queries[2 * state : 2 * state + 2]))
+        first = 2 * state
+        users = (range(first, first + 1), range(first + 1, first + 2))
+        return RoundSpec(users=users, queries=tuple(self.queries[first : first + 2]))
 
     def advance(self, state, ones, asked):
         return state + 1

@@ -201,3 +201,41 @@ def test_extreme_hashes_keep_the_law_zero_and_one_bits(round_index, top):
         assert round_bits(keys, round_index, [hash_limit(0.5), hash_limit(p)], np.array([1, 0]))[0] == expected, p
     assert hash_limit(1.0) == 2**64 - 1 and hash_limit(0.0) == 0
     assert hash_limit(1.0 - 2.0**-53) == (2**53 - 1) << 11
+
+
+# raw draws of numpy's Generator as the package calls it, at seed 3 and the
+# benchmark's shapes (pc k=3, l=16; hl B=4, L=9)
+_PC_ALICE = [7, 10, 1, 13, 7, 15, 13, 15, 13, 7, 15, 3, 15, 7, 9, 13]
+_PC_BOB = [14, 12, 11, 9, 6, 4, 8, 13, 10, 6, 16, 9, 2, 10, 7, 15]
+_HL_DRAWS = [1, 2, 3369945365926075229]
+_POPULATION_COINS = ["0x1.6735e229c6f22p-2", "0x1.974af72bc5da2p-1", "0x1.ffdc96b124360p-1", "0x1.0f1656066a64dp-1"]
+_NUMPY_CHANGED = (
+    "numpy {} changed the output of Generator.{}: instances, populations, every golden file "
+    "and every digest pin move with it, though this package did not change"
+)
+
+
+def test_numpy_generator_draws_are_pinned():
+    """A canary: a numpy release that changes ``Generator.integers`` or
+    ``Generator.random`` changes every instance and population. Each call
+    below is the one the package makes, on the raw generator."""
+    pc = np.random.default_rng(derive_key(3, "pc-instance"))
+    drawn = [pc.integers(1, 16 + 1, size=16).tolist(), pc.integers(1, 16 + 1, size=16).tolist()]
+    assert drawn == [_PC_ALICE, _PC_BOB], _NUMPY_CHANGED.format(np.__version__, "integers")
+    hl = np.random.default_rng(derive_key(3, "hl-instance"))
+    drawn = [int(hl.integers(4)), int(hl.integers(4)), int(hl.integers(1 << 63))]
+    assert drawn == _HL_DRAWS, _NUMPY_CHANGED.format(np.__version__, "integers")
+    coins = np.random.default_rng(derive_key(3, "population")).random(4)
+    assert [coin.hex() for coin in coins.tolist()] == _POPULATION_COINS, _NUMPY_CHANGED.format(np.__version__, "random")
+
+
+def test_the_package_makes_the_pinned_calls():
+    from ldpsim.engine import sample_population
+    from ldpsim.problems import gen_hl_instance, gen_pc_instance
+
+    pc = gen_pc_instance(3, 16, seed=3)
+    assert [list(pc.alice_ptrs), list(pc.bob_ptrs)] == [_PC_ALICE, _PC_BOB]
+    hl = gen_hl_instance(4, 9, seed=3)
+    assert [hl.alice_layer, hl.bob_layer, hl.label_seed] == [2 * _HL_DRAWS[0], 1 + 2 * _HL_DRAWS[1], _HL_DRAWS[2]]
+    sides = sample_population(4, "A", "B", seed=3).side_codes
+    assert sides.tolist() == [int(float.fromhex(coin) >= 0.5) for coin in _POPULATION_COINS]
