@@ -4,7 +4,6 @@ auditing, channel reductions, and a Monte Carlo harness."""
 
 from .channels import (
     ChannelSpec,
-    bsc,
     lift_channel,
     lift_crossover,
     lower_channel,
@@ -90,7 +89,6 @@ from .reductions import (
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
     one_bit_view,
-    simultaneous_to_alternating,
 )
 from .solvers import (
     DecodeFailure,

@@ -23,6 +23,7 @@ from .harness import ExperimentConfig, HLShape, PCShape, build_trial, run_experi
 from .problems import PCInstance, chase_pointers, gen_hl_instance, hl_count_consistent
 from .randomizers import AUDIT_SLACK, _by_side_query, debias, estimation_halfwidth, rr_param
 from .reductions import (
+    AlternatingProtocol,
     Answer,
     OneBitSequence,
     SimultaneousProtocol,
@@ -33,7 +34,6 @@ from .reductions import (
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
     one_bit_view,
-    simultaneous_to_alternating,
 )
 from .solvers import hl_sample_bound, pc_group_bound
 
@@ -287,7 +287,7 @@ def _round_transform() -> tuple[bool, str]:
 
     def check(protocol: SimultaneousProtocol, x: int, y: int) -> None:
         nonlocal worst, checked, shapes_ok
-        alternating = simultaneous_to_alternating(protocol)
+        alternating = AlternatingProtocol(protocol)
         shapes_ok = shapes_ok and alternating.num_rounds == 3 and alternating.rounds[0] == (Side.BOB, 1)
         tv = enumerate_transcript_distribution(protocol, x, y).tv_distance(
             alternating_pairs_distribution(alternating, x, y)

@@ -36,10 +36,6 @@ class ChannelSpec:
 NOISELESS = ChannelSpec()
 
 
-def bsc(crossover: float) -> ChannelSpec:
-    return ChannelSpec(crossover)
-
-
 def lift_crossover(epsilon: float) -> float:
     """Channel advantage induced by lifting a budget-epsilon randomized
     response onto one channel bit: (e^eps - 1) / (4 (e^eps + 1))."""
@@ -54,11 +50,11 @@ def lower_crossover(epsilon: float) -> float:
 
 
 def lift_channel(epsilon: float) -> ChannelSpec:
-    return bsc(0.5 - lift_crossover(epsilon))
+    return ChannelSpec(0.5 - lift_crossover(epsilon))
 
 
 def lower_channel(epsilon: float) -> ChannelSpec:
-    return bsc(0.5 - lower_crossover(epsilon))
+    return ChannelSpec(0.5 - lower_crossover(epsilon))
 
 
 # The largest odd vote count whose largest binomial coefficient,

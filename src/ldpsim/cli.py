@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .acceptance import CRITERIA, run_suite
-from .channels import NOISELESS, bsc, lift_crossover, lower_crossover, majority_flip_probability
+from .channels import NOISELESS, ChannelSpec, lift_crossover, lower_crossover, majority_flip_probability
 from .engine import Datum, LdpSimError, Side
 from .harness import (
     PROBLEMS,
@@ -34,13 +34,13 @@ from .harness import (
 from .problems import _field, _fields, _number, write_instance
 from .randomizers import _by_side_query, write_audit_report
 from .reductions import (
+    AlternatingProtocol,
     Answer,
     TableProtocol,
     enumerate_transcript_distribution,
     fixed_onebit,
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
-    simultaneous_to_alternating,
     SimultaneousProtocol,
 )
 
@@ -98,7 +98,7 @@ def parse_two_party_file(lines: Iterable[str]) -> TableProtocol:
         flip = _number(lineno, header, "flip")
         if not 0.0 <= flip < 0.5:
             raise ValueError(f"line {lineno}: flip must lie in [0, 1/2)")
-        channel = bsc(flip)
+        channel = ChannelSpec(flip)
     elif kind == "noiseless":
         if "flip" in header:
             raise ValueError(f"line {lineno}: flip needs channel=bsc")
@@ -369,7 +369,7 @@ def _cmd_reduce_lower(args) -> int:
 
 
 def _cmd_reduce_amplify(args) -> int:
-    flip, votes = bsc(float(args.flip)).crossover, int(args.m)
+    flip, votes = ChannelSpec(float(args.flip)).crossover, int(args.m)
     _emit_json(
         {"inner_flip": flip, "votes": votes, "effective_flip": majority_flip_probability(flip, votes)},
         args.out,
@@ -384,7 +384,7 @@ def _cmd_reduce_rounds(args) -> int:
         alice_param=lambda _inp, _pairs: 0.5,
         bob_param=lambda _inp, _pairs: 0.5,
     )
-    alternating = simultaneous_to_alternating(protocol)
+    alternating = AlternatingProtocol(protocol)
     _emit_json(
         {
             "input_rounds": rounds,

@@ -4,13 +4,13 @@ An execution is a loop between a :class:`ProtocolDriver` (the analyst) and a
 :class:`Population` of users. Each round the driver names a few groups of
 users, each a step-1 ``range`` of ids with one single-bit randomizer; the
 engine evaluates the randomizers on the users' private data, publishes the
-bits, and appends a :class:`RoundRecord`. The engine enforces the declared
-interactivity mode and accounts sample and round complexity.
+bits, and appends a :class:`RoundRecord`: the round's groups and its bits.
+The engine enforces the declared interactivity mode and accounts sample and
+round complexity, both read from the groups.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -135,21 +135,20 @@ def _column(values, dtype) -> np.ndarray:
 class RoundRecord:
     """One transcript round: users queried, randomizers, budgets, outputs.
 
-    ``users`` (int64), ``epsilons`` (float64) and ``outputs`` (uint8) are
-    read-only arrays; sequences passed in are copied into that form.
-    ``randomizer_ids`` reads as a tuple with one descriptor per user. Records
-    compare by value and cannot be changed.
-
-    ``groups`` holds the round as its groups, in the order asked: one
-    ``(ids, descriptor, budget)`` per maximal run of consecutive ascending
-    ids asked one descriptor at one budget, with ``ids`` a step-1 ``range``.
-    Maximal runs make this form canonical, so records compare by it, and the
-    per-user tuple ``randomizer_ids`` is built only when read. The
-    constructor takes the per-user columns and splits them into these runs,
-    so a round that lists an id twice, or out of order, keeps its content.
+    A record stores ``groups`` and ``outputs``. ``groups`` holds the round
+    as its groups, in the order asked: one ``(ids, descriptor, budget)`` per
+    maximal run of consecutive ascending ids asked one descriptor at one
+    budget, with ``ids`` a step-1 ``range``. Maximal runs make this form
+    canonical, so records compare by it and by ``outputs``, a read-only
+    uint8 array of the published bits. The per-user columns are built from
+    the groups when read: ``users`` (int64) and ``epsilons`` (float64) as
+    read-only arrays, ``randomizer_ids`` as a tuple with one descriptor per
+    user. The constructor takes those per-user columns and splits them into
+    runs, so a round that lists an id twice, or out of order, keeps its
+    content. Records cannot be changed.
     """
 
-    __slots__ = ("users", "groups", "epsilons", "outputs")
+    __slots__ = ("groups", "outputs")
 
     def __init__(self, users, randomizer_ids, epsilons, outputs):
         users = _column(users, np.int64)
@@ -167,19 +166,30 @@ class RoundRecord:
         groups = tuple((run, descriptor, _checked_budget(epsilon)) for run, (descriptor, epsilon) in runs)
         if outputs.max() > 1:
             raise ValueError("outputs must be bits")
-        _fill(self, users, groups, epsilons, outputs)
+        _fill(self, groups, outputs)
 
     @classmethod
-    def _trusted(cls, users: np.ndarray, groups, epsilons, outputs):
-        """A record from ``execute``, which has checked every column:
-        ``users`` is a read-only int64 array of the ids of ``groups``, which
-        are maximal runs of valid budgets, and ``epsilons`` and ``outputs``
-        are read-only columns of their budgets and bits."""
-        return _fill(object.__new__(cls), users, groups, epsilons, outputs)
+    def _trusted(cls, groups, outputs):
+        """A record from ``execute``, which has checked both: ``groups`` are
+        maximal runs of valid budgets and ``outputs`` a read-only column of
+        their bits."""
+        return _fill(object.__new__(cls), groups, outputs)
+
+    @property
+    def users(self) -> np.ndarray:
+        users = np.concatenate([np.arange(ids.start, ids.stop, dtype=np.int64) for ids, _d, _e in self.groups])
+        users.setflags(write=False)
+        return users
 
     @property
     def randomizer_ids(self) -> tuple[str, ...]:
         return tuple(chain.from_iterable(repeat(descriptor, len(ids)) for ids, descriptor, _ in self.groups))
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        epsilons = np.repeat([epsilon for _ids, _d, epsilon in self.groups], [len(ids) for ids, _d, _e in self.groups])
+        epsilons.setflags(write=False)
+        return epsilons
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RoundRecord")
@@ -202,12 +212,10 @@ class RoundRecord:
         )
 
 
-def _fill(record: RoundRecord, users, groups, epsilons, outputs) -> RoundRecord:
+def _fill(record: RoundRecord, groups, outputs) -> RoundRecord:
     """Sets the slots of a :class:`RoundRecord`, which refuses assignment."""
     put = object.__setattr__
-    put(record, "users", users)
     put(record, "groups", groups)
-    put(record, "epsilons", epsilons)
     put(record, "outputs", outputs)
     return record
 
@@ -391,9 +399,6 @@ def execute(
     """
     checked_seed(seed)
     transcript = Transcript()
-    # one read-only id column per population size, shared by every execution of
-    # that size: a round's users are a view of it, or joined from its views
-    ids = _id_column(population.size)
     asked, keys = None, None  # the last round's id ranges and each range's premixed keys
     seen = np.zeros(population.size, dtype=bool)
     query_log: dict[str, Any] = {}
@@ -438,23 +443,10 @@ def execute(
 
         if ranges != asked:
             # hash only the users this round asks; a repeated round reuses its keys
-            keys = [premixed_keys(seed, ids[r.start : r.stop].view(np.uint64)) for r in ranges]  # views: no id copy
+            keys = [premixed_keys(seed, np.arange(r.start, r.stop, dtype=np.uint64)) for r in ranges]
             asked = ranges
-        record = _respond(population, ids, groups, keys, round_index, one_votes, query_log)
+        record = _respond(population, groups, keys, round_index, one_votes, query_log)
         transcript = transcript.extended(record)
-
-
-@functools.lru_cache(maxsize=4)
-def _id_column(size: int) -> np.ndarray:
-    """The read-only int64 ids ``0..size-1``, kept for the last four
-    population sizes used.
-
-    A fresh column per execution costs an allocation the size of the
-    population, and freeing it at the end of each execution lets the heap
-    shrink and then fault its pages in again for the next one."""
-    ids = np.arange(size, dtype=np.int64)
-    ids.setflags(write=False)
-    return ids
 
 
 def _checked_limit(descriptor: str, law) -> int:
@@ -495,14 +487,13 @@ def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tupl
     return (_checked_limit(descriptor, p), _checked_limit(descriptor, q)), votes
 
 
-def _respond(population, column, groups, keys, round_index, one_votes, query_log) -> RoundRecord:
+def _respond(population, groups, keys, round_index, one_votes, query_log) -> RoundRecord:
     """Answers one round of ``(range, descriptor)`` ``groups``.
 
     Each group's law, vote and budget are read once per side from the query
     the log holds for its descriptor, which the audit reads too, and its
-    users' draws are compared with its one or two limits by
-    :func:`~ldpsim._rng.round_bits`. ``keys`` holds each group's premixed
-    keys, and the record's ``users`` are views of the id ``column``.
+    users' draws, from its premixed ``keys``, are compared with its one or
+    two limits by :func:`~ldpsim._rng.round_bits`.
     """
     data = (population.alice_datum, population.bob_datum)
     bits, records = [], []
@@ -520,19 +511,9 @@ def _respond(population, column, groups, keys, round_index, one_votes, query_log
         elif alice_vote:
             one_votes[index] += 1
         records.append((ids, descriptor, _checked_budget(query.epsilon)))
-    if len(records) == 1:
-        users = column[index]
-        # a read-only column of stride 0 over one float
-        epsilons = np.ndarray(users.shape, np.float64, np.float64(records[0][2]), 0, (0,))
-        outputs = bits[0].view(np.uint8)
-    else:
-        users = np.concatenate([column[ids.start : ids.stop] for ids, _d, _e in records])
-        epsilons = np.repeat([epsilon for _ids, _d, epsilon in records], [len(ids) for ids, _d, _e in records])
-        outputs = np.concatenate(bits).view(np.uint8)
-        users.setflags(write=False)
-        epsilons.setflags(write=False)
+    outputs = (bits[0] if len(bits) == 1 else np.concatenate(bits)).view(np.uint8)
     outputs.setflags(write=False)
-    return RoundRecord._trusted(users, tuple(records), epsilons, outputs)
+    return RoundRecord._trusted(tuple(records), outputs)
 
 
 # ---------------------------------------------------------------------------

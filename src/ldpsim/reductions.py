@@ -626,9 +626,6 @@ class AlternatingProtocol(TwoPartyProtocol):
         return _bit_step(speaker, param, self.pairs_from(prefix, upto=t))
 
 
-simultaneous_to_alternating = AlternatingProtocol
-
-
 def alternating_pairs_distribution(protocol: AlternatingProtocol, alice_input, bob_input) -> TranscriptDistribution:
     """The alternating transcript distribution mapped back onto the source's
     flattened pair representation, directly comparable with the source's

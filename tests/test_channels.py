@@ -6,7 +6,6 @@ import pytest
 from ldpsim.channels import (
     MAX_VOTES,
     ChannelSpec,
-    bsc,
     lift_channel,
     lift_crossover,
     lower_channel,
@@ -23,8 +22,8 @@ def test_channel_spec_validation():
         ChannelSpec(crossover=0.5)
     with pytest.raises(ValueError):
         ChannelSpec(crossover=-0.1)
-    assert bsc(0.25).advantage == 0.25
-    assert ChannelSpec() == bsc(0.0) and ChannelSpec().advantage == 0.5
+    assert ChannelSpec(0.25).advantage == 0.25
+    assert ChannelSpec() == ChannelSpec(0.0) and ChannelSpec().advantage == 0.5
 
 
 def test_lift_crossover_values():

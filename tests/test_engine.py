@@ -729,13 +729,12 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
         tuple((range(uid, uid + 1), query.descriptor, 1.0) for uid in (7, 3, 5)),
         ((range(0, 10), query.descriptor, 1.0),),
     ]
-    # step-1 range rounds view one id column, shared by every execution at the
-    # population's size, which no one can make writable
-    first, last = result.transcript.rounds[0].users, result.transcript.rounds[2].users
-    again = execute(QueryScript([range(0, 10)], query), population, InteractivityMode.FULL, seed=5)
-    assert np.shares_memory(first, last) and np.shares_memory(first, again.transcript.rounds[0].users)
-    with pytest.raises(ValueError):
-        last.setflags(write=True)
+    # a column is built from the groups when read, so a caller who makes it
+    # writable and writes to it does not change the record
+    last = result.transcript.rounds[2].users
+    last.setflags(write=True)
+    last[0] = 9
+    assert result.transcript.rounds[2].users.tolist() == list(range(10))
     assert parsed == result.transcript
     assert sample_complexity(parsed) == sample_complexity(result.transcript) == 10
     first = result.transcript.rounds[0]
@@ -749,6 +748,40 @@ def test_shared_record_reads_like_a_hand_built_one(population, query):
         del first.users
     with pytest.raises(ValueError):
         differing.epsilons[0] = 2.0
+
+
+@st.composite
+def _disjoint_groups(draw, size):
+    """Round specs of disjoint step-1 ranges within 0..size-1, asked in a
+    shuffled order, each with one of ``_QUERIES``."""
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=6)))
+        bounds = [0, *cuts, size]
+        pieces = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+        ranges = tuple(draw(st.lists(st.sampled_from(pieces), min_size=1, unique=True)))
+        queries = tuple(draw(st.sampled_from(_QUERIES)) for _ in ranges)
+        specs.append(RoundSpec(users=ranges, queries=queries))
+    return specs
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), size=st.integers(2, 24), seed=st.integers(0, 2**32))
+def test_executed_records_read_as_their_groups_in_the_order_asked(data, size, seed):
+    pop = Population(np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))), "A", "B")
+    specs = data.draw(_disjoint_groups(size))
+    result = execute(SpecScript(specs), pop, InteractivityMode.FULL, seed=seed)
+    for record, spec in zip(result.transcript.rounds, specs, strict=True):
+        asked = [(uid, query) for ids, query in spec.groups() for uid in ids]
+        assert record.users.dtype == np.int64 and record.epsilons.dtype == np.float64
+        assert record.users.tolist() == [uid for uid, _q in asked]
+        assert record.randomizer_ids == tuple(q.descriptor for _uid, q in asked)
+        assert record.epsilons.tolist() == [q.epsilon for _uid, q in asked]
+        for column in (record.users, record.epsilons, record.outputs):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert RoundRecord(record.users, record.randomizer_ids, record.epsilons, record.outputs) == record
 
 
 def test_write_transcript_prints_python_numbers(population, query):
@@ -1006,9 +1039,9 @@ def test_a_sequential_execution_allocates_about_its_columns_not_the_keys():
         second = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # the id and one-vote columns take 8 bytes a user each, the bits and the
-    # sequential check 1 each; keys for the whole population would add 8 more.
-    # The id column is built once per population size, so a second execution
-    # at this size allocates the one-vote column, the bits and the check alone.
+    # the one-vote column takes 8 bytes a user, the bits and the sequential
+    # check 1 each, and each round's ids and keys 16 bytes a user it asks;
+    # keys for the whole population would add 8 more. Nothing is kept from
+    # one execution to the next, so a second one allocates no more.
     assert first < 3 * 8 * users
     assert second < 2 * 8 * users

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldpsim._rng import substream
-from ldpsim.channels import ChannelSpec, bsc, lift_channel, lower_crossover
+from ldpsim.channels import ChannelSpec, lift_channel, lower_crossover
 from ldpsim.engine import (
     SENTINEL_DATUM,
     CountDriver,
@@ -43,7 +43,6 @@ from ldpsim.reductions import (
     lift_two_party_to_ldp,
     lower_multi_to_two_party,
     one_bit_view,
-    simultaneous_to_alternating,
 )
 
 LN2 = math.log(2.0)
@@ -313,7 +312,7 @@ def test_deep_onebit_protocol_enumerates():
 
 
 def _constant_send(p: float) -> TableProtocol:
-    return TableProtocol(num_bits=1, sender_fn=lambda prefix: Side.ALICE, param_fn=lambda inp, prefix: p, channel=bsc(0.25))
+    return TableProtocol(num_bits=1, sender_fn=lambda prefix: Side.ALICE, param_fn=lambda inp, prefix: p, channel=ChannelSpec(0.25))
 
 
 @pytest.mark.parametrize("slack, exact", [(1.0 + 5e-10, 1.0), (-5e-10, 0.0)])
@@ -389,7 +388,7 @@ def test_table_protocol_keeps_no_step_when_its_sender_raises():
 
 def test_lift_requires_matching_channel():
     # a noiseless channel has advantage 1/2, which no budget lifts to
-    for channel in (bsc(0.25), ChannelSpec()):
+    for channel in (ChannelSpec(0.25), ChannelSpec()):
         protocol = one_bit_protocol(Side.ALICE, lambda x: x, channel)
         with pytest.raises(ValueError, match="advantage"):
             lift_two_party_to_ldp(protocol, LN3, PAIR)
@@ -868,33 +867,33 @@ def _constant_sim(num_rounds, a_bits, b_bits):
 
 
 def test_transform_one_round_becomes_two():
-    alternating = simultaneous_to_alternating(_constant_sim(1, (1,), (0,)))
+    alternating = AlternatingProtocol(_constant_sim(1, (1,), (0,)))
     assert alternating.rounds == ((Side.BOB, 1), (Side.ALICE, 1))
 
 
 def test_transform_round_shape_general():
     for rounds, expected in ((1, 2), (2, 3), (3, 4), (5, 6)):
-        alternating = simultaneous_to_alternating(_constant_sim(rounds, (1,) * rounds, (0,) * rounds))
+        alternating = AlternatingProtocol(_constant_sim(rounds, (1,) * rounds, (0,) * rounds))
         assert alternating.num_rounds == expected
         assert alternating.rounds[0] == (Side.BOB, 1)
 
 
 def test_transform_rejects_alternating_input():
     protocol = _constant_sim(1, (1,), (0,))
-    alternating = simultaneous_to_alternating(protocol)
+    alternating = AlternatingProtocol(protocol)
     with pytest.raises(ValueError, match="simultaneous"):
-        simultaneous_to_alternating(alternating)
+        AlternatingProtocol(alternating)
     table = TableProtocol(
         num_bits=2, sender_fn=lambda prefix: Side.ALICE, param_fn=lambda inp, prefix: 0.5, channel=ChannelSpec()
     )
     with pytest.raises(ValueError, match="simultaneous"):
-        simultaneous_to_alternating(table)
+        AlternatingProtocol(table)
 
 
 @pytest.mark.parametrize("num_rounds", [1, 2, 3])
 def test_round_protocols_are_noiseless_two_party_protocols(num_rounds):
     protocol = _constant_sim(num_rounds, (1, 0, 1)[:num_rounds], (0, 1, 1)[:num_rounds])
-    alternating = simultaneous_to_alternating(protocol)
+    alternating = AlternatingProtocol(protocol)
     for candidate, max_bits in ((protocol, 2 * num_rounds), (alternating, len(alternating.positions))):
         assert isinstance(candidate, TwoPartyProtocol)
         assert candidate.channel == ChannelSpec() and candidate.max_bits == max_bits
@@ -916,7 +915,7 @@ def test_transform_preserves_distribution_randomized():
     )
     for x, y in product((0, 1), repeat=2):
         tv = enumerate_transcript_distribution(protocol, x, y).tv_distance(
-            alternating_pairs_distribution(simultaneous_to_alternating(protocol), x, y)
+            alternating_pairs_distribution(AlternatingProtocol(protocol), x, y)
         )
         assert tv <= 1e-12
 
@@ -927,7 +926,7 @@ def test_transform_answers_with_the_source_pairs():
         alice_param=lambda _inp, pairs: 1.0,
         bob_param=lambda _inp, pairs: 0.0,
     )
-    alternating = simultaneous_to_alternating(protocol)
+    alternating = AlternatingProtocol(protocol)
     dist = enumerate_transcript_distribution(alternating, 1, 0)
     (bits,) = [k for k, v in dist.probs.items() if v == 1.0]
     bits = tuple(int(b) for b in bits)
@@ -936,7 +935,7 @@ def test_transform_answers_with_the_source_pairs():
 
 @pytest.mark.parametrize("num_rounds", range(1, 9))
 def test_transform_dependency_order_sound(num_rounds):
-    alternating = simultaneous_to_alternating(_constant_sim(num_rounds, (1,) * num_rounds, (0,) * num_rounds))
+    alternating = AlternatingProtocol(_constant_sim(num_rounds, (1,) * num_rounds, (0,) * num_rounds))
     positions = alternating.positions
     # each side's bits 0..T-1 appear exactly once
     assert len(positions) == 2 * num_rounds
@@ -1134,7 +1133,7 @@ def test_round_reschedule_enumerations_are_bit_identical_to_reference():
             alice_param=lambda inp, pairs, t=a_table: param(t, inp, pairs),
             bob_param=lambda inp, pairs, t=b_table: param(t, inp, pairs),
         )
-        alternating = simultaneous_to_alternating(protocol)
+        alternating = AlternatingProtocol(protocol)
         for x, y in product((0, 1), repeat=2):
             assert enumerate_transcript_distribution(protocol, x, y).probs == reference_simultaneous(protocol, x, y)
             assert enumerate_transcript_distribution(alternating, x, y).probs == reference_alternating(
