@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
@@ -73,8 +74,10 @@ SENTINEL_DATUM = Datum(None, None)
 class Population:
     """Users 0..n-1, each holding the Alice or Bob payload of an instance.
 
-    Sides are fixed at construction; payload objects are shared between all
-    users on the same side.
+    Sides are fixed at construction: the population keeps its own read-only
+    copy of ``side_codes``, or the array itself when it is a read-only uint8
+    array that owns its data. Payload objects are shared between all users
+    on the same side.
     """
 
     def __init__(self, side_codes: np.ndarray, alice_payload, bob_payload):
@@ -83,10 +86,14 @@ class Population:
             raise ValueError("population needs at least one user")
         if not ((codes == 0) | (codes == 1)).all():
             raise ValueError("side codes must be 0 (Alice) or 1 (Bob)")
-        self._codes = codes.astype(np.uint8, copy=False)
-        self._codes.setflags(write=False)
-        self._alice = Datum(Side.ALICE, alice_payload)
-        self._bob = Datum(Side.BOB, bob_payload)
+        _fill_population(self, _column(codes, np.uint8), alice_payload, bob_payload)
+
+    @classmethod
+    def _trusted(cls, codes: np.ndarray, alice_payload, bob_payload) -> "Population":
+        """A population over ``codes``, a uint8 column of 0s and 1s that no
+        one else holds, which it makes read-only."""
+        codes.setflags(write=False)
+        return _fill_population(object.__new__(cls), codes, alice_payload, bob_payload)
 
     @property
     def size(self) -> int:
@@ -116,13 +123,22 @@ def sample_population(n: int, alice_payload, bob_payload, seed: int) -> Populati
     if n < 1:
         raise ValueError("population size must be at least 1")
     coins = substream(seed, "population").random(n)
-    return Population((coins >= 0.5).astype(np.uint8), alice_payload, bob_payload)
+    return Population._trusted(np.greater_equal(coins, 0.5).view(np.uint8), alice_payload, bob_payload)
+
+
+def _fill_population(population: Population, codes: np.ndarray, alice_payload, bob_payload) -> Population:
+    """Sets the fields of ``population`` from checked ``codes``."""
+    population._codes = codes
+    population._alice = Datum(Side.ALICE, alice_payload)
+    population._bob = Datum(Side.BOB, bob_payload)
+    return population
 
 
 def _column(values, dtype) -> np.ndarray:
-    """A read-only 1-D array of ``values``; read-only arrays of the right
-    dtype are shared, anything else is copied so no caller can write to it."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+    """A read-only 1-D array of ``values``. A read-only array of the right
+    dtype that owns its data is shared; anything else, a read-only view of
+    a writable array too, is copied so no caller can write to it."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.flags.owndata:
         return values
     try:
         column = np.array(values, dtype=dtype)
@@ -290,7 +306,8 @@ class RoundSpec:
     (str), ``epsilon`` (float) and ``law(datum)`` (the Bernoulli parameter
     of its output on that datum); predicate-based queries additionally
     expose ``vote(datum)`` and ``vote_laws``, the law of a 0 vote and of a 1
-    vote, so the engine reads their predicate once per side.
+    vote, which must depend on ``epsilon`` alone, so the engine reads their
+    predicate once per side and their laws once per budget.
     """
 
     users: range | tuple[range, ...]
@@ -400,7 +417,8 @@ def execute(
     checked_seed(seed)
     transcript = Transcript()
     asked, keys = None, None  # the last round's id ranges and each range's premixed keys
-    seen = np.zeros(population.size, dtype=bool)
+    spent = ([], [])  # sequential mode: starts and stops of the disjoint id intervals asked so far, ascending
+    limits: dict[float, tuple[int, int]] = {}  # a predicate-based query's two hash limits, by budget
     query_log: dict[str, Any] = {}
     one_votes = np.zeros(population.size, dtype=np.int64)
 
@@ -415,38 +433,69 @@ def execute(
             raise DivergenceError(f"driver did not halt within {MAX_ROUNDS} rounds")
 
         groups = action.groups()
-        if not groups:
-            raise ValueError("round must query at least one user")
-        reach = 0
-        for start, stop in sorted([(users.start, users.stop) for users, _query in groups]):
-            if start >= stop:
+        if len(groups) == 1:
+            ((users, query),) = groups
+            _check_span(users.start, users.stop, 0, population.size, round_index)
+            groups = [(users, _log_query(query_log, query))]
+        else:
+            if not groups:
                 raise ValueError("round must query at least one user")
-            if start < 0 or stop > population.size:
-                raise ValueError("round names a user outside the population")
-            if start < reach:
-                raise ValueError(f"user {start} queried twice within round {round_index}")
-            reach = stop
-        groups = _merged([(users, _log_query(query_log, query)) for users, query in groups])
+            reach = 0
+            for start, stop in sorted([(users.start, users.stop) for users, _query in groups]):
+                _check_span(start, stop, reach, population.size, round_index)
+                reach = stop
+            groups = _merged([(users, _log_query(query_log, query)) for users, query in groups])
         ranges = [users for users, _descriptor in groups]
 
         if mode is InteractivityMode.SEQUENTIAL:
             for users in ranges:
-                reused = seen[users.start : users.stop]
-                if reused.any():
-                    first = users.start + int(np.argmax(reused))
-                    raise InteractivityViolation(
-                        f"sequential mode reuses user {first} in round {round_index}",
-                        user_id=first,
-                        round_index=round_index,
-                    )
-                seen[users.start : users.stop] = True
+                _spend(spent, users, round_index)
 
         if ranges != asked:
             # hash only the users this round asks; a repeated round reuses its keys
             keys = [premixed_keys(seed, np.arange(r.start, r.stop, dtype=np.uint64)) for r in ranges]
             asked = ranges
-        record = _respond(population, groups, keys, round_index, one_votes, query_log)
+        record = _respond(population, groups, keys, round_index, one_votes, query_log, limits)
         transcript = transcript.extended(record)
+
+
+def _check_span(start: int, stop: int, reach: int, size: int, round_index: int) -> None:
+    """Refuses the ids [start, stop) of a round of a population of ``size``
+    users when they are empty, fall outside it, or start below ``reach``,
+    the end of the round's group before them in id order."""
+    if start >= stop:
+        raise ValueError("round must query at least one user")
+    if start < 0 or stop > size:
+        raise ValueError("round names a user outside the population")
+    if start < reach:
+        raise ValueError(f"user {start} queried twice within round {round_index}")
+
+
+def _spend(spent: tuple[list[int], list[int]], users: range, round_index: int) -> None:
+    """Adds ``users`` to ``spent``, the ascending starts and stops of the
+    disjoint id intervals a sequential execution has asked, joining
+    intervals that touch. Raises :class:`InteractivityViolation` naming the
+    smallest id of ``users`` already spent."""
+    starts, stops = spent
+    # the first interval that ends after users.start is the only one that can hold its smallest reused id
+    i = bisect_right(stops, users.start)
+    if i < len(starts) and starts[i] < users.stop:
+        first = max(users.start, starts[i])
+        raise InteractivityViolation(
+            f"sequential mode reuses user {first} in round {round_index}", user_id=first, round_index=round_index
+        )
+    joins_left = i > 0 and stops[i - 1] == users.start
+    if i < len(starts) and starts[i] == users.stop:
+        if joins_left:
+            stops[i - 1] = stops.pop(i)
+            del starts[i]
+        else:
+            starts[i] = users.start
+    elif joins_left:
+        stops[i - 1] = users.stop
+    else:
+        starts.insert(i, users.start)
+        stops.insert(i, users.stop)
 
 
 def _checked_limit(descriptor: str, law) -> int:
@@ -471,29 +520,32 @@ def _log_query(query_log: dict[str, Any], query) -> str:
     return descriptor
 
 
-def _read_sides(descriptor: str, query, data: tuple[Datum, Datum]) -> tuple[tuple[int, int], tuple[bool, bool]]:
+def _read_sides(
+    descriptor: str, query, data: tuple[Datum, Datum], limits: dict[float, tuple[int, int]]
+) -> tuple[tuple[int, int], tuple[bool, bool]]:
     """The :func:`~ldpsim._rng.hash_limit` of ``query``'s law, and its vote,
     on each side datum. A predicate-based query's predicate is read once per
-    datum and its law looked up in ``vote_laws``; any other query's law is
-    read once per datum, and it votes False."""
+    datum, and the limits of its ``vote_laws``, which depend on its budget
+    alone, are read once per budget into ``limits``; any other query's law
+    is read once per datum, and it votes False."""
     alice, bob = data
     if hasattr(query, "vote"):
         votes = query.vote(alice), query.vote(bob)
-        laws = query.vote_laws
-        p, q = laws[votes[0]], laws[votes[1]]
-    else:
-        votes = False, False
-        p, q = query.law(alice), query.law(bob)
-    return (_checked_limit(descriptor, p), _checked_limit(descriptor, q)), votes
+        by_vote = limits.get(query.epsilon)
+        if by_vote is None:
+            by_vote = limits[query.epsilon] = tuple(_checked_limit(descriptor, law) for law in query.vote_laws)
+        return (by_vote[votes[0]], by_vote[votes[1]]), votes
+    return (_checked_limit(descriptor, query.law(alice)), _checked_limit(descriptor, query.law(bob))), (False, False)
 
 
-def _respond(population, groups, keys, round_index, one_votes, query_log) -> RoundRecord:
+def _respond(population, groups, keys, round_index, one_votes, query_log, limits) -> RoundRecord:
     """Answers one round of ``(range, descriptor)`` ``groups``.
 
     Each group's law, vote and budget are read once per side from the query
     the log holds for its descriptor, which the audit reads too, and its
     users' draws, from its premixed ``keys``, are compared with its one or
-    two limits by :func:`~ldpsim._rng.round_bits`.
+    two limits by :func:`~ldpsim._rng.round_bits`. ``limits`` holds the
+    execution's hash limits of predicate-based queries by budget.
     """
     data = (population.alice_datum, population.bob_datum)
     bits, records = [], []
@@ -501,7 +553,7 @@ def _respond(population, groups, keys, round_index, one_votes, query_log) -> Rou
         query = query_log[descriptor]
         index = slice(ids.start, ids.stop)
         sides = population.side_codes[index]  # 0 Alice, 1 Bob
-        (alice, bob), (alice_vote, bob_vote) = _read_sides(descriptor, query, data)
+        (alice, bob), (alice_vote, bob_vote) = _read_sides(descriptor, query, data, limits)
         if alice == bob:
             bits.append(round_bits(group_keys, round_index, (alice,), 0))
         else:

@@ -332,13 +332,13 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     A round is its record's groups: maximal runs of consecutive ascending
     ids asked one descriptor at one budget. The id axis is cut at both ends
     of every group, so all users of a segment are asked the same queries in
-    the same order. The audit adds each group's terms to its segments by
-    slice, in round order
-    from zero and in group order within a round, which gives each user the
-    same floats as a user-by-user fold; a user listed twice in one round
-    falls in two groups and counts twice. Its cost grows with groups and
-    segments, not with users: the report keeps each (side, segment) value,
-    and its per-user columns are gathered only when first read.
+    the same order. The audit adds each group's terms to its segments with
+    one in-order scatter, in round order from zero and in group order
+    within a round, which gives each user the same floats as a user-by-user
+    fold; a user listed twice in one round falls in two groups and counts
+    twice. Its cost grows with groups and segments, not with users: the
+    report keeps each (side, segment) value, and its per-user columns are
+    gathered only when first read.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
 
@@ -363,20 +363,24 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     if not terms:
         return AuditReport(per_user=AuditValues([], []))
 
-    # segment s holds the ids [edges[s], edges[s + 1]); sums[side, s, j] is
-    # the running total of terms against data[j] for its users on that side
+    # segment s holds the ids [edges[s], edges[s + 1]); group g covers the
+    # segments [first[g], last[g]); sums[s, side, j] is the total of terms
+    # against data[j] for its users on that side
     edges = np.unique(points)
     if edges[-1] > population.size:
         raise AuditError("transcript names a user outside the population")
-    ends = iter(edges.searchsorted(points).tolist())
-    sums = np.zeros((2, edges.size - 1, len(data)))
+    first, last = edges.searchsorted(points).reshape(-1, 2).T
+    spans = last - first
+    group_of = np.repeat(np.arange(len(terms)), spans)
+    # the k-th (group, segment) pair, in group order, is segment first[g] + k - (pairs before group g)
+    segment_of = np.arange(group_of.size) + np.repeat(first - (np.cumsum(spans) - spans), spans)
+    sums = np.zeros((edges.size - 1, 2, len(data)))
+    # add.at adds in index order, so each segment's terms are summed in round order from zero
+    np.add.at(sums, segment_of, np.array(terms)[group_of])
     covered = np.zeros(edges.size - 1, dtype=bool)
-    for term in terms:
-        segments = slice(next(ends), next(ends))
-        sums[:, segments] += term[:, None, :]
-        covered[segments] = True
+    covered[segment_of] = True
 
-    return AuditReport(per_user=AuditValues._of_segments(edges, covered, sums.max(axis=2), population.side_codes))
+    return AuditReport(per_user=AuditValues._of_segments(edges, covered, sums.max(axis=2).T, population.side_codes))
 
 
 def write_audit_report(report: AuditReport, declared_epsilon: float, stream: TextIO) -> None:

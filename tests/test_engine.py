@@ -173,6 +173,27 @@ def test_population_accepts_bool_and_list_side_codes():
         assert [pop.datum(uid).payload for uid in range(pop.size)] == ["B", "A", "B"]
 
 
+def test_population_keeps_its_own_sides():
+    base = np.array([0, 0, 0, 1], dtype=np.uint8)
+    for codes in (base, base[:]):
+        pop = Population(codes, "A", "B")
+        assert base.flags.writeable and codes.flags.writeable  # the caller's arrays stay writable
+        base[2] = 1
+        assert pop.side_codes.tolist() == [0, 0, 0, 1] and pop.datum(2).side is Side.ALICE
+        base[2] = 0
+    borrowed = base[:]
+    borrowed.setflags(write=False)
+    pop = Population(borrowed, "A", "B")
+    base[0] = 1
+    assert pop.side_codes.tolist() == [0, 0, 0, 1]  # a read-only view of a writable array is copied
+    owned = np.array([1, 0], dtype=np.uint8)
+    owned.setflags(write=False)
+    assert Population(owned, "A", "B").side_codes is owned
+    for pop in (Population(np.array([1, 0]), "A", "B"), sample_population(5, "A", "B", seed=2)):
+        with pytest.raises(ValueError):
+            pop.side_codes[0] = 0
+
+
 def test_population_shares_payload_objects(population):
     assert population.size == 10
     for uid in range(population.size):
@@ -243,6 +264,18 @@ def test_round_record_columns_are_read_only_arrays(population, query):
     rec = record(source)
     source[0] = 9  # the record holds its own copy
     assert rec.users.tolist() == [4, 5]
+
+
+def test_round_record_copies_a_read_only_view_of_a_writable_array():
+    base = np.array([1, 0, 0], dtype=np.uint8)
+    view = base[:]
+    view.setflags(write=False)
+    rec = RoundRecord((1, 2, 3), ("q",) * 3, (1.0,) * 3, view)
+    base[1] = 7  # after the bit check
+    assert rec.outputs.tolist() == [1, 0, 0]
+    owned = np.array([0, 1], dtype=np.uint8)
+    owned.setflags(write=False)
+    assert RoundRecord((1, 2), ("q",) * 2, (1.0,) * 2, owned).outputs is owned
 
 
 def test_round_record_equality_is_by_value():
@@ -516,6 +549,38 @@ def test_execute_reads_a_predicate_once_per_side(shared):
     assert result.one_vote_counts.tolist() == votes
     bits = [int(response_uniform(3, uid, 0) < query.law(hl_pop.datum(uid))) for uid in range(8)]
     assert result.transcript.rounds[0].outputs.tolist() == bits
+
+
+def test_execute_reads_a_budgets_vote_laws_once_per_execution(monkeypatch):
+    reads = []
+    vote_laws = RRQuery.vote_laws.fget
+
+    def counted(query):
+        reads.append(query.epsilon)
+        return vote_laws(query)
+
+    monkeypatch.setattr(RRQuery, "vote_laws", property(counted))
+    hl_pop = sample_population(10, alice_payload=_alice_hl_payload(), bob_payload=_bob_hl_payload(), seed=13)
+    edges = (HLEdgePredicate(0, (), 0), HLEdgePredicate(0, (), 1), HLEdgePredicate(1, (0,), 0))
+    queries = [RRQuery(eps, edge) for eps, edge in zip((0.5, 0.5, 1.5), edges)]
+    # six rounds at two budgets and three descriptors, one of them a round of two groups
+    script = [range(0, 4), range(4, 8), (range(0, 2), range(5, 9)), range(2, 6), range(1, 3), range(0, 10)]
+    asked = [queries[0], queries[1], (queries[2], queries[0]), queries[2], queries[1], queries[0]]
+
+    class Mixed(ProtocolDriver):
+        def next_round(self, transcript, public_rng):
+            r = len(transcript.rounds)
+            return RoundSpec(users=script[r], queries=asked[r]) if r < len(script) else Halt(None)
+
+    first = execute(Mixed(), hl_pop, InteractivityMode.FULL, seed=4)
+    assert sorted(reads) == [0.5, 1.5]  # once per distinct budget, not once per round or descriptor
+    second = execute(Mixed(), hl_pop, InteractivityMode.FULL, seed=4)
+    assert sorted(reads) == [0.5, 0.5, 1.5, 1.5]  # nothing is kept from one execution to the next
+    assert first.transcript == second.transcript
+    for r, record in enumerate(first.transcript.rounds):
+        queried = zip(record.users.tolist(), record.randomizer_ids)
+        bits = [int(response_uniform(4, uid, r) < first.query_log[d].law(hl_pop.datum(uid))) for uid, d in queried]
+        assert record.outputs.tolist() == bits
 
 
 def test_per_user_and_shared_paths_agree(population):
@@ -896,14 +961,17 @@ def _assert_matches_oracle(outcome, rounds, pop, mode, seed):
     """Checks an execution of the scripted ``rounds`` user by user: each bit
     against ``response_uniform(seed, uid, r) < law``, and the budgets,
     descriptors, vote counts, query log and audit against their definitions."""
-    seen, reused = set(), None
-    for r, (ids, _form, _q) in enumerate(rounds):
-        if reused is None and mode is InteractivityMode.SEQUENTIAL and seen & set(ids):
-            reused = r
+    seen = set()
+    for r, (ids, form, q) in enumerate(rounds):
+        if mode is InteractivityMode.SEQUENTIAL and seen & set(ids):
+            # the smallest reused id of the first group, in the order asked, that holds one
+            groups = singles(ids) if isinstance(q, list) else _as_drawn(ids, form)
+            groups = (groups,) if isinstance(groups, range) else groups
+            first = next(min(seen.intersection(group)) for group in groups if seen.intersection(group))
+            assert isinstance(outcome, InteractivityViolation)
+            assert (outcome.round_index, outcome.user_id) == (r, first)
+            return
         seen |= set(ids)
-    if reused is not None:
-        assert isinstance(outcome, InteractivityViolation) and outcome.round_index == reused
-        return
     votes = np.zeros(pop.size, dtype=np.int64)
     log = {}
     for r, (record, (ids, _form, q)) in enumerate(zip(outcome.transcript.rounds, rounds, strict=True)):
@@ -1039,9 +1107,10 @@ def test_a_sequential_execution_allocates_about_its_columns_not_the_keys():
         second = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # the one-vote column takes 8 bytes a user, the bits and the sequential
-    # check 1 each, and each round's ids and keys 16 bytes a user it asks;
-    # keys for the whole population would add 8 more. Nothing is kept from
-    # one execution to the next, so a second one allocates no more.
+    # the one-vote column takes 8 bytes a user, the bits 1, and each round's
+    # ids and keys 16 bytes a user it asks; the sequential check keeps id
+    # intervals, not a byte a user. Keys for the whole population would add
+    # 8 more. Nothing is kept from one execution to the next, so a second
+    # one allocates no more.
     assert first < 3 * 8 * users
     assert second < 2 * 8 * users

@@ -513,6 +513,21 @@ def test_audit_values_reject_bad_columns():
         AuditValues(np.array([1, 2]), np.array([0.5]))
 
 
+def test_audit_values_copy_a_read_only_view_of_a_writable_array():
+    ids, ratios = np.array([1, 2, 3]), np.array([0.5, 0.25, 0.0])
+    views = ids[:], ratios[:]
+    for view in views:
+        view.setflags(write=False)
+    values = AuditValues(*views)
+    ids[0], ratios[0] = 5, 9.0  # after the ascending check
+    assert list(values.items()) == [(1, 0.5), (2, 0.25), (3, 0.0)] and values.max() == 0.5
+    ids, ratios = np.array([1, 4]), np.array([0.5, 0.0])
+    for column in (ids, ratios):
+        column.setflags(write=False)
+    owned = AuditValues(ids, ratios)  # read-only arrays that own their data are shared
+    assert owned.user_ids is ids and owned.ratios is ratios
+
+
 def test_audit_values_of_sorts_and_keeps_the_ascending_check():
     values = AuditValues.of({3: 0.1, 1: 0.2})
     assert list(values.items()) == [(1, 0.2), (3, 0.1)]
