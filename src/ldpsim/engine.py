@@ -75,9 +75,8 @@ class Population:
     """Users 0..n-1, each holding the Alice or Bob payload of an instance.
 
     Sides are fixed at construction: the population keeps its own read-only
-    copy of ``side_codes``, or the array itself when it is a read-only uint8
-    array that owns its data. Payload objects are shared between all users
-    on the same side.
+    copy of ``side_codes``. Payload objects are shared between all users on
+    the same side.
     """
 
     def __init__(self, side_codes: np.ndarray, alice_payload, bob_payload):
@@ -86,14 +85,9 @@ class Population:
             raise ValueError("population needs at least one user")
         if not ((codes == 0) | (codes == 1)).all():
             raise ValueError("side codes must be 0 (Alice) or 1 (Bob)")
-        _fill_population(self, _column(codes, np.uint8), alice_payload, bob_payload)
-
-    @classmethod
-    def _trusted(cls, codes: np.ndarray, alice_payload, bob_payload) -> "Population":
-        """A population over ``codes``, a uint8 column of 0s and 1s that no
-        one else holds, which it makes read-only."""
-        codes.setflags(write=False)
-        return _fill_population(object.__new__(cls), codes, alice_payload, bob_payload)
+        self._codes = _column(codes, np.uint8)
+        self._alice = Datum(Side.ALICE, alice_payload)
+        self._bob = Datum(Side.BOB, bob_payload)
 
     @property
     def size(self) -> int:
@@ -123,23 +117,12 @@ def sample_population(n: int, alice_payload, bob_payload, seed: int) -> Populati
     if n < 1:
         raise ValueError("population size must be at least 1")
     coins = substream(seed, "population").random(n)
-    return Population._trusted(np.greater_equal(coins, 0.5).view(np.uint8), alice_payload, bob_payload)
-
-
-def _fill_population(population: Population, codes: np.ndarray, alice_payload, bob_payload) -> Population:
-    """Sets the fields of ``population`` from checked ``codes``."""
-    population._codes = codes
-    population._alice = Datum(Side.ALICE, alice_payload)
-    population._bob = Datum(Side.BOB, bob_payload)
-    return population
+    return Population((coins >= 0.5).view(np.uint8), alice_payload, bob_payload)
 
 
 def _column(values, dtype) -> np.ndarray:
-    """A read-only 1-D array of ``values``. A read-only array of the right
-    dtype that owns its data is shared; anything else, a read-only view of
-    a writable array too, is copied so no caller can write to it."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable and values.flags.owndata:
-        return values
+    """A read-only copy of ``values`` as a 1-D array, so no caller can
+    write to it, or change it through an array it was built from."""
     try:
         column = np.array(values, dtype=dtype)
     except OverflowError as exc:
@@ -433,18 +416,18 @@ def execute(
             raise DivergenceError(f"driver did not halt within {MAX_ROUNDS} rounds")
 
         groups = action.groups()
-        if len(groups) == 1:
-            ((users, query),) = groups
-            _check_span(users.start, users.stop, 0, population.size, round_index)
-            groups = [(users, _log_query(query_log, query))]
-        else:
-            if not groups:
+        if not groups:
+            raise ValueError("round must query at least one user")
+        reach = 0
+        for start, stop in sorted([(users.start, users.stop) for users, _query in groups]):
+            if start >= stop:
                 raise ValueError("round must query at least one user")
-            reach = 0
-            for start, stop in sorted([(users.start, users.stop) for users, _query in groups]):
-                _check_span(start, stop, reach, population.size, round_index)
-                reach = stop
-            groups = _merged([(users, _log_query(query_log, query)) for users, query in groups])
+            if start < 0 or stop > population.size:
+                raise ValueError("round names a user outside the population")
+            if start < reach:
+                raise ValueError(f"user {start} queried twice within round {round_index}")
+            reach = stop
+        groups = _merged([(users, _log_query(query_log, query)) for users, query in groups])
         ranges = [users for users, _descriptor in groups]
 
         if mode is InteractivityMode.SEQUENTIAL:
@@ -457,18 +440,6 @@ def execute(
             asked = ranges
         record = _respond(population, groups, keys, round_index, one_votes, query_log, limits)
         transcript = transcript.extended(record)
-
-
-def _check_span(start: int, stop: int, reach: int, size: int, round_index: int) -> None:
-    """Refuses the ids [start, stop) of a round of a population of ``size``
-    users when they are empty, fall outside it, or start below ``reach``,
-    the end of the round's group before them in id order."""
-    if start >= stop:
-        raise ValueError("round must query at least one user")
-    if start < 0 or stop > size:
-        raise ValueError("round names a user outside the population")
-    if start < reach:
-        raise ValueError(f"user {start} queried twice within round {round_index}")
 
 
 def _spend(spent: tuple[list[int], list[int]], users: range, round_index: int) -> None:

@@ -24,6 +24,10 @@ from .engine import SENTINEL_DATUM, Datum, LdpSimError, Population, Side, Transc
 # sums of per-query terms can exceed the exact total by a few ulps
 AUDIT_SLACK = 1e-9
 
+# (group, segment) pairs that one scatter of audit_transcript adds, beyond
+# one group's span: about 1.3 MB of index and term columns
+_SCATTER_PAIRS = 1 << 14
+
 
 class AuditError(LdpSimError):
     """The transcript cannot be audited (missing query, bad predicate)."""
@@ -333,12 +337,13 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
     ids asked one descriptor at one budget. The id axis is cut at both ends
     of every group, so all users of a segment are asked the same queries in
     the same order. The audit adds each group's terms to its segments with
-    one in-order scatter, in round order from zero and in group order
-    within a round, which gives each user the same floats as a user-by-user
-    fold; a user listed twice in one round falls in two groups and counts
-    twice. Its cost grows with groups and segments, not with users: the
-    report keeps each (side, segment) value, and its per-user columns are
-    gathered only when first read.
+    in-order scatters over batches of whole groups, in round order from
+    zero and in group order within a round, which gives each user the same
+    floats as a user-by-user fold; a user listed twice in one round falls
+    in two groups and counts twice. Its time grows with (group, segment)
+    pairs and its memory with segments and at most ``_SCATTER_PAIRS`` pairs,
+    not with users: the report keeps each (side, segment) value, and its
+    per-user columns are gathered only when first read.
     """
     data = (population.alice_datum, population.bob_datum, SENTINEL_DATUM)
 
@@ -371,14 +376,21 @@ def audit_transcript(transcript: Transcript, population: Population, query_log: 
         raise AuditError("transcript names a user outside the population")
     first, last = edges.searchsorted(points).reshape(-1, 2).T
     spans = last - first
-    group_of = np.repeat(np.arange(len(terms)), spans)
-    # the k-th (group, segment) pair, in group order, is segment first[g] + k - (pairs before group g)
-    segment_of = np.arange(group_of.size) + np.repeat(first - (np.cumsum(spans) - spans), spans)
+    through = spans.cumsum()  # (group, segment) pairs of groups 0..g
+    shift = first + spans - through  # the k-th pair, in group order, is segment k + shift[g] of its group g
+    terms = np.array(terms)
     sums = np.zeros((edges.size - 1, 2, len(data)))
-    # add.at adds in index order, so each segment's terms are summed in round order from zero
-    np.add.at(sums, segment_of, np.array(terms)[group_of])
     covered = np.zeros(edges.size - 1, dtype=bool)
-    covered[segment_of] = True
+    # whole groups in batches, each cut after the group that reaches the
+    # next multiple of _SCATTER_PAIRS pairs, so a batch holds fewer than
+    # that many pairs plus one group's span
+    ends = through.searchsorted(np.arange(_SCATTER_PAIRS, through[-1], _SCATTER_PAIRS)) + 1
+    cuts = sorted({0, *ends.tolist(), len(terms)})
+    for a, b in zip(cuts, cuts[1:]):
+        segment_of = np.arange(through[a] - spans[a], through[b - 1]) + np.repeat(shift[a:b], spans[a:b])
+        # add.at adds in index order, so each segment's terms are summed in round order from zero
+        np.add.at(sums, segment_of, np.repeat(terms[a:b], spans[a:b], axis=0))
+        covered[segment_of] = True
 
     return AuditReport(per_user=AuditValues._of_segments(edges, covered, sums.max(axis=2).T, population.side_codes))
 

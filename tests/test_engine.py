@@ -188,7 +188,10 @@ def test_population_keeps_its_own_sides():
     assert pop.side_codes.tolist() == [0, 0, 0, 1]  # a read-only view of a writable array is copied
     owned = np.array([1, 0], dtype=np.uint8)
     owned.setflags(write=False)
-    assert Population(owned, "A", "B").side_codes is owned
+    pop = Population(owned, "A", "B")
+    owned.setflags(write=True)  # numpy lets the owner of the data write again
+    owned[1] = 1
+    assert pop.side_codes.tolist() == [1, 0]  # even a read-only array that owns its data is copied
     for pop in (Population(np.array([1, 0]), "A", "B"), sample_population(5, "A", "B", seed=2)):
         with pytest.raises(ValueError):
             pop.side_codes[0] = 0
@@ -266,7 +269,7 @@ def test_round_record_columns_are_read_only_arrays(population, query):
     assert rec.users.tolist() == [4, 5]
 
 
-def test_round_record_copies_a_read_only_view_of_a_writable_array():
+def test_round_record_copies_read_only_arrays():
     base = np.array([1, 0, 0], dtype=np.uint8)
     view = base[:]
     view.setflags(write=False)
@@ -275,7 +278,10 @@ def test_round_record_copies_a_read_only_view_of_a_writable_array():
     assert rec.outputs.tolist() == [1, 0, 0]
     owned = np.array([0, 1], dtype=np.uint8)
     owned.setflags(write=False)
-    assert RoundRecord((1, 2), ("q",) * 2, (1.0,) * 2, owned).outputs is owned
+    rec = RoundRecord((1, 2), ("q",) * 2, (1.0,) * 2, owned)
+    owned.setflags(write=True)  # numpy lets the owner of the data write again
+    owned[0] = 7
+    assert rec.outputs.tolist() == [0, 1]
 
 
 def test_round_record_equality_is_by_value():

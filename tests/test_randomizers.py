@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpsim import randomizers
 from ldpsim._rng import substream
 from ldpsim.engine import (
     SENTINEL_DATUM,
@@ -428,6 +429,43 @@ def test_segment_fold_equals_per_user_fold_on_hand_built_transcripts(case):
     _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_hand_built_audit_case(), st.integers(1, 6))
+def test_segment_fold_in_small_scatter_batches_equals_per_user_fold(case, batch):
+    pop, transcript = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(randomizers, "_SCATTER_PAIRS", batch)
+        _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
+
+
+def test_audit_memory_stays_within_segments_when_groups_span_many():
+    from ldpsim.engine import Population, RoundRecord
+
+    # a round of singletons, asked in descending order, cuts the id axis into
+    # n segments, and every full-range round after it spans all of them
+    n, full_rounds = 20_000, 40
+    pop = Population(np.arange(n) % 2, "A", "B")
+    singles = RoundRecord(np.arange(n)[::-1], ["a"] * n, [0.7] * n, np.zeros(n, dtype=np.uint8))
+    full = RoundRecord(np.arange(n), ["b"] * n, [0.7] * n, np.zeros(n, dtype=np.uint8))
+    transcript = Transcript((singles,) + (full,) * full_rounds)
+    assert len(singles.groups) == n
+    audit_transcript(transcript, pop, _FUZZ_LOG)  # numpy imports a module on first use
+    tracemalloc.start()
+    try:
+        report = audit_transcript(transcript, pop, _FUZZ_LOG)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    asked = [(_FUZZ_LOG["a"], 0)] + [(_FUZZ_LOG["b"], 0)] * full_rounds
+    data = (pop.alice_datum, pop.bob_datum, SENTINEL_DATUM)
+    by_side = [audit_user(asked, pop.datum(uid), data) for uid in (0, 1)]
+    assert np.allclose(report.per_user.ratios, np.tile(by_side, n // 2), rtol=1e-12, atol=0)
+    # scattered at once, the n * full_rounds (group, segment) pairs would take
+    # about 80 bytes each, 64 MB here; in batches the audit keeps to a few
+    # hundred bytes a segment
+    assert peak < 1000 * n
+
+
 def test_round_of_contiguous_blocks_audits_as_one_round_per_block():
     from ldpsim.engine import Population, RoundRecord
 
@@ -513,7 +551,7 @@ def test_audit_values_reject_bad_columns():
         AuditValues(np.array([1, 2]), np.array([0.5]))
 
 
-def test_audit_values_copy_a_read_only_view_of_a_writable_array():
+def test_audit_values_copy_read_only_arrays():
     ids, ratios = np.array([1, 2, 3]), np.array([0.5, 0.25, 0.0])
     views = ids[:], ratios[:]
     for view in views:
@@ -524,8 +562,11 @@ def test_audit_values_copy_a_read_only_view_of_a_writable_array():
     ids, ratios = np.array([1, 4]), np.array([0.5, 0.0])
     for column in (ids, ratios):
         column.setflags(write=False)
-    owned = AuditValues(ids, ratios)  # read-only arrays that own their data are shared
-    assert owned.user_ids is ids and owned.ratios is ratios
+    owned = AuditValues(ids, ratios)
+    for column in (ids, ratios):
+        column.setflags(write=True)  # numpy lets the owner of the data write again
+    ids[0], ratios[0] = 7, 9.0
+    assert list(owned.items()) == [(1, 0.5), (4, 0.0)] and owned.max() == 0.5
 
 
 def test_audit_values_of_sorts_and_keeps_the_ascending_check():
