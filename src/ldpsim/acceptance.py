@@ -25,6 +25,7 @@ from .randomizers import AUDIT_SLACK, _by_side_query, debias, estimation_halfwid
 from .reductions import (
     AlternatingProtocol,
     Answer,
+    LoweredProtocol,
     OneBitSequence,
     SimultaneousProtocol,
     TableProtocol,
@@ -32,7 +33,6 @@ from .reductions import (
     enumerate_onebit_distribution,
     enumerate_transcript_distribution,
     lift_two_party_to_ldp,
-    lower_multi_to_two_party,
     one_bit_view,
 )
 from .solvers import hl_sample_bound, pc_group_bound
@@ -256,7 +256,7 @@ def _lower_equivalence() -> tuple[bool, str]:
 
     worst, supports_equal, cases = 0.0, True, set()
     for source in protocols + views:
-        lowered = lower_multi_to_two_party(source, source.epsilon)
+        lowered = LoweredProtocol(source, source.epsilon)
         d_source = enumerate_onebit_distribution(source)
         d_two = enumerate_transcript_distribution(lowered, *source.data_pair)
         worst = max(worst, d_source.tv_distance(d_two))

@@ -36,12 +36,12 @@ from .randomizers import _by_side_query, write_audit_report
 from .reductions import (
     AlternatingProtocol,
     Answer,
+    LoweredProtocol,
+    SimultaneousProtocol,
     TableProtocol,
     enumerate_transcript_distribution,
     fixed_onebit,
     lift_two_party_to_ldp,
-    lower_multi_to_two_party,
-    SimultaneousProtocol,
 )
 
 # ---------------------------------------------------------------------------
@@ -201,13 +201,13 @@ def _cmd_gen_instance(args) -> int:
 
 # each problem's flags: its axis names in lower case, the group size's last
 _FLAGS = {name: [axis.lower() for axis in problem.axes] for name, problem in PROBLEMS.items()}
-_MERGEABLE = ("eps", "trials", "seed", "threshold", "solver", "problem", *(f for flags in _FLAGS.values() for f in flags))
+_MERGEABLE = ("eps", "trials", "seed", "solver", "problem", *(f for flags in _FLAGS.values() for f in flags))
 
 
 def _apply_config_file(args) -> None:
     """Fill each flag left unset from the ``--config`` JSON file, parsing a
     value as the flag parses the same text, through its ``type`` and
-    ``choices``."""
+    ``choices``. A key that names no flag of the subcommand is refused."""
     if not getattr(args, "config", None):
         return
     try:
@@ -220,6 +220,8 @@ def _apply_config_file(args) -> None:
     for key, value in defaults.items():
         if key not in _MERGEABLE:
             raise ValueError(f"unknown config file key {key!r}")
+        if key not in flags:
+            raise ValueError(f"config file key {key!r}: {args.command} has no --{key}")
         if getattr(args, key, None) is not None:
             continue
         flag, text = flags[key], str(value)
@@ -255,7 +257,6 @@ def _experiment_config(args) -> ExperimentConfig:
         trials=args.trials,
         seed=args.seed,
         group_size=values[-1],
-        threshold=args.threshold,
     )
 
 
@@ -336,7 +337,7 @@ def _cmd_reduce_lift(args) -> int:
 def _cmd_reduce_lower(args) -> int:
     source = parse_onebit_file(_open_text(args.protocol))
     epsilon = float(args.eps)
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     steps = []
     prefix: tuple[int, ...] = ()
     while True:
@@ -431,7 +432,6 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     solvers = dict.fromkeys(flag for problem in PROBLEMS.values() for flag in problem.solvers)
     parser.add_argument("--solver", choices=tuple(solvers), help="default: full")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threshold", type=float)
     parser.add_argument("--config", help="JSON file with defaults for these flags")
     parser.add_argument("--out")
     parser.set_defaults(flags=parser)

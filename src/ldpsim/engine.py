@@ -444,9 +444,9 @@ def execute(
 
 def _spend(spent: tuple[list[int], list[int]], users: range, round_index: int) -> None:
     """Adds ``users`` to ``spent``, the ascending starts and stops of the
-    disjoint id intervals a sequential execution has asked, joining
-    intervals that touch. Raises :class:`InteractivityViolation` naming the
-    smallest id of ``users`` already spent."""
+    disjoint id intervals a sequential execution has asked. Raises
+    :class:`InteractivityViolation` naming the smallest id of ``users``
+    already spent."""
     starts, stops = spent
     # the first interval that ends after users.start is the only one that can hold its smallest reused id
     i = bisect_right(stops, users.start)
@@ -455,18 +455,8 @@ def _spend(spent: tuple[list[int], list[int]], users: range, round_index: int) -
         raise InteractivityViolation(
             f"sequential mode reuses user {first} in round {round_index}", user_id=first, round_index=round_index
         )
-    joins_left = i > 0 and stops[i - 1] == users.start
-    if i < len(starts) and starts[i] == users.stop:
-        if joins_left:
-            stops[i - 1] = stops.pop(i)
-            del starts[i]
-        else:
-            starts[i] = users.start
-    elif joins_left:
-        stops[i - 1] = users.stop
-    else:
-        starts.insert(i, users.start)
-        stops.insert(i, users.stop)
+    starts.insert(i, users.start)
+    stops.insert(i, users.stop)
 
 
 def _checked_limit(descriptor: str, law) -> int:

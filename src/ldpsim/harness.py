@@ -53,9 +53,9 @@ class HLShape:
         instance = gen_hl_instance(self.branching, self.num_levels, seed)
         return instance, lambda answer: isinstance(answer, tuple) and hl_consistent(answer, instance)
 
-    def driver(self, solver: str, epsilon: float, group_size: int, **tuning) -> tuple[ProtocolDriver, InteractivityMode]:
+    def driver(self, solver: str, epsilon: float, group_size: int) -> tuple[ProtocolDriver, InteractivityMode]:
         fresh = solver == self.solvers["baseline"]
-        config = HLSolverConfig(epsilon, group_size, **tuning)
+        config = HLSolverConfig(epsilon, group_size)
         driver = HLSolverDriver(self.branching, self.num_levels, config, fresh_groups=fresh)
         return driver, InteractivityMode.SEQUENTIAL if fresh else InteractivityMode.FULL
 
@@ -74,9 +74,8 @@ class PCShape:
         instance = gen_pc_instance(self.hops, self.size, seed)
         return instance, lambda answer: answer == chase_pointers(instance)
 
-    def driver(self, solver: str, epsilon: float, group_size: int, **tuning) -> tuple[ProtocolDriver, InteractivityMode]:
-        config = PCSolverConfig(epsilon, group_size, **tuning)
-        return PCSolverDriver(self.hops, self.size, config), InteractivityMode.SEQUENTIAL
+    def driver(self, solver: str, epsilon: float, group_size: int) -> tuple[ProtocolDriver, InteractivityMode]:
+        return PCSolverDriver(self.hops, self.size, PCSolverConfig(epsilon, group_size)), InteractivityMode.SEQUENTIAL
 
 
 PROBLEMS = {shape.name: shape for shape in (HLShape, PCShape)}
@@ -89,8 +88,7 @@ class ExperimentConfig:
 
     ``group_size`` is the population size n for the fully interactive
     hidden-layers solver, the per-query group for the sequential baseline,
-    and the per-bit group m for the pointer-chasing solver. ``threshold``
-    None keeps the solver's default.
+    and the per-bit group m for the pointer-chasing solver.
     """
 
     problem: HLShape | PCShape
@@ -99,7 +97,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     group_size: int
-    threshold: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -115,10 +112,8 @@ class ExperimentConfig:
 
     def driver(self) -> tuple[ProtocolDriver, InteractivityMode]:
         """The solver's driver and its interactivity mode. The driver refuses
-        a shape, and its config a budget or threshold, that the solver cannot
-        use."""
-        tuning = {} if self.threshold is None else {"threshold": self.threshold}
-        return self.problem.driver(self.solver, self.epsilon, self.group_size, **tuning)
+        a shape, and its config a budget, that the solver cannot use."""
+        return self.problem.driver(self.solver, self.epsilon, self.group_size)
 
 
 # What a trial can end in, as ``_run_trial`` returns it; the result counts
@@ -314,8 +309,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence) -> list[tuple[Any,
 
 # CSV columns, fixed: the config echo, the sweep axis, then the result columns.
 CSV_COLUMNS = [
-    "problem", "solver", "shape", "epsilon", "trials", "seed", "group_size", "threshold",
-    "axis", "axis_value", *RESULT_COLUMNS,
+    "problem", "solver", "shape", "epsilon", "trials", "seed", "group_size", "axis", "axis_value", *RESULT_COLUMNS,
 ]
 
 
@@ -329,7 +323,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "group_size": cfg.group_size,
-        "threshold": "" if cfg.threshold is None else repr(cfg.threshold),
     }
 
 

@@ -530,6 +530,7 @@ class LoweredProtocol(TwoPartyProtocol):
         )
 
 
+# the benchmark's lowering workload (bench/workloads.py) is this alias's only caller
 lower_multi_to_two_party = LoweredProtocol
 
 

@@ -29,10 +29,17 @@ from .engine import CountDriver, Halt, RoundSpec, Side
 from .problems import HLEdgePredicate, PCBitPredicate, pointer_bits
 from .randomizers import RRQuery, _budget_exp, debias
 
+# Both solvers decide at this debiased 1-vote fraction. ``sample_population``
+# puts half the users on each side, so a predicate that holds on one side
+# reads 1/2 in expectation and one that holds nowhere reads 0: the rule is
+# their midpoint. It is not claimed optimal: the tree walk takes its last
+# child unconditionally, so its two errors cost differently.
+DECISION_THRESHOLD = 0.25
+
 
 @dataclass(frozen=True)
 class HLSolverConfig:
-    """Budget, group size and descent threshold for the tree walk.
+    """Budget and group size for the tree walk.
 
     The total per-user budget is ``epsilon``; every individual edge query
     runs at ``epsilon / 2`` and is asked of ``n`` users.
@@ -40,14 +47,11 @@ class HLSolverConfig:
 
     epsilon: float
     n: int
-    threshold: float = 0.2
 
     def __post_init__(self):
         _budget_exp(self.per_query_epsilon, "the per-query budget epsilon/2")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not 0 < self.threshold < 0.5:
-            raise ValueError("threshold must lie in (0, 0.5)")
 
     @property
     def per_query_epsilon(self) -> float:
@@ -56,18 +60,15 @@ class HLSolverConfig:
 
 @dataclass(frozen=True)
 class PCSolverConfig:
-    """Budget, per-bit group size and bit-decision threshold."""
+    """Budget and per-bit group size."""
 
     epsilon: float
     m: int
-    threshold: float = 0.15
 
     def __post_init__(self):
         _budget_exp(self.epsilon)
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if not 0 < self.threshold < 0.5:
-            raise ValueError("threshold must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class HLSolverDriver(CountDriver):
     """Hidden-layers tree walk; halts with a leaf path.
 
     At each level, candidate children are probed in order; the walk descends
-    when the debiased 1-vote fraction exceeds the threshold, or
+    when the debiased 1-vote fraction exceeds :data:`DECISION_THRESHOLD`, or
     unconditionally at the last child. By default the same ``n`` users
     answer every edge query (fully interactive). With ``fresh_groups`` each
     query goes to a new group of ``n`` users, so every user answers once
@@ -113,7 +114,7 @@ class HLSolverDriver(CountDriver):
     def advance(self, state, ones: int, asked: int):
         vertex, child, first_user = state
         first_user += self.config.n if self.fresh_groups else 0
-        if debias(ones, asked, self.config.per_query_epsilon) > self.config.threshold or child == self.branching - 1:
+        if debias(ones, asked, self.config.per_query_epsilon) > DECISION_THRESHOLD or child == self.branching - 1:
             return vertex + (child,), 0, first_user
         return vertex, child + 1, first_user
 
@@ -164,7 +165,7 @@ class PCSolverDriver(CountDriver):
 
     def advance(self, state, ones: int, asked: int):
         phase, side, location, bits_read, code = state
-        code = (code << 1) | (debias(ones, asked, self.config.epsilon) > self.config.threshold)
+        code = (code << 1) | (debias(ones, asked, self.config.epsilon) > DECISION_THRESHOLD)
         if bits_read + 1 < self.num_bits:
             return phase, side, location, bits_read + 1, code
         value = code + 1

@@ -3,7 +3,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -440,7 +439,7 @@ _HL_FLAGS = ("--problem", "hl", "--b", "2", "--l", "3", "--seed", "1")
 @pytest.mark.parametrize(
     "values, error",
     [
-        ({"threshold": "0.2", "n": 10, "trials": 1, "eps": 1}, None),
+        ({"threshold": "0.2", "n": 10, "trials": 1, "eps": 1}, "unknown config file key 'threshold'"),
         ({"trials": 2.5, "n": 10.9, "eps": 1}, "config file key 'trials': invalid int value '2.5'"),
         ({"n": 10, "trials": True, "eps": 1}, "config file key 'trials': invalid int value 'True'"),
         ({"n": 10, "trials": 1, "eps": "one"}, "config file key 'eps': invalid float value 'one'"),
@@ -613,21 +612,40 @@ def _factory_audit(cfg):
 
 
 @pytest.mark.parametrize(
-    "argv, cfg, threshold",
+    "argv, cfg",
     [
-        (PC_AUDIT, ExperimentConfig(PCShape(1, 4), "pc", 0.3, 1, 16, 20), 0.45),
-        (HL_AUDIT, ExperimentConfig(HLShape(2, 3), "hl-full", 0.7, 1, 18, 12), 0.01),
-        (HL_AUDIT + ["--solver", "baseline"], ExperimentConfig(HLShape(2, 3), "hl-baseline", 0.7, 1, 18, 12), 0.01),
+        (PC_AUDIT, ExperimentConfig(PCShape(1, 4), "pc", 0.3, 1, 16, 20)),
+        (HL_AUDIT, ExperimentConfig(HLShape(2, 3), "hl-full", 0.7, 1, 18, 12)),
+        (HL_AUDIT + ["--solver", "baseline"], ExperimentConfig(HLShape(2, 3), "hl-baseline", 0.7, 1, 18, 12)),
     ],
 )
-def test_audit_threshold_is_honoured(capsys, argv, cfg, threshold):
-    # at these seeds the two thresholds probe different pointer bits or edges
-    code, default, _ = run_cli(capsys, *argv)
-    code_tuned, tuned, _ = run_cli(capsys, *argv, "--threshold", str(threshold))
-    assert code == code_tuned == 0
-    assert default == _factory_audit(cfg)
-    assert tuned == _factory_audit(replace(cfg, threshold=threshold))
-    assert tuned != default
+def test_audit_is_the_factory_trial(capsys, argv, cfg):
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout == _factory_audit(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", *_HL_FLAGS, "--n", "10", "--eps", "1", "--trials", "1"],
+        ["sweep", *_HL_FLAGS, "--n", "10", "--eps", "1", "--trials", "1", "--axis", "n", "--values", "10"],
+        PC_AUDIT,
+    ],
+    ids=["run", "sweep", "audit"],
+)
+def test_threshold_is_not_a_flag(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv, "--threshold", "0.2")
+    assert code == 1 and stdout == ""
+    assert "--threshold" in stderr
+
+
+def test_audit_config_refuses_a_key_it_has_no_flag_for(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 9}))
+    code, stdout, stderr = run_cli(capsys, *PC_AUDIT, "--config", str(cfg))
+    assert code == 1 and stdout == ""
+    assert stderr == "error: config file key 'trials': audit has no --trials\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "9"), ("--format", "csv")])
@@ -887,6 +905,31 @@ def test_acceptance_failure_exits_two(capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "acceptance", "--only", "10")
     assert code == 2
     assert stdout.splitlines()[0].startswith("FAIL criterion-10")
+
+
+def _raises():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize(
+    "criterion, detail",
+    [
+        (("stub-raises", _raises, 60.0), "raised RuntimeError: boom"),
+        # a pass that runs past its limit (here 0 s, which any run reaches) still fails
+        (("stub-slow", lambda: (True, "done"), 0.0), "done; exceeded 0s runtime limit"),
+    ],
+    ids=["raises", "over-limit"],
+)
+def test_acceptance_failure_paths_read_fail_with_their_detail(capsys, monkeypatch, criterion, detail):
+    import ldpsim.acceptance as acceptance
+
+    monkeypatch.setitem(acceptance.CRITERIA, 10, criterion)
+    result = acceptance.run_criterion(10)
+    assert not result.passed
+    assert result.detail == detail
+    code, stdout, _ = run_cli(capsys, "acceptance", "--only", "10")
+    assert code == 2
+    assert re.fullmatch(rf"FAIL criterion-10 {criterion[0]}: {re.escape(detail)} \[\d+\.\ds\]\n", stdout)
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -130,10 +130,13 @@ def test_trial_executes_again_with_the_same_result(cfg):
     assert np.array_equal(second_audit.ratios, first_audit.ratios)
 
 
-def test_threshold_none_keeps_solver_default():
-    assert build_trial(hl_config(), 1).driver.config.threshold == 0.2
-    assert build_trial(pc_config(), 1).driver.config.threshold == 0.15
-    assert build_trial(pc_config(threshold=0.3), 1).driver.config.threshold == 0.3
+def test_the_decision_threshold_is_not_an_option():
+    # both solvers decide at solvers.DECISION_THRESHOLD: no config field, CSV column or JSON key carries one
+    with pytest.raises(TypeError):
+        pc_config(threshold=0.3)
+    cfg = hl_config(trials=1)
+    assert "threshold" not in result_rows(cfg, [(None, run_experiment(cfg))])[0]
+    assert "threshold" not in CSV_COLUMNS
 
 
 @dataclass(frozen=True)

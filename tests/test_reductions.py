@@ -287,7 +287,7 @@ def test_max_paths_bounds_visited_prefixes(depth, monkeypatch):
 def test_lowered_protocol_visits_one_prefix_per_transcript_prefix(monkeypatch):
     # lottery, sent bit, flip and keep/skip branches entering one bit are merged
     queries = [law_query(LN3, f"q{i}", 0.75, 0.25) for i in range(3)]
-    lowered = lower_multi_to_two_party(fixed_onebit(LN3, PAIR, queries), LN3)
+    lowered = LoweredProtocol(fixed_onebit(LN3, PAIR, queries), LN3)
     monkeypatch.setattr("ldpsim.reductions.ENUMERATION_GUARD", 2**4 - 1)
     dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
     assert len(dist.probs) == 8
@@ -585,7 +585,7 @@ def test_lower_randomized_response_boundary():
     epsilon = LN3
     p_high, p_low = rr_param(1, epsilon), rr_param(0, epsilon)
     source = fixed_onebit(epsilon, PAIR, [law_query(epsilon, "rr", p_high, p_low)])
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     steps = lowered.action(())
     assert not isinstance(steps, Answer)
     step = steps[0][1]
@@ -598,7 +598,7 @@ def test_lower_randomized_response_boundary():
 def test_lower_constant_law_enters_exact_probability():
     for c in (0.3, 0.7):
         source = fixed_onebit(1.0, PAIR, [law_query(1.0, "const", c, c)])
-        lowered = lower_multi_to_two_party(source, 1.0)
+        lowered = LoweredProtocol(source, 1.0)
         dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
         assert dist["1"] == pytest.approx(c, abs=1e-12)
         assert lowered.cases_used == ({"case1"} if c <= 0.5 else {"case2"})
@@ -607,7 +607,7 @@ def test_lower_constant_law_enters_exact_probability():
 def test_lower_constant_zero_and_one_laws():
     for c, key in ((0.0, "0"), (1.0, "1")):
         source = fixed_onebit(1.0, PAIR, [law_query(1.0, "const", c, c)])
-        lowered = lower_multi_to_two_party(source, 1.0)
+        lowered = LoweredProtocol(source, 1.0)
         dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
         assert dist[key] == pytest.approx(1.0, abs=1e-12)
 
@@ -627,7 +627,7 @@ def test_lower_adaptive_two_user_equivalence():
         return Answer(lambda transcript: transcript)
 
     source = OneBitSequence(epsilon=epsilon, data_pair=PAIR, step_fn=step_fn, max_users=2)
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     tv = enumerate_onebit_distribution(source).tv_distance(
         enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
     )
@@ -641,7 +641,7 @@ def test_lower_at_a_budget_whose_channel_is_noiseless():
     epsilon = 40.0
     queries = [law_query(epsilon, "low", 0.3, 0.6), law_query(epsilon, "high", 0.7, 0.8)]
     source = fixed_onebit(epsilon, PAIR, queries)
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     assert lowered.channel.crossover == 0.0
     tv = enumerate_onebit_distribution(source).tv_distance(
         enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
@@ -653,7 +653,7 @@ def test_lower_at_a_budget_whose_channel_is_noiseless():
 def test_lower_rejects_laws_violating_privacy_bound():
     # ratio 0.9/0.1 = 9 > e^1, so the construction must refuse
     source = fixed_onebit(1.0, PAIR, [law_query(1.0, "bad", 0.9, 0.1)])
-    lowered = lower_multi_to_two_party(source, 1.0)
+    lowered = LoweredProtocol(source, 1.0)
     with pytest.raises(ReductionError, match="outside"):
         enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
 
@@ -672,7 +672,7 @@ def test_lower_send_probability_valid_under_ratio_bound(epsilon, p_a, p_b, mix):
     lo, hi = min(p_a, p_b), max(p_a, p_b)
     assume(hi / lo <= bound and (1 - lo) / (1 - hi) <= bound)
     source = fixed_onebit(epsilon, PAIR, [law_query(epsilon, "hyp", p_a, p_b)])
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     steps = lowered.action(())
     holder = PAIR[0] if mix < 0.5 else PAIR[1]
     value = steps[0][1].send_param(holder)
@@ -690,14 +690,14 @@ def test_lower_entered_bit_identity_random_grid():
             if hi / lo > bound or (1 - lo) / (1 - hi) > bound:
                 continue
             source = fixed_onebit(epsilon, PAIR, [law_query(epsilon, "grid", p_a, p_b)])
-            lowered = lower_multi_to_two_party(source, epsilon)
+            lowered = LoweredProtocol(source, epsilon)
             dist = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
             assert dist["1"] == pytest.approx(0.5 * (p_a + p_b), abs=1e-12)
 
 
 def test_lower_channel_advantage():
     source = fixed_onebit(1.0, PAIR, [law_query(1.0, "c", 0.5, 0.5)])
-    lowered = lower_multi_to_two_party(source, 1.0)
+    lowered = LoweredProtocol(source, 1.0)
     assert lowered.channel.advantage == pytest.approx(lower_crossover(1.0), abs=1e-15)
 
 
@@ -707,7 +707,7 @@ def test_conversion_names_are_their_classes():
 
 def test_lowered_protocol_is_as_long_as_its_source():
     queries = [law_query(1.0, f"q{i}", 0.5, 0.5) for i in range(3)]
-    lowered = lower_multi_to_two_party(fixed_onebit(1.0, PAIR, queries), 1.0)
+    lowered = LoweredProtocol(fixed_onebit(1.0, PAIR, queries), 1.0)
     assert lowered.max_bits == 3
     assert {len(key) for key in enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs} == {3}
 
@@ -716,7 +716,7 @@ def test_lowering_a_source_that_runs_past_max_users_fails():
     # a source that never halts must not be cut short into a shorter distribution
     query = law_query(0.5, "forever", 0.5, 0.5)
     source = OneBitSequence(0.5, PAIR, lambda prefix: query, max_users=2)
-    lowered = lower_multi_to_two_party(source, 0.5)
+    lowered = LoweredProtocol(source, 0.5)
     with pytest.raises(ReductionError, match="exceeded its own max_bits without halting"):
         enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1])
     with pytest.raises(ReductionError, match="exceeded max_users without halting"):
@@ -726,7 +726,7 @@ def test_lowering_a_source_that_runs_past_max_users_fails():
 def test_simulate_two_party_matches_enumeration_roughly():
     epsilon = LN3
     source = fixed_onebit(epsilon, PAIR, [law_query(epsilon, "sim", 0.75, 0.25)])
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     ones = sum(
         simulate_two_party(lowered, PAIR[0], PAIR[1], seed=seed)[0][0] for seed in range(4000)
     )
@@ -742,7 +742,7 @@ def test_lower_applies_to_pointer_chasing_solver():
     inst = gen_pc_instance(1, 2, seed=31)
     driver = PCSolverDriver(inst.hops, inst.size, PCSolverConfig(epsilon=LN2, m=2))
     source = one_bit_view(driver, LN2, inst.data_pair())
-    lowered = lower_multi_to_two_party(source, LN2)
+    lowered = LoweredProtocol(source, LN2)
     alice, bob = inst.data_pair()
     tv = enumerate_onebit_distribution(source).tv_distance(
         enumerate_transcript_distribution(lowered, alice, bob)
@@ -1002,7 +1002,7 @@ def test_lowered_enumeration_matches_reference(epsilon, num_users, draws):
         return queries[prefix]
 
     source = OneBitSequence(epsilon=epsilon, data_pair=PAIR, step_fn=step_fn, max_users=num_users)
-    lowered = lower_multi_to_two_party(source, epsilon)
+    lowered = LoweredProtocol(source, epsilon)
     merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
     reference = reference_two_party(lowered, PAIR[0], PAIR[1])
     assert set(merged) == set(reference)
@@ -1027,7 +1027,7 @@ def test_lowered_enumeration_covers_both_cases():
             return q_zero if prefix[0] == 0 else q_one
         return Answer(lambda transcript: transcript)
 
-    lowered = lower_multi_to_two_party(OneBitSequence(epsilon, PAIR, step_fn, max_users=2), epsilon)
+    lowered = LoweredProtocol(OneBitSequence(epsilon, PAIR, step_fn, max_users=2), epsilon)
     merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
     reference = reference_two_party(lowered, PAIR[0], PAIR[1])
     assert lowered.cases_used == {"case1", "case2"}
@@ -1054,7 +1054,7 @@ def test_lowered_enumeration_asks_each_law_once_per_datum():
         internal.append(prefix)
         return queries.get(prefix) or counted("d", 0.5, 0.25)
 
-    lowered = lower_multi_to_two_party(OneBitSequence(epsilon, PAIR, step_fn, max_users=3), epsilon)
+    lowered = LoweredProtocol(OneBitSequence(epsilon, PAIR, step_fn, max_users=3), epsilon)
     merged = enumerate_transcript_distribution(lowered, PAIR[0], PAIR[1]).probs
     assert len(internal) == 7 and len(law_calls) == 2 * len(internal)
     reference = reference_two_party(lowered, PAIR[0], PAIR[1])
@@ -1072,7 +1072,7 @@ def test_lowered_enumeration_asks_each_law_once_per_datum():
         def law(self, datum):
             return 0.3 if datum in PAIR else 1.5
 
-    loose_steps = lower_multi_to_two_party(fixed_onebit(epsilon, PAIR, [LooseQuery()]), epsilon).action(())
+    loose_steps = LoweredProtocol(fixed_onebit(epsilon, PAIR, [LooseQuery()]), epsilon).action(())
     with pytest.raises(ReductionError, match="holder law"):
         loose_steps[0][1].send_param(outside)
 

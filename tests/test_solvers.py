@@ -1,9 +1,9 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
+from ldpsim import solvers
 from ldpsim._rng import derive_key
 from ldpsim.engine import (
     Halt,
@@ -57,11 +57,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HLSolverConfig(epsilon=1.0, n=0)
     with pytest.raises(ValueError):
-        HLSolverConfig(epsilon=1.0, n=10, threshold=0.5)
-    with pytest.raises(ValueError):
         PCSolverConfig(epsilon=1.0, m=0)
-    with pytest.raises(ValueError, match=re.escape("threshold must lie in (0, 0.5)")):
-        PCSolverConfig(1.0, 5, threshold=0.5)
+    # the decision rule is derived, not configured
+    with pytest.raises(TypeError):
+        HLSolverConfig(epsilon=1.0, n=10, threshold=0.2)
+    with pytest.raises(TypeError):
+        PCSolverConfig(1.0, 5, threshold=0.15)
     assert HLSolverConfig(epsilon=1.0, n=10).per_query_epsilon == 0.5
 
 
@@ -189,12 +190,13 @@ def test_pc_decode_failure_on_non_power_of_two():
     assert failures > 0
 
 
-def test_pc_exact_threshold_resolves_to_zero_bit():
+def test_pc_exact_threshold_resolves_to_zero_bit(monkeypatch):
     # pin the threshold to the estimate itself so the comparison is an
     # exact float tie; the tie must keep the bit at 0
     tie = debias(3, 8, LN3)
-    config = PCSolverConfig(epsilon=LN3, m=8, threshold=tie)
-    assert debias(3, 8, LN3) == config.threshold
+    monkeypatch.setattr(solvers, "DECISION_THRESHOLD", tie)
+    assert debias(3, 8, LN3) == solvers.DECISION_THRESHOLD
+    config = PCSolverConfig(epsilon=LN3, m=8)
     driver = PCSolverDriver(1, 2, config)
     spec = driver.next_round(Transcript(), public_rng=None)
     tie_round = RoundRecord(
