@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
@@ -81,9 +82,11 @@ def derive_key(seed: int, *labels) -> int:
 
 
 def checked_seed(seed: int) -> int:
-    """``seed``, which must lie in [0, 2**64): :func:`derive_key` reads a
-    seed modulo 2**64, so a seed outside would name the same experiment as
-    the seed it equals there."""
+    """``seed``, which must be an integer in [0, 2**64): :func:`derive_key`
+    truncates a seed and reads it modulo 2**64, so any other seed would name
+    the same experiment as the integer it equals there."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed {seed!r} is not an integer")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return seed
@@ -91,7 +94,7 @@ def checked_seed(seed: int) -> int:
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """A fresh numpy generator for the given (seed, label path); ``seed``
-    must lie in [0, 2**64)."""
+    must be an integer in [0, 2**64)."""
     return np.random.default_rng(derive_key(checked_seed(seed), *labels))
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
 from ._rng import derive_key, substream
 from .channels import lift_channel, lift_crossover, lower_crossover, majority_flip_probability
 from .engine import Datum, Side
@@ -95,10 +93,11 @@ def _privacy_exactness() -> tuple[bool, str]:
     attained = False
     for trial in range(50):
         seed = derive_key(ACCEPTANCE_SEED, "c1-hl", trial)
-        report = _audit_run(HLShape(4, 9), "hl-full", seed, epsilon, 500)
-        worst = max(worst, report.max_ratio())
-        if np.any(np.abs(report.per_user.ratios - epsilon) <= AUDIT_SLACK):
-            attained = True
+        top = _audit_run(HLShape(4, 9), "hl-full", seed, epsilon, 500).max_ratio()
+        worst = max(worst, top)
+        # while every value stays within the budget's slack, some user attains
+        # the budget exactly when the maximum does
+        attained = attained or abs(top - epsilon) <= AUDIT_SLACK
     m = pc_group_bound(epsilon, hops=3, size=16)
     for trial in range(50):
         seed = derive_key(ACCEPTANCE_SEED, "c1-pc", trial)

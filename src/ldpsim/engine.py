@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import checked_seed, hash_limit, premixed_keys, round_bits, substream
 
-MAX_ROUNDS = 10_000_000
+MAX_ROUNDS = 2**15
 
 
 class LdpSimError(RuntimeError):
@@ -392,12 +392,17 @@ def execute(
 ) -> ExecutionResult:
     """Run ``driver`` against ``population`` under ``mode``.
 
-    Deterministic given (driver, population, mode, seed); ``seed`` must lie
-    in [0, 2**64). Raises :class:`InteractivityViolation` when the driver
-    breaks the mode, :class:`DivergenceError` after ``MAX_ROUNDS`` rounds
-    without a halt.
+    Deterministic given (driver, population, mode, seed); ``mode`` must be
+    an :class:`InteractivityMode` and ``seed`` an integer in [0, 2**64).
+    Raises :class:`InteractivityViolation` when the driver breaks the mode,
+    :class:`DivergenceError` after ``MAX_ROUNDS`` rounds without a halt.
+    Each round copies the transcript so far, so a round's cost grows with
+    the rounds before it and a run's with the square of its rounds; the cap
+    keeps a driver that never halts to seconds.
     """
     checked_seed(seed)
+    if not isinstance(mode, InteractivityMode):
+        raise ValueError(f"mode {mode!r} is not an InteractivityMode")
     transcript = Transcript()
     asked, keys = None, None  # the last round's id ranges and each range's premixed keys
     spent = ([], [])  # sequential mode: starts and stops of the disjoint id intervals asked so far, ascending

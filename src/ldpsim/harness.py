@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass, fields, replace
@@ -99,6 +100,9 @@ class ExperimentConfig:
     group_size: int
 
     def __post_init__(self):
+        for name in ("trials", "group_size"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _checked_budget(self.epsilon)

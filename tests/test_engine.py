@@ -31,7 +31,7 @@ from ldpsim.engine import (
     write_transcript,
 )
 from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
-from ldpsim.problems import HLEdgePredicate
+from ldpsim.problems import HLEdgePredicate, gen_hl_instance, gen_pc_instance
 from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, debias, rr_param
 from ldpsim.solvers import HLSolverConfig, PCSolverConfig, pc_group_bound
 from test_randomizers import _reference_audit
@@ -288,6 +288,16 @@ def test_round_record_equality_is_by_value():
     assert record([1, 2], [0, 1]) == record((1, 2), (0, 1))
     assert record([1, 2], [0, 1]) != record([1, 2], [1, 1])
     assert record([1, 2]) != record([2, 1])
+    # a non-record is left to the other operand, so it compares unequal
+    assert record([1, 2]) != "round" and not record([1, 2]) == (1, 2)
+    assert record([1, 2]).__eq__(record) is NotImplemented
+
+
+def test_round_record_repr_names_the_per_user_columns():
+    text = repr(record([3, 4], [1, 0]))
+    assert text.startswith("RoundRecord(users=array([3, 4])")
+    assert "randomizer_ids=('q', 'q')" in text
+    assert "epsilons=array([1., 1.])" in text and "outputs=array([1, 0]" in text
 
 
 def test_round_record_rejects_bad_columns():
@@ -518,6 +528,39 @@ def test_execute_checks_its_seed_once_per_call(population, query, monkeypatch):
     monkeypatch.setattr(engine, "checked_seed", lambda seed: checked.append(seed) or seed)
     result = execute(QueryScript([range(0, 3)] * 4, query), population, InteractivityMode.FULL, seed=2**64 - 1)
     assert checked == [2**64 - 1] and round_complexity(result.transcript) == 4
+
+
+@pytest.mark.parametrize("mode", ["sequential", None, 0])
+def test_execute_refuses_a_mode_that_is_not_an_interactivity_mode(population, query, mode):
+    class Unasked(ProtocolDriver):
+        def next_round(self, transcript, public_rng):
+            raise AssertionError("the mode is checked before the first round")
+
+    with pytest.raises(ValueError, match=f"^mode {re.escape(repr(mode))} is not an InteractivityMode$"):
+        execute(Unasked(), population, mode, seed=1)
+    # run as fully interactive, this script would reuse users 0-2 unchecked
+    driver = QueryScript([range(0, 3), range(0, 3)], query)
+    with pytest.raises(ValueError, match="is not an InteractivityMode"):
+        execute(driver, population, mode, seed=1)
+    with pytest.raises(InteractivityViolation):
+        execute(driver, population, InteractivityMode.SEQUENTIAL, seed=1)
+    assert round_complexity(execute(driver, population, InteractivityMode.FULL, seed=1).transcript) == 2
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda pop, query, seed: execute(QueryScript([range(0, 3)], query), pop, InteractivityMode.FULL, seed=seed),
+        lambda pop, query, seed: sample_population(10, "A", "B", seed=seed),
+        lambda pop, query, seed: gen_hl_instance(2, 3, seed=seed),
+        lambda pop, query, seed: gen_pc_instance(1, 2, seed=seed),
+    ],
+    ids=["execute", "sample_population", "gen_hl_instance", "gen_pc_instance"],
+)
+def test_a_seed_that_is_not_an_integer_is_refused(population, query, run):
+    # derive_key would truncate 1.5, so it would name seed 1's draws
+    with pytest.raises(ValueError, match="^seed 1.5 is not an integer$"):
+        run(population, query, 1.5)
 
 
 def test_divergence_guard(population, query, monkeypatch):

@@ -78,6 +78,27 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", 1.5, "seed 1.5 is not an integer"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("group_size", 30.5, "group_size must be an integer, got 30.5"),
+        ("group_size", 30.0, "group_size must be an integer, got 30.0"),
+    ],
+)
+def test_config_refuses_a_field_that_is_not_an_integer(field, value, message):
+    # seed 1.5 would otherwise run seed 1's experiment; trials 2.5 and
+    # group_size 30.5 would escape a trial as a TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pc_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = pc_config(seed=np.uint64(7), trials=np.int64(1), group_size=np.int32(30))
+    assert run_experiment(config).to_dict() == run_experiment(pc_config()).to_dict()
+
+
+@pytest.mark.parametrize(
     "problem, solver, message",
     [
         ((2, 3), "hl-full", "solver hl-full needs a hidden-layers shape"),

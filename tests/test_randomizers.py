@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpsim import randomizers
 from ldpsim._rng import substream
 from ldpsim.engine import (
     SENTINEL_DATUM,
@@ -429,15 +428,6 @@ def test_segment_fold_equals_per_user_fold_on_hand_built_transcripts(case):
     _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_hand_built_audit_case(), st.integers(1, 6))
-def test_segment_fold_in_small_scatter_batches_equals_per_user_fold(case, batch):
-    pop, transcript = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(randomizers, "_SCATTER_PAIRS", batch)
-        _assert_audit_matches_reference(transcript, pop, _FUZZ_LOG)
-
-
 def test_audit_memory_stays_within_segments_when_groups_span_many():
     from ldpsim.engine import Population, RoundRecord
 
@@ -460,9 +450,9 @@ def test_audit_memory_stays_within_segments_when_groups_span_many():
     data = (pop.alice_datum, pop.bob_datum, SENTINEL_DATUM)
     by_side = [audit_user(asked, pop.datum(uid), data) for uid in (0, 1)]
     assert np.allclose(report.per_user.ratios, np.tile(by_side, n // 2), rtol=1e-12, atol=0)
-    # scattered at once, the n * full_rounds (group, segment) pairs would take
-    # about 80 bytes each, 64 MB here; in batches the audit keeps to a few
-    # hundred bytes a segment
+    # the n * full_rounds (group, segment) pairs would take about 80 bytes
+    # each, 64 MB here, if any step held them at once; added by slice in
+    # place, the audit keeps to a few hundred bytes a segment
     assert peak < 1000 * n
 
 

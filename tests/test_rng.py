@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ldpsim._rng import (
     _mix64,
+    checked_seed,
     derive_key,
     hash_limit,
     premixed_keys,
@@ -34,6 +36,20 @@ def test_substream_reproducible():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=f"^seed {seed} is outside \\[0, 2\\*\\*64\\)$"):
             substream(seed, "x")
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # derive_key would truncate 1.5 to 1, so it would name seed 1's experiment
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+        checked_seed(seed)
+    with pytest.raises(ValueError, match="is not an integer"):
+        substream(seed, "x")
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    assert checked_seed(np.uint64(5)) == 5
+    assert np.array_equal(substream(np.uint64(5), "x").random(5), substream(5, "x").random(5))
 
 
 def _kernel_uniforms(seed, users, round_index):
