@@ -462,18 +462,18 @@ def _lift_of(act):
     return enumerate_onebit_distribution(lift_two_party_to_ldp(_OneStep(act), LN3, PAIR))
 
 
-_ALICE_SENDS_X = SendStep(Side.ALICE, float)
-
-
 def test_a_zero_weight_lottery_branch_is_never_evaluated():
     def refuses(datum):
         raise AssertionError("a zero-weight branch is skipped")
 
-    lottery = ((0.25, _ALICE_SENDS_X), (0.75, SendStep(Side.BOB, lambda y: 0.2)))
+    lottery = ((0.25, SendStep(Side.ALICE, float)), (0.75, SendStep(Side.BOB, lambda y: 0.2)))
     with_zero = _OneStep((lottery[0], (0.0, SendStep(Side.BOB, refuses)), lottery[1]))
     for x, y in ((0, 0), (1, 0), (1, 1)):
         expected = enumerate_transcript_distribution(_OneStep(lottery), x, y).probs
         assert enumerate_transcript_distribution(with_zero, x, y).probs == expected
+
+
+_ALICE_SENDS_X = SendStep(Side.ALICE, float)
 _REFUSED_CONVERSIONS = {
     "negative-bits": (
         lambda: TableProtocol(-1, lambda prefix: Side.ALICE, lambda inp, prefix: 0.0, ChannelSpec()),
