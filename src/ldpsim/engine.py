@@ -289,8 +289,9 @@ class RoundSpec:
     (str), ``epsilon`` (float) and ``law(datum)`` (the Bernoulli parameter
     of its output on that datum); predicate-based queries additionally
     expose ``vote(datum)`` and ``vote_laws``, the law of a 0 vote and of a 1
-    vote, which must depend on ``epsilon`` alone, so the engine reads their
-    predicate once per side and their laws once per budget.
+    vote, which must depend on ``epsilon`` alone and sum to 1, so the engine
+    reads their predicate once per side and their 0-vote law once per
+    budget, and draws a 1 vote from that law's complement.
     """
 
     users: range | tuple[range, ...]
@@ -491,15 +492,20 @@ def _read_sides(
 ) -> tuple[tuple[int, int], tuple[bool, bool]]:
     """The :func:`~ldpsim._rng.hash_limit` of ``query``'s law, and its vote,
     on each side datum. A predicate-based query's predicate is read once per
-    datum, and the limits of its ``vote_laws``, which depend on its budget
-    alone, are read once per budget into ``limits``; any other query's law
-    is read once per datum, and it votes False."""
+    datum. Its 0-vote law, which depends on its budget alone, is read once
+    per budget into ``limits``, as the limit L0 and the 1-vote limit
+    ``2**64 - L0``, so that P(1 | vote 1) = P(0 | vote 0) exactly; a budget
+    whose 0-vote law is 0 has no such limit and is refused. Any other
+    query's law is read once per datum, and it votes False."""
     alice, bob = data
     if hasattr(query, "vote"):
         votes = query.vote(alice), query.vote(bob)
         by_vote = limits.get(query.epsilon)
         if by_vote is None:
-            by_vote = limits[query.epsilon] = tuple(_checked_limit(descriptor, law) for law in query.vote_laws)
+            zero = _checked_limit(descriptor, query.vote_laws[0])
+            if not zero:
+                raise ValueError(f"query {descriptor!r} at budget {query.epsilon!r} has a 0-vote law of 0")
+            by_vote = limits[query.epsilon] = (zero, 2**64 - zero)
         return (by_vote[votes[0]], by_vote[votes[1]]), votes
     return (_checked_limit(descriptor, query.law(alice)), _checked_limit(descriptor, query.law(bob))), (False, False)
 

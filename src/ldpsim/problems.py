@@ -186,21 +186,20 @@ def chase_pointers(inst: PCInstance) -> int:
 
 @dataclass(frozen=True)
 class HLEdgePredicate:
-    """Holds iff the user's hidden level is ``level`` and (vertex, child) is
-    their labeled edge there."""
+    """Holds iff the user's hidden level is ``len(vertex)`` and (vertex,
+    child) is their labeled edge there."""
 
-    level: int
     vertex: tuple[int, ...]
     child: int
 
     @property
     def descriptor(self) -> str:
         vertex = ".".join(map(str, self.vertex))
-        return f"hl-layer-edge({self.level},{vertex},{self.child})"
+        return f"hl-layer-edge({len(self.vertex)},{vertex},{self.child})"
 
     def __call__(self, datum: Datum) -> bool:
         payload = datum.payload
-        if not isinstance(payload, HLPayload) or payload.layer != self.level:
+        if not isinstance(payload, HLPayload) or payload.layer != len(self.vertex):
             return False
         return payload.label(self.vertex) == self.child
 
@@ -210,14 +209,14 @@ class PCBitPredicate:
     """Holds iff the user is on ``side`` and bit ``bit_index`` of their
     pointer at ``location`` is 1.
 
-    Pointer values are encoded as (value - 1) in ``num_bits`` bits, big-endian;
-    ``bit_index`` is 1-based from the most significant bit.
+    Pointer values are encoded as (value - 1) in ``pointer_bits`` of the
+    pointer vector's length, big-endian; ``bit_index`` is 1-based from the
+    most significant bit.
     """
 
     side: Side
     location: int
     bit_index: int
-    num_bits: int
 
     @property
     def descriptor(self) -> str:
@@ -227,27 +226,22 @@ class PCBitPredicate:
         if datum.side is not self.side or not isinstance(datum.payload, tuple):
             return False
         code = datum.payload[self.location - 1] - 1
-        return (code >> (self.num_bits - self.bit_index)) & 1 == 1
+        return (code >> (pointer_bits(len(datum.payload)) - self.bit_index)) & 1 == 1
 
 
-def parse_predicate(descriptor: str, instance: HLInstance | PCInstance):
-    """Rebuild a predicate from its descriptor, using the instance for context."""
+def parse_predicate(descriptor: str):
+    """The predicate whose :attr:`descriptor` is ``descriptor``."""
     name, _, args = descriptor.partition("(")
     if not args.endswith(")"):
         raise ValueError(f"malformed predicate descriptor: {descriptor!r}")
     parts = args[:-1].split(",")
     if name == "hl-layer-edge" and len(parts) == 3:
         vertex = tuple(int(v) for v in parts[1].split(".")) if parts[1] else ()
-        return HLEdgePredicate(level=int(parts[0]), vertex=vertex, child=int(parts[2]))
+        if int(parts[0]) != len(vertex):
+            raise ValueError(f"predicate descriptor {descriptor!r} names a level other than its vertex's length")
+        return HLEdgePredicate(vertex=vertex, child=int(parts[2]))
     if name == "pc-bit" and len(parts) == 3:
-        if not isinstance(instance, PCInstance):
-            raise ValueError("pc-bit descriptors need a pointer chasing instance")
-        return PCBitPredicate(
-            side=Side(parts[0]),
-            location=int(parts[1]),
-            bit_index=int(parts[2]),
-            num_bits=pointer_bits(instance.size),
-        )
+        return PCBitPredicate(side=Side(parts[0]), location=int(parts[1]), bit_index=int(parts[2]))
     raise ValueError(f"unknown predicate descriptor: {descriptor!r}")
 
 

@@ -248,16 +248,12 @@ def enumerate_transcript_distribution(protocol: TwoPartyProtocol, alice_input, b
                 if p_s == 0.0:
                     continue
                 w = branch_prob * p_s
-                # on a noiseless channel keep is 1.0 and the flipped terms add 0.0
-                if use < 1.0:
-                    w_kept, w_flipped = w * keep, w * crossover
-                    mass[sent] += w_kept * use
-                    mass[skip] += w_kept * (1.0 - use)
-                    mass[1 - sent] += w_flipped * use
-                    mass[skip] += w_flipped * (1.0 - use)
-                else:
-                    mass[sent] += w * keep
-                    mass[1 - sent] += w * crossover
+                # the terms a noiseless channel or a use of 1.0 would leave out add exactly 0.0
+                w_kept, w_flipped = w * keep, w * crossover
+                mass[sent] += w_kept * use
+                mass[skip] += w_kept * (1.0 - use)
+                mass[1 - sent] += w_flipped * use
+                mass[skip] += w_flipped * (1.0 - use)
         return mass[0], mass[1]
 
     return _enumerate(branch)

@@ -108,7 +108,7 @@ class HLSolverDriver(CountDriver):
         vertex, child, first_user = state
         if len(vertex) >= self.num_levels:
             return Halt(vertex)
-        query = RRQuery(self.config.per_query_epsilon, HLEdgePredicate(len(vertex), vertex, child))
+        query = RRQuery(self.config.per_query_epsilon, HLEdgePredicate(vertex, child))
         return RoundSpec(users=range(first_user, first_user + self.config.n), queries=query)
 
     def advance(self, state, ones: int, asked: int):
@@ -159,7 +159,7 @@ class PCSolverDriver(CountDriver):
         phase, side, location, bits_read, _code = state
         if isinstance(location, DecodeFailure) or phase > self.hops:
             return Halt(location)
-        query = RRQuery(self.config.epsilon, PCBitPredicate(side, location, bits_read + 1, self.num_bits))
+        query = RRQuery(self.config.epsilon, PCBitPredicate(side, location, bits_read + 1))
         first_user = (phase * self.num_bits + bits_read) * self.config.m
         return RoundSpec(users=range(first_user, first_user + self.config.m), queries=query)
 

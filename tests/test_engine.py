@@ -2,14 +2,15 @@ import io
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpsim import engine
-from ldpsim._rng import premixed_keys, response_uniform
+from ldpsim._rng import hash_limit, premixed_keys, response_uniform, round_bits
 from ldpsim.channels import lift_crossover, lower_crossover
 from ldpsim.engine import (
     CountDriver,
@@ -32,7 +33,7 @@ from ldpsim.engine import (
 )
 from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.problems import HLEdgePredicate, gen_hl_instance, gen_pc_instance
-from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, debias, rr_param
+from ldpsim.randomizers import AUDIT_SLACK, LawQuery, RRQuery, _law_log_ratio, audit_transcript, debias, rr_param
 from ldpsim.solvers import HLSolverConfig, PCSolverConfig, pc_group_bound
 from test_randomizers import _reference_audit
 
@@ -234,7 +235,7 @@ BUDGET_ENTRY_POINTS = {
     "RoundRecord": lambda eps: RoundRecord((1,), ("q",), (eps,), (0,)),
     "rr_param": lambda eps: rr_param(1, eps),
     "debias": lambda eps: debias(1, 2, eps),
-    "RRQuery": lambda eps: RRQuery(eps, HLEdgePredicate(0, (), 0)),
+    "RRQuery": lambda eps: RRQuery(eps, HLEdgePredicate((), 0)),
     "LawQuery": lambda eps: LawQuery(eps, "q", lambda d: 0.5),
     "HLSolverConfig": lambda eps: HLSolverConfig(eps, 10),
     "PCSolverConfig": lambda eps: PCSolverConfig(eps, 10),
@@ -589,7 +590,7 @@ def test_execute_reads_a_predicate_once_per_side(shared):
             return super().__call__(datum)
 
     hl_pop = sample_population(8, alice_payload=_alice_hl_payload(), bob_payload=_bob_hl_payload(), seed=13)
-    query = RRQuery(epsilon=0.8, predicate=CountingEdge(level=0, vertex=(), child=0))
+    query = RRQuery(epsilon=0.8, predicate=CountingEdge(vertex=(), child=0))
     # one-id groups of one query over consecutive ids join into one group
     script = QueryScript([range(8) if shared else singles(range(8))], query)
     result = execute(script, hl_pop, InteractivityMode.FULL, seed=3)
@@ -610,7 +611,7 @@ def test_execute_reads_a_budgets_vote_laws_once_per_execution(monkeypatch):
 
     monkeypatch.setattr(RRQuery, "vote_laws", property(counted))
     hl_pop = sample_population(10, alice_payload=_alice_hl_payload(), bob_payload=_bob_hl_payload(), seed=13)
-    edges = (HLEdgePredicate(0, (), 0), HLEdgePredicate(0, (), 1), HLEdgePredicate(1, (0,), 0))
+    edges = (HLEdgePredicate((), 0), HLEdgePredicate((), 1), HLEdgePredicate((0,), 0))
     queries = [RRQuery(eps, edge) for eps, edge in zip((0.5, 0.5, 1.5), edges)]
     # six rounds at two budgets and three descriptors, one of them a round of two groups
     script = [range(0, 4), range(4, 8), (range(0, 2), range(5, 9)), range(2, 6), range(1, 3), range(0, 10)]
@@ -632,9 +633,56 @@ def test_execute_reads_a_budgets_vote_laws_once_per_execution(monkeypatch):
         assert record.outputs.tolist() == bits
 
 
+def _drawn_limits(epsilon):
+    """The (1-vote, 0-vote) hash limits that ``execute`` hands the kernel for
+    an :class:`RRQuery` at ``epsilon`` whose predicate holds on Alice's side
+    alone."""
+    handed = []
+
+    def spy(premixed, round_index, limits, cells):
+        handed.append(limits)
+        return round_bits(premixed, round_index, limits, cells)
+
+    alice, bob = _alice_hl_payload(), _bob_hl_payload()
+    query = RRQuery(epsilon, HLEdgePredicate((), alice.label(())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "round_bits", spy)
+        execute(QueryScript([range(4)], query), sample_population(4, alice, bob, seed=13), InteractivityMode.FULL, 1)
+    (limits,) = handed
+    return limits * 2 if len(limits) == 1 else limits  # equal limits reach the kernel as one
+
+
+@settings(max_examples=200, deadline=None)
+@example(epsilon=16.18)
+@example(epsilon=30.0)
+@example(epsilon=35.64)
+@example(epsilon=36.0)
+@example(epsilon=37.0)
+@example(epsilon=40.0)
+@example(epsilon=700.0)
+@given(epsilon=st.floats(min_value=0.0, max_value=745.0, exclude_min=True))
+def test_the_drawn_randomized_response_loses_at_most_its_budget(epsilon):
+    # a draw is 1 below its limit, and always at the law-1 limit 2**64 - 1; the
+    # bad event has probability 2**-53 a draw, so only exact laws can show it
+    one, zero = (Fraction(1) if limit == 2**64 - 1 else Fraction(limit, 2**64) for limit in _drawn_limits(epsilon))
+    assert _law_log_ratio(one, zero) <= epsilon + AUDIT_SLACK
+
+
+def test_the_one_vote_limit_is_the_complement_of_the_zero_vote_limit():
+    # at eps = 40 the 1-vote law rounds to 1.0, whose own limit is 2**64 - 1
+    zero = hash_limit(rr_param(0, 40.0))
+    assert rr_param(1, 40.0) == 1.0 and hash_limit(1.0) == 2**64 - 1
+    assert _drawn_limits(40.0) == (2**64 - zero, zero)
+
+
+def test_a_budget_whose_zero_vote_law_underflows_is_refused():
+    with pytest.raises(ValueError, match=re.escape("query 'hl-layer-edge(0,,1)' at budget 800.0 has a 0-vote law of 0")):
+        _drawn_limits(800.0)
+
+
 def test_per_user_and_shared_paths_agree(population):
     # a predicate true only on the Alice side, so laws differ across users
-    pred = HLEdgePredicate(level=0, vertex=(), child=0)
+    pred = HLEdgePredicate(vertex=(), child=0)
     hl_pop = sample_population(
         8,
         alice_payload=_alice_hl_payload(),

@@ -36,7 +36,7 @@ from ldpsim.engine import (
     sample_population,
     write_transcript,
 )
-from ldpsim.problems import PCBitPredicate, gen_hl_instance, gen_pc_instance, pointer_bits
+from ldpsim.problems import PCBitPredicate, gen_hl_instance, gen_pc_instance
 from ldpsim.randomizers import LawQuery, RRQuery, audit_transcript, write_audit_report
 from ldpsim.solvers import HLSolverConfig, HLSolverDriver
 
@@ -137,12 +137,11 @@ def _mixed_outputs() -> tuple[str, str]:
     inst = gen_pc_instance(1, 4, seed=31)
     alice, bob = inst.data_pair()
     population = sample_population(10, alice.payload, bob.payload, seed=32)
-    bits = pointer_bits(inst.size)
     law = {Side.ALICE: 0.3, Side.BOB: 0.6}
     q = [
-        RRQuery(0.7, PCBitPredicate(Side.ALICE, 1, 1, bits)),
-        RRQuery(0.7, PCBitPredicate(Side.BOB, 2, 2, bits)),
-        RRQuery(0.3, PCBitPredicate(Side.BOB, 3, 1, bits)),
+        RRQuery(0.7, PCBitPredicate(Side.ALICE, 1, 1)),
+        RRQuery(0.7, PCBitPredicate(Side.BOB, 2, 2)),
+        RRQuery(0.3, PCBitPredicate(Side.BOB, 3, 1)),
         LawQuery(0.7, "golden-law", lambda d: law.get(d.side, 0.45)),
     ]
     script = [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpsim.engine import SENTINEL_DATUM, Side
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
 from ldpsim.problems import (
     HLEdgePredicate,
     HLInstance,
@@ -208,11 +209,11 @@ def test_hl_predicate_semantics():
     alice, bob = inst.data_pair()
     vertex = (0,) * inst.alice_layer
     child = inst.alice_payload.label(vertex)
-    pred = HLEdgePredicate(inst.alice_layer, vertex, child)
+    pred = HLEdgePredicate(vertex, child)
     assert pred(alice)
     assert not pred(bob)
     assert not pred(SENTINEL_DATUM)
-    assert not HLEdgePredicate(inst.alice_layer, vertex, (child + 1) % 3)(alice)
+    assert not HLEdgePredicate(vertex, (child + 1) % 3)(alice)
 
 
 def test_pc_predicate_semantics():
@@ -221,7 +222,7 @@ def test_pc_predicate_semantics():
     code = inst.alice_ptrs[0] - 1
     for bit_index in range(1, pointer_bits(inst.size) + 1):
         expected = (code >> (pointer_bits(inst.size) - bit_index)) & 1 == 1
-        pred = PCBitPredicate(Side.ALICE, 1, bit_index, pointer_bits(inst.size))
+        pred = PCBitPredicate(Side.ALICE, 1, bit_index)
         assert pred(alice) == expected
         assert not pred(bob)
         assert not pred(SENTINEL_DATUM)
@@ -237,16 +238,31 @@ def test_pointer_bits_is_shared():
 
 
 def test_predicate_descriptors_round_trip():
-    hl_inst = gen_hl_instance(3, 4, seed=23)
-    hl_pred = HLEdgePredicate(2, (1, 0), 2)
-    assert parse_predicate(hl_pred.descriptor, hl_inst) == hl_pred
-    root_pred = HLEdgePredicate(0, (), 1)
-    assert parse_predicate(root_pred.descriptor, hl_inst) == root_pred
-    pc_inst = gen_pc_instance(2, 8, seed=24)
-    pc_pred = PCBitPredicate(Side.BOB, 5, 2, pointer_bits(pc_inst.size))
-    assert parse_predicate(pc_pred.descriptor, pc_inst) == pc_pred
+    hl_pred = HLEdgePredicate((1, 0), 2)
+    assert hl_pred.descriptor == "hl-layer-edge(2,1.0,2)"
+    assert parse_predicate(hl_pred.descriptor) == hl_pred
+    root_pred = HLEdgePredicate((), 1)
+    assert root_pred.descriptor == "hl-layer-edge(0,,1)"
+    assert parse_predicate(root_pred.descriptor) == root_pred
+    pc_pred = PCBitPredicate(Side.BOB, 5, 2)
+    assert pc_pred.descriptor == "pc-bit(bob,5,2)"
+    assert parse_predicate(pc_pred.descriptor) == pc_pred
     with pytest.raises(ValueError):
-        parse_predicate("nonsense(1,2)", hl_inst)
+        parse_predicate("nonsense(1,2)")
+
+
+@pytest.mark.parametrize(
+    "problem, solver, group_size",
+    [(HLShape(3, 4), "hl-full", 30), (HLShape(3, 4), "hl-baseline", 30), (PCShape(2, 8), "pc", 20)],
+)
+def test_every_logged_query_is_its_parsed_descriptor(problem, solver, group_size):
+    for seed in range(3):
+        trial = build_trial(ExperimentConfig(problem, solver, 1.0, 1, seed, group_size), seed)
+        query_log = trial.execute().query_log
+        assert query_log
+        for descriptor, query in query_log.items():
+            assert descriptor == query.descriptor
+            assert parse_predicate(descriptor) == query.predicate
 
 
 _HL = gen_hl_instance(3, 4, seed=23)
@@ -262,14 +278,14 @@ _REFUSALS = {
     # size 1 would reach the regime check's division by log2(1) = 0
     "gen-pc-size-one": (lambda: gen_pc_instance(1, 1, 1), ValueError, "need hops >= 1 and size >= 2"),
     "unclosed-descriptor": (
-        lambda: parse_predicate("pc-bit(alice,1,1", gen_pc_instance(1, 4, 1)),
+        lambda: parse_predicate("pc-bit(alice,1,1"),
         ValueError,
         "malformed predicate descriptor: 'pc-bit(alice,1,1'",
     ),
-    "pc-bit-on-hl": (
-        lambda: parse_predicate("pc-bit(alice,1,1)", _HL),
+    "hl-level-off-vertex": (
+        lambda: parse_predicate("hl-layer-edge(3,1.0,2)"),
         ValueError,
-        "pc-bit descriptors need a pointer chasing instance",
+        "predicate descriptor 'hl-layer-edge(3,1.0,2)' names a level other than its vertex's length",
     ),
     "write-other": (lambda: write_instance(object(), io.StringIO()), TypeError, "cannot serialize object"),
 }

@@ -1,7 +1,9 @@
+import functools
 import io
 import math
 import tracemalloc
 from collections.abc import Mapping
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from ldpsim.engine import (
     execute,
     sample_population,
 )
-from ldpsim.problems import gen_hl_instance, gen_pc_instance, pointer_bits
+from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
+from ldpsim.problems import gen_hl_instance, gen_pc_instance
 from ldpsim.randomizers import (
     AuditError,
     AuditReport,
@@ -143,9 +146,9 @@ def test_audit_user_two_differing_queries_cost_full_budget():
     from ldpsim.problems import HLEdgePredicate
 
     # the query matching Alice's labeled edge, and the one matching Bob's
-    q_alice = RRQuery(eps2, HLEdgePredicate(inst.alice_layer, (), inst.alice_payload.label(())))
+    q_alice = RRQuery(eps2, HLEdgePredicate((), inst.alice_payload.label(())))
     bob_vertex = (0,) * inst.bob_layer
-    q_bob = RRQuery(eps2, HLEdgePredicate(inst.bob_layer, bob_vertex, inst.bob_payload.label(bob_vertex)))
+    q_bob = RRQuery(eps2, HLEdgePredicate(bob_vertex, inst.bob_payload.label(bob_vertex)))
     responses = [(q_alice, 1), (q_bob, 0)]
     assert audit_user(responses, alice, [bob]) == pytest.approx(1.0, abs=1e-12)
 
@@ -155,7 +158,7 @@ def test_audit_user_single_query_bounded_by_budget():
     alice, bob = inst.data_pair()
     from ldpsim.problems import PCBitPredicate
 
-    q = RRQuery(1.0, PCBitPredicate(Side.ALICE, 1, 1, pointer_bits(inst.size)))
+    q = RRQuery(1.0, PCBitPredicate(Side.ALICE, 1, 1))
     value = audit_user([(q, 1)], alice, [bob, SENTINEL_DATUM])
     assert value <= 1.0 + 1e-12
 
@@ -313,13 +316,44 @@ def _pc_execution(seed=0, epsilon=1.0, hops=3, size=16, m=30):
     return pop, execute(driver, pop, InteractivityMode.SEQUENTIAL, seed=seed + 2)
 
 
-def _audit_user_by_user(pop, result) -> dict[int, float]:
+def _audit_user_by_user(pop, result, neighbors=None) -> dict[int, float]:
+    """:func:`audit_user` of every asked user against ``neighbors``, by
+    default the audit's three data."""
     responses: dict[int, list] = {}
     for record in result.transcript.rounds:
         for uid, descriptor, bit in zip(record.users.tolist(), record.randomizer_ids, record.outputs.tolist()):
             responses.setdefault(uid, []).append((result.query_log[descriptor], bit))
-    neighbors = [pop.alice_datum, pop.bob_datum, SENTINEL_DATUM]
+    if neighbors is None:
+        neighbors = [pop.alice_datum, pop.bob_datum, SENTINEL_DATUM]
     return {uid: audit_user(rs, pop.datum(uid), neighbors) for uid, rs in responses.items()}
+
+
+@functools.cache
+def _pc_audits_and_brute_force() -> list[tuple[float, float]]:
+    """(audit value, exact worst case) of every audited user of small pc
+    trials. The exact worst case is :func:`audit_user` against every datum
+    of the universe, both sides times every vector in [1, l]^l: the largest
+    sum of the user's query budgets on which one datum votes otherwise."""
+    pairs = []
+    for size in (2, 3, 4):
+        universe = [Datum(side, vector) for side in Side for vector in product(range(1, size + 1), repeat=size)]
+        for seed, m in product(range(10), (1, 3)):
+            trial = build_trial(ExperimentConfig(PCShape(1, size), "pc", 1.0, 1, seed, m), seed)
+            result = trial.execute()
+            audit = dict(trial.audit(result).per_user.items())
+            exact = _audit_user_by_user(trial.population, result, universe)
+            assert audit.keys() == exact.keys()
+            pairs += [(audit[uid], exact[uid]) for uid in sorted(audit)]
+    return pairs
+
+
+def test_pc_audit_never_exceeds_the_brute_force_worst_case():
+    assert [(audit, exact) for audit, exact in _pc_audits_and_brute_force() if audit > exact] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1a")
+def test_pc_audit_equals_the_brute_force_worst_case():
+    assert [(audit, exact) for audit, exact in _pc_audits_and_brute_force() if audit != exact] == []
 
 
 @pytest.mark.parametrize("problem", ["hl", "pc"])
@@ -523,8 +557,6 @@ def test_audit_rejects_a_user_outside_the_population(users):
 @pytest.mark.parametrize("solver", ["hl-full", "hl-baseline", "pc"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_segment_fold_equals_per_user_fold_on_engine_transcripts(solver, seed):
-    from ldpsim.harness import ExperimentConfig, HLShape, PCShape, build_trial
-
     shape, group = (PCShape(2, 8), 5) if solver == "pc" else (HLShape(2, 4), 7)
     cfg = ExperimentConfig(problem=shape, solver=solver, epsilon=0.9, trials=1, seed=seed, group_size=group)
     trial = build_trial(cfg, seed)

@@ -648,7 +648,7 @@ def test_lower_adaptive_two_user_equivalence():
 
 def test_lower_at_a_budget_whose_channel_is_noiseless():
     # from about eps = 37 the lowering's flip probability rounds to 0, so the
-    # enumerator takes its noiseless keep/skip path, here in both cases
+    # enumerator's flipped terms add exactly 0.0, here in both cases
     epsilon = 40.0
     queries = [law_query(epsilon, "low", 0.3, 0.6), law_query(epsilon, "high", 0.7, 0.8)]
     source = fixed_onebit(epsilon, PAIR, queries)
